@@ -50,9 +50,8 @@ func main() {
 	explainFP := flag.Bool("explain-fastpath", false, "print the per-loop stream fast-path recognition report and exit (no simulation)")
 	requireFP := flag.Bool("require-fastpath", false, "exit non-zero unless every innermost loop streamed and (with -hostpar > 1) every DOALL epoch sharded; prints the per-loop, per-scheme reason for each fallback")
 	verify := flag.Bool("verify", true, "check results against the sequential oracle")
-	traceFile := flag.String("trace", "", "write a text memory-event trace to this file")
 	obsLevel := flag.String("obs", "off", "instrumentation level: off, counters, or trace")
-	btraceFile := flag.String("btrace", "", "write a binary event trace to this file (implies -obs trace; analyze with tpitrace)")
+	btraceFile := flag.String("btrace", "", "write a binary event trace to this file (implies -obs trace; analyze or render as text with tpitrace)")
 	jsonOut := flag.Bool("json", false, "emit a JSON array of per-scheme run results (stats schema + attributed report when -obs is on)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -225,20 +224,6 @@ func main() {
 					fmt.Printf("      binary trace written to %s (analyze with tpitrace)\n", *btraceFile)
 				}
 			}
-		case *traceFile != "":
-			f, err := os.Create(*traceFile)
-			if err != nil {
-				fatal(err)
-			}
-			st, err := core.RunTraced(c, cfg, f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(st)
-			fmt.Printf("      trace written to %s\n", *traceFile)
 		case *verify:
 			st, err := core.VerifyAgainstOracle(c, cfg)
 			if err != nil {
@@ -319,9 +304,9 @@ func explainFastPath(program string, diags []sim.StreamDiag) {
 				dg.Proc, dg.Var, dg.Pos, dg.Reason, dg.ReasonPos)
 		}
 	}
-	fmt.Printf("  %d/%d loops stream; every scheme (BASE, SC, TPI, two-level TPI, HW, VC) runs "+
-		"recognized loops through stream cursors — a recognized loop runs scalar only under the "+
-		"text trace, -fastpath=false, or when an entry guard fails (check with -require-fastpath)\n",
+	fmt.Printf("  %d/%d loops stream; every scheme variant runs recognized loops through stream "+
+		"cursors — a recognized loop runs scalar only under -fastpath=false, or when an entry "+
+		"guard fails (check with -require-fastpath)\n",
 		streamed, len(diags))
 }
 

@@ -54,6 +54,7 @@ func TestExitCodes(t *testing.T) {
 		{"bad cache", []string{"-bench", "ocean", "-cache", "-1"}, 1, "-cache"},
 		{"bad line", []string{"-bench", "ocean", "-line", "0"}, 1, "-line"},
 		{"btrace multi scheme", []string{"-bench", "trfd", "-scheme", "all", "-btrace", "/tmp/x"}, 1, "-btrace"},
+		{"text trace flag removed", []string{"-bench", "trfd", "-trace", "/tmp/x"}, 2, "flag provided but not defined: -trace"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -82,21 +82,6 @@ proc f(X[], Y[]) {
 	}
 }
 
-func TestRunTraced(t *testing.T) {
-	c := compileT(t, "program p\nparam n = 8\narray A[n]\nproc main() { doall i = 0 to n-1 { A[i] = i } }")
-	var buf strings.Builder
-	st, err := RunTraced(c, machine.Default(machine.SchemeTPI), &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Writes == 0 {
-		t.Fatal("no writes recorded")
-	}
-	if !strings.Contains(buf.String(), "W ") || !strings.Contains(buf.String(), "E ") {
-		t.Fatalf("trace missing events:\n%s", buf.String())
-	}
-}
-
 func TestVerifyReportsDivergence(t *testing.T) {
 	// Sanity: a correct run does not report divergence (the failure path
 	// is exercised by construction in development, not reachable with

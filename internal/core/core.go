@@ -168,6 +168,30 @@ func NewSystem(cfg machine.Config, p *prog.Prog) (memsys.System, error) {
 	}
 }
 
+// The scheme contract, checked at compile time: every variant NewSystem
+// builds (TARDIS and TARDIS2 share one type) and the Oracle is a whole
+// memsys.System; every cached scheme returns its caches to the pools
+// (BASE and the Oracle have none); VC alone tracks variable versions.
+var (
+	_ memsys.System = (*swschemes.Base)(nil)
+	_ memsys.System = (*swschemes.SC)(nil)
+	_ memsys.System = (*tpi.System)(nil)
+	_ memsys.System = (*tpi.TwoLevel)(nil)
+	_ memsys.System = (*hwdir.System)(nil)
+	_ memsys.System = (*vc.System)(nil)
+	_ memsys.System = (*tardis.System)(nil)
+	_ memsys.System = (*memsys.Oracle)(nil)
+
+	_ memsys.Releaser = (*swschemes.SC)(nil)
+	_ memsys.Releaser = (*tpi.System)(nil)
+	_ memsys.Releaser = (*tpi.TwoLevel)(nil)
+	_ memsys.Releaser = (*hwdir.System)(nil)
+	_ memsys.Releaser = (*vc.System)(nil)
+	_ memsys.Releaser = (*tardis.System)(nil)
+
+	_ memsys.Versioned = (*vc.System)(nil)
+)
+
 // RunOptions carries the optional per-run controls shared by the Run*
 // variants. The zero value reproduces the plain Run behavior.
 type RunOptions struct {
@@ -328,38 +352,31 @@ func RunFastPathAudit(c *Compiled, cfg machine.Config) (*stats.Stats, *FastPathS
 	return st, &FastPathStatus{StreamDiags: lp.StreamDiags(), Misses: r.FastPathMisses()}, nil
 }
 
-// RunTraced is Run with a memory-event trace written to w (see
-// sim.Runner.SetTrace for the line format).
-func RunTraced(c *Compiled, cfg machine.Config, w io.Writer) (*stats.Stats, error) {
-	lp, err := c.Lowered()
-	if err != nil {
-		return nil, err
-	}
-	sys, err := NewSystem(cfg, c.Prog)
-	if err != nil {
-		return nil, err
-	}
-	r := sim.NewLowered(lp, sys, cfg)
-	r.SetTrace(w)
-	st, err := r.Run()
-	releaseSystem(sys) // on error too: nothing is extracted from sys after this
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
 // RunOracle executes the program with the sequential reference semantics
 // (no caches, direct memory) and returns the authoritative final memory.
+// It pins the sequential scalar path — no stream cursors, no host
+// parallelism — so VerifyAgainstOracle checks the fast paths against an
+// execution that uses neither.
 func RunOracle(c *Compiled) ([]float64, error) {
+	return runOracle(c, nil)
+}
+
+// runOracle is RunOracle with an optional progress callback, which lets
+// tests see which execution paths the reference run took.
+func runOracle(c *Compiled, progress sim.ProgressFunc) ([]float64, error) {
 	lp, err := c.Lowered()
 	if err != nil {
 		return nil, err
 	}
 	cfg := machine.Default(machine.SchemeBase)
 	cfg.Procs = 1
+	cfg.FastPath = false
+	cfg.HostParallel = 0
 	sys := memsys.NewOracle(cfg, c.Prog.MemWords)
 	r := sim.NewLowered(lp, sys, cfg)
+	if progress != nil {
+		r.SetProgress(progress, 1)
+	}
 	if _, err := r.Run(); err != nil {
 		return nil, err
 	}

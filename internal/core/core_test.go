@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/sim"
 )
 
 // stencilSrc exercises producer/consumer flow, stencils with false
@@ -251,5 +252,28 @@ func TestExecutionTimeOrdering(t *testing.T) {
 	}
 	if !(cycles[machine.SchemeSC] > cycles[machine.SchemeTPI]) {
 		t.Errorf("SC (%d cycles) must be slower than TPI (%d)", cycles[machine.SchemeSC], cycles[machine.SchemeTPI])
+	}
+}
+
+// TestRunOracleTakesNoFastPath: the Oracle supports both fast paths like
+// every system, but the reference run must stay on the sequential scalar
+// path, or VerifyAgainstOracle would check the fast paths against
+// themselves.
+func TestRunOracleTakesNoFastPath(t *testing.T) {
+	c := compileT(t, stencilSrc)
+	var last sim.Progress
+	if _, err := runOracle(c, func(p sim.Progress) { last = p }); err != nil {
+		t.Fatal(err)
+	}
+	if !last.Done {
+		t.Fatal("no final progress snapshot")
+	}
+	if last.StreamLoops != 0 || last.HostParEpochs != 0 || last.HostParWorkers != 0 {
+		t.Fatalf("oracle run took a fast path: %d stream loops, %d host-parallel epochs on %d workers",
+			last.StreamLoops, last.HostParEpochs, last.HostParWorkers)
+	}
+	if last.StreamFallbacks == 0 || last.SeqDoallEpochs == 0 {
+		t.Fatalf("the stencil offered no stream loop or doall (%d, %d): the check proves nothing",
+			last.StreamFallbacks, last.SeqDoallEpochs)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/machine"
-	"repro/internal/memsys"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -93,9 +92,7 @@ func RunObservedWithOptions(c *Compiled, cfg machine.Config, level obs.Level, tr
 	if opts.Progress != nil {
 		r.SetProgress(opts.Progress, opts.ProgressEvery)
 	}
-	if ps, ok := sys.(memsys.Probed); ok {
-		ps.SetProbe(rec)
-	}
+	sys.SetProbe(rec)
 	st, err := r.Run()
 	if err != nil {
 		releaseSystem(sys)

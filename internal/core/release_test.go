@@ -37,8 +37,8 @@ proc main() {
 // not a panic, and (b) pooled cache structures handed back by the failed
 // run come back fresh: a subsequent good run over the same cache
 // geometry is bit-identical to the same run before the fault ever
-// happened. This covers the release-on-error paths of Run, RunTraced,
-// and RunObserved.
+// happened. This covers the release-on-error paths of Run and
+// RunObserved, with and without a binary trace.
 func TestMidRunFaultReleasesPooledState(t *testing.T) {
 	good := compileT(t, stencilSrc)
 	bad := compileT(t, faultySrc)
@@ -63,7 +63,7 @@ func TestMidRunFaultReleasesPooledState(t *testing.T) {
 			if _, _, err := RunObservedWithOptions(bad, cfg, obs.LevelCounters, nil, RunOptions{}); err == nil {
 				t.Fatal("faulty program ran to completion under observation")
 			}
-			if _, err := RunTraced(bad, cfg, discard{}); err == nil {
+			if _, _, err := RunObserved(bad, cfg, obs.LevelTrace, discard{}); err == nil {
 				t.Fatal("faulty program ran to completion under tracing")
 			}
 

@@ -185,12 +185,7 @@ func (s *System) procState(p int) (*cache.Cache, *cache.Tracker) {
 	return cc, tr
 }
 
-// HostShardable implements memsys.Sharded: with the directory frozen
-// mid-epoch, references touch only per-processor state plus the lane,
-// and all cross-processor mutations replay at the barrier.
-func (s *System) HostShardable() bool { return true }
-
-// FlushEpoch implements memsys.Buffered: the lanes drain first so the
+// FlushEpoch implements memsys.System: the lanes drain first so the
 // replay (which refreshes surviving claimant/filler copies and charges
 // dirty write-backs) reads barrier-final memory.
 func (s *System) FlushEpoch() {
@@ -681,10 +676,7 @@ func (s *System) EpochBoundary(epoch int64) int64 {
 	return 0
 }
 
-// StreamCapable implements memsys.Streamer.
-func (s *System) StreamCapable() bool { return true }
-
-// InitReadCursor implements memsys.Streamer: an HW read hit is any valid
+// InitReadCursor implements memsys.System: an HW read hit is any valid
 // word (MSI keeps whole lines valid), so the cut is the minimum timetag;
 // the compiler marking is ignored as in the scalar path.
 func (s *System) InitReadCursor(c *memsys.ReadCursor, p int, kind memsys.ReadKind, window int, addr0 prog.Word) {
@@ -698,7 +690,7 @@ func (s *System) InitReadCursor(c *memsys.ReadCursor, p int, kind memsys.ReadKin
 	}
 }
 
-// InitWriteCursor implements memsys.Streamer: the exclusive-hit store is
+// InitWriteCursor implements memsys.System: the exclusive-hit store is
 // inlined (silent under the frozen directory); shared hits and misses
 // take the scalar path, which logs the deferred claim.
 func (s *System) InitWriteCursor(c *memsys.WriteCursor, p int, addr0 prog.Word) {

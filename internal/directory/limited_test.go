@@ -92,12 +92,3 @@ func TestSeqConsistencyWriteStalls(t *testing.T) {
 	}
 	barrier(t, s, 5)
 }
-
-// Interface conformance.
-var (
-	_ memsys.System   = (*System)(nil)
-	_ memsys.Sharded  = (*System)(nil)
-	_ memsys.Buffered = (*System)(nil)
-	_ memsys.Streamer = (*System)(nil)
-	_ memsys.Releaser = (*System)(nil)
-)

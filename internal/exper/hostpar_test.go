@@ -154,7 +154,7 @@ func TestHostParallelObservedEquivalence(t *testing.T) {
 	}
 }
 
-// TestHostParallelTraceDeterminism pins the text-trace merge contract:
+// TestHostParallelTraceDeterminism pins the binary-trace merge contract:
 // under static scheduling the host-parallel byte stream equals the
 // sequential one (static iteration order is already processor-major);
 // under cyclic scheduling the stream is reordered processor-major but
@@ -174,7 +174,7 @@ func TestHostParallelTraceDeterminism(t *testing.T) {
 	trace := func(cfg machine.Config) []byte {
 		t.Helper()
 		var buf bytes.Buffer
-		if _, err := core.RunTraced(c, cfg, &buf); err != nil {
+		if _, _, err := core.RunObserved(c, cfg, obs.LevelTrace, &buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -260,16 +260,15 @@ type Config struct {
 	// stream loops execute through batched per-scheme stream cursors
 	// instead of per-reference closure dispatch. Results are bit-identical
 	// to the scalar path; the flag exists as a kill-switch and for
-	// measuring the speedup. All five schemes stream (BASE, SC, TPI,
-	// two-level TPI, HW, VC); only the line-oriented text trace forces
-	// the scalar path transparently.
+	// measuring the speedup. Every scheme variant streams; no other
+	// setting forces the scalar path run-wide.
 	FastPath bool
 
 	// HostParallel shards the simulated processors of each DOALL epoch
 	// across up to this many host goroutines with a deterministic barrier
 	// merge (results are bit-identical to sequential execution). 0 or 1
-	// keeps the sequential runner. All five schemes shard (HW and VC via
-	// always-buffered lanes with barrier-deferred coherence replay);
+	// keeps the sequential runner. Every scheme variant shards (HW, VC,
+	// and Tardis via always-buffered lanes with barrier-deferred replay);
 	// DynamicSched and doalls containing critical/ordered sections fall
 	// back to sequential execution transparently.
 	HostParallel int

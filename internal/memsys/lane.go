@@ -3,9 +3,10 @@ package memsys
 // Host-parallel epoch execution support.
 //
 // A DOALL epoch has no cross-iteration dependences, writes drain at the
-// epoch boundary, and the coherence decisions of the shardable schemes
-// (BASE, SC, TPI) are purely processor-local: timetags and bypass bits
-// involve no mid-epoch cross-processor messages. That property makes the
+// epoch boundary, and the mid-epoch coherence decisions of every scheme
+// are processor-local: timetags and bypass bits involve no mid-epoch
+// cross-processor messages, and shared protocol state is frozen until
+// the barrier (see below). That property makes the
 // *simulation* of one epoch parallelizable across host goroutines without
 // changing a single simulated cycle — work inside an epoch may be
 // reordered freely as long as it re-serializes at the barrier.
@@ -32,9 +33,9 @@ package memsys
 //     own log first (store-buffer forwarding), so a processor always sees
 //     its own same-epoch writes even after a conflict eviction.
 //
-// Schemes opt in by implementing HostShardable and routing every
-// reference-path access to shared state through LaneFor(p). Schemes whose
-// reference paths *observe memory values* mid-epoch beyond the accessed
+// Every scheme routes each reference-path access to shared state
+// through LaneFor(p). Schemes whose reference paths *observe memory
+// values* mid-epoch beyond the accessed
 // word (the HW directory fills whole lines; VC compares cached values
 // against memory to split true-sharing from conservative misses) would
 // see different neighbor values in pass-through mode (memory already
@@ -65,7 +66,7 @@ type laneWrite struct {
 }
 
 // Lane is a per-processor view of the cross-processor run state. The
-// reference paths of shardable schemes go through a lane for every
+// reference paths of every scheme go through a lane for every
 // counter update, network injection, and memory access.
 type Lane struct {
 	// St receives the scheme's reference counters: the shared run Stats
@@ -179,48 +180,6 @@ func (l *Lane) CheckFresh(addr prog.Word, got float64, proc int, context string)
 	l.mem.CheckFresh(addr, got, proc, context)
 }
 
-// Sharded is the host-parallel contract: a scheme that implements it
-// with HostShardable() == true promises that, between BeginParallelEpoch
-// and EndParallelEpoch, concurrent Read/Write calls for distinct
-// processors touch only per-processor state (caches, trackers, write
-// buffers) plus that processor's Lane. Begin/End and LaneStats come from
-// Core; HostShardable is the explicit per-scheme opt-in (schemes with
-// un-sharded mid-epoch state would override it to false).
-type Sharded interface {
-	System
-	// HostShardable reports that the reference paths are lane-routed.
-	HostShardable() bool
-	// BeginParallelEpoch switches LaneFor to per-processor buffered
-	// lanes for the epoch being entered.
-	BeginParallelEpoch(epoch int64)
-	// EndParallelEpoch performs the barrier merge: buffered writes apply
-	// to memory in (processor, sequence) order, stats shards sum into
-	// the shared Stats, and batched traffic injects into the network.
-	EndParallelEpoch()
-	// LaneStats exposes processor p's active counter sink (the shard
-	// between Begin/End, the shared Stats otherwise).
-	LaneStats(p int) *stats.Stats
-}
-
-// Buffered is implemented by systems whose epochs run on buffered lanes
-// even in sequential execution (EnableAlwaysBuffered). The simulator
-// calls FlushEpoch at the top of every epoch barrier — before barrier
-// cycles are charged and the network clock advances — so lane merges and
-// any deferred protocol replay happen at one canonical point in both
-// execution modes.
-type Buffered interface {
-	System
-	// EpochBuffered reports that epochs run on buffered lanes in every
-	// execution mode and the simulator must call FlushEpoch at barriers.
-	EpochBuffered() bool
-	// FlushEpoch performs the barrier merge: buffered writes apply to
-	// memory in (processor, sequence) order, stats shards sum, batched
-	// traffic injects. Schemes with deferred protocol state (the HW
-	// directory's action logs) override it to replay that state after
-	// the lane merge, so the replay reads barrier-final memory.
-	FlushEpoch()
-}
-
 // EnableAlwaysBuffered switches the core to always-buffered execution:
 // LaneFor returns the processor's private buffered lane (built on first
 // use) even outside host-parallel epochs. EndParallelEpoch then defers
@@ -231,10 +190,10 @@ func (c *Core) EnableAlwaysBuffered() {
 	c.ensureLanes()
 }
 
-// EpochBuffered implements Buffered.
+// EpochBuffered implements System.
 func (c *Core) EpochBuffered() bool { return c.alwaysBuffered }
 
-// FlushEpoch implements Buffered.
+// FlushEpoch implements System.
 func (c *Core) FlushEpoch() { c.FlushEpochLanes() }
 
 // lanesPool recycles lane sets across runs: the write-log slices and
@@ -322,7 +281,7 @@ func (c *Core) LaneFor(p int) *Lane {
 	return &c.seqLane
 }
 
-// BeginParallelEpoch implements Sharded.
+// BeginParallelEpoch implements System.
 func (c *Core) BeginParallelEpoch(epoch int64) {
 	c.ensureLanes()
 	c.laneEpoch = epoch
@@ -347,7 +306,7 @@ func (c *Core) SetLaneEpoch(epoch int64) {
 	}
 }
 
-// EndParallelEpoch implements Sharded. Under always-buffered execution
+// EndParallelEpoch implements System. Under always-buffered execution
 // the merge is deferred to FlushEpoch so sequential and host-parallel
 // epochs drain at the same canonical point (the simulator's barrier).
 func (c *Core) EndParallelEpoch() {
@@ -387,7 +346,7 @@ func (c *Core) FlushEpochLanes() {
 	}
 }
 
-// LaneStats implements Sharded.
+// LaneStats implements System.
 func (c *Core) LaneStats(p int) *stats.Stats {
 	if c.par || c.alwaysBuffered {
 		return c.LaneFor(p).St

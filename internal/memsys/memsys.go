@@ -59,7 +59,12 @@ func (k ReadKind) HitContext() string {
 	}
 }
 
-// System is a coherence scheme's memory system for one machine.
+// System is a coherence scheme's memory system for one machine: the
+// whole scheme contract. Every scheme embeds *Core, which supplies the
+// lane, barrier, probe, and cluster-traffic methods; a scheme supplies
+// its reference paths and its stream cursors. Every system therefore runs
+// on every execution path — sequential scalar, the affine stream fast
+// path, and host-parallel sharding — with bit-identical results.
 type System interface {
 	// Name returns the scheme name ("TPI", "HW", ...).
 	Name() string
@@ -84,6 +89,49 @@ type System interface {
 	Stats() *stats.Stats
 	// Net exposes the network model (the simulator advances its clock).
 	Net() network.Net
+
+	// InitReadCursor prepares c to perform processor p's reads of the
+	// given compiler mark (see stream.go). addr0 is the stream's first
+	// address; schemes whose hit predicate depends on the referenced
+	// variable (VC's per-variable version cut) may capture state derived
+	// from it — the affine entry guards keep every stream address inside
+	// one variable. Cursors capture the processor's current Lane, so
+	// they are valid for one loop entry within one epoch.
+	InitReadCursor(c *ReadCursor, p int, kind ReadKind, window int, addr0 prog.Word)
+	// InitWriteCursor prepares c to perform processor p's non-critical
+	// writes; addr0 as for InitReadCursor.
+	InitWriteCursor(c *WriteCursor, p int, addr0 prog.Word)
+
+	// BeginParallelEpoch switches LaneFor to per-processor buffered lanes
+	// for the epoch being entered. Between Begin and EndParallelEpoch,
+	// concurrent Read/Write calls for distinct processors touch only
+	// per-processor state (caches, trackers, write buffers) plus that
+	// processor's Lane (see lane.go).
+	BeginParallelEpoch(epoch int64)
+	// EndParallelEpoch performs the barrier merge: buffered writes apply
+	// to memory in (processor, sequence) order, stats shards sum into the
+	// shared Stats, and batched traffic injects into the network.
+	EndParallelEpoch()
+	// LaneStats exposes processor p's active counter sink (its lane shard
+	// inside a parallel epoch or under always-buffered execution, the
+	// shared Stats otherwise).
+	LaneStats(p int) *stats.Stats
+	// EpochBuffered reports that epochs run on buffered lanes in every
+	// execution mode (EnableAlwaysBuffered), so the simulator must call
+	// FlushEpoch at every barrier.
+	EpochBuffered() bool
+	// FlushEpoch performs the always-buffered barrier merge — before
+	// barrier cycles are charged and the network clock advances — so lane
+	// merges and any deferred protocol replay happen at one canonical
+	// point in both execution modes. Schemes with deferred protocol state
+	// (the HW directory's and Tardis's action logs) override it to replay
+	// that state after the lane merge.
+	FlushEpoch()
+	// SetProbe attaches an observer of coherence events (see Probe).
+	SetProbe(Probe)
+	// ClusterHomeWords returns the cumulative words fetched from each mesh
+	// cluster's home slice, nil outside the clustered mesh topology.
+	ClusterHomeWords() []int64
 }
 
 // Releaser is implemented by systems whose per-processor cache
@@ -123,11 +171,6 @@ type Probe interface {
 	TimetagReset(epoch int64, words int64)
 }
 
-// Probed is implemented by schemes that can deliver Probe events.
-type Probed interface {
-	SetProbe(Probe)
-}
-
 // Core bundles the state every scheme implementation shares.
 type Core struct {
 	Cfg    machine.Config
@@ -164,7 +207,7 @@ type Core struct {
 	clusterWords []int64
 }
 
-// SetProbe implements Probed.
+// SetProbe implements System.
 func (c *Core) SetProbe(p Probe) { c.Probe = p }
 
 // NewCore builds the shared state for a scheme. The memory extent is
@@ -181,12 +224,12 @@ func NewCore(cfg machine.Config, memWords int64) *Core {
 	}
 	switch cfg.Topology {
 	case "torus":
-		c.Netw = network.NewTorus(cfg.Procs)
+		c.Netw = network.NewMesh(cfg.Procs, 1, true)
 	case "mesh":
 		c.clusterSize = cfg.MeshClusterSize()
 		c.homeClusters = cfg.Clusters()
 		c.clusterWords = make([]int64, c.homeClusters)
-		c.Netw = network.NewMesh(cfg.Procs, c.clusterSize)
+		c.Netw = network.NewMesh(cfg.Procs, c.clusterSize, false)
 	default:
 		c.Netw = network.New(cfg.Procs, cfg.SwitchArity)
 	}
@@ -218,15 +261,8 @@ func (c *Core) HomeOf(addr prog.Word) int {
 	return int(line % int64(c.Cfg.Procs))
 }
 
-// ClusterTraffic exposes per-cluster home-slice fetch traffic for
-// topologies with clustered home slices (the mesh); every Core-based
-// system implements it, returning nil outside the mesh topology.
-type ClusterTraffic interface {
-	ClusterHomeWords() []int64
-}
-
-// ClusterHomeWords implements ClusterTraffic: a copy of the cumulative
-// words fetched from each mesh cluster's home slice, nil outside the
+// ClusterHomeWords implements System: a copy of the cumulative words
+// fetched from each mesh cluster's home slice, nil outside the clustered
 // mesh topology. Reads are atomic, so sampling mid-run is safe; at
 // epoch barriers the totals are deterministic (order-free sums).
 func (c *Core) ClusterHomeWords() []int64 {
@@ -381,8 +417,8 @@ type CounterSample struct {
 }
 
 // SampleStats aggregates a scheme's live stats into a CounterSample.
-// Call only at an epoch barrier (after Buffered.FlushEpoch or
-// Sharded.EndParallelEpoch have merged the per-lane shards); mid-epoch
+// Call only at an epoch barrier (after FlushEpoch or EndParallelEpoch
+// have merged the per-lane shards); mid-epoch
 // the totals of lane-buffered schemes are still in flight.
 func SampleStats(st *stats.Stats) CounterSample {
 	return CounterSample{

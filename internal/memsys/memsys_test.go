@@ -132,7 +132,3 @@ func TestReadKindString(t *testing.T) {
 		t.Fatal("ReadKind strings")
 	}
 }
-
-// Compile-time interface conformance for every scheme implementation is
-// asserted in their own packages; here we pin the oracle.
-var _ System = (*Oracle)(nil)

@@ -3,12 +3,17 @@ package memsys
 import (
 	"repro/internal/machine"
 	"repro/internal/prog"
+	"repro/internal/stats"
 )
 
 // Oracle is the reference memory system: no caches, no latency, direct
 // authoritative memory. Running a program on the Oracle with one
 // processor yields the sequential-semantics result that every coherence
-// scheme must reproduce bit-for-bit.
+// scheme must reproduce bit-for-bit. Every reference goes to memory, so
+// it counts as a bypass miss, as under BASE. Like every system it routes its
+// references through lanes and streams through delegating cursors, so it
+// runs on every execution path; core.RunOracle pins the sequential
+// scalar one, keeping the reference independent of the fast paths.
 type Oracle struct {
 	*Core
 }
@@ -25,14 +30,18 @@ func (o *Oracle) Name() string { return "ORACLE" }
 
 // Read implements System.
 func (o *Oracle) Read(p int, addr prog.Word, kind ReadKind, window int) (float64, int64) {
-	o.St.Reads++
-	return o.Memory.Read(addr), 0
+	ln := o.LaneFor(p)
+	ln.St.Reads++
+	ln.St.ReadMisses[stats.MissBypass]++
+	return ln.Value(addr), 0
 }
 
 // Write implements System.
 func (o *Oracle) Write(p int, addr prog.Word, val float64, crit bool) int64 {
-	o.St.Writes++
-	o.Memory.Write(addr, val, p, o.Epoch)
+	ln := o.LaneFor(p)
+	ln.St.Writes++
+	ln.St.WriteMisses[stats.MissBypass]++
+	ln.Write(addr, val, p, o.Epoch)
 	return 0
 }
 
@@ -40,4 +49,14 @@ func (o *Oracle) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 func (o *Oracle) EpochBoundary(epoch int64) int64 {
 	o.Epoch = epoch
 	return 0
+}
+
+// InitReadCursor implements System: every read delegates to Read.
+func (o *Oracle) InitReadCursor(c *ReadCursor, p int, kind ReadKind, window int, addr0 prog.Word) {
+	*c = ReadCursor{Mode: StreamUncached, Sys: o, Ln: o.LaneFor(p), Proc: p, Kind: kind, Window: window}
+}
+
+// InitWriteCursor implements System: every write delegates to Write.
+func (o *Oracle) InitWriteCursor(c *WriteCursor, p int, addr0 prog.Word) {
+	*c = WriteCursor{Mode: StreamUncached, Sys: o, Ln: o.LaneFor(p), Proc: p}
 }

@@ -7,13 +7,14 @@ package memsys
 // straight-line assignments over affine array references and executes
 // them as precomputed (base, stride, count) streams. Each stream drives
 // one cursor, initialized once per loop entry by the scheme
-// (InitReadCursor / InitWriteCursor) and then invoked once per element
-// with a precomputed address. A cursor inlines the scheme's common case
-// — the cache hit for SC/TPI regular and Time-Reads, the uncached word
-// fetch for BASE — and delegates everything else (fills, refreshes,
-// evictions, prefetch, bypass reads) to the scheme's own scalar
-// Read/Write, so every counter, timetag transition, latency charge, and
-// traffic injection is bit-identical to the scalar path by construction.
+// (System.InitReadCursor / InitWriteCursor) and then invoked once per
+// element with a precomputed address. A cursor inlines the scheme's
+// common case — the cache hit for SC/TPI regular and Time-Reads, the
+// uncached word fetch for BASE — and delegates everything else (fills,
+// refreshes, evictions, prefetch, bypass reads) to the scheme's own
+// scalar Read/Write, so every counter, timetag transition, latency
+// charge, and traffic injection is bit-identical to the scalar path by
+// construction.
 //
 // Soundness of the inlined hit: the cursor caches the line pointer of
 // the previously-touched line and revalidates it on every access
@@ -41,10 +42,10 @@ const (
 	// scheme's scalar Read/Write on anything else (SC/TPI).
 	StreamCached StreamMode = iota
 	// StreamUncached routes every reference through the scheme's scalar
-	// path: for reads (SC/TPI bypass reads) the miss class is the bypass
-	// class; for writes the class is recovered by counter diffing
-	// (Tardis write streams, whose per-line lease state rules out a
-	// stream-constant WTT).
+	// path: reads (bypass reads, Oracle reads) always count a bypass
+	// miss; for writes the class is recovered by counter diffing (Tardis
+	// writes, whose per-line lease state rules out a stream-constant WTT,
+	// and Oracle writes).
 	StreamUncached
 	// StreamBase inlines BASE's uncached remote word access.
 	StreamBase
@@ -65,29 +66,6 @@ const (
 	// lease check TT[w] >= gts.
 	StreamTardis
 )
-
-// Streamer is implemented by schemes that can batch affine reference
-// streams. Cursors are valid for one loop entry within one epoch: they
-// capture the processor's current Lane, so they must be re-initialized
-// after any epoch boundary or Begin/EndParallelEpoch transition (the
-// simulator initializes them at stream-loop entry, which satisfies
-// both).
-type Streamer interface {
-	System
-	// StreamCapable reports whether this instance batches streams. A
-	// scheme embedding a capable one (e.g. two-level TPI) overrides it
-	// to opt out.
-	StreamCapable() bool
-	// InitReadCursor prepares c to perform processor p's reads of the
-	// given compiler mark. addr0 is the stream's first address; schemes
-	// whose hit predicate depends on the referenced variable (VC's
-	// per-variable version cut) may capture state derived from it — the
-	// affine entry guards keep every stream address inside one variable.
-	InitReadCursor(c *ReadCursor, p int, kind ReadKind, window int, addr0 prog.Word)
-	// InitWriteCursor prepares c to perform processor p's non-critical
-	// writes; addr0 as for InitReadCursor.
-	InitWriteCursor(c *WriteCursor, p int, addr0 prog.Word)
-}
 
 // ReadCursor performs one read stream's references.
 type ReadCursor struct {
@@ -412,19 +390,7 @@ func (c *WriteCursor) Write(addr prog.Word, val float64) (int64, int8) {
 			c.CC.Touch(l)
 			return 0, -1
 		}
-		st := c.Ln.St
-		hitsBefore := st.WriteHits
-		missBefore := st.WriteMisses
-		stall := c.Sys.Write(c.Proc, addr, val, false)
-		class := int8(-1)
-		if st.WriteHits == hitsBefore {
-			for i := range st.WriteMisses {
-				if st.WriteMisses[i] != missBefore[i] {
-					class = int8(i)
-					break
-				}
-			}
-		}
+		stall, class := c.delegate(addr, val)
 		c.line = nil // an upgrade/fill may have moved or replaced the line
 		return stall, class
 
@@ -473,7 +439,8 @@ func (c *WriteCursor) Write(addr prog.Word, val float64) (int64, int8) {
 	case StreamUncached:
 		// Scalar-delegate mode: every store runs the scheme's full Write
 		// (schemes whose written-word timetag depends on per-line home
-		// state cannot capture a single stream-constant WTT).
+		// state cannot capture a single stream-constant WTT; the Oracle
+		// has no cache to inline).
 		return c.delegate(addr, val)
 	}
 	return c.writeCached(addr, val)
@@ -510,21 +477,8 @@ func (c *WriteCursor) writeCached(addr prog.Word, val float64) (int64, int8) {
 		c.line = l
 	}
 	if l == nil {
-		st := c.Ln.St
-		hitsBefore := st.WriteHits
-		missBefore := st.WriteMisses
-		stall := c.Sys.Write(c.Proc, addr, val, false)
-		class := int8(-1)
-		if st.WriteHits == hitsBefore {
-			for i := range st.WriteMisses {
-				if st.WriteMisses[i] != missBefore[i] {
-					class = int8(i)
-					break
-				}
-			}
-		}
-		// The allocation just installed a line; find it on the next access.
-		return stall, class
+		// The allocation installs a line; the next access finds it.
+		return c.delegate(addr, val)
 	}
 	ln := c.Ln
 	c.n++

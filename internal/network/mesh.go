@@ -5,27 +5,30 @@ import (
 	"math"
 )
 
-// Mesh is a clustered 2-D mesh: ClusterSize processors share each mesh
+// Mesh is a clustered 2-D grid: ClusterSize processors share each grid
 // node (a TSAR-style cluster with its own home-directory/memory slice),
-// nodes form a near-square grid with no wraparound links, and routing is
-// dimension-ordered with plain Manhattan distance. The load estimator is
-// the same EWMA the multistage and torus models use, so per-hop latency
-// grows with offered load. Intra-cluster traffic still pays one hop
+// nodes form a near-square grid, and routing is dimension-ordered. With
+// Wrap set every row and column closes into a ring — a 2-D torus like
+// the Cray T3D's physical network — so distance is Manhattan-on-rings;
+// without it distance is plain Manhattan. Per-hop latency grows with the
+// shared offered-load estimate. Intra-cluster traffic still pays one hop
 // (the local crossbar); the locality win is that a cluster's home slice
 // is that single hop away while a remote slice is up to DimX+DimY-2.
 type Mesh struct {
 	Procs      int
 	Cluster    int // processors per node
 	DimX, DimY int // node grid
+	Wrap       bool
 
-	ewmaLoad  float64
-	lastCycle int64
-	words     int64
+	loadEstimator
 }
 
-// NewMesh builds a near-square clustered mesh for the machine size.
-// clusterSize <= 0 means one processor per node (a plain mesh).
-func NewMesh(procs, clusterSize int) *Mesh {
+var _ Net = (*Mesh)(nil)
+
+// NewMesh builds a near-square clustered grid for the machine size, with
+// wraparound links when wrap is set. clusterSize <= 0 means one
+// processor per node (a plain mesh or torus).
+func NewMesh(procs, clusterSize int, wrap bool) *Mesh {
 	if procs < 1 {
 		procs = 1
 	}
@@ -37,62 +40,42 @@ func NewMesh(procs, clusterSize int) *Mesh {
 	for dx > 1 && nodes%dx != 0 {
 		dx--
 	}
-	return &Mesh{Procs: procs, Cluster: clusterSize, DimX: dx, DimY: nodes / dx}
+	return &Mesh{Procs: procs, Cluster: clusterSize, DimX: dx, DimY: nodes / dx, Wrap: wrap,
+		loadEstimator: loadEstimator{ports: procs}}
 }
 
-var _ Net = (*Mesh)(nil)
-
-// Inject implements Net.
-func (m *Mesh) Inject(words int64) { m.words += words }
-
-// AdvanceTo implements Net.
-func (m *Mesh) AdvanceTo(cycle int64) {
-	if cycle <= m.lastCycle {
-		return
-	}
-	dt := cycle - m.lastCycle
-	inst := float64(m.words) / (float64(dt) * float64(m.Procs))
-	const alpha = 0.25
-	m.ewmaLoad = alpha*inst + (1-alpha)*m.ewmaLoad
-	m.words = 0
-	m.lastCycle = cycle
-}
-
-// Load implements Net.
-func (m *Mesh) Load() float64 {
-	l := m.ewmaLoad
-	if l < 0 {
-		return 0
-	}
-	if l > 0.95 {
-		return 0.95
-	}
-	return l
-}
-
-// Node returns the mesh node (cluster) housing processor p.
+// Node returns the grid node (cluster) housing processor p.
 func (m *Mesh) Node(p int) int { return p / m.Cluster }
 
 // Hops returns the dimension-ordered routing distance between the
-// clusters of two processors (no wraparound: distance is |Δx| + |Δy|).
+// clusters of two processors.
 func (m *Mesh) Hops(src, dst int) int {
 	s, d := m.Node(src), m.Node(dst)
 	sx, sy := s%m.DimX, s/m.DimX
 	dx, dy := d%m.DimX, d/m.DimX
-	return absInt(sx-dx) + absInt(sy-dy)
+	return m.dist(sx, dx, m.DimX) + m.dist(sy, dy, m.DimY)
 }
 
-func absInt(x int) int {
-	if x < 0 {
-		return -x
+// dist is the distance between a and b along one dimension of n nodes:
+// the shorter way round a ring under wraparound, |a-b| otherwise.
+func (m *Mesh) dist(a, b, n int) int {
+	d := a - b
+	if d < 0 {
+		d = -d
 	}
-	return x
+	if m.Wrap && n-d < d {
+		d = n - d
+	}
+	return d
 }
 
-// AvgHops is the expected routing distance under uniform traffic: the
-// mean distance between two uniform points on a line of n nodes is
-// (n²-1)/(3n), summed per dimension (no wraparound halves nothing).
+// AvgHops is the expected routing distance under uniform traffic. On a
+// ring of n nodes it is taken as n/4 per dimension; on a line the mean
+// distance between two uniform points is (n²-1)/(3n).
 func (m *Mesh) AvgHops() float64 {
+	if m.Wrap {
+		return (float64(m.DimX) + float64(m.DimY)) / 4
+	}
 	lineAvg := func(n int) float64 {
 		if n <= 1 {
 			return 0
@@ -134,5 +117,8 @@ func (m *Mesh) RoundTripBetween(src, dst, payloadWords int) int64 {
 }
 
 func (m *Mesh) String() string {
+	if m.Wrap {
+		return fmt.Sprintf("torus{%dx%d, load=%.3f}", m.DimX, m.DimY, m.Load())
+	}
 	return fmt.Sprintf("mesh{%dx%d nodes, %d/cluster, load=%.3f}", m.DimX, m.DimY, m.Cluster, m.Load())
 }

@@ -1,6 +1,9 @@
-// Package network implements the interconnection network model: an
+// Package network implements the interconnection network models: an
 // indirect k-ary multistage network whose delays follow the Kruskal–Snir
-// analytic queueing model, plus per-class traffic accounting.
+// analytic queueing model (the paper's), and a 2-D grid — a mesh, or with
+// wraparound links a torus like the Cray T3D's physical network — whose
+// delays grow with routing distance. Both share one offered-load
+// estimator.
 //
 // The Kruskal–Snir result approximates the expected waiting time per
 // stage of an unbuffered/buffered banyan under offered load m (packets
@@ -18,17 +21,78 @@ import (
 	"math"
 )
 
-// Model is the analytic network model.
+// Net abstracts the interconnect model: the Kruskal–Snir multistage
+// network the paper simulates (uniform, distance-independent) and the
+// 2-D Mesh (distance-dependent, dimension-ordered routing).
+type Net interface {
+	// Inject records words entering the network for load estimation.
+	Inject(words int64)
+	// AdvanceTo updates the load estimate at a new global cycle count.
+	AdvanceTo(cycle int64)
+	// Load returns the clamped offered-load estimate.
+	Load() float64
+	// Delay is the one-way traversal time under uniform (average
+	// distance) traffic.
+	Delay(payloadWords int) int64
+	// DelayBetween is the one-way traversal time between two endpoints
+	// (equal to Delay for distance-independent topologies).
+	DelayBetween(src, dst, payloadWords int) int64
+	// RoundTrip is a request out and a payload back, average distance.
+	RoundTrip(payloadWords int) int64
+	// RoundTripBetween is a request src->dst and a payload dst->src.
+	RoundTripBetween(src, dst, payloadWords int) int64
+	fmt.Stringer
+}
+
+// loadEstimator is the offered-load estimate every model shares: words
+// injected since the last barrier fold into an exponentially weighted
+// words/cycle/port average when the global clock advances.
+type loadEstimator struct {
+	ports     int
+	ewmaLoad  float64
+	lastCycle int64
+	words     int64 // words injected since lastCycle
+}
+
+// Inject records words entering the network (for load estimation).
+func (e *loadEstimator) Inject(words int64) { e.words += words }
+
+// AdvanceTo updates the load estimate at a new global cycle count.
+func (e *loadEstimator) AdvanceTo(cycle int64) {
+	if cycle <= e.lastCycle {
+		return
+	}
+	dt := cycle - e.lastCycle
+	inst := float64(e.words) / (float64(dt) * float64(e.ports))
+	const alpha = 0.25
+	e.ewmaLoad = alpha*inst + (1-alpha)*e.ewmaLoad
+	e.words = 0
+	e.lastCycle = cycle
+}
+
+// Load returns the current offered-load estimate, clamped to [0, 0.95]
+// so the queueing term stays finite.
+func (e *loadEstimator) Load() float64 {
+	l := e.ewmaLoad
+	if l < 0 {
+		return 0
+	}
+	if l > 0.95 {
+		return 0.95
+	}
+	return l
+}
+
+// Model is the analytic multistage network model.
 type Model struct {
 	Procs  int
 	Arity  int // k
 	Stages int // ceil(log_k Procs)
 
-	// load estimation state: an exponentially-weighted words/cycle/port.
-	ewmaLoad  float64
-	lastCycle int64
-	words     int64 // words injected since lastCycle
+	loadEstimator
 }
+
+var _ Net = (*Model)(nil)
 
 // New builds the model for a machine size.
 func New(procs, arity int) *Model {
@@ -42,36 +106,7 @@ func New(procs, arity int) *Model {
 	if stages == 0 {
 		stages = 1
 	}
-	return &Model{Procs: procs, Arity: arity, Stages: stages}
-}
-
-// Inject records words entering the network (for load estimation).
-func (m *Model) Inject(words int64) { m.words += words }
-
-// AdvanceTo updates the load estimate at a new global cycle count.
-func (m *Model) AdvanceTo(cycle int64) {
-	if cycle <= m.lastCycle {
-		return
-	}
-	dt := cycle - m.lastCycle
-	inst := float64(m.words) / (float64(dt) * float64(m.Procs))
-	const alpha = 0.25
-	m.ewmaLoad = alpha*inst + (1-alpha)*m.ewmaLoad
-	m.words = 0
-	m.lastCycle = cycle
-}
-
-// Load returns the current offered-load estimate, clamped to [0, 0.95]
-// so the queueing term stays finite.
-func (m *Model) Load() float64 {
-	l := m.ewmaLoad
-	if l < 0 {
-		return 0
-	}
-	if l > 0.95 {
-		return 0.95
-	}
-	return l
+	return &Model{Procs: procs, Arity: arity, Stages: stages, loadEstimator: loadEstimator{ports: procs}}
 }
 
 // Delay returns the one-way network traversal time in cycles for a packet
@@ -83,10 +118,21 @@ func (m *Model) Delay(payloadWords int) int64 {
 	return int64(math.Ceil(d))
 }
 
+// DelayBetween implements Net: a multistage network's path length does
+// not depend on the endpoints.
+func (m *Model) DelayBetween(src, dst, payloadWords int) int64 {
+	return m.Delay(payloadWords)
+}
+
 // RoundTrip returns request + response traversal time: a small request
 // packet out, a payload packet back.
 func (m *Model) RoundTrip(payloadWords int) int64 {
 	return m.Delay(1) + m.Delay(payloadWords)
+}
+
+// RoundTripBetween implements Net.
+func (m *Model) RoundTripBetween(src, dst, payloadWords int) int64 {
+	return m.RoundTrip(payloadWords)
 }
 
 func (m *Model) String() string {

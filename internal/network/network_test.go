@@ -104,6 +104,10 @@ func TestStringForm(t *testing.T) {
 	}
 }
 
+// The torus is the wraparound grid: the TestTorus* cases below build it
+// the way the "torus" topology does, NewMesh(procs, 1, true), and the
+// TestMesh* cases pin the same properties without wraparound.
+
 func TestTorusDims(t *testing.T) {
 	cases := []struct{ procs, dx, dy int }{
 		{16, 4, 4},
@@ -113,18 +117,52 @@ func TestTorusDims(t *testing.T) {
 		{1, 1, 1},
 	}
 	for _, c := range cases {
-		tr := NewTorus(c.procs)
+		tr := NewMesh(c.procs, 1, true)
 		if tr.DimX != c.dx || tr.DimY != c.dy {
-			t.Errorf("NewTorus(%d) = %dx%d, want %dx%d", c.procs, tr.DimX, tr.DimY, c.dx, c.dy)
+			t.Errorf("NewMesh(%d, 1, true) = %dx%d, want %dx%d", c.procs, tr.DimX, tr.DimY, c.dx, c.dy)
 		}
 		if tr.DimX*tr.DimY != c.procs {
-			t.Errorf("NewTorus(%d): dims do not multiply out", c.procs)
+			t.Errorf("NewMesh(%d, 1, true): dims do not multiply out", c.procs)
 		}
 	}
 }
 
+func TestMeshDims(t *testing.T) {
+	cases := []struct{ procs, cluster, dx, dy int }{
+		{16, 1, 4, 4},
+		{1024, 16, 8, 8},
+		{4096, 16, 16, 16},
+		{64, 4, 4, 4},
+		{10, 4, 1, 3}, // 3 nodes, the last one partly filled
+	}
+	for _, c := range cases {
+		m := NewMesh(c.procs, c.cluster, false)
+		if m.DimX != c.dx || m.DimY != c.dy {
+			t.Errorf("NewMesh(%d, %d, false) = %dx%d, want %dx%d", c.procs, c.cluster, m.DimX, m.DimY, c.dx, c.dy)
+		}
+	}
+}
+
+// gridDiameter returns the largest hop count between two processors and
+// fails the test on any asymmetric pair.
+func gridDiameter(t *testing.T, m *Mesh) int {
+	t.Helper()
+	max := 0
+	for a := 0; a < m.Procs; a++ {
+		for b := 0; b < m.Procs; b++ {
+			if h := m.Hops(a, b); h > max {
+				max = h
+			}
+			if m.Hops(a, b) != m.Hops(b, a) {
+				t.Fatalf("asymmetric hops %d<->%d", a, b)
+			}
+		}
+	}
+	return max
+}
+
 func TestTorusHops(t *testing.T) {
-	tr := NewTorus(16) // 4x4
+	tr := NewMesh(16, 1, true) // 4x4
 	if got := tr.Hops(0, 0); got != 0 {
 		t.Errorf("self distance = %d", got)
 	}
@@ -135,42 +173,78 @@ func TestTorusHops(t *testing.T) {
 		t.Errorf("diagonal 0->5 = %d, want 2", got)
 	}
 	// max distance on a 4x4 torus is 2+2
-	max := 0
-	for a := 0; a < 16; a++ {
-		for b := 0; b < 16; b++ {
-			if h := tr.Hops(a, b); h > max {
-				max = h
-			}
-			if tr.Hops(a, b) != tr.Hops(b, a) {
-				t.Fatalf("asymmetric hops %d<->%d", a, b)
-			}
-		}
+	if d := gridDiameter(t, tr); d != 4 {
+		t.Errorf("diameter = %d, want 4", d)
 	}
-	if max != 4 {
-		t.Errorf("diameter = %d, want 4", max)
+	if got := tr.AvgHops(); got != 2 {
+		t.Errorf("torus AvgHops = %v, want (4+4)/4", got)
+	}
+}
+
+func TestMeshHops(t *testing.T) {
+	m := NewMesh(16, 1, false) // 4x4
+	if got := m.Hops(0, 3); got != 3 {
+		t.Errorf("row end 0->3 = %d, want 3 (no wraparound)", got)
+	}
+	if got := m.Hops(0, 5); got != 2 {
+		t.Errorf("diagonal 0->5 = %d, want 2", got)
+	}
+	if d := gridDiameter(t, m); d != 6 {
+		t.Errorf("diameter = %d, want 6", d)
+	}
+	c := NewMesh(64, 4, false) // 16 nodes of 4 processors
+	if got := c.Hops(0, 3); got != 0 {
+		t.Errorf("same-cluster hops = %d, want 0", got)
+	}
+	if got := c.Hops(0, 4); got != 1 {
+		t.Errorf("neighbor-cluster hops = %d, want 1", got)
+	}
+	if got, want := m.AvgHops(), 2*(16.0-1)/12; got != want {
+		t.Errorf("mesh AvgHops = %v, want %v", got, want)
 	}
 }
 
 func TestTorusDistanceDependence(t *testing.T) {
-	tr := NewTorus(16)
-	near := tr.DelayBetween(0, 1, 4)
-	far := tr.DelayBetween(0, 10, 4)
-	if !(far > near) {
-		t.Errorf("far delay %d should exceed near %d", far, near)
-	}
-	// average-distance Delay sits between the extremes
-	avg := tr.Delay(4)
-	if avg < near || avg > far+1 {
-		t.Errorf("avg %d outside [%d, %d]", avg, near, far)
+	for _, wrap := range []bool{true, false} {
+		tr := NewMesh(16, 1, wrap)
+		near := tr.DelayBetween(0, 1, 4)
+		far := tr.DelayBetween(0, 10, 4)
+		if !(far > near) {
+			t.Errorf("wrap=%v: far delay %d should exceed near %d", wrap, far, near)
+		}
+		// average-distance Delay sits between the extremes
+		avg := tr.Delay(4)
+		if avg < near || avg > far+1 {
+			t.Errorf("wrap=%v: avg %d outside [%d, %d]", wrap, avg, near, far)
+		}
 	}
 }
 
 func TestTorusLoadRaisesDelay(t *testing.T) {
-	tr := NewTorus(16)
-	d0 := tr.DelayBetween(0, 10, 4)
-	tr.Inject(1 << 30)
-	tr.AdvanceTo(100)
-	if d1 := tr.DelayBetween(0, 10, 4); d1 <= d0 {
-		t.Errorf("loaded delay %d should exceed unloaded %d", d1, d0)
+	for _, wrap := range []bool{true, false} {
+		tr := NewMesh(16, 1, wrap)
+		d0 := tr.DelayBetween(0, 10, 4)
+		tr.Inject(1 << 30)
+		tr.AdvanceTo(100)
+		if d1 := tr.DelayBetween(0, 10, 4); d1 <= d0 {
+			t.Errorf("wrap=%v: loaded delay %d should exceed unloaded %d", wrap, d1, d0)
+		}
+	}
+}
+
+// TestSharedLoadEstimator: every model folds the same injections into the
+// same estimate, so topology choice never changes the load figure.
+func TestSharedLoadEstimator(t *testing.T) {
+	nets := []Net{New(16, 4), NewMesh(16, 1, true), NewMesh(16, 4, false)}
+	for _, n := range nets {
+		n.Inject(4000)
+		n.AdvanceTo(1000)
+		n.Inject(100)
+		n.AdvanceTo(2000)
+	}
+	for _, n := range nets[1:] {
+		if n.Load() != nets[0].Load() {
+			t.Errorf("%v: load %v, multistage %v", n, n.Load(), nets[0].Load())
+		}
 	}
 }

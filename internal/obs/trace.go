@@ -5,6 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+
+	"repro/internal/machine"
+	"repro/internal/memsys"
+	"repro/internal/stats"
 )
 
 // Binary trace format
@@ -27,6 +32,22 @@ import (
 // The stream is self-describing (the header carries the scheme, the
 // array map, and the source-reference table) and ends with OpEnd, whose
 // totals let a reader verify it saw every event.
+//
+// The reader treats its input as untrusted: a corrupt or hostile stream
+// yields an error, never a panic, and decoding memory stays bounded.
+// Header and record fields are checked against the header's machine
+// (processors, data segment, reference table) and the encodings' ranges.
+
+// MaxTraceMemWords bounds the data segment a trace header may describe:
+// replay indexes every word, so the bound caps its memory (16M words,
+// far above any kernel size a trace is practical for).
+const MaxTraceMemWords = 1 << 24
+
+// maxEpochJump bounds how far an epoch record may run ahead of the
+// highest epoch seen so far. The simulator announces epochs one by one;
+// replay keeps a row per epoch, so an unbounded jump would let one record
+// allocate without limit.
+const maxEpochJump = 64
 
 // Op identifies a trace record type.
 type Op uint8
@@ -235,9 +256,10 @@ func appendString(b []byte, s string) []byte {
 
 // TraceReader decodes a binary event trace.
 type TraceReader struct {
-	br   *bufio.Reader
-	meta Meta
-	buf  []byte
+	br    *bufio.Reader
+	meta  Meta
+	buf   []byte
+	epoch int64 // highest epoch seen so far
 }
 
 // NewTraceReader checks the magic and decodes the header.
@@ -295,34 +317,37 @@ func (t *TraceReader) Next() (Event, error) {
 		return Event{}, fmt.Errorf("obs: trace record: %w", err)
 	}
 	d := decoder{b: payload}
+	m := &t.meta
 	var ev Event
 	ev.Op = Op(d.byte())
 	switch ev.Op {
 	case OpEpoch:
 		ev.Epoch = d.int()
 		ev.Cycle = d.int()
+		t.checkEpoch(&d, ev.Epoch)
 	case OpRead:
-		ev.Proc = int(d.int())
-		ev.Addr = d.int()
-		ev.Kind = d.byte()
-		ev.Class = int8(d.byte()) - 1
+		ev.Proc = int(d.below(d.int(), int64(m.Procs), "processor"))
+		ev.Addr = d.below(d.int(), m.MemWords, "address")
+		ev.Kind = uint8(d.below(int64(d.byte()), int64(memsys.ReadBypass)+1, "read kind"))
+		ev.Class = int8(d.below(int64(d.byte()), int64(stats.NumMissClasses)+1, "miss class")) - 1
 		ev.Stall = d.int()
-		ev.Ref = int32(d.int()) - 1
+		ev.Ref = int32(d.below(d.int(), int64(len(m.Refs))+1, "reference")) - 1
 	case OpWrite:
-		ev.Proc = int(d.int())
-		ev.Addr = d.int()
+		ev.Proc = int(d.below(d.int(), int64(m.Procs), "processor"))
+		ev.Addr = d.below(d.int(), m.MemWords, "address")
 		ev.Crit = d.byte() != 0
-		ev.Class = int8(d.byte()) - 1
+		ev.Class = int8(d.below(int64(d.byte()), int64(stats.NumMissClasses)+1, "miss class")) - 1
 		ev.Stall = d.int()
-		ev.Ref = int32(d.int()) - 1
+		ev.Ref = int32(d.below(d.int(), int64(len(m.Refs))+1, "reference")) - 1
 	case OpReset:
 		ev.Epoch = d.int()
 		ev.Words = d.int()
+		t.checkEpoch(&d, ev.Epoch)
 	case OpInval:
-		ev.From = int(d.int())
-		ev.Proc = int(d.int())
-		ev.Addr = d.int()
-		ev.Class = int8(d.byte())
+		ev.From = int(d.below(d.int(), int64(m.Procs), "processor"))
+		ev.Proc = int(d.below(d.int(), int64(m.Procs), "processor"))
+		ev.Addr = d.below(d.int(), m.MemWords, "address")
+		ev.Class = int8(d.below(int64(d.byte()), int64(stats.NumMissClasses), "miss class"))
 	case OpEnd:
 		ev.Reads = d.int()
 		ev.Writes = d.int()
@@ -334,6 +359,18 @@ func (t *TraceReader) Next() (Event, error) {
 		return Event{}, fmt.Errorf("obs: %s record: %w", ev.Op, d.err)
 	}
 	return ev, nil
+}
+
+// checkEpoch bounds an epoch record's jump past the highest epoch seen.
+func (t *TraceReader) checkEpoch(d *decoder, epoch int64) {
+	if d.err != nil {
+		return
+	}
+	if epoch > t.epoch+maxEpochJump {
+		d.err = fmt.Errorf("epoch jumps from %d to %d", t.epoch, epoch)
+		return
+	}
+	t.epoch = max(t.epoch, epoch)
 }
 
 type decoder struct {
@@ -351,6 +388,8 @@ func (d *decoder) byte() uint8 {
 	return v
 }
 
+// int decodes a uvarint field; every encoded field is non-negative, so
+// values past math.MaxInt64 are corrupt.
 func (d *decoder) int() int64 {
 	if d.err != nil {
 		return 0
@@ -361,7 +400,27 @@ func (d *decoder) int() int64 {
 		return 0
 	}
 	d.b = d.b[n:]
+	if v > math.MaxInt64 {
+		d.err = fmt.Errorf("value %d out of range", v)
+		return 0
+	}
 	return int64(v)
+}
+
+// below checks that a decoded field lies in [0, n).
+func (d *decoder) below(v, n int64, what string) int64 {
+	if d.err == nil && v >= n {
+		d.err = fmt.Errorf("%s %d out of range [0, %d)", what, v, n)
+		return 0
+	}
+	return v
+}
+
+// count decodes a length or element count: each element takes at least
+// one payload byte, so a count beyond the bytes left is corrupt.
+func (d *decoder) count() int64 {
+	n := d.int()
+	return d.below(n, int64(len(d.b))+1, "length")
 }
 
 func (d *decoder) setErr() {
@@ -371,9 +430,8 @@ func (d *decoder) setErr() {
 }
 
 func (d *decoder) string() string {
-	n := d.int()
-	if d.err != nil || int64(len(d.b)) < n {
-		d.setErr()
+	n := d.count()
+	if d.err != nil {
 		return ""
 	}
 	s := string(d.b[:n])
@@ -386,18 +444,24 @@ func decodeMeta(payload []byte) (Meta, error) {
 	var m Meta
 	m.Program = d.string()
 	m.Scheme = d.string()
-	m.Procs = int(d.int())
+	m.Procs = int(d.below(d.int(), machine.MaxProcs+1, "processor count"))
 	m.LineWords = int(d.int())
-	m.MemWords = d.int()
-	nArrays := d.int()
+	m.MemWords = d.below(d.int(), MaxTraceMemWords+1, "data segment words")
+	nArrays := d.count()
+	var end int64 // arrays are sorted, disjoint, and inside the segment
 	for i := int64(0); i < nArrays && d.err == nil; i++ {
 		var a ArraySpan
 		a.Name = d.string()
 		a.Base = d.int()
 		a.Size = d.int()
+		if d.err == nil && (a.Base < end || a.Size > m.MemWords-a.Base) {
+			d.err = fmt.Errorf("array %q [%d, +%d) overlaps its predecessor or leaves the %d-word segment",
+				a.Name, a.Base, a.Size, m.MemWords)
+		}
+		end = a.Base + a.Size
 		m.Arrays = append(m.Arrays, a)
 	}
-	nRefs := d.int()
+	nRefs := d.count()
 	for i := int64(0); i < nRefs && d.err == nil; i++ {
 		var r RefInfo
 		r.Pos = d.string()

@@ -3,46 +3,40 @@
 // the barrier.
 //
 // Why this is sound: a DOALL epoch has no cross-iteration dependences
-// and the shardable schemes' coherence decisions are processor-local
-// (memsys.Sharded), so per-processor simulation state — cache, tracker,
-// write buffer, and the per-processor Lane (stats shard, buffered write
-// log, injection counter) plus the obs/trace shards here — is touched by
-// exactly one goroutine, and shared state (memory, network, epoch
-// counter) is only read. The barrier merge fixes one serialization:
+// and every scheme's mid-epoch coherence decisions are processor-local
+// (the memsys.System lane contract), so per-processor simulation state —
+// cache, tracker, write buffer, and the per-processor Lane (stats shard,
+// buffered write log, injection counter) plus the obs shards here — is
+// touched by exactly one goroutine, and shared state (memory, network,
+// epoch counter) is only read. The barrier merge fixes one serialization:
 // everything folds in (processor, sequence) order, which under static
 // block scheduling is exactly ascending-iteration order, i.e. the
 // sequential runner's order. Counters are integer sums (order-free), so
 // stats and obs reports are bit-identical to sequential execution under
-// BOTH schedulings; the trace byte stream is identical under static
-// scheduling and deterministically processor-major under cyclic.
+// BOTH schedulings; the binary trace's event stream is identical under
+// static scheduling and deterministically processor-major under cyclic.
+// Every system shards (HW, VC, and Tardis via always-buffered lanes with
+// barrier-deferred coherence replay).
 //
 // Fallbacks (the sequential path runs instead, transparently):
-//   - schemes that are not memsys.Sharded (the oracle) — BASE, SC, TPI,
-//     two-level TPI, HW, and VC all shard (HW and VC via always-buffered
-//     lanes with barrier-deferred coherence replay);
 //   - DynamicSched: the least-loaded argmin serializes scheduling;
 //   - doalls whose body contains critical/ordered sections (seqOnly):
 //     those communicate between iterations mid-epoch.
 package sim
 
 import (
-	"bytes"
-	"fmt"
 	"sync"
 
-	"repro/internal/memsys"
 	"repro/internal/obs"
 )
 
 // hostPar is the per-run host-parallel execution state.
 type hostPar struct {
 	r       *Runner
-	sys     memsys.Sharded
 	workers int
 
 	tasks     []*task              // one reusable task per worker
 	obsShards []*obs.ShardRecorder // per simulated processor; nil when no recorder
-	traceBufs []*bytes.Buffer      // per simulated processor; nil when no trace
 
 	panics []panicked // one slot per worker
 }
@@ -68,16 +62,11 @@ func (r *Runner) setupHostParallel() {
 		}
 		return
 	}
-	ss, ok := r.sys.(memsys.Sharded)
-	if !ok || !ss.HostShardable() {
-		r.hostparOff = fmt.Sprintf("scheme %s is not host-shardable", r.sys.Name())
-		return
-	}
 	w := r.cfg.HostParallel
 	if w > r.cfg.Procs {
 		w = r.cfg.Procs
 	}
-	hp := &hostPar{r: r, sys: ss, workers: w, panics: make([]panicked, w)}
+	hp := &hostPar{r: r, workers: w, panics: make([]panicked, w)}
 	hp.tasks = make([]*task, w)
 	for i := range hp.tasks {
 		hp.tasks[i] = &task{r: r}
@@ -86,12 +75,6 @@ func (r *Runner) setupHostParallel() {
 		hp.obsShards = make([]*obs.ShardRecorder, r.cfg.Procs)
 		for p := range hp.obsShards {
 			hp.obsShards[p] = &obs.ShardRecorder{}
-		}
-	}
-	if r.trace != nil {
-		hp.traceBufs = make([]*bytes.Buffer, r.cfg.Procs)
-		for p := range hp.traceBufs {
-			hp.traceBufs[p] = &bytes.Buffer{}
 		}
 	}
 	r.hostpar = hp
@@ -106,7 +89,7 @@ func (hp *hostPar) run(ld *loweredDoall, t *task, lo, hi int64) {
 	chunk := (hi - lo + 1 + procs - 1) / procs
 	cyclic := r.cfg.CyclicSched
 
-	hp.sys.BeginParallelEpoch(r.epoch)
+	r.sys.BeginParallelEpoch(r.epoch)
 	var wg sync.WaitGroup
 	for w := 0; w < hp.workers; w++ {
 		wt := hp.tasks[w]
@@ -128,12 +111,9 @@ func (hp *hostPar) run(ld *loweredDoall, t *task, lo, hi int64) {
 			// sequential scheduler exactly.
 			for p := int64(w); p < procs; p += int64(hp.workers) {
 				wt.proc = int(p)
-				wt.st = hp.sys.LaneStats(int(p))
+				wt.st = r.sys.LaneStats(int(p))
 				if hp.obsShards != nil {
 					wt.rec = hp.obsShards[p]
-				}
-				if hp.traceBufs != nil {
-					wt.trace = hp.traceBufs[p]
 				}
 				it, step, last := lo+p*chunk, int64(1), lo+(p+1)*chunk-1
 				if cyclic {
@@ -157,21 +137,11 @@ func (hp *hostPar) run(ld *loweredDoall, t *task, lo, hi int64) {
 	// processor wins, so a failing run fails identically at any worker
 	// count. Merge first — runError recovery in Run still reports stats
 	// consistent with the work that completed.
-	hp.sys.EndParallelEpoch()
+	r.sys.EndParallelEpoch()
 	if hp.obsShards != nil {
 		rec := r.rec
 		for _, sh := range hp.obsShards {
 			rec.Drain(sh)
-		}
-	}
-	if hp.traceBufs != nil {
-		for _, buf := range hp.traceBufs {
-			if buf.Len() > 0 {
-				if _, err := r.trace.Write(buf.Bytes()); err != nil {
-					fail("sim: trace write: %v", err)
-				}
-				buf.Reset()
-			}
 		}
 	}
 	var pk *panicked

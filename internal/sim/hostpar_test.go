@@ -45,9 +45,10 @@ func (c *writeSetChecker) EpochBoundary(epoch int64) int64 {
 
 // TestEpochWriteSetsDisjoint runs every paper kernel under static and
 // cyclic scheduling and property-checks DOALL write-set disjointness on
-// every epoch. The wrapper hides the Sharded interface, so this runs on
-// the sequential path regardless of config — it validates the workload
-// property host parallelism relies on, not the parallel runner itself.
+// every epoch. The config pins the sequential scalar path — the wrapper
+// sees every store only there (stream cursors call the wrapped scheme
+// directly) — so this validates the workload property host parallelism
+// relies on, not the parallel runner itself.
 func TestEpochWriteSetsDisjoint(t *testing.T) {
 	for _, name := range bench.Names {
 		for _, cyclic := range []bool{false, true} {
@@ -64,6 +65,8 @@ func TestEpochWriteSetsDisjoint(t *testing.T) {
 				cfg := machine.Default(machine.SchemeBase)
 				cfg.Procs = 8
 				cfg.CyclicSched = cyclic
+				cfg.FastPath = false
+				cfg.HostParallel = 0
 				sys := &writeSetChecker{
 					System: swschemes.NewBase(cfg, p.MemWords),
 					t:      t,
@@ -157,8 +160,8 @@ func TestHostParallelEngagement(t *testing.T) {
 			func(c machine.Config) memsys.System { return tpi.New(c, memWords) }, false},
 		{"dynamic-falls-back", func(c *machine.Config) { c.DynamicSched = true },
 			func(c machine.Config) memsys.System { return tpi.New(c, memWords) }, false},
-		{"oracle-not-sharded", nil,
-			func(c machine.Config) memsys.System { return memsys.NewOracle(c, memWords) }, false},
+		{"oracle-shards", nil,
+			func(c machine.Config) memsys.System { return memsys.NewOracle(c, memWords) }, true},
 		{"twolevel-shards", func(c *machine.Config) { c.L1Words = 256 },
 			func(c machine.Config) memsys.System { return tpi.NewTwoLevel(c, memWords) }, true},
 	}

@@ -463,10 +463,10 @@ func (pl *procLowerer) stmt(s pfl.Stmt) (stmtFn, error) {
 		pos := st.Pos
 		// Stream recognition (see stream.go). Recognition is static and
 		// config-independent: whether a recognized loop actually streams is
-		// decided per run (scheme capability, text trace) and per entry
-		// (affine guards), with runScalarIters as the always-correct
-		// fallback. Loops inside critical/ordered sections never stream:
-		// their references take the critical coherence path.
+		// decided per run (cfg.FastPath) and per entry (affine guards),
+		// with runScalarIters as the always-correct fallback. Loops inside
+		// critical/ordered sections never stream: their references take
+		// the critical coherence path.
 		var sl *streamLoop
 		var blk *streamBlock
 		if pl.inCrit {
@@ -494,14 +494,14 @@ func (pl *procLowerer) stmt(s pfl.Stmt) (stmtFn, error) {
 				}
 			}
 			if sl != nil && !t.inCrit {
-				if ss := t.r.streamSys; ss != nil {
-					if runStream(t, ss, sl, lo, hi, s) {
+				if t.r.cfg.FastPath {
+					if runStream(t, sl, lo, hi, s) {
 						t.r.noteStreamRun()
 						return
 					}
 					t.r.noteStreamFallback(diagIdx, "an entry guard failed (non-affine addresses or out-of-model layout this entry)")
 				} else {
-					t.r.noteStreamFallback(diagIdx, t.r.streamOff)
+					t.r.noteStreamFallback(diagIdx, "the fast path is disabled (-fastpath=false)")
 				}
 			}
 			runScalarIters(t, slot, body, lo, hi, s)

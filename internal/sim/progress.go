@@ -90,10 +90,6 @@ func (r *Runner) emitProgress(done, aborted bool) {
 	if r.hostpar != nil {
 		workers = r.hostpar.workers
 	}
-	var clusterWords []int64
-	if ct, ok := r.sys.(memsys.ClusterTraffic); ok {
-		clusterWords = ct.ClusterHomeWords()
-	}
 	r.progress(Progress{
 		Epoch:           r.epoch,
 		Cycles:          r.cycles,
@@ -104,7 +100,7 @@ func (r *Runner) emitProgress(done, aborted bool) {
 		HostParEpochs:   r.hostparEpochs,
 		SeqDoallEpochs:  r.seqDoallEpochs,
 		HostParWorkers:  workers,
-		ClusterWords:    clusterWords,
+		ClusterWords:    r.sys.ClusterHomeWords(),
 		Done:            done,
 		Aborted:         aborted,
 	})

@@ -22,10 +22,8 @@
 package sim
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 
@@ -39,8 +37,8 @@ import (
 	"repro/internal/stats"
 )
 
-// readFunc performs one read reference; selected once per run so neither
-// the tracing nor the instrumentation test is paid per reference. ref is
+// readFunc performs one read reference; selected once per run so the
+// instrumentation test is not paid per reference. ref is
 // the static source-reference ID bound into the lowered closure (-1 for
 // references without one).
 type readFunc func(t *task, addr prog.Word, kind memsys.ReadKind, window int, ref int32) float64
@@ -55,29 +53,18 @@ type Runner struct {
 	sys      memsys.System
 	cfg      machine.Config
 	ctx      context.Context
-	trace    io.Writer
 	rec      *obs.Recorder
 	st       *stats.Stats // sys.Stats(), cached at Run start for the observed path
 
 	read  readFunc
 	write writeFunc
 
-	// streamSys is the stream-capable view of sys when the affine
-	// fast path is engaged for this run (cfg.FastPath, a Streamer
-	// scheme, and no text trace — the stream driver emits obs events
-	// in exact scalar order, so any observation level streams); nil
-	// otherwise, with streamOff naming why. See stream.go.
-	streamSys memsys.Streamer
-	streamOff string
-
-	// buffered is non-nil when the scheme runs every epoch on buffered
-	// lanes (memsys.Buffered with EpochBuffered true): endEpoch then
-	// flushes lanes — and any deferred protocol replay — at the barrier.
-	// laneStats accompanies it: sequential reference counters land in
-	// the per-processor lanes, so the classified read/write paths must
-	// diff the processor's lane sink instead of the run totals.
-	buffered  memsys.Buffered
-	laneStats memsys.Sharded
+	// buffered is set when the scheme runs every epoch on buffered lanes
+	// (EpochBuffered): endEpoch then flushes lanes — and any deferred
+	// protocol replay — at the barrier, and because sequential reference
+	// counters land in the per-processor lanes, the classified read/write
+	// paths diff the processor's lane sink instead of the run totals.
+	buffered bool
 
 	// Fast-path fallback tracking for -require-fastpath (fpTrack off =
 	// zero overhead). Misses dedup on (site, reason); the mutex is only
@@ -165,57 +152,13 @@ func (r *Runner) Run() (st *stats.Stats, err error) {
 			}
 		}
 	}()
-	if r.trace != nil {
-		// Buffer the text trace: one Fprintf per memory event straight to
-		// an unbuffered file dominates traced runs otherwise.
-		bw := bufio.NewWriterSize(r.trace, 1<<16)
-		r.trace = bw
-		defer func() {
-			if fe := bw.Flush(); fe != nil && err == nil {
-				st, err = nil, fe
-			}
-		}()
-	}
 	r.st = r.sys.Stats()
-	switch {
-	case r.rec != nil && r.trace != nil:
-		r.read, r.write = readObsTraced, writeObsTraced
-	case r.rec != nil:
+	if r.rec != nil {
 		r.read, r.write = readObs, writeObs
-	case r.trace != nil:
-		r.read, r.write = readTraced, writeTraced
-	default:
+	} else {
 		r.read, r.write = readFast, writeFast
 	}
-	// The affine stream fast path engages wherever it is provably
-	// equivalent: the stream driver emits per-reference obs events in
-	// exact scalar order, so any observation level streams. Only the
-	// line-oriented text trace forces the scalar path (its format is
-	// coupled to the scalar reference loop). Schemes opt in via
-	// memsys.Streamer.
-	r.streamSys, r.streamOff = nil, ""
-	switch {
-	case !r.cfg.FastPath:
-		r.streamOff = "the fast path is disabled (-fastpath=false)"
-	case r.trace != nil:
-		r.streamOff = "the text trace forces the scalar path"
-	default:
-		if ssys, ok := r.sys.(memsys.Streamer); ok && ssys.StreamCapable() {
-			r.streamSys = ssys
-		} else {
-			r.streamOff = fmt.Sprintf("scheme %s does not implement stream cursors", r.sys.Name())
-		}
-	}
-	// Schemes that buffer every epoch in per-processor lanes flush (and
-	// replay any deferred coherence actions) at each barrier; their
-	// sequential reference counters live in the lanes.
-	r.buffered, r.laneStats = nil, nil
-	if b, ok := r.sys.(memsys.Buffered); ok && b.EpochBuffered() {
-		r.buffered = b
-		if sh, ok := r.sys.(memsys.Sharded); ok {
-			r.laneStats = sh
-		}
-	}
+	r.buffered = r.sys.EpochBuffered()
 	r.setupHostParallel()
 	for _, sc := range r.lp.prog.Scalars {
 		r.sys.Mem().InitWord(sc.Addr, sc.Init)
@@ -244,12 +187,11 @@ type task struct {
 	arrays []*prog.ArrayInfo
 
 	// Per-task event sinks. Sequential execution points them at the
-	// runner's own stats/recorder/trace; inside a host-parallel epoch each
+	// runner's own stats/recorder; inside a host-parallel epoch each
 	// worker task points at its current processor's shard, so the lowered
 	// closures never touch shared state from a goroutine.
-	st    *stats.Stats
-	rec   obs.Sink
-	trace io.Writer
+	st  *stats.Stats
+	rec obs.Sink
 
 	// ss is the task's lazily-allocated stream-execution scratch
 	// (cursors, address walkers, value stack); see stream.go.
@@ -268,7 +210,7 @@ type loopState struct {
 // runProc walks a procedure's epoch flow graph over its lowered nodes.
 func (r *Runner) runProc(lp *loweredProc, arrays []*prog.ArrayInfo) {
 	loops := make([]loopState, len(lp.nodes))
-	t := task{r: r, slots: make([]int64, lp.numSlots), arrays: arrays, st: r.st, trace: r.trace}
+	t := task{r: r, slots: make([]int64, lp.numSlots), arrays: arrays, st: r.st}
 	if r.rec != nil {
 		t.rec = r.rec
 	}
@@ -380,20 +322,6 @@ func loopExit(h *epochg.Node) *epochg.Node {
 	return nil
 }
 
-// SetTrace attaches an event trace writer: one line per epoch boundary
-// and per memory reference (the execution-driven tooling view of a run).
-// Pass nil to disable. The writer is buffered internally and flushed when
-// the run completes. Tracing is line-oriented text; R/W lines carry the
-// current epoch so events are attributable without replaying E markers:
-//
-//	E <epoch>
-//	R <epoch> <proc> <addr> <kind> <stall>
-//	W <epoch> <proc> <addr> <crit> <stall>
-//
-// For the structured binary trace and attributed counters, see SetObserver
-// and package obs.
-func (r *Runner) SetTrace(w io.Writer) { r.trace = w }
-
 // SetContext attaches a cancellation context: the runner checks it at
 // every epoch barrier (the natural stopping point — no task is mid-
 // flight, so the memory system is consistent and releasable) and aborts
@@ -409,8 +337,10 @@ func (r *Runner) SetContext(ctx context.Context) {
 
 // SetObserver attaches an instrumentation recorder (see package obs):
 // every memory reference is classified and attributed, and epoch
-// boundaries are announced with the cumulative cycle count. Pass nil to
-// disable; when disabled the fast path is selected and nothing is paid.
+// boundaries are announced with the cumulative cycle count. A recorder
+// with a trace writer streams every event to the binary trace (render
+// it as text with `tpitrace -text`). Pass nil to disable; when disabled
+// nothing is paid.
 func (r *Runner) SetObserver(rec *obs.Recorder) { r.rec = rec }
 
 // enterEpoch advances the global epoch counter and applies boundary costs.
@@ -421,9 +351,6 @@ func (r *Runner) enterEpoch() {
 		}
 	}
 	r.epoch++
-	if r.trace != nil {
-		fmt.Fprintf(r.trace, "E %d\n", r.epoch)
-	}
 	if r.epoch > r.maxEpochs {
 		fail("sim: epoch limit exceeded (%d): runaway loop?", r.maxEpochs)
 	}
@@ -465,8 +392,8 @@ func (r *Runner) noteEpochMods(ln *loweredNode, arrays []*prog.ArrayInfo) {
 // per-processor lanes (and replay deferred coherence actions) here, at
 // the barrier, before time advances.
 func (r *Runner) endEpoch() {
-	if r.buffered != nil {
-		r.buffered.FlushEpoch()
+	if r.buffered {
+		r.sys.FlushEpoch()
 	}
 	var maxWork int64
 	for p := range r.procWork {
@@ -602,14 +529,6 @@ func readFast(t *task, addr prog.Word, kind memsys.ReadKind, window int, ref int
 	return v
 }
 
-// readTraced is readFast plus the trace line.
-func readTraced(t *task, addr prog.Word, kind memsys.ReadKind, window int, ref int32) float64 {
-	v, stall := t.r.sys.Read(t.proc, addr, kind, window)
-	t.charge(stall)
-	fmt.Fprintf(t.trace, "R %d %d %d %s %d\n", t.r.epoch, t.proc, addr, kind, stall)
-	return v
-}
-
 // readClassified performs the read and recovers its hit/miss class by
 // diffing the scheme's own counters around the call: every scheme
 // increments exactly one of ReadHits or one ReadMisses cell per read, so
@@ -620,8 +539,8 @@ func readTraced(t *task, addr prog.Word, kind memsys.ReadKind, window int, ref i
 // class -1 means hit.
 func readClassified(t *task, addr prog.Word, kind memsys.ReadKind, window int) (v float64, stall int64, class int8) {
 	st := t.st
-	if sh := t.r.laneStats; sh != nil {
-		st = sh.LaneStats(t.proc)
+	if t.r.buffered {
+		st = t.r.sys.LaneStats(t.proc)
 	}
 	hitsBefore := st.ReadHits
 	missBefore := st.ReadMisses
@@ -646,36 +565,17 @@ func readObs(t *task, addr prog.Word, kind memsys.ReadKind, window int, ref int3
 	return v
 }
 
-// readObsTraced is readObs plus the text trace line.
-func readObsTraced(t *task, addr prog.Word, kind memsys.ReadKind, window int, ref int32) float64 {
-	v, stall, class := readClassified(t, addr, kind, window)
-	t.rec.Read(t.proc, addr, ref, uint8(kind), class, stall)
-	fmt.Fprintf(t.trace, "R %d %d %d %s %d\n", t.r.epoch, t.proc, addr, kind, stall)
-	return v
-}
-
 // writeFast performs a write reference through the memory system.
 func writeFast(t *task, addr prog.Word, v float64, ref int32) {
 	stall := t.r.sys.Write(t.proc, addr, v, t.inCrit)
 	t.charge(1 + stall)
 }
 
-// writeTraced is writeFast plus the trace line.
-func writeTraced(t *task, addr prog.Word, v float64, ref int32) {
-	stall := t.r.sys.Write(t.proc, addr, v, t.inCrit)
-	t.charge(1 + stall)
-	crit := 0
-	if t.inCrit {
-		crit = 1
-	}
-	fmt.Fprintf(t.trace, "W %d %d %d %d %d\n", t.r.epoch, t.proc, addr, crit, stall)
-}
-
 // writeClassified mirrors readClassified for the write-side counters.
 func writeClassified(t *task, addr prog.Word, v float64) (stall int64, class int8) {
 	st := t.st
-	if sh := t.r.laneStats; sh != nil {
-		st = sh.LaneStats(t.proc)
+	if t.r.buffered {
+		st = t.r.sys.LaneStats(t.proc)
 	}
 	hitsBefore := st.WriteHits
 	missBefore := st.WriteMisses
@@ -697,17 +597,6 @@ func writeClassified(t *task, addr prog.Word, v float64) (stall int64, class int
 func writeObs(t *task, addr prog.Word, v float64, ref int32) {
 	stall, class := writeClassified(t, addr, v)
 	t.rec.Write(t.proc, addr, ref, t.inCrit, class, stall)
-}
-
-// writeObsTraced is writeObs plus the text trace line.
-func writeObsTraced(t *task, addr prog.Word, v float64, ref int32) {
-	stall, class := writeClassified(t, addr, v)
-	t.rec.Write(t.proc, addr, ref, t.inCrit, class, stall)
-	crit := 0
-	if t.inCrit {
-		crit = 1
-	}
-	fmt.Fprintf(t.trace, "W %d %d %d %d %d\n", t.r.epoch, t.proc, addr, crit, stall)
 }
 
 func boolVal(b bool) float64 {

@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"bytes"
+	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/marking"
 	"repro/internal/memsys"
+	"repro/internal/obs"
 	"repro/internal/pfl"
 	"repro/internal/prog"
 	"repro/internal/sections"
@@ -391,24 +394,43 @@ proc main() {
 	cfg.Procs = 2
 	sys := memsys.NewOracle(cfg, p.MemWords)
 	r := New(p, m, sys, cfg)
-	var buf strings.Builder
-	r.SetTrace(&buf)
+	var buf bytes.Buffer
+	meta := obs.Meta{Procs: cfg.Procs, MemWords: p.MemWords, Refs: make([]obs.RefInfo, p.Info.NumRefs)}
+	rec, err := obs.NewRecorder(obs.LevelTrace, meta, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetObserver(rec)
 	st, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if _, err := rec.Finish(st); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := obs.NewTraceReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var epochs, reads, writes int
-	for _, ln := range lines {
-		switch {
-		case strings.HasPrefix(ln, "E "):
+	for {
+		ev, err := tr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch ev.Op {
+		case obs.OpEpoch:
 			epochs++
-		case strings.HasPrefix(ln, "R "):
+		case obs.OpRead:
 			reads++
-		case strings.HasPrefix(ln, "W "):
+		case obs.OpWrite:
 			writes++
+		case obs.OpEnd:
 		default:
-			t.Fatalf("unexpected trace line %q", ln)
+			t.Fatalf("unexpected trace event %v", ev.Op)
 		}
 	}
 	if int64(epochs) != st.Epochs {
@@ -421,7 +443,7 @@ proc main() {
 
 func TestDoallBoundsReadThroughMemory(t *testing.T) {
 	// The scheduler evaluates doall bounds; array refs in them are real
-	// memory reads and must appear in the stats and the trace.
+	// memory reads and must appear in the stats.
 	src := `
 program p
 param n = 8
@@ -437,10 +459,7 @@ proc main() {
 	cfg := machine.Default(machine.SchemeBase)
 	cfg.Procs = 2
 	sys := memsys.NewOracle(cfg, p.MemWords)
-	r := New(p, m, sys, cfg)
-	var buf strings.Builder
-	r.SetTrace(&buf)
-	st, err := r.Run()
+	st, err := New(p, m, sys, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -592,7 +592,7 @@ func streamRefInit(t *task, r *streamRef, lo, step, last, count int64) (prog.Wor
 // cursors. Bounds and step are already evaluated (and charged) by the
 // enclosing closure. It reports false — before any observable effect —
 // when an entry-time guard fails and the scalar fallback must run.
-func runStream(t *task, ssys memsys.Streamer, sl *streamLoop, lo, hi, step int64) bool {
+func runStream(t *task, sl *streamLoop, lo, hi, step int64) bool {
 	if step == math.MinInt64 {
 		return false
 	}
@@ -630,6 +630,7 @@ func runStream(t *task, ssys memsys.Streamer, sl *streamLoop, lo, hi, step int64
 	// only read at epoch ends, never mid-body, so bulk-charging is
 	// unobservable. Stalls are charged per reference below.
 	t.charge(count * sl.perIterCost)
+	ssys := t.r.sys
 	for i := range sl.reads {
 		ssys.InitReadCursor(&sc.rc[i], t.proc, sl.reads[i].kind, sl.reads[i].window, sc.raddr[i])
 	}

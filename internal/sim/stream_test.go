@@ -11,13 +11,15 @@ import (
 	"repro/internal/tpi"
 )
 
-// streamSystems builds the Streamer-capable schemes (plus a non-capable
-// one) for equivalence runs.
+// streamSystems builds the systems the equivalence runs cover: the
+// software schemes, TPI, and the sequential Oracle (whose cursors
+// delegate every reference to its scalar path).
 func streamSystems(cfg machine.Config, memWords int64) map[string]memsys.System {
 	return map[string]memsys.System{
-		"BASE": swschemes.NewBase(cfg, memWords),
-		"SC":   swschemes.NewSC(cfg, memWords),
-		"TPI":  tpi.New(cfg, memWords),
+		"BASE":   swschemes.NewBase(cfg, memWords),
+		"SC":     swschemes.NewSC(cfg, memWords),
+		"TPI":    tpi.New(cfg, memWords),
+		"ORACLE": memsys.NewOracle(cfg, memWords),
 	}
 }
 
@@ -75,10 +77,10 @@ proc main() {
 `
 
 // TestStreamFastPathEquivalence is the tentpole's oracle at the sim
-// level: the fast path must produce bit-identical cycles, stats
-// snapshots, and final memory images on every stream-capable scheme,
-// under weak and sequential consistency, static and dynamic scheduling,
-// and TPI write-back.
+// level: the stream fast path, alone and with -hostpar 4, must produce
+// cycles, stats snapshots, and final memory images bit-identical to the
+// sequential scalar run, under weak and sequential consistency, static
+// and dynamic scheduling, and TPI write-back.
 func TestStreamFastPathEquivalence(t *testing.T) {
 	muts := map[string]func(*machine.Config){
 		"default":   nil,
@@ -88,19 +90,27 @@ func TestStreamFastPathEquivalence(t *testing.T) {
 		"writeback": func(c *machine.Config) { c.TPIWriteBack = true },
 		"linett":    func(c *machine.Config) { c.LineTimetags = true },
 	}
-	for _, scheme := range []string{"BASE", "SC", "TPI"} {
+	for _, scheme := range []string{"BASE", "SC", "TPI", "ORACLE"} {
 		for name, mut := range muts {
 			t.Run(scheme+"/"+name, func(t *testing.T) {
-				onC, onS, onM := runStreamCase(t, streamEquivSrc, scheme, true, mut)
 				offC, offS, offM := runStreamCase(t, streamEquivSrc, scheme, false, mut)
-				if onC != offC {
-					t.Errorf("cycles diverge: fast %d, scalar %d", onC, offC)
+				hostpar := func(c *machine.Config) {
+					if mut != nil {
+						mut(c)
+					}
+					c.HostParallel = 4
 				}
-				if !reflect.DeepEqual(onS, offS) {
-					t.Errorf("snapshots diverge:\nfast   %+v\nscalar %+v", onS, offS)
-				}
-				if !reflect.DeepEqual(onM, offM) {
-					t.Errorf("final memory images diverge")
+				for mode, m := range map[string]func(*machine.Config){"stream": mut, "stream+hostpar4": hostpar} {
+					onC, onS, onM := runStreamCase(t, streamEquivSrc, scheme, true, m)
+					if onC != offC {
+						t.Errorf("%s: cycles diverge: %d, scalar %d", mode, onC, offC)
+					}
+					if !reflect.DeepEqual(onS, offS) {
+						t.Errorf("%s: snapshots diverge:\n%+v\nscalar %+v", mode, onS, offS)
+					}
+					if !reflect.DeepEqual(onM, offM) {
+						t.Errorf("%s: final memory images diverge", mode)
+					}
 				}
 			})
 		}
@@ -260,8 +270,8 @@ proc main() {
 	}
 }
 
-// TestStreamNonCapableScheme: a Streamer that opts out (two-level TPI)
-// must run fully scalar and still match its own fastpath-off run.
+// TestStreamNonCapableScheme: two-level TPI, whose cursors wrap TPI's in
+// the on-chip L1 filter, must match its own fastpath-off run.
 func TestStreamNonCapableScheme(t *testing.T) {
 	p, m := compileSrc(t, streamEquivSrc)
 	run := func(fast bool) (int64, []float64) {

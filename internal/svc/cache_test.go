@@ -2,6 +2,7 @@ package svc
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -89,8 +90,11 @@ func TestSingleflightCollapses(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	// Let every goroutine reach Do before releasing the one real call.
-	for calls.Load() == 0 {
+	// Release the one real call only after the other seven callers have
+	// joined it; closing the gate earlier lets a late caller start a
+	// fresh execution once the first one has finished.
+	for calls.Load() == 0 || g.joined("key") < len(results)-1 {
+		runtime.Gosched()
 	}
 	close(gate)
 	wg.Wait()
@@ -112,6 +116,17 @@ func TestSingleflightCollapses(t *testing.T) {
 	if shared || calls.Load() != 2 {
 		t.Fatalf("second Do shared=%v calls=%d, want fresh call", shared, calls.Load())
 	}
+}
+
+// joined reports how many callers have joined the in-flight execution
+// for key (0 when none is in flight).
+func (g *flightGroup[V]) joined(key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.calls[key]; ok {
+		return c.dups
+	}
+	return 0
 }
 
 func TestSingleflightPropagatesError(t *testing.T) {

@@ -12,9 +12,10 @@ type flightGroup[V any] struct {
 }
 
 type flightCall[V any] struct {
-	wg  sync.WaitGroup
-	val V
-	err error
+	wg   sync.WaitGroup
+	val  V
+	err  error
+	dups int // callers that joined this execution (guarded by the group's mu)
 }
 
 // Do runs fn once per concurrent set of callers sharing key and returns
@@ -26,6 +27,7 @@ func (g *flightGroup[V]) Do(key string, fn func() (V, error)) (v V, err error, s
 		g.calls = make(map[string]*flightCall[V])
 	}
 	if c, ok := g.calls[key]; ok {
+		c.dups++
 		g.mu.Unlock()
 		c.wg.Wait()
 		return c.val, c.err, true

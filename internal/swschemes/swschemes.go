@@ -33,10 +33,6 @@ func NewBase(cfg machine.Config, memWords int64) *Base {
 // Name implements memsys.System.
 func (s *Base) Name() string { return "BASE" }
 
-// HostShardable implements memsys.Sharded: BASE keeps no per-reference
-// cross-processor state at all, so the reference paths shard trivially.
-func (s *Base) HostShardable() bool { return true }
-
 // Read implements memsys.System: every read is a remote word fetch.
 func (s *Base) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (float64, int64) {
 	ln := s.LaneFor(p)
@@ -72,16 +68,13 @@ func (s *Base) EpochBoundary(epoch int64) int64 {
 	return 0
 }
 
-// StreamCapable implements memsys.Streamer.
-func (s *Base) StreamCapable() bool { return true }
-
-// InitReadCursor implements memsys.Streamer: every BASE read is the
+// InitReadCursor implements memsys.System: every BASE read is the
 // inlined uncached remote word fetch.
 func (s *Base) InitReadCursor(c *memsys.ReadCursor, p int, kind memsys.ReadKind, window int, addr0 prog.Word) {
 	*c = memsys.ReadCursor{Mode: memsys.StreamBase, Core: s.Core, Ln: s.LaneFor(p), Proc: p}
 }
 
-// InitWriteCursor implements memsys.Streamer.
+// InitWriteCursor implements memsys.System.
 func (s *Base) InitWriteCursor(c *memsys.WriteCursor, p int, addr0 prog.Word) {
 	*c = memsys.WriteCursor{
 		Mode: memsys.StreamBase, Core: s.Core, Ln: s.LaneFor(p),
@@ -137,11 +130,6 @@ func (s *SC) ReleaseCaches() {
 	}
 	s.caches, s.trackers, s.wbufs = nil, nil, nil
 }
-
-// HostShardable implements memsys.Sharded: SC's caches, trackers, and
-// write buffers are strictly per-processor; everything shared flows
-// through the lane.
-func (s *SC) HostShardable() bool { return true }
 
 // Read implements memsys.System. Potentially-stale reads (Time-Read or
 // bypass marks) fetch the word from memory without validating the cache;
@@ -259,15 +247,12 @@ func (s *SC) EpochBoundary(epoch int64) int64 {
 	return 0
 }
 
-// StreamCapable implements memsys.Streamer.
-func (s *SC) StreamCapable() bool { return true }
-
-// InitReadCursor implements memsys.Streamer: regular reads inline the
+// InitReadCursor implements memsys.System: regular reads inline the
 // cache hit (any valid word hits, so the cut is the minimum timetag);
 // marked reads always take SC's bypass path.
 func (s *SC) InitReadCursor(c *memsys.ReadCursor, p int, kind memsys.ReadKind, window int, addr0 prog.Word) {
 	if kind != memsys.ReadRegular {
-		*c = memsys.ReadCursor{Mode: memsys.StreamUncached, Sys: s, Proc: p, Kind: kind, Window: window}
+		*c = memsys.ReadCursor{Mode: memsys.StreamUncached, Sys: s, Ln: s.LaneFor(p), Proc: p, Kind: kind, Window: window}
 		return
 	}
 	ln := s.LaneFor(p)
@@ -280,7 +265,7 @@ func (s *SC) InitReadCursor(c *memsys.ReadCursor, p int, kind memsys.ReadKind, w
 	}
 }
 
-// InitWriteCursor implements memsys.Streamer: write-through with the
+// InitWriteCursor implements memsys.System: write-through with the
 // unconditional tag assignment (PromoteTT false).
 func (s *SC) InitWriteCursor(c *memsys.WriteCursor, p int, addr0 prog.Word) {
 	cc, tr := s.procState(p)

@@ -180,11 +180,6 @@ func (s *System) procState(p int) (*cache.Cache, *cache.Tracker) {
 // Name implements memsys.System.
 func (s *System) Name() string { return s.Cfg.Scheme.String() }
 
-// HostShardable implements memsys.Sharded: home timestamps and the owner
-// table are frozen mid-epoch, every mutation goes to the per-processor
-// action log, and every reference is lane-routed.
-func (s *System) HostShardable() bool { return true }
-
 // ReleaseCaches implements memsys.Releaser.
 func (s *System) ReleaseCaches() {
 	for p, cc := range s.caches {
@@ -619,7 +614,7 @@ func (s *System) EpochBoundary(epoch int64) int64 {
 	return 0
 }
 
-// FlushEpoch implements memsys.Buffered: lane merge first (memory then
+// FlushEpoch implements memsys.System: lane merge first (memory then
 // reads barrier-final values), then the deterministic home replay.
 func (s *System) FlushEpoch() {
 	s.FlushEpochLanes()
@@ -705,10 +700,7 @@ func (s *System) replay() {
 	s.gts = maxW
 }
 
-// StreamCapable implements memsys.Streamer.
-func (s *System) StreamCapable() bool { return true }
-
-// InitReadCursor implements memsys.Streamer: the hit predicate is the
+// InitReadCursor implements memsys.System: the hit predicate is the
 // uniform lease check TT[w] >= gts, with gts frozen mid-epoch — a
 // StreamCached cursor with Cut = gts. Time-Reads take the same path.
 func (s *System) InitReadCursor(c *memsys.ReadCursor, p int, kind memsys.ReadKind, window int, addr0 prog.Word) {
@@ -736,7 +728,7 @@ func (s *System) InitReadCursor(c *memsys.ReadCursor, p int, kind memsys.ReadKin
 	}
 }
 
-// InitWriteCursor implements memsys.Streamer. Write timestamps depend on
+// InitWriteCursor implements memsys.System. Write timestamps depend on
 // per-line frozen home state, so there is no stream-constant WTT: under
 // TardisExclusive the cursor inlines the silent store against the frozen
 // owner table and delegates the rest to the scalar Write; otherwise

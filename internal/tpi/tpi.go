@@ -17,6 +17,12 @@
 //	fill:         accessed word tt := E, neighbours tt := E-1
 //	Time-Read hit: tt := E (validation refreshes the tag)
 //	regular hit:   tt := E (the compiler proved freshness this epoch)
+//
+// The coherence decisions are processor-local (timetags against the
+// global epoch counter, which only changes at barriers), so the
+// reference paths shard per processor under host parallelism; the
+// two-phase reset runs only at EpochBoundary, outside any parallel
+// region.
 package tpi
 
 import (
@@ -84,13 +90,6 @@ func (s *System) ReleaseCaches() {
 	}
 	s.caches, s.trackers, s.wbufs = nil, nil, nil
 }
-
-// HostShardable implements memsys.Sharded: TPI's coherence decisions are
-// processor-local (timetags against the global epoch counter, which only
-// changes at barriers), so the reference paths shard per processor. The
-// two-phase reset machinery runs only at EpochBoundary, outside any
-// parallel region.
-func (s *System) HostShardable() bool { return true }
 
 // effWindow caps a compiler window at what the timetag width supports.
 func (s *System) effWindow(w int) int64 {
@@ -476,16 +475,13 @@ func (s *System) Caches() []*cache.Cache {
 	return s.caches
 }
 
-// StreamCapable implements memsys.Streamer.
-func (s *System) StreamCapable() bool { return true }
-
-// InitReadCursor implements memsys.Streamer: regular and Time-Reads
+// InitReadCursor implements memsys.System: regular and Time-Reads
 // inline the timetag hit check (the Time-Read cut is E - min(w, maxW),
 // the regular cut accepts any valid word); bypass reads always take the
 // scalar bypass path.
 func (s *System) InitReadCursor(c *memsys.ReadCursor, p int, kind memsys.ReadKind, window int, addr0 prog.Word) {
 	if kind == memsys.ReadBypass {
-		*c = memsys.ReadCursor{Mode: memsys.StreamUncached, Sys: s, Proc: p, Kind: kind, Window: window}
+		*c = memsys.ReadCursor{Mode: memsys.StreamUncached, Sys: s, Ln: s.LaneFor(p), Proc: p, Kind: kind, Window: window}
 		return
 	}
 	cut := int64(math.MinInt64)
@@ -502,7 +498,7 @@ func (s *System) InitReadCursor(c *memsys.ReadCursor, p int, kind memsys.ReadKin
 	}
 }
 
-// InitWriteCursor implements memsys.Streamer: write-through (or the
+// InitWriteCursor implements memsys.System: write-through (or the
 // write-back-at-boundary policy) with the promote-if-older tag rule.
 func (s *System) InitWriteCursor(c *memsys.WriteCursor, p int, addr0 prog.Word) {
 	wtt := s.Epoch

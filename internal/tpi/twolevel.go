@@ -135,7 +135,7 @@ func (t *TwoLevel) EpochBoundary(epoch int64) int64 {
 	return t.System.EpochBoundary(epoch)
 }
 
-// InitReadCursor implements memsys.Streamer: the inner TPI cursor is
+// InitReadCursor implements memsys.System: the inner TPI cursor is
 // built first (it carries the L2 hit predicate, lane, and fallback
 // target — the embedded System, so fallbacks never re-run the L1
 // filter), then the L1 front is layered on as StreamTwoLevel.
@@ -152,7 +152,7 @@ func (t *TwoLevel) InitReadCursor(c *memsys.ReadCursor, p int, kind memsys.ReadK
 	c.L2HitCycles = t.Cfg.L2HitCycles
 }
 
-// InitWriteCursor implements memsys.Streamer: write-through both levels
+// InitWriteCursor implements memsys.System: write-through both levels
 // (stream writes are never critical, so the L1 word is updated in place
 // when valid).
 func (t *TwoLevel) InitWriteCursor(c *memsys.WriteCursor, p int, addr0 prog.Word) {

@@ -123,11 +123,3 @@ func TestNameAndStats(t *testing.T) {
 		t.Fatalf("reads double counted: %d", s.St.Reads)
 	}
 }
-
-// TPI2L inherits TPI's host-parallel and stream fast-path opt-ins and
-// layers the L1 filter into the stream cursors.
-var (
-	_ memsys.Sharded  = (*TwoLevel)(nil)
-	_ memsys.Streamer = (*TwoLevel)(nil)
-	_ memsys.Releaser = (*TwoLevel)(nil)
-)

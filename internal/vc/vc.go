@@ -20,7 +20,7 @@
 // close. Compared with SC, unmodified variables stay cacheable across
 // epochs.
 //
-// Execution model: VC runs always-buffered (memsys.Buffered). Its
+// Execution model: VC runs always-buffered (EnableAlwaysBuffered). Its
 // version-failure reclassification compares a cached value against
 // memory, so pass-through sequential execution and buffered host-
 // parallel execution would observe different neighbor values mid-epoch.
@@ -111,11 +111,6 @@ func (s *System) procState(p int) (*cache.Cache, *cache.Tracker) {
 	s.wbufs[p] = cache.NewWriteBuffer(s.Cfg.WriteBufferCache)
 	return cc, s.trackers[p]
 }
-
-// HostShardable implements memsys.Sharded: with CVNs frozen mid-epoch
-// and every reference lane-routed, concurrent processors touch only
-// per-processor state (cache, tracker, write buffer, lane).
-func (s *System) HostShardable() bool { return true }
 
 // Name implements memsys.System.
 func (s *System) Name() string { return "VC" }
@@ -321,10 +316,7 @@ func (s *System) EpochBoundary(epoch int64) int64 {
 	return 0
 }
 
-// StreamCapable implements memsys.Streamer.
-func (s *System) StreamCapable() bool { return true }
-
-// InitReadCursor implements memsys.Streamer. The version cut is the
+// InitReadCursor implements memsys.System. The version cut is the
 // stream variable's CVN, captured once: CVNs are frozen mid-epoch and
 // the affine entry guards keep every stream address inside one variable.
 // Time-Reads take the same path as regular reads (VC ignores windows).
@@ -353,7 +345,7 @@ func (s *System) InitReadCursor(c *memsys.ReadCursor, p int, kind memsys.ReadKin
 	}
 }
 
-// InitWriteCursor implements memsys.Streamer. The written BVN is
+// InitWriteCursor implements memsys.System. The written BVN is
 // CVN(stream variable)+1, constant across the stream.
 func (s *System) InitWriteCursor(c *memsys.WriteCursor, p int, addr0 prog.Word) {
 	cc, tr := s.procState(p)

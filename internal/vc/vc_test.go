@@ -178,14 +178,3 @@ func TestBufferedDeferralUntilBarrier(t *testing.T) {
 		t.Fatalf("post-barrier bypass read = %v, want 5.0", v)
 	}
 }
-
-// VC must satisfy the full scheme surface: versioned, host-shardable,
-// always-buffered, stream-capable, and poolable.
-var (
-	_ memsys.System    = (*System)(nil)
-	_ memsys.Versioned = (*System)(nil)
-	_ memsys.Sharded   = (*System)(nil)
-	_ memsys.Buffered  = (*System)(nil)
-	_ memsys.Streamer  = (*System)(nil)
-	_ memsys.Releaser  = (*System)(nil)
-)
