@@ -82,11 +82,20 @@ type Cache struct {
 	shift uint
 	mask  int64
 	sets  int
-	assoc int
-	lines []Line // sets * assoc, set-major
-	clock int64
+	// setMask selects the set with a mask when the set count is a power
+	// of two; it is -1 otherwise (modulo fallback).
+	setMask int64
+	assoc   int
+	lines   []Line // sets * assoc, set-major
+	clock   int64
+	// touched has one bit per set, set by Victim: every fill goes through
+	// Victim first, so a set whose bit is clear still holds only the
+	// fresh-construction state. reset, InvalidateAll and ForEachValidLine
+	// walk the touched sets alone, in ascending order — the order of a
+	// full scan over the set-major line array. Only reset clears it.
+	touched []uint64
 	// Flat backing arrays behind the per-line subslices (one allocation
-	// each; see New). Kept here so a pooled reset can sweep them flat.
+	// each; see New). Kept here so a pooled reset can clear them by range.
 	vals   []float64
 	tt     []int64
 	used   []bool
@@ -99,11 +108,10 @@ type Cache struct {
 // the line slice headers — dominates short end-to-end runs. New therefore
 // draws from a per-geometry pool of released caches and resets them
 // instead of allocating. A reset cache is indistinguishable from a fresh
-// one: every line is invalidated (Tag -1, State Invalid, LRU and clock
-// zeroed) and every word timetag is TTInvalid. Vals is intentionally left
-// stale — no scheme reads a word value without first passing a validity
-// check (ValidWord / a timetag hit predicate), and every fill overwrites
-// Vals before validating the words.
+// one in every field, and the reset costs what the previous run touched:
+// only the sets Victim marked are restored (Tag -1, State Invalid, LRU
+// zeroed, words zeroed with TTInvalid timetags); every other set never
+// left the fresh state.
 type poolKey struct {
 	capacityWords int64
 	lineWords     int
@@ -121,22 +129,39 @@ func Release(c *Cache) {
 	p.(*sync.Pool).Put(c)
 }
 
-// reset restores a pooled cache to the fresh-construction state (except
-// for the never-read-before-validated Vals contents).
+// reset restores a pooled cache to the fresh-construction state by
+// restoring the touched sets.
 func (c *Cache) reset() {
 	c.clock = 0
-	for i := range c.lines {
-		l := &c.lines[i]
-		l.Tag = -1
-		l.State = Invalid
-		l.Dirty = false
-		l.lru = 0
+	c.forTouchedSets(func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			l := &c.lines[i]
+			l.Tag = -1
+			l.State = Invalid
+			l.Dirty = false
+			l.lru = 0
+		}
+		wlo, whi := lo*c.lineWords, hi*c.lineWords
+		for i := wlo; i < whi; i++ {
+			c.tt[i] = TTInvalid
+		}
+		clear(c.vals[wlo:whi])
+		clear(c.used[wlo:whi])
+		clear(c.dirtyW[wlo:whi])
+	})
+	clear(c.touched)
+}
+
+// forTouchedSets calls fn with the line range [lo, hi) of every touched
+// set, in ascending set order.
+func (c *Cache) forTouchedSets(fn func(lo, hi int)) {
+	for wi, left := range c.touched {
+		for left != 0 {
+			s := wi<<6 + bits.TrailingZeros64(left)
+			left &= left - 1
+			fn(s*c.assoc, (s+1)*c.assoc)
+		}
 	}
-	for i := range c.tt {
-		c.tt[i] = TTInvalid
-	}
-	clear(c.used)
-	clear(c.dirtyW)
 }
 
 // New builds a cache of capacityWords with the given line size (words)
@@ -152,13 +177,23 @@ func New(capacityWords int64, lineWords, assoc int) *Cache {
 			return c
 		}
 	}
+	return build(capacityWords, lineWords, assoc)
+}
+
+// build allocates a fresh cache (New without the pool).
+func build(capacityWords int64, lineWords, assoc int) *Cache {
 	numLines := int(capacityWords) / lineWords
 	sets := numLines / assoc
 	c := &Cache{
 		lineWords: lineWords,
 		sets:      sets,
+		setMask:   -1,
 		assoc:     assoc,
 		lines:     make([]Line, numLines),
+		touched:   make([]uint64, (sets+63)/64),
+	}
+	if sets&(sets-1) == 0 {
+		c.setMask = int64(sets - 1)
 	}
 	if lineWords&(lineWords-1) == 0 {
 		c.pow2 = true
@@ -205,9 +240,13 @@ func (c *Cache) LineBase(addr prog.Word) prog.Word {
 	return addr - prog.Word(int(int64(addr))%c.lineWords)
 }
 
-func (c *Cache) set(tag int64) []Line {
-	s := int(tag % int64(c.sets))
-	return c.lines[s*c.assoc : (s+1)*c.assoc]
+// setIndex maps a line tag to its set: a mask for power-of-two set
+// counts (the Split idiom), a modulo otherwise.
+func (c *Cache) setIndex(tag int64) int {
+	if c.setMask >= 0 {
+		return int(tag & c.setMask)
+	}
+	return int(tag % int64(c.sets))
 }
 
 // Lookup finds the line holding addr. It returns (line, word index,
@@ -215,10 +254,9 @@ func (c *Cache) set(tag int64) []Line {
 // the word itself may still be invalid (check ValidWord).
 func (c *Cache) Lookup(addr prog.Word) (*Line, int, bool) {
 	tag, w := c.Split(addr)
-	set := c.set(tag)
-	for i := range set {
-		l := &set[i]
-		if l.State != Invalid && l.Tag == tag {
+	lo := c.setIndex(tag) * c.assoc
+	for i := lo; i < lo+c.assoc; i++ {
+		if l := &c.lines[i]; l.State != Invalid && l.Tag == tag {
 			return l, w, true
 		}
 	}
@@ -238,10 +276,13 @@ func (c *Cache) Touch(l *Line) {
 
 // Victim selects the frame to (re)fill for addr: an invalid way if one
 // exists, else the LRU way. The returned line may hold a conflicting
-// valid line that the caller must evict first.
+// valid line that the caller must evict first. The set is marked
+// touched (see Cache.touched).
 func (c *Cache) Victim(addr prog.Word) *Line {
 	tag, _ := c.Split(addr)
-	set := c.set(tag)
+	s := c.setIndex(tag)
+	c.touched[s>>6] |= 1 << (uint(s) & 63)
+	set := c.lines[s*c.assoc : (s+1)*c.assoc]
 	var victim *Line
 	for i := range set {
 		l := &set[i]
@@ -259,28 +300,33 @@ func (c *Cache) Victim(addr prog.Word) *Line {
 // It returns the number of valid words dropped.
 func (c *Cache) InvalidateAll() int64 {
 	var dropped int64
-	for i := range c.lines {
-		l := &c.lines[i]
-		if l.State == Invalid {
-			continue
-		}
-		for w := range l.TT {
-			if l.TT[w] != TTInvalid {
-				dropped++
+	c.forTouchedSets(func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			l := &c.lines[i]
+			if l.State == Invalid {
+				continue
 			}
+			for w := range l.TT {
+				if l.TT[w] != TTInvalid {
+					dropped++
+				}
+			}
+			l.InvalidateLine()
 		}
-		l.InvalidateLine()
-	}
+	})
 	return dropped
 }
 
-// ForEachValidLine visits every non-invalid line.
+// ForEachValidLine visits every non-invalid line, in ascending line
+// order.
 func (c *Cache) ForEachValidLine(fn func(l *Line)) {
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
-			fn(&c.lines[i])
+	c.forTouchedSets(func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if c.lines[i].State != Invalid {
+				fn(&c.lines[i])
+			}
 		}
-	}
+	})
 }
 
 // LostReason records why a processor lost a word it once cached; it feeds
@@ -312,19 +358,26 @@ type Tracker struct {
 	lostTT []int64
 }
 
-var trackerPools sync.Map // memWords (int64) -> *sync.Pool of *Tracker
+// trackerPool recycles released trackers across memory extents: a
+// tracker serves any extent up to its capacity, so the pool holds about
+// as many trackers as concurrent runs use, however many program sizes
+// pass through it. A pool per exact extent would keep each size's
+// trackers alive until two GC cycles pass without a run of that size, so
+// the fewer collections a workload triggers the more sizes it retains.
+var trackerPool sync.Pool
 
 // NewTracker sizes the tracker for the memory extent, reusing a released
-// tracker of the same extent when one is pooled. Reset is just clearing
+// tracker with room for it when one is pooled. Reset is just clearing
 // the seen bitset: reason and lostTT are only ever read for words whose
 // seen bit is set (ClassifyMiss checks Seen first), and NoteCached
 // rewrites reason before setting the bit.
 func NewTracker(memWords int64) *Tracker {
-	if p, ok := trackerPools.Load(memWords); ok {
-		if t, ok := p.(*sync.Pool).Get().(*Tracker); ok {
-			clear(t.seen)
-			return t
-		}
+	if t, ok := trackerPool.Get().(*Tracker); ok && int64(cap(t.reason)) >= memWords {
+		t.seen = t.seen[:(memWords+63)/64]
+		t.reason = t.reason[:memWords]
+		t.lostTT = t.lostTT[:memWords]
+		clear(t.seen)
+		return t
 	}
 	return &Tracker{
 		seen:   make([]uint64, (memWords+63)/64),
@@ -335,10 +388,7 @@ func NewTracker(memWords int64) *Tracker {
 
 // ReleaseTracker returns a tracker to the construction pool; the caller
 // must not use it afterwards.
-func ReleaseTracker(t *Tracker) {
-	p, _ := trackerPools.LoadOrStore(int64(len(t.reason)), &sync.Pool{})
-	p.(*sync.Pool).Put(t)
-}
+func ReleaseTracker(t *Tracker) { trackerPool.Put(t) }
 
 // NoteCached records that the processor now caches addr.
 func (t *Tracker) NoteCached(addr prog.Word) {

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -410,74 +411,171 @@ func TestTrackerBitset(t *testing.T) {
 	}
 }
 
-// TestPooledReuseIsFresh: a cache released back to the construction pool
-// and re-obtained with the same geometry must be observationally
-// identical to a fresh one — every line invalid, every word timetag
-// TTInvalid, LRU state reset — even after heavy dirtying. (Vals may keep
-// stale data: it is never readable without a validity check.)
-func TestPooledReuseIsFresh(t *testing.T) {
-	const capacity, lineWords, assoc = 256, 4, 2
-	c := New(capacity, lineWords, assoc)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
+// dirty drives a cache through the fills and drops a run makes: whole-
+// line fills, partial (write-validate) fills, word invalidations, and a
+// flash invalidation partway through.
+func dirty(c *Cache, rng *rand.Rand, n int) {
+	for i := 0; i < n; i++ {
 		addr := prog.Word(rng.Intn(4096))
+		if l, w, ok := c.Lookup(addr); ok && rng.Intn(3) == 0 {
+			l.InvalidateWord(w)
+			continue
+		}
 		v := c.Victim(addr)
 		tag, w := c.Split(addr)
+		v.InvalidateLine()
 		v.Tag = tag
-		v.State = Exclusive
-		v.Dirty = true
-		v.TT[w] = int64(i)
-		v.Used[w] = true
-		v.DirtyW[w] = true
-		v.Vals[w] = float64(i)
+		v.State = Shared
+		if rng.Intn(2) == 0 {
+			v.State = Exclusive
+			v.Dirty = true
+		}
+		for k := range v.TT {
+			if k == w || rng.Intn(2) == 0 {
+				v.TT[k] = int64(i)
+				v.Vals[k] = float64(i)
+				v.Used[k] = rng.Intn(2) == 0
+				v.DirtyW[k] = rng.Intn(2) == 0
+			}
+		}
 		c.Touch(v)
-	}
-	Release(c)
-	r := New(capacity, lineWords, assoc)
-	if r != c {
-		t.Skip("pool did not return the released cache (GC-cleared pool)")
-	}
-	if r.clock != 0 {
-		t.Errorf("pooled cache clock = %d, want 0", r.clock)
-	}
-	for i := range r.lines {
-		l := &r.lines[i]
-		if l.Tag != -1 || l.State != Invalid || l.Dirty || l.lru != 0 {
-			t.Fatalf("line %d not reset: %+v", i, l)
-		}
-		for w := range l.TT {
-			if l.TT[w] != TTInvalid || l.Used[w] || l.DirtyW[w] {
-				t.Fatalf("line %d word %d not reset: tt=%d used=%v dirtyW=%v",
-					i, w, l.TT[w], l.Used[w], l.DirtyW[w])
-			}
-			if l.ValidWord(w) {
-				t.Fatalf("line %d word %d valid in reset cache", i, w)
-			}
+		if i == n/2 {
+			c.InvalidateAll()
 		}
 	}
-	for addr := prog.Word(0); addr < 4096; addr += 3 {
-		if _, _, ok := r.Lookup(addr); ok {
-			t.Fatalf("pooled cache hits addr %d before any fill", addr)
+}
+
+// fullScanValid lists the valid lines in line-array order: what
+// ForEachValidLine visited before it walked only the touched sets.
+func fullScanValid(c *Cache) []*Line {
+	var out []*Line
+	for i := range c.lines {
+		if c.lines[i].State != Invalid {
+			out = append(out, &c.lines[i])
+		}
+	}
+	return out
+}
+
+// TestPooledReuseIsFresh: a cache released back to the construction pool
+// and re-obtained with the same geometry must equal a freshly built one
+// in every field — line tags, states, dirty bits, values, timetags,
+// used/dirty-word bits, LRU stamps, the clock and the touched-set bitset —
+// after fills, partial fills, word invalidations and a flash
+// invalidation. Associativity 3 gives a set count that is not a power of
+// two (the modulo set index).
+func TestPooledReuseIsFresh(t *testing.T) {
+	const lineWords = 4
+	for _, g := range []struct {
+		capacity int64
+		assoc    int
+	}{{256, 1}, {256, 2}, {240, 3}} {
+		c := New(g.capacity, lineWords, g.assoc)
+		dirty(c, rand.New(rand.NewSource(int64(g.assoc))), 500)
+		Release(c)
+		r := New(g.capacity, lineWords, g.assoc)
+		if r != c {
+			t.Logf("assoc %d: pool did not return the released cache (GC-cleared pool)", g.assoc)
+			continue
+		}
+		if fresh := build(g.capacity, lineWords, g.assoc); !reflect.DeepEqual(r, fresh) {
+			for i := range r.lines {
+				if !reflect.DeepEqual(r.lines[i], fresh.lines[i]) {
+					t.Fatalf("assoc %d: pooled line %d = %+v, fresh %+v", g.assoc, i, r.lines[i], fresh.lines[i])
+				}
+			}
+			t.Fatalf("assoc %d: pooled cache differs from a fresh one outside the lines", g.assoc)
+		}
+		for addr := prog.Word(0); addr < 4096; addr += 3 {
+			if _, _, ok := r.Lookup(addr); ok {
+				t.Fatalf("assoc %d: pooled cache hits addr %d before any fill", g.assoc, addr)
+			}
+		}
+	}
+}
+
+// TestTouchedSetScans: ForEachValidLine visits exactly the lines a full
+// scan finds, in the same order, and InvalidateAll drops the same words
+// a full scan counts — over pooled and fresh caches alike.
+func TestTouchedSetScans(t *testing.T) {
+	for _, assoc := range []int{1, 2, 3} {
+		capacity := int64(256)
+		if assoc == 3 {
+			capacity = 240
+		}
+		rng := rand.New(rand.NewSource(int64(10 + assoc)))
+		for round := 0; round < 4; round++ {
+			c := New(capacity, 4, assoc)
+			dirty(c, rng, 50+rng.Intn(400))
+			want := fullScanValid(c)
+			var got []*Line
+			c.ForEachValidLine(func(l *Line) { got = append(got, l) })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("assoc %d round %d: ForEachValidLine visited %d lines, full scan %d (or in another order)",
+					assoc, round, len(got), len(want))
+			}
+			var words int64
+			for _, l := range want {
+				for w := range l.TT {
+					if l.TT[w] != TTInvalid {
+						words++
+					}
+				}
+			}
+			if dropped := c.InvalidateAll(); dropped != words {
+				t.Fatalf("assoc %d round %d: InvalidateAll dropped %d words, full scan counts %d", assoc, round, dropped, words)
+			}
+			if left := fullScanValid(c); len(left) != 0 {
+				t.Fatalf("assoc %d round %d: %d lines valid after InvalidateAll", assoc, round, len(left))
+			}
+			Release(c)
+		}
+	}
+}
+
+// TestSetIndex: the mask path and the modulo fallback agree with
+// tag % sets.
+func TestSetIndex(t *testing.T) {
+	for _, g := range []struct {
+		capacity int64
+		assoc    int
+		pow2     bool
+	}{{256, 1, true}, {256, 2, true}, {240, 3, false}, {192, 1, false}} {
+		c := build(g.capacity, 4, g.assoc)
+		if (c.setMask >= 0) != g.pow2 {
+			t.Fatalf("capacity %d assoc %d: setMask %d, want power-of-two path %v", g.capacity, g.assoc, c.setMask, g.pow2)
+		}
+		for tag := int64(0); tag < 1000; tag++ {
+			if got, want := c.setIndex(tag), int(tag%int64(c.sets)); got != want {
+				t.Fatalf("capacity %d assoc %d: setIndex(%d) = %d, want %d", g.capacity, g.assoc, tag, got, want)
+			}
 		}
 	}
 }
 
 // TestPooledTrackerIsFresh: a released tracker re-obtained for the same
-// memory extent must report no word as seen.
+// memory extent, or for a smaller one, must report no word as seen and
+// span exactly the new extent.
 func TestPooledTrackerIsFresh(t *testing.T) {
-	tr := NewTracker(512)
-	for a := prog.Word(0); a < 512; a += 2 {
-		tr.NoteCached(a)
-		tr.NoteLost(a, LostReset, 3)
-	}
-	ReleaseTracker(tr)
-	r := NewTracker(512)
-	if r != tr {
-		t.Skip("pool did not return the released tracker (GC-cleared pool)")
-	}
-	for a := prog.Word(0); a < 512; a++ {
-		if r.Seen(a) {
-			t.Fatalf("pooled tracker has word %d seen", a)
+	for _, extent := range []int64{512, 300} {
+		tr := NewTracker(512)
+		for a := prog.Word(0); a < 512; a += 2 {
+			tr.NoteCached(a)
+			tr.NoteLost(a, LostReset, 3)
+		}
+		ReleaseTracker(tr)
+		r := NewTracker(extent)
+		if r != tr {
+			t.Logf("extent %d: pool did not return the released tracker (GC-cleared pool)", extent)
+			continue
+		}
+		for a := prog.Word(0); a < prog.Word(extent); a++ {
+			if r.Seen(a) {
+				t.Fatalf("extent %d: pooled tracker has word %d seen", extent, a)
+			}
+		}
+		if len(r.reason) != int(extent) || len(r.lostTT) != int(extent) || len(r.seen) != int(extent+63)/64 {
+			t.Fatalf("extent %d: pooled tracker spans %d words (%d seen words)", extent, len(r.reason), len(r.seen))
 		}
 	}
 }

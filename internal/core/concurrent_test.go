@@ -12,7 +12,9 @@ import (
 // on: one Compiled shared by many goroutines (each running its own
 // simulation, across every scheme) must produce bit-identical statistics
 // — Compiled is immutable after Compile, and all mutable run state is
-// per-Run. Run under -race in CI.
+// per-Run. Every other goroutine runs with four host workers, so the
+// shared lane, log, cache and tracker pools serve sequential and
+// host-parallel runs at once. Run under -race in CI.
 func TestConcurrentRun(t *testing.T) {
 	c := compileT(t, stencilSrc)
 	const goroutines = 8
@@ -30,6 +32,8 @@ func TestConcurrentRun(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
+					cfg := cfg
+					cfg.HostParallel = 4 * (g % 2)
 					st, err := Run(c, cfg)
 					if err != nil {
 						errs[g] = err

@@ -170,8 +170,7 @@ func NewSystem(cfg machine.Config, p *prog.Prog) (memsys.System, error) {
 
 // The scheme contract, checked at compile time: every variant NewSystem
 // builds (TARDIS and TARDIS2 share one type) and the Oracle is a whole
-// memsys.System; every cached scheme returns its caches to the pools
-// (BASE and the Oracle have none); VC alone tracks variable versions.
+// memsys.System, release included; VC alone tracks variable versions.
 var (
 	_ memsys.System = (*swschemes.Base)(nil)
 	_ memsys.System = (*swschemes.SC)(nil)
@@ -181,13 +180,6 @@ var (
 	_ memsys.System = (*vc.System)(nil)
 	_ memsys.System = (*tardis.System)(nil)
 	_ memsys.System = (*memsys.Oracle)(nil)
-
-	_ memsys.Releaser = (*swschemes.SC)(nil)
-	_ memsys.Releaser = (*tpi.System)(nil)
-	_ memsys.Releaser = (*tpi.TwoLevel)(nil)
-	_ memsys.Releaser = (*hwdir.System)(nil)
-	_ memsys.Releaser = (*vc.System)(nil)
-	_ memsys.Releaser = (*tardis.System)(nil)
 
 	_ memsys.Versioned = (*vc.System)(nil)
 )
@@ -295,14 +287,11 @@ func checkInvariants(sys memsys.System) error {
 	return nil
 }
 
-// releaseSystem returns a run's per-processor cache structures to their
-// construction pools. Call only after everything the caller needs —
-// stats, memory snapshot, invariant checks — has been extracted.
-func releaseSystem(sys memsys.System) {
-	if r, ok := sys.(memsys.Releaser); ok {
-		r.ReleaseCaches()
-	}
-}
+// releaseSystem returns a run's per-processor structures (caches, logs,
+// lanes) to their construction pools. Call only after everything the
+// caller needs — stats, memory snapshot, invariant checks — has been
+// extracted.
+func releaseSystem(sys memsys.System) { sys.ReleaseCaches() }
 
 // FastPathStatus reports, for one run, every site that left the fast
 // paths: the static per-loop stream recognition verdicts (scheme- and

@@ -79,37 +79,66 @@ func TestMidRunFaultReleasesPooledState(t *testing.T) {
 	}
 }
 
-// TestLanePoolFreshness: the buffered schemes pool their per-processor
-// lane structures (and HW its per-epoch directory action logs) across
-// runs. A run must see fresh pool state regardless of what earlier runs
-// — other schemes, host-parallel workers, a mid-run fault — handed back:
-// back-to-back runs through the pooled path must be bit-identical.
+// laneVariants are the scheme variants whose runs route through pooled
+// lanes: the always-buffered schemes in every run, TPI, TPI2L and SC in
+// host-parallel runs.
+func laneVariants() []struct {
+	name string
+	cfg  machine.Config
+} {
+	var vs []struct {
+		name string
+		cfg  machine.Config
+	}
+	add := func(name string, s machine.Scheme, l1 int64) {
+		cfg := machine.Default(s)
+		cfg.Procs = 8
+		cfg.L1Words = l1
+		vs = append(vs, struct {
+			name string
+			cfg  machine.Config
+		}{name, cfg})
+	}
+	add("TPI", machine.SchemeTPI, 0)
+	add("TPI2L", machine.SchemeTPI, 1024)
+	add("SC", machine.SchemeSC, 0)
+	add("HW", machine.SchemeHW, 0)
+	add("VC", machine.SchemeVC, 0)
+	add("TARDIS", machine.SchemeTardis, 0)
+	add("TARDIS2", machine.SchemeTardis2, 0)
+	return vs
+}
+
+// TestLanePoolFreshness: every scheme returns its per-processor lanes
+// (and HW and Tardis their action logs) to pools shared across runs. A
+// run must see fresh pool state regardless of what earlier runs — other
+// schemes, host-parallel workers, a mid-run fault — handed back:
+// back-to-back runs through the pooled path, sequential and with four
+// host workers, must be bit-identical.
 func TestLanePoolFreshness(t *testing.T) {
 	good := compileT(t, stencilSrc)
 	bad := compileT(t, faultySrc)
-	buffered := []machine.Scheme{
-		machine.SchemeHW, machine.SchemeVC,
-		machine.SchemeTardis, machine.SchemeTardis2,
-	}
+	variants := laneVariants()
 
-	for _, s := range buffered {
-		s := s
-		t.Run(s.String(), func(t *testing.T) {
-			cfg := machine.Default(s)
-			cfg.Procs = 8
-
-			before, err := Run(good, cfg)
-			if err != nil {
-				t.Fatal(err)
+	for _, v := range variants {
+		v := v
+		t.Run(v.name, func(t *testing.T) {
+			par := v.cfg
+			par.HostParallel = 4
+			var want []string
+			for _, cfg := range []machine.Config{v.cfg, par} {
+				st, err := Run(good, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, snapshotKey(t, st.Snapshot()))
 			}
-			want := snapshotKey(t, before.Snapshot())
 
-			// Churn the pools: host-parallel runs of both buffered schemes
+			// Churn the pools: host-parallel runs of every lane variant
 			// (their workers draw lanes and merge logs), stream fast-path
 			// runs, and a faulting run that releases mid-simulation.
-			for _, churn := range buffered {
-				ccfg := machine.Default(churn)
-				ccfg.Procs = 8
+			for _, churn := range variants {
+				ccfg := churn.cfg
 				ccfg.HostParallel = 4
 				if _, err := Run(good, ccfg); err != nil {
 					t.Fatal(err)
@@ -119,14 +148,57 @@ func TestLanePoolFreshness(t *testing.T) {
 				}
 			}
 
-			after, err := Run(good, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := snapshotKey(t, after.Snapshot()); got != want {
-				t.Fatalf("pooled lane state leaked across runs:\nbefore %s\nafter  %s", want, got)
+			for i, cfg := range []machine.Config{v.cfg, par} {
+				st, err := Run(good, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := snapshotKey(t, st.Snapshot()); got != want[i] {
+					t.Fatalf("pooled lane state leaked across runs (HostParallel %d):\nbefore %s\nafter  %s",
+						cfg.HostParallel, want[i], got)
+				}
 			}
 		})
+	}
+}
+
+// TestLanePoolReuse: a second host-parallel run of every scheme builds
+// no new lanes. One cycle builds a system, runs a parallel epoch that
+// draws every processor's lane and releases the system; against a cycle
+// that never enters the epoch it may cost at most the one allocation of
+// handing the lane table back to its pool, where rebuilding the lanes
+// would cost at least one per processor.
+func TestLanePoolReuse(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	c := compileT(t, stencilSrc)
+	for _, v := range laneVariants() {
+		cfg := v.cfg
+		cfg.Procs = 16
+		cfg.HostParallel = 4
+		cycle := func(epoch bool) func() {
+			return func() {
+				sys, err := NewSystem(cfg, c.Prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if epoch {
+					sys.BeginParallelEpoch(1)
+					for p := 0; p < cfg.Procs; p++ {
+						sys.LaneStats(p)
+					}
+					sys.EndParallelEpoch()
+				}
+				releaseSystem(sys)
+			}
+		}
+		base := testing.AllocsPerRun(20, cycle(false))
+		with := testing.AllocsPerRun(20, cycle(true))
+		if extra := with - base; extra > 1 {
+			t.Errorf("%s: a pooled parallel epoch costs %v allocations beyond construction (%v vs %v): lanes were rebuilt",
+				v.name, extra, with, base)
+		}
 	}
 }
 

@@ -59,7 +59,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/machine"
@@ -137,7 +136,7 @@ type System struct {
 // logsPool recycles the per-processor action-log slices across runs so
 // their grown capacity is reused instead of reallocated (systems are
 // built per simulated run; see memsys.Releaser).
-var logsPool sync.Pool
+var logsPool memsys.TablePool[[]action]
 
 // New builds an HW directory system.
 func New(cfg machine.Config, memWords int64) *System {
@@ -155,17 +154,11 @@ func New(cfg machine.Config, memWords int64) *System {
 	}
 	s.caches = make([]*cache.Cache, cfg.Procs)
 	s.trackers = make([]*cache.Tracker, cfg.Procs)
-	if v := logsPool.Get(); v != nil {
-		if ls, ok := v.([][]action); ok && len(ls) >= cfg.Procs {
-			s.logs = ls[:cfg.Procs]
-			for p := range s.logs {
-				s.logs[p] = s.logs[p][:0]
-			}
-		}
+	s.logs = logsPool.Get(cfg.Procs)
+	for p := range s.logs {
+		s.logs[p] = s.logs[p][:0]
 	}
-	if s.logs == nil {
-		s.logs = make([][]action, cfg.Procs)
-	}
+	s.OnRelease(s)
 	return s
 }
 
@@ -193,9 +186,9 @@ func (s *System) FlushEpoch() {
 	s.replayEpoch()
 }
 
-// ReleaseCaches implements memsys.Releaser. The fields are nilled so any
+// ReleaseOwn implements memsys.OwnReleaser. The fields are nilled so any
 // use after release fails loudly instead of corrupting a pooled cache.
-func (s *System) ReleaseCaches() {
+func (s *System) ReleaseOwn() {
 	for p, cc := range s.caches {
 		if cc == nil {
 			continue
@@ -209,7 +202,6 @@ func (s *System) ReleaseCaches() {
 	}
 	logsPool.Put(s.logs)
 	s.logs = nil
-	s.ReleaseLanes()
 }
 
 // Read implements memsys.System. The compiler marking is ignored: the

@@ -31,7 +31,9 @@ package memsys
 //     processors (asserted by TestDoallWriteSetsDisjoint), so the final
 //     memory image is the sequential one. Reads forward from the lane's
 //     own log first (store-buffer forwarding), so a processor always sees
-//     its own same-epoch writes even after a conflict eviction.
+//     its own same-epoch writes even after a conflict eviction. The
+//     forwarding index is an open-addressed table (overlay below) whose
+//     epoch reset is one generation increment.
 //
 // Every scheme routes each reference-path access to shared state
 // through LaneFor(p). Schemes whose reference paths *observe memory
@@ -51,6 +53,7 @@ package memsys
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/memory"
@@ -80,8 +83,104 @@ type Lane struct {
 	epoch    int64
 	inj      int64
 	writes   []laneWrite
-	overlay  map[prog.Word]int32 // addr -> index of latest entry in writes
-	stShard  stats.Stats         // backing store for St in buffered mode
+	overlay  overlay     // addr -> index of latest entry in writes
+	stShard  stats.Stats // backing store for St in buffered mode
+}
+
+// overlay maps a word to the index of its latest entry in the lane's
+// write log. It is a linear-probing table keyed by word, checked on every
+// buffered read hit and store, so a miss must be cheap: a slot whose
+// stamp differs from gen is empty, and an epoch reset is one gen
+// increment instead of a sweep. A withdrawn entry (WriteThrough) keeps
+// its slot, so probe chains stay intact, and stores idx -1, which reads
+// as absent.
+type overlay struct {
+	slots []overlaySlot // power-of-two length; nil until the first insert
+	shift uint          // 64 - log2(len(slots)), for Fibonacci hashing
+	gen   uint32        // stamp of live slots; never 0 once slots exist
+	n     int           // live slots (withdrawn ones included)
+}
+
+type overlaySlot struct {
+	key prog.Word
+	idx int32
+	gen uint32
+}
+
+// overlayMinSlots is the first table size; the table doubles whenever
+// it would pass half full.
+const overlayMinSlots = 16
+
+// get returns addr's log index, or -1 when addr has no live entry.
+func (o *overlay) get(addr prog.Word) int32 {
+	if o.n == 0 {
+		return -1
+	}
+	mask := uint64(len(o.slots) - 1)
+	for i := o.home(addr); ; i = (i + 1) & mask {
+		sl := &o.slots[i]
+		if sl.gen != o.gen {
+			return -1
+		}
+		if sl.key == addr {
+			return sl.idx
+		}
+	}
+}
+
+// slot returns addr's slot, claiming an empty one (with idx -1) when
+// addr has none. The table must have room for one more slot.
+func (o *overlay) slot(addr prog.Word) *overlaySlot {
+	mask := uint64(len(o.slots) - 1)
+	for i := o.home(addr); ; i = (i + 1) & mask {
+		sl := &o.slots[i]
+		if sl.gen != o.gen {
+			*sl = overlaySlot{key: addr, idx: -1, gen: o.gen}
+			o.n++
+			return sl
+		}
+		if sl.key == addr {
+			return sl
+		}
+	}
+}
+
+func (o *overlay) home(addr prog.Word) uint64 {
+	return (uint64(addr) * 0x9E3779B97F4A7C15) >> o.shift
+}
+
+// reserve makes room for one more slot: the table doubles once it would
+// pass half full.
+func (o *overlay) reserve() {
+	if 2*(o.n+1) > len(o.slots) {
+		o.grow()
+	}
+}
+
+// grow doubles the table, rehashing the live entries and dropping the
+// withdrawn ones.
+func (o *overlay) grow() {
+	old, oldGen := o.slots, o.gen
+	size := max(2*len(old), overlayMinSlots)
+	o.slots = make([]overlaySlot, size)
+	o.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	o.gen, o.n = 1, 0
+	for i := range old {
+		if sl := &old[i]; sl.gen == oldGen && sl.idx >= 0 {
+			o.slot(sl.key).idx = sl.idx
+		}
+	}
+}
+
+// reset empties the table for the next epoch: one generation step, and a
+// full clear only when the stamp wraps.
+func (o *overlay) reset() {
+	o.n = 0
+	o.gen++
+	if o.gen == 0 {
+		clear(o.slots)
+		o.gen = 1
+	}
 }
 
 // Inject records words entering the network: straight to the model in
@@ -109,7 +208,7 @@ func (l *Lane) FreshWords() []float64 {
 // it: its own buffered same-epoch store if one exists, else memory.
 func (l *Lane) Value(addr prog.Word) float64 {
 	if l.buffered {
-		if i, ok := l.overlay[addr]; ok {
+		if i := l.overlay.get(addr); i >= 0 {
 			return l.writes[i].val
 		}
 	}
@@ -118,10 +217,8 @@ func (l *Lane) Value(addr prog.Word) float64 {
 
 // LastWriteEpoch mirrors memory.LastWriteEpoch through the write buffer.
 func (l *Lane) LastWriteEpoch(addr prog.Word) int64 {
-	if l.buffered {
-		if _, ok := l.overlay[addr]; ok {
-			return l.epoch
-		}
+	if l.buffered && l.overlay.get(addr) >= 0 {
+		return l.epoch
 	}
 	return l.mem.LastWriteEpoch(addr)
 }
@@ -134,14 +231,16 @@ func (l *Lane) Write(addr prog.Word, val float64, proc int, epoch int64) {
 		return
 	}
 	l.epoch = epoch
-	if i, ok := l.overlay[addr]; ok {
+	l.overlay.reserve()
+	sl := l.overlay.slot(addr)
+	if sl.idx >= 0 {
 		// Same-word rewrite: keep one log entry per word (the barrier
 		// applies the last value; intermediate values are unobservable
 		// because only this processor may touch the word this epoch).
-		l.writes[i].val = val
+		l.writes[sl.idx].val = val
 		return
 	}
-	l.overlay[addr] = int32(len(l.writes))
+	sl.idx = int32(len(l.writes))
 	l.writes = append(l.writes, laneWrite{addr: addr, val: val})
 }
 
@@ -149,15 +248,15 @@ func (l *Lane) Write(addr prog.Word, val float64, proc int, epoch int64) {
 // critical-section (or ordered-section) store. Those only occur in
 // sequential (seqOnly) epochs, so eager application is deterministic in
 // both execution modes. If this processor has a buffered same-epoch store
-// to the word, that log entry is withdrawn (overlay removed, slot turned
-// into a skip sentinel): the proc-major barrier flush must not re-apply a
-// pre-critical value over the program-order-final one — under cyclic
+// to the word, that log entry is withdrawn (overlay index -1, log entry
+// turned into a skip sentinel): the proc-major barrier flush must not
+// re-apply a pre-critical value over the program-order-final one — under cyclic
 // scheduling several processors' critical stores to one word interleave
 // in iteration order, not processor order.
 func (l *Lane) WriteThrough(addr prog.Word, val float64, proc int, epoch int64) {
 	if l.buffered {
-		if i, ok := l.overlay[addr]; ok {
-			delete(l.overlay, addr)
+		if i := l.overlay.get(addr); i >= 0 {
+			l.overlay.slot(addr).idx = -1
 			l.writes[i] = laneWrite{addr: -1}
 		}
 	}
@@ -169,7 +268,7 @@ func (l *Lane) WriteThrough(addr prog.Word, val float64, proc int, epoch int64) 
 // other hit must match authoritative memory.
 func (l *Lane) CheckFresh(addr prog.Word, got float64, proc int, context string) {
 	if l.buffered {
-		if i, ok := l.overlay[addr]; ok {
+		if i := l.overlay.get(addr); i >= 0 {
 			if got != l.writes[i].val {
 				panic(fmt.Sprintf("memory: STALE READ by P%d at word %d: got %v, want %v (%s; unretired write by P%d at epoch %d)",
 					proc, addr, got, l.writes[i].val, context, l.proc, l.epoch))
@@ -196,35 +295,48 @@ func (c *Core) EpochBuffered() bool { return c.alwaysBuffered }
 // FlushEpoch implements System.
 func (c *Core) FlushEpoch() { c.FlushEpochLanes() }
 
-// lanesPool recycles lane sets across runs: the write-log slices and
-// overlay maps grow to an epoch's working set once and are then reused
-// instead of reallocated per run (see memsys.Releaser).
-var lanesPool sync.Pool
+// TablePool recycles per-processor tables (lane sets, action logs) across
+// runs. A table goes back at its full capacity, so one grown by a
+// large-P run also serves every smaller run after it, and a table too
+// small for a run is grown in place, keeping the entries it has.
+type TablePool[T any] struct{ pool sync.Pool }
+
+// Get returns a table of length procs. Entries come back as the last run
+// that used them left them; callers scrub what they reuse.
+func (tp *TablePool[T]) Get(procs int) []T {
+	t, _ := tp.pool.Get().([]T)
+	if cap(t) < procs {
+		t = append(t[:cap(t)], make([]T, procs-cap(t))...)
+	}
+	return t[:procs]
+}
+
+// Put returns a table to the pool; the caller must not use it afterwards.
+func (tp *TablePool[T]) Put(t []T) { tp.pool.Put(t[:cap(t)]) }
+
+// lanesPool recycles lane sets across runs: the write logs and overlay
+// tables grow to an epoch's working set once and are then reused
+// instead of reallocated per run.
+var lanesPool TablePool[*Lane]
 
 // ensureLanes installs the per-processor lane table. Individual lanes
 // are built lazily by LaneFor on a processor's first reference, so a
 // large-P configuration whose epochs touch few processors never pays
-// P× lane (and overlay map) construction; pooled lane sets may carry
-// nil entries for processors a previous run never touched.
+// P× lane construction; pooled lane sets may carry nil entries for
+// processors a previous run never touched.
 func (c *Core) ensureLanes() {
 	if c.lanes != nil {
 		return
 	}
-	if v := lanesPool.Get(); v != nil {
-		if ls, ok := v.([]*Lane); ok && len(ls) >= c.Cfg.Procs {
-			c.lanes = ls[:c.Cfg.Procs]
-			for p, l := range c.lanes {
-				if l == nil {
-					continue
-				}
-				l.mem = c.Memory
-				l.proc = p
-				l.epoch = c.laneEpoch
-			}
-			return
+	c.lanes = lanesPool.Get(c.Cfg.Procs)
+	for p, l := range c.lanes {
+		if l == nil {
+			continue
 		}
+		l.mem = c.Memory
+		l.proc = p
+		l.epoch = c.laneEpoch
 	}
-	c.lanes = make([]*Lane, c.Cfg.Procs)
 }
 
 // newLane builds processor p's buffered lane on first use. Inside a
@@ -237,18 +349,38 @@ func (c *Core) newLane(p int) *Lane {
 		buffered: true,
 		proc:     p,
 		epoch:    c.laneEpoch,
-		overlay:  make(map[prog.Word]int32),
 	}
 	l.St = &l.stShard
 	c.lanes[p] = l
 	return l
 }
 
-// ReleaseLanes returns the per-processor lanes to the shared pool for
-// the next run. Each lane is scrubbed (log truncated, overlay cleared,
+// OwnReleaser is a scheme's own release step: it returns the scheme's
+// caches, trackers and logs to their pools. Core.ReleaseCaches runs it
+// before returning the lanes.
+type OwnReleaser interface {
+	ReleaseOwn()
+}
+
+// OnRelease registers the scheme's own release step; call once, at
+// construction.
+func (c *Core) OnRelease(r OwnReleaser) { c.release = r }
+
+// ReleaseCaches implements Releaser for every scheme: the scheme's
+// OnRelease step, then the lanes. Schemes do not override it, so no
+// scheme can forget to return its lanes.
+func (c *Core) ReleaseCaches() {
+	if c.release != nil {
+		c.release.ReleaseOwn()
+	}
+	c.releaseLanes()
+}
+
+// releaseLanes returns the per-processor lanes to the shared pool for
+// the next run. Each lane is scrubbed (log truncated, overlay emptied,
 // shard zeroed, memory unbound) so a pooled lane can never leak one
-// run's state into the next; schemes call this from ReleaseCaches.
-func (c *Core) ReleaseLanes() {
+// run's state into the next.
+func (c *Core) releaseLanes() {
 	if c.lanes == nil {
 		return
 	}
@@ -258,7 +390,7 @@ func (c *Core) ReleaseLanes() {
 		}
 		l.mem = nil
 		l.writes = l.writes[:0]
-		clear(l.overlay)
+		l.overlay.reset()
 		l.stShard = stats.Stats{}
 		l.inj = 0
 		l.epoch = 0
@@ -336,7 +468,7 @@ func (c *Core) FlushEpochLanes() {
 			c.Memory.Write(w.addr, w.val, p, l.epoch)
 		}
 		l.writes = l.writes[:0]
-		clear(l.overlay)
+		l.overlay.reset()
 		c.St.Add(&l.stShard)
 		l.stShard = stats.Stats{}
 		if l.inj != 0 {

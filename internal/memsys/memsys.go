@@ -132,15 +132,18 @@ type System interface {
 	// ClusterHomeWords returns the cumulative words fetched from each mesh
 	// cluster's home slice, nil outside the clustered mesh topology.
 	ClusterHomeWords() []int64
+
+	Releaser
 }
 
-// Releaser is implemented by systems whose per-processor cache
-// structures can be returned to their construction pools once a run's
-// results have been fully extracted (stats, memory snapshot, invariant
-// checks). core calls it at the end of each Run*; a released system must
-// not be used again.
+// Releaser is part of every System, implemented once by *Core (see
+// Core.ReleaseCaches): a run's per-processor structures go back to their
+// construction pools once its results have been fully extracted (stats,
+// memory snapshot, invariant checks). core calls it at the end of each
+// Run*; a released system must not be used again.
 type Releaser interface {
-	// ReleaseCaches returns the caches and trackers to their pools.
+	// ReleaseCaches returns the caches, trackers, logs and lanes to
+	// their pools.
 	ReleaseCaches()
 }
 
@@ -195,6 +198,9 @@ type Core struct {
 	laneEpoch      int64
 	par            bool
 	alwaysBuffered bool
+
+	// release is the scheme's own release step (OnRelease).
+	release OwnReleaser
 
 	// Mesh home mapping: homeClusters > 0 interleaves memory lines
 	// across per-cluster home slices instead of individual processors,

@@ -96,6 +96,7 @@ func NewSC(cfg machine.Config, memWords int64) *SC {
 	s.caches = make([]*cache.Cache, cfg.Procs)
 	s.trackers = make([]*cache.Tracker, cfg.Procs)
 	s.wbufs = make([]*cache.WriteBuffer, cfg.Procs)
+	s.OnRelease(s)
 	return s
 }
 
@@ -117,9 +118,9 @@ func (s *SC) procState(p int) (*cache.Cache, *cache.Tracker) {
 // Name implements memsys.System.
 func (s *SC) Name() string { return "SC" }
 
-// ReleaseCaches implements memsys.Releaser. The fields are nilled so any
+// ReleaseOwn implements memsys.OwnReleaser. The fields are nilled so any
 // use after release fails loudly instead of corrupting a pooled cache.
-func (s *SC) ReleaseCaches() {
+func (s *SC) ReleaseOwn() {
 	for p, cc := range s.caches {
 		if cc == nil {
 			continue

@@ -50,6 +50,7 @@ package tardis
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/machine"
@@ -93,9 +94,18 @@ const (
 // act is one logged home mutation.
 type act struct {
 	kind actKind
+	// more folds consecutive identical actWrite entries into this one: it
+	// stands for 1+more writes, which replay as max(rts+1, end)+more —
+	// exactly what 1+more separate entries give. It fits in the padding
+	// after kind.
+	more uint32
 	line int64 // global line number (== cache tag)
 	end  int64 // grant end / write timestamp
 }
+
+// actsPool recycles the per-processor action logs across runs; ReleaseOwn
+// hands them back, just before Core.ReleaseCaches returns the lanes.
+var actsPool memsys.TablePool[[]act]
 
 // System is the Tardis timestamp-coherence memory system.
 type System struct {
@@ -155,11 +165,15 @@ func New(cfg machine.Config, memWords int64) *System {
 		}
 	}
 	s.ptsLocal = make([]int64, cfg.Procs)
-	s.acts = make([][]act, cfg.Procs)
+	s.acts = actsPool.Get(cfg.Procs)
+	for p := range s.acts {
+		s.acts[p] = s.acts[p][:0]
+	}
 	s.caches = make([]*cache.Cache, cfg.Procs)
 	s.trackers = make([]*cache.Tracker, cfg.Procs)
 	s.wbufs = make([]*cache.WriteBuffer, cfg.Procs)
 	s.EnableAlwaysBuffered()
+	s.OnRelease(s)
 	return s
 }
 
@@ -180,8 +194,8 @@ func (s *System) procState(p int) (*cache.Cache, *cache.Tracker) {
 // Name implements memsys.System.
 func (s *System) Name() string { return s.Cfg.Scheme.String() }
 
-// ReleaseCaches implements memsys.Releaser.
-func (s *System) ReleaseCaches() {
+// ReleaseOwn implements memsys.OwnReleaser.
+func (s *System) ReleaseOwn() {
 	for p, cc := range s.caches {
 		if cc == nil {
 			continue
@@ -191,7 +205,8 @@ func (s *System) ReleaseCaches() {
 		cache.ReleaseWriteBuffer(s.wbufs[p])
 	}
 	s.caches, s.trackers, s.wbufs = nil, nil, nil
-	s.ReleaseLanes()
+	actsPool.Put(s.acts)
+	s.acts = nil
 }
 
 // leaseFor is the lease the predictor currently assigns a line: the base
@@ -246,8 +261,20 @@ func (s *System) notePts(p int, t int64) {
 	}
 }
 
-// log appends a home mutation to p's action log.
-func (s *System) log(p int, a act) { s.acts[p] = append(s.acts[p], a) }
+// log appends a home mutation to p's action log. A write that repeats
+// the previous entry — same line, same write timestamp, as every store
+// to one line in one epoch has — folds into it.
+func (s *System) log(p int, kind actKind, line, end int64) {
+	l := s.acts[p]
+	if kind == actWrite && len(l) > 0 {
+		if last := &l[len(l)-1]; last.kind == actWrite && last.line == line &&
+			last.end == end && last.more < math.MaxUint32 {
+			last.more++
+			return
+		}
+	}
+	s.acts[p] = append(l, act{kind: kind, line: line, end: end})
+}
 
 // Read implements memsys.System. The Time-Read window is ignored —
 // Tardis needs no compiler windows; the lease check subsumes them.
@@ -289,7 +316,7 @@ func (s *System) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (
 			// The data moved on: a necessary coherence re-fetch.
 			ln.St.ReadMisses[stats.MissTrueSharing]++
 			s.refreshLine(ln, line, w, addr, cc, tr, end)
-			s.log(p, act{actRenewStale, lid, end})
+			s.log(p, actRenewStale, lid, end)
 			return line.Vals[w], s.chargeLineMiss(ln, p, addr)
 		}
 		// Data unchanged: pure lease renewal — timestamps move, data
@@ -298,7 +325,7 @@ func (s *System) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (
 		ln.St.ReadMisses[stats.MissLeaseExpired]++
 		ln.St.LeaseRenewals++
 		s.extendLine(ln, line, w, addr, cc, end, p)
-		s.log(p, act{actRenewFresh, lid, end})
+		s.log(p, actRenewFresh, lid, end)
 		return line.Vals[w], s.chargeRenewal(ln, p, addr)
 	}
 
@@ -311,7 +338,7 @@ func (s *System) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (
 			return s.recallWord(ln, cc, tr, line, w, addr, lid, end, p)
 		}
 		s.refreshLine(ln, line, w, addr, cc, tr, end)
-		s.log(p, act{actGrant, lid, end})
+		s.log(p, actGrant, lid, end)
 		return line.Vals[w], s.chargeLineMiss(ln, p, addr)
 	}
 	nl, nw := s.fillLine(ln, cc, tr, p, addr)
@@ -387,9 +414,9 @@ func (s *System) recallRead(ln *memsys.Lane, cc *cache.Cache, tr *cache.Tracker,
 	cc.Touch(line)
 	tr.NoteCached(addr)
 	if changed {
-		s.log(p, act{actRenewStale, lid, end})
+		s.log(p, actRenewStale, lid, end)
 	} else {
-		s.log(p, act{actRenewFresh, lid, end})
+		s.log(p, actRenewFresh, lid, end)
 	}
 	return line.Vals[w], s.chargeRecall(ln, p, addr)
 }
@@ -406,7 +433,7 @@ func (s *System) recallWord(ln *memsys.Lane, cc *cache.Cache, tr *cache.Tracker,
 	line.Used[w] = true
 	cc.Touch(line)
 	tr.NoteCached(addr)
-	s.log(p, act{actGrant, lid, end})
+	s.log(p, actGrant, lid, end)
 	return line.Vals[w], s.chargeRecall(ln, p, addr)
 }
 
@@ -442,15 +469,15 @@ func (s *System) fillLine(ln *memsys.Lane, cc *cache.Cache, tr *cache.Tracker, p
 		// the fetch); only the accessed word's lease can be granted.
 		s.staleMark(nl, nw)
 		ln.St.CoherenceMsgs++
-		s.log(p, act{actGrant, lid, end})
+		s.log(p, actGrant, lid, end)
 		return nl, nw
 	}
 	if s.excl && rts <= wts && (s.owner[lid] < 0 || s.owner[lid] == int16(p)) {
 		nl.State = cache.Exclusive
 		ln.St.ExclusiveGrants++
-		s.log(p, act{actOwnGrant, lid, end})
+		s.log(p, actOwnGrant, lid, end)
 	} else {
-		s.log(p, act{actGrant, lid, end})
+		s.log(p, actGrant, lid, end)
 	}
 	return nl, nw
 }
@@ -517,7 +544,7 @@ func (s *System) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 		}
 		lid := int64(addr) / int64(s.Cfg.LineWords)
 		wend := s.writeEnd(lid)
-		s.log(p, act{actWrite, lid, wend})
+		s.log(p, actWrite, lid, wend)
 		s.notePts(p, wend)
 		ln.St.WriteTrafficWords++
 		ln.Inject(1)
@@ -582,7 +609,7 @@ func (s *System) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 		cc.Touch(v)
 		tr.NoteCached(addr)
 	}
-	s.log(p, act{actWrite, lid, wend})
+	s.log(p, actWrite, lid, wend)
 	s.notePts(p, wend)
 	if s.wbufs[p].Write(addr) {
 		ln.St.WriteTrafficWords++
@@ -679,6 +706,7 @@ func (s *System) replay() {
 				if a.end > w2 {
 					w2 = a.end
 				}
+				w2 += int64(a.more)
 				wts = w2
 				rts = w2
 				if s.excl && s.owner[a.line] >= 0 && s.owner[a.line] != int16(p) {

@@ -56,6 +56,7 @@ func New(cfg machine.Config, memWords int64) *System {
 	s.caches = make([]*cache.Cache, cfg.Procs)
 	s.trackers = make([]*cache.Tracker, cfg.Procs)
 	s.wbufs = make([]*cache.WriteBuffer, cfg.Procs)
+	s.OnRelease(s)
 	return s
 }
 
@@ -77,9 +78,9 @@ func (s *System) procState(p int) (*cache.Cache, *cache.Tracker) {
 	return cc, s.trackers[p]
 }
 
-// ReleaseCaches implements memsys.Releaser. The fields are nilled so any
+// ReleaseOwn implements memsys.OwnReleaser. The fields are nilled so any
 // use after release fails loudly instead of corrupting a pooled cache.
-func (s *System) ReleaseCaches() {
+func (s *System) ReleaseOwn() {
 	for p, cc := range s.caches {
 		if cc == nil {
 			continue

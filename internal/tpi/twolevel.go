@@ -45,6 +45,7 @@ type TwoLevel struct {
 func NewTwoLevel(cfg machine.Config, memWords int64) *TwoLevel {
 	t := &TwoLevel{System: New(cfg, memWords)}
 	t.l1 = make([]*cache.Cache, cfg.Procs)
+	t.OnRelease(t)
 	return t
 }
 
@@ -62,16 +63,16 @@ func (t *TwoLevel) l1For(p int) *cache.Cache {
 // Name implements memsys.System.
 func (t *TwoLevel) Name() string { return "TPI2L" }
 
-// ReleaseCaches implements memsys.Releaser: the L1s return to the pool
-// along with the embedded TPI system's timetagged caches.
-func (t *TwoLevel) ReleaseCaches() {
+// ReleaseOwn implements memsys.OwnReleaser: the L1s return to the
+// pool along with the embedded TPI system's timetagged caches.
+func (t *TwoLevel) ReleaseOwn() {
 	for _, cc := range t.l1 {
 		if cc != nil {
 			cache.Release(cc)
 		}
 	}
 	t.l1 = nil
-	t.System.ReleaseCaches()
+	t.System.ReleaseOwn()
 }
 
 // Read implements memsys.System.

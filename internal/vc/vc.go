@@ -94,6 +94,7 @@ func New(cfg machine.Config, p *prog.Prog) *System {
 	s.trackers = make([]*cache.Tracker, cfg.Procs)
 	s.wbufs = make([]*cache.WriteBuffer, cfg.Procs)
 	s.EnableAlwaysBuffered()
+	s.OnRelease(s)
 	return s
 }
 
@@ -115,9 +116,9 @@ func (s *System) procState(p int) (*cache.Cache, *cache.Tracker) {
 // Name implements memsys.System.
 func (s *System) Name() string { return "VC" }
 
-// ReleaseCaches implements memsys.Releaser. The fields are nilled so any
+// ReleaseOwn implements memsys.OwnReleaser. The fields are nilled so any
 // use after release fails loudly instead of corrupting a pooled cache.
-func (s *System) ReleaseCaches() {
+func (s *System) ReleaseOwn() {
 	for p, cc := range s.caches {
 		if cc == nil {
 			continue
@@ -127,7 +128,6 @@ func (s *System) ReleaseCaches() {
 		cache.ReleaseWriteBuffer(s.wbufs[p])
 	}
 	s.caches, s.trackers, s.wbufs = nil, nil, nil
-	s.ReleaseLanes()
 }
 
 // cvnAt returns the current version of the variable holding addr
