@@ -529,8 +529,9 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		var prevEpoch, prevMiss int64
 		progress := func(p sim.Progress) {
 			epochs.Add(p.Epoch - prevEpoch)
-			misses.Add(p.Counters.ReadMisses - prevMiss)
-			prevEpoch, prevMiss = p.Epoch, p.Counters.ReadMisses
+			total := p.Stats.ReadMisses.Total()
+			misses.Add(total - prevMiss)
+			prevEpoch, prevMiss = p.Epoch, total
 		}
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -78,10 +78,10 @@ func TestObservedCrossCheck(t *testing.T) {
 
 func checkReportAgainstStats(t *testing.T, rep *obs.Report, st *stats.Stats) {
 	t.Helper()
-	if got, want := rep.ReadMissTotals(), stats.CountsOf(st.ReadMisses); got != want {
+	if got, want := rep.ReadMissTotals(), st.ReadMisses; got != want {
 		t.Errorf("per-epoch read-miss totals = %+v, stats say %+v", got, want)
 	}
-	if got, want := rep.WriteMissTotals(), stats.CountsOf(st.WriteMisses); got != want {
+	if got, want := rep.WriteMissTotals(), st.WriteMisses; got != want {
 		t.Errorf("per-epoch write-miss totals = %+v, stats say %+v", got, want)
 	}
 	var reads, writes, readHits, writeHits, stall int64
@@ -169,7 +169,7 @@ func TestRunResultJSONSchema(t *testing.T) {
 		if !reflect.DeepEqual(res, back) {
 			t.Errorf("%s: JSON round-trip changed the result", cfg.Scheme)
 		}
-		if back.Stats.Reads != st.Reads || back.Stats.ReadMisses.Array() != st.ReadMisses {
+		if back.Stats.Reads != st.Reads || back.Stats.ReadMisses != st.ReadMisses {
 			t.Errorf("%s: stats schema dropped counters", cfg.Scheme)
 		}
 		if back.Stats.WriteMisses.Total() != st.TotalWriteMisses() {

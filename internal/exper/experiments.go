@@ -99,8 +99,11 @@ func (s *Suite) E4MissClassification() (*Table, error) {
 	t := &Table{
 		ID:      "E4",
 		Title:   "miss classification (per 1000 reads)",
-		Columns: []string{"benchmark", "scheme", "cold", "replace", "true-shr", "false-shr", "conserv", "lease-exp", "bypass"},
+		Columns: []string{"benchmark", "scheme"},
 		Notes:   "HW pays false-sharing misses where TPI pays conservative misses; Tardis pays lease-expired renewals — same unnecessary-miss role, different mechanism (timestamp expiry vs compiler window)",
+	}
+	for _, ci := range stats.ClassTable {
+		t.Columns = append(t.Columns, ci.Column)
 	}
 	for _, name := range kernelNames() {
 		for _, scheme := range []machine.Scheme{
@@ -111,15 +114,11 @@ func (s *Suite) E4MissClassification() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			per := func(c stats.MissClass) string {
-				return f3(1000 * float64(st.ReadMisses[c]) / float64(st.Reads))
+			row := []string{name, scheme.String()}
+			for _, ci := range stats.ClassTable {
+				row = append(row, f3(1000*float64(st.ReadMisses[ci.Class])/float64(st.Reads)))
 			}
-			t.Rows = append(t.Rows, []string{
-				name, scheme.String(),
-				per(stats.MissCold), per(stats.MissReplace), per(stats.MissTrueSharing),
-				per(stats.MissFalseSharing), per(stats.MissConservative),
-				per(stats.MissLeaseExpired), per(stats.MissBypass),
-			})
+			t.Rows = append(t.Rows, row)
 		}
 	}
 	return t, nil

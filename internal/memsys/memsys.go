@@ -401,42 +401,3 @@ func (c *Core) WordMissLatencyFor(p int, addr prog.Word) int64 {
 	c.noteHomeFetch(home, 2)
 	return c.Cfg.MissCycles + c.Netw.RoundTripBetween(p, home, 1)
 }
-
-// CounterSample is a point-in-time aggregate of a run's memory-system
-// counters, cheap enough to take at every epoch barrier. The simulator
-// samples it for its progress callback (see sim.Progress) only after the
-// barrier's lane flush and merge, so the hot reference path stays
-// untouched and the sampled totals are exactly the sequential-equivalent
-// counters at that epoch. All fields are monotonically non-decreasing
-// over a run, so consumers may export successive samples as counter
-// deltas.
-type CounterSample struct {
-	Reads, Writes           int64
-	ReadHits, WriteHits     int64
-	ReadMisses, WriteMisses int64
-	Invalidations           int64
-	CoherenceMsgs           int64
-	TrafficWords            int64
-	// LeaseRenewals counts Tardis timestamp-only lease renewals; zero
-	// under every non-Tardis scheme.
-	LeaseRenewals int64
-}
-
-// SampleStats aggregates a scheme's live stats into a CounterSample.
-// Call only at an epoch barrier (after FlushEpoch or EndParallelEpoch
-// have merged the per-lane shards); mid-epoch
-// the totals of lane-buffered schemes are still in flight.
-func SampleStats(st *stats.Stats) CounterSample {
-	return CounterSample{
-		Reads:         st.Reads,
-		Writes:        st.Writes,
-		ReadHits:      st.ReadHits,
-		WriteHits:     st.WriteHits,
-		ReadMisses:    st.TotalReadMisses(),
-		WriteMisses:   st.TotalWriteMisses(),
-		Invalidations: st.Invalidations,
-		CoherenceMsgs: st.CoherenceMsgs,
-		TrafficWords:  st.TotalTraffic(),
-		LeaseRenewals: st.LeaseRenewals,
-	}
-}

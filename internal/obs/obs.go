@@ -106,17 +106,14 @@ func latBucket(stall int64) int {
 	return len(LatencyBucketBounds)
 }
 
-// classCols is the per-class counter array used by the accumulators.
-type classCols = [stats.NumMissClasses]int64
-
 type epochAcc struct {
 	startCycle  int64
 	reads       int64
 	writes      int64
 	readHits    int64
 	writeHits   int64
-	readMisses  classCols
-	writeMisses classCols
+	readMisses  stats.ClassCounts
+	writeMisses stats.ClassCounts
 	readStall   int64
 	resets      int64
 	resetWords  int64
@@ -128,20 +125,20 @@ type procAcc struct {
 	writes     int64
 	readHits   int64
 	writeHits  int64
-	readMisses classCols
+	readMisses stats.ClassCounts
 	readStall  int64
 }
 
 type arrayAcc struct {
 	reads       int64
 	writes      int64
-	readMisses  classCols
-	writeMisses classCols
+	readMisses  stats.ClassCounts
+	writeMisses stats.ClassCounts
 }
 
 type refAcc struct {
 	count  int64
-	misses classCols
+	misses stats.ClassCounts
 }
 
 // agg is the attribution accumulator shared by the live Recorder and the
@@ -359,8 +356,8 @@ func (a *agg) report() *Report {
 			Writes:             e.writes,
 			ReadHits:           e.readHits,
 			WriteHits:          e.writeHits,
-			ReadMisses:         stats.CountsOf(e.readMisses),
-			WriteMisses:        stats.CountsOf(e.writeMisses),
+			ReadMisses:         e.readMisses,
+			WriteMisses:        e.writeMisses,
 			ReadStallCycles:    e.readStall,
 			TimetagResets:      e.resets,
 			ResetInvalidations: e.resetWords,
@@ -375,13 +372,13 @@ func (a *agg) report() *Report {
 			Writes:          pa.writes,
 			ReadHits:        pa.readHits,
 			WriteHits:       pa.writeHits,
-			ReadMisses:      stats.CountsOf(pa.readMisses),
+			ReadMisses:      pa.readMisses,
 			ReadStallCycles: pa.readStall,
 		})
 	}
 	for i := range a.arrays {
 		aa := &a.arrays[i]
-		var z classCols
+		var z stats.ClassCounts
 		if aa.reads == 0 && aa.writes == 0 && aa.readMisses == z && aa.writeMisses == z {
 			continue
 		}
@@ -389,13 +386,13 @@ func (a *agg) report() *Report {
 			Name:        a.meta.Arrays[i].Name,
 			Reads:       aa.reads,
 			Writes:      aa.writes,
-			ReadMisses:  stats.CountsOf(aa.readMisses),
-			WriteMisses: stats.CountsOf(aa.writeMisses),
+			ReadMisses:  aa.readMisses,
+			WriteMisses: aa.writeMisses,
 		})
 	}
 	for id := range a.refs {
 		ra := &a.refs[id]
-		var z classCols
+		var z stats.ClassCounts
 		if ra.count == 0 && ra.misses == z {
 			continue
 		}
@@ -412,7 +409,7 @@ func (a *agg) report() *Report {
 			Window: info.Window,
 			Write:  info.Write,
 			Count:  ra.count,
-			Misses: stats.CountsOf(ra.misses),
+			Misses: ra.misses,
 		})
 	}
 	lo := int64(0)
@@ -432,13 +429,7 @@ func (a *agg) report() *Report {
 func (r *Report) ReadMissTotals() stats.ClassCounts {
 	var t stats.ClassCounts
 	for _, e := range r.Epochs {
-		t.Cold += e.ReadMisses.Cold
-		t.Replace += e.ReadMisses.Replace
-		t.TrueSharing += e.ReadMisses.TrueSharing
-		t.FalseSharing += e.ReadMisses.FalseSharing
-		t.Conservative += e.ReadMisses.Conservative
-		t.LeaseExpired += e.ReadMisses.LeaseExpired
-		t.Bypass += e.ReadMisses.Bypass
+		t.Add(e.ReadMisses)
 	}
 	return t
 }
@@ -447,13 +438,7 @@ func (r *Report) ReadMissTotals() stats.ClassCounts {
 func (r *Report) WriteMissTotals() stats.ClassCounts {
 	var t stats.ClassCounts
 	for _, e := range r.Epochs {
-		t.Cold += e.WriteMisses.Cold
-		t.Replace += e.WriteMisses.Replace
-		t.TrueSharing += e.WriteMisses.TrueSharing
-		t.FalseSharing += e.WriteMisses.FalseSharing
-		t.Conservative += e.WriteMisses.Conservative
-		t.LeaseExpired += e.WriteMisses.LeaseExpired
-		t.Bypass += e.WriteMisses.Bypass
+		t.Add(e.WriteMisses)
 	}
 	return t
 }
@@ -462,15 +447,16 @@ func (r *Report) WriteMissTotals() stats.ClassCounts {
 // conservative-miss count (descending), the drill-down that diagnoses
 // compiler-marking quality.
 func (r *Report) TopConservative(k int) []RefRow {
+	const consv = stats.MissConservative
 	rows := make([]RefRow, 0, len(r.Refs))
 	for _, rr := range r.Refs {
-		if rr.Misses.Conservative > 0 {
+		if rr.Misses[consv] > 0 {
 			rows = append(rows, rr)
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Misses.Conservative != rows[j].Misses.Conservative {
-			return rows[i].Misses.Conservative > rows[j].Misses.Conservative
+		if rows[i].Misses[consv] != rows[j].Misses[consv] {
+			return rows[i].Misses[consv] > rows[j].Misses[consv]
 		}
 		return rows[i].ID < rows[j].ID
 	})

@@ -47,11 +47,21 @@ func (t *table) render(w io.Writer) {
 
 func n(v int64) string { return fmt.Sprintf("%d", v) }
 
-func classCells(c stats.ClassCounts) []string {
-	return []string{n(c.Cold), n(c.Replace), n(c.TrueSharing), n(c.FalseSharing), n(c.Conservative), n(c.LeaseExpired), n(c.Bypass)}
+// classCells appends one cell per miss class, in report order.
+func classCells(cells []string, c stats.ClassCounts) []string {
+	for _, ci := range stats.ClassTable {
+		cells = append(cells, n(c[ci.Class]))
+	}
+	return cells
 }
 
-var classHeads = []string{"cold", "repl", "true", "false", "consv", "lease", "byp"}
+// columns returns the column heads pre, one per miss class, then post.
+func columns(pre []string, post ...string) []string {
+	for _, ci := range stats.ClassTable {
+		pre = append(pre, ci.Head)
+	}
+	return append(pre, post...)
+}
 
 // WriteSummary prints the run header: scheme, size, totals.
 func (r *Report) WriteSummary(w io.Writer) {
@@ -71,17 +81,19 @@ func (r *Report) WriteSummary(w io.Writer) {
 	rm, wm := r.ReadMissTotals(), r.WriteMissTotals()
 	fmt.Fprintf(w, "epochs=%d cycles=%d reads=%d (hits %d, misses %d) writes=%d (hits %d, misses %d)\n",
 		len(r.Epochs), r.TotalCycles, reads, rh, rm.Total(), writes, wh, wm.Total())
-	fmt.Fprintf(w, "read misses: cold=%d replace=%d true=%d false=%d conservative=%d lease-expired=%d bypass=%d\n",
-		rm.Cold, rm.Replace, rm.TrueSharing, rm.FalseSharing, rm.Conservative, rm.LeaseExpired, rm.Bypass)
+	fmt.Fprint(w, "read misses:")
+	for _, ci := range stats.ClassTable {
+		fmt.Fprintf(w, " %s=%d", ci.Summary, rm[ci.Class])
+	}
+	fmt.Fprintln(w)
 }
 
 // WriteEpochTimeline prints the per-epoch miss-class table; maxRows <= 0
 // prints every epoch, otherwise the head and tail around an ellipsis.
 func (r *Report) WriteEpochTimeline(w io.Writer, maxRows int) {
-	t := &table{cols: append([]string{"epoch", "cycle", "reads", "rhit"}, append(append([]string{}, classHeads...), "wmiss", "inval", "reset")...)}
+	t := &table{cols: columns([]string{"epoch", "cycle", "reads", "rhit"}, "wmiss", "inval", "reset")}
 	row := func(e *EpochRow) {
-		cells := []string{n(e.Epoch), n(e.StartCycle), n(e.Reads), n(e.ReadHits)}
-		cells = append(cells, classCells(e.ReadMisses)...)
+		cells := classCells([]string{n(e.Epoch), n(e.StartCycle), n(e.Reads), n(e.ReadHits)}, e.ReadMisses)
 		cells = append(cells, n(e.WriteMisses.Total()), n(e.Invalidations), n(e.ResetInvalidations))
 		t.add(cells...)
 	}
@@ -106,12 +118,10 @@ func (r *Report) WriteEpochTimeline(w io.Writer, maxRows int) {
 // WriteArrayTable prints the per-array miss heatmap: which variables the
 // misses land on, decomposed by class.
 func (r *Report) WriteArrayTable(w io.Writer) {
-	t := &table{cols: append([]string{"array", "reads", "writes"}, append(append([]string{}, classHeads...), "wmiss")...)}
+	t := &table{cols: columns([]string{"array", "reads", "writes"}, "wmiss")}
 	for _, a := range r.Arrays {
-		cells := []string{a.Name, n(a.Reads), n(a.Writes)}
-		cells = append(cells, classCells(a.ReadMisses)...)
-		cells = append(cells, n(a.WriteMisses.Total()))
-		t.add(cells...)
+		cells := classCells([]string{a.Name, n(a.Reads), n(a.Writes)}, a.ReadMisses)
+		t.add(append(cells, n(a.WriteMisses.Total()))...)
 	}
 	t.render(w)
 }
@@ -131,18 +141,16 @@ func (r *Report) WriteTopConservative(w io.Writer, k int) {
 			mark = fmt.Sprintf("%s(w=%d)", mark, rr.Window)
 		}
 		t.add(n(int64(rr.ID)), rr.Pos, rr.Proc, rr.Array, mark, n(rr.Count),
-			n(rr.Misses.Conservative), n(rr.Misses.Total()))
+			n(rr.Misses[stats.MissConservative]), n(rr.Misses.Total()))
 	}
 	t.render(w)
 }
 
 // WriteProcTable prints the per-processor attribution.
 func (r *Report) WriteProcTable(w io.Writer) {
-	t := &table{cols: append([]string{"proc", "reads", "rhit", "stall"}, classHeads...)}
+	t := &table{cols: columns([]string{"proc", "reads", "rhit", "stall"})}
 	for _, p := range r.Procs {
-		cells := []string{n(int64(p.Proc)), n(p.Reads), n(p.ReadHits), n(p.ReadStallCycles)}
-		cells = append(cells, classCells(p.ReadMisses)...)
-		t.add(cells...)
+		t.add(classCells([]string{n(int64(p.Proc)), n(p.Reads), n(p.ReadHits), n(p.ReadStallCycles)}, p.ReadMisses)...)
 	}
 	t.render(w)
 }
@@ -200,15 +208,11 @@ func (r *Report) WritePerfetto(w io.Writer) error {
 				"readMisses": e.ReadMisses.Total(), "invalidations": e.Invalidations,
 			},
 		})
-		evs = append(evs, perfettoEvent{
-			Name: "read misses", Ph: "C", Ts: e.StartCycle, Pid: 0,
-			Args: map[string]any{
-				"cold": e.ReadMisses.Cold, "replace": e.ReadMisses.Replace,
-				"true-sharing": e.ReadMisses.TrueSharing, "false-sharing": e.ReadMisses.FalseSharing,
-				"conservative": e.ReadMisses.Conservative, "lease-expired": e.ReadMisses.LeaseExpired,
-				"bypass": e.ReadMisses.Bypass,
-			},
-		})
+		classes := make(map[string]any, stats.NumMissClasses)
+		for _, ci := range stats.ClassTable {
+			classes[ci.Name] = e.ReadMisses[ci.Class]
+		}
+		evs = append(evs, perfettoEvent{Name: "read misses", Ph: "C", Ts: e.StartCycle, Pid: 0, Args: classes})
 		if e.TimetagResets > 0 {
 			evs = append(evs, perfettoEvent{
 				Name: "timetag reset", Ph: "i", Ts: e.StartCycle, Pid: 0, Tid: 0, S: "g",

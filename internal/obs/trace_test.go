@@ -114,10 +114,10 @@ func TestReplayAggregates(t *testing.T) {
 		t.Errorf("TotalCycles = %d, want 1000", rep.TotalCycles)
 	}
 	rm := rep.ReadMissTotals()
-	if rm.Cold != 1 || rm.Conservative != 1 || rm.Total() != 2 {
+	if rm[stats.MissCold] != 1 || rm[stats.MissConservative] != 1 || rm.Total() != 2 {
 		t.Errorf("read miss totals = %+v", rm)
 	}
-	if wm := rep.WriteMissTotals(); wm.Cold != 1 || wm.Total() != 1 {
+	if wm := rep.WriteMissTotals(); wm[stats.MissCold] != 1 || wm.Total() != 1 {
 		t.Errorf("write miss totals = %+v", wm)
 	}
 	// Epoch attribution: conservative miss and reset land in epoch 2.
@@ -130,7 +130,7 @@ func TestReplayAggregates(t *testing.T) {
 	if e2 == nil {
 		t.Fatal("no epoch-2 row")
 	}
-	if e2.ReadMisses.Conservative != 1 || e2.TimetagResets != 1 || e2.ResetInvalidations != 9 || e2.Invalidations != 1 {
+	if e2.ReadMisses[stats.MissConservative] != 1 || e2.TimetagResets != 1 || e2.ResetInvalidations != 9 || e2.Invalidations != 1 {
 		t.Errorf("epoch 2 row = %+v", *e2)
 	}
 	// Array attribution.
@@ -138,10 +138,10 @@ func TestReplayAggregates(t *testing.T) {
 	for _, a := range rep.Arrays {
 		byName[a.Name] = a
 	}
-	if a := byName["A"]; a.Reads != 3 || a.ReadMisses.Cold != 1 || a.ReadMisses.Conservative != 1 {
+	if a := byName["A"]; a.Reads != 3 || a.ReadMisses[stats.MissCold] != 1 || a.ReadMisses[stats.MissConservative] != 1 {
 		t.Errorf("array A row = %+v", a)
 	}
-	if b := byName["B"]; b.Writes != 1 || b.WriteMisses.Cold != 1 {
+	if b := byName["B"]; b.Writes != 1 || b.WriteMisses[stats.MissCold] != 1 {
 		t.Errorf("array B row = %+v", b)
 	}
 	// Ref attribution: ref 0 executed 3 reads, 2 misses.
@@ -150,7 +150,7 @@ func TestReplayAggregates(t *testing.T) {
 	}
 	// Top conservative.
 	top := rep.TopConservative(5)
-	if len(top) != 1 || top[0].ID != 0 || top[0].Misses.Conservative != 1 {
+	if len(top) != 1 || top[0].ID != 0 || top[0].Misses[stats.MissConservative] != 1 {
 		t.Errorf("TopConservative = %+v", top)
 	}
 }

@@ -9,7 +9,7 @@ package sim
 import (
 	"sync/atomic"
 
-	"repro/internal/memsys"
+	"repro/internal/stats"
 )
 
 // Progress is one barrier-sampled snapshot of a running simulation.
@@ -24,9 +24,12 @@ type Progress struct {
 	Cycles    int64
 	MaxEpochs int64
 
-	// Counters aggregates the memory system's reference, miss, and
-	// coherence counters (per scheme, the scheme being the run's).
-	Counters memsys.CounterSample
+	// Stats is a copy of the run's counters at the barrier, after the
+	// lane flush and merge, so every counter is the sequential-
+	// equivalent total at this epoch. ProcBusy is left nil; Cycles and
+	// Epochs are only filled on the final snapshot (use the fields
+	// above while the run is live).
+	Stats stats.Stats
 
 	// StreamLoops counts recognized affine loops executed through the
 	// scheme's stream cursors; StreamFallbacks counts recognized loops
@@ -90,11 +93,13 @@ func (r *Runner) emitProgress(done, aborted bool) {
 	if r.hostpar != nil {
 		workers = r.hostpar.workers
 	}
+	st := *r.sys.Stats()
+	st.ProcBusy = nil
 	r.progress(Progress{
 		Epoch:           r.epoch,
 		Cycles:          r.cycles,
 		MaxEpochs:       r.maxEpochs,
-		Counters:        memsys.SampleStats(r.sys.Stats()),
+		Stats:           st,
 		StreamLoops:     r.streamLoops.Load(),
 		StreamFallbacks: r.streamFallbacks.Load(),
 		HostParEpochs:   r.hostparEpochs,

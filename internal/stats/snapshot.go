@@ -1,91 +1,92 @@
 package stats
 
-// ClassCounts is the named (JSON-friendly) form of a per-miss-class
-// counter array, in MissClasses order.
-type ClassCounts struct {
-	Cold         int64 `json:"cold"`
-	Replace      int64 `json:"replace"`
-	TrueSharing  int64 `json:"trueSharing"`
-	FalseSharing int64 `json:"falseSharing"`
-	Conservative int64 `json:"conservative"`
-	LeaseExpired int64 `json:"leaseExpired"`
-	Bypass       int64 `json:"bypass"`
-}
+import (
+	"encoding/json"
+	"reflect"
+	"strconv"
+)
 
-// CountsOf converts a per-class counter array to its named form.
-func CountsOf(a [NumMissClasses]int64) ClassCounts {
-	return ClassCounts{
-		Cold:         a[MissCold],
-		Replace:      a[MissReplace],
-		TrueSharing:  a[MissTrueSharing],
-		FalseSharing: a[MissFalseSharing],
-		Conservative: a[MissConservative],
-		LeaseExpired: a[MissLeaseExpired],
-		Bypass:       a[MissBypass],
-	}
-}
-
-// Array converts the named form back to a per-class counter array.
-func (c ClassCounts) Array() [NumMissClasses]int64 {
-	var a [NumMissClasses]int64
-	a[MissCold] = c.Cold
-	a[MissReplace] = c.Replace
-	a[MissTrueSharing] = c.TrueSharing
-	a[MissFalseSharing] = c.FalseSharing
-	a[MissConservative] = c.Conservative
-	a[MissLeaseExpired] = c.LeaseExpired
-	a[MissBypass] = c.Bypass
-	return a
-}
+// ClassCounts is a per-miss-class counter array indexed by MissClass.
+// It marshals as a JSON object keyed by the ClassTable keys, in report
+// order: {"cold":…,"replace":…,…,"bypass":…}.
+type ClassCounts [NumMissClasses]int64
 
 // Total sums all classes.
 func (c ClassCounts) Total() int64 {
-	return c.Cold + c.Replace + c.TrueSharing + c.FalseSharing + c.Conservative + c.LeaseExpired + c.Bypass
+	var t int64
+	for _, v := range c {
+		t += v
+	}
+	return t
+}
+
+// Add accumulates o into c class by class.
+func (c *ClassCounts) Add(o ClassCounts) {
+	for i := range c {
+		c[i] += o[i]
+	}
+}
+
+// MarshalJSON writes the object form, keys in report order.
+func (c ClassCounts) MarshalJSON() ([]byte, error) {
+	b := append(make([]byte, 0, 24*NumMissClasses), '{')
+	for i, ci := range ClassTable {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '"')
+		b = append(b, ci.Key...)
+		b = append(b, '"', ':')
+		b = strconv.AppendInt(b, c[ci.Class], 10)
+	}
+	return append(b, '}'), nil
+}
+
+// classFields is a struct type with one int64 field per ClassTable row,
+// tagged with the row's JSON key. UnmarshalJSON decodes through it, so
+// ClassCounts accepts exactly what a struct with those tags accepts
+// (missing keys and null keep the current counts).
+var classFields = func() reflect.Type {
+	fs := make([]reflect.StructField, len(ClassTable))
+	for i, ci := range ClassTable {
+		fs[i] = reflect.StructField{
+			Name: "C" + strconv.Itoa(i),
+			Type: reflect.TypeFor[int64](),
+			Tag:  reflect.StructTag(`json:"` + ci.Key + `"`),
+		}
+	}
+	return reflect.StructOf(fs)
+}()
+
+// UnmarshalJSON reads the object form MarshalJSON writes.
+func (c *ClassCounts) UnmarshalJSON(b []byte) error {
+	v := reflect.New(classFields)
+	for i, ci := range ClassTable {
+		v.Elem().Field(i).SetInt(c[ci.Class])
+	}
+	if err := json.Unmarshal(b, v.Interface()); err != nil {
+		return err
+	}
+	for i, ci := range ClassTable {
+		c[ci.Class] = v.Elem().Field(i).Int()
+	}
+	return nil
 }
 
 // Snapshot is the machine-readable form of Stats used by `tpisim -json`
-// and the experiments JSON output. Counter fields mirror Stats; derived
-// rates are precomputed so consumers need no formulas.
+// and the experiments JSON output. It embeds the Stats counter groups,
+// so its counters are Stats' counters; the derived rates between them
+// are precomputed so consumers need no formulas.
 type Snapshot struct {
 	Scheme string `json:"scheme"`
 
-	Reads       int64       `json:"reads"`
-	Writes      int64       `json:"writes"`
-	ReadHits    int64       `json:"readHits"`
-	WriteHits   int64       `json:"writeHits"`
-	ReadMisses  ClassCounts `json:"readMisses"`
-	WriteMisses ClassCounts `json:"writeMisses"`
+	RefCounts
 
 	MissRate       float64 `json:"missRate"`
 	WriteMissRate  float64 `json:"writeMissRate"`
 	AvgMissLatency float64 `json:"avgMissLatency"`
 
-	ReadTrafficWords      int64 `json:"readTrafficWords"`
-	WriteTrafficWords     int64 `json:"writeTrafficWords"`
-	CoherenceTrafficWords int64 `json:"coherenceTrafficWords"`
-	CoherenceMsgs         int64 `json:"coherenceMsgs"`
-	Invalidations         int64 `json:"invalidations"`
-
-	MissLatencySum      int64 `json:"missLatencySum"`
-	WriteMissLatencySum int64 `json:"writeMissLatencySum"`
-
-	TimetagResets      int64 `json:"timetagResets"`
-	ResetInvalidations int64 `json:"resetInvalidations"`
-	WritesCoalesced    int64 `json:"writesCoalesced"`
-	LeaseRenewals      int64 `json:"leaseRenewals"`
-	ExclusiveGrants    int64 `json:"exclusiveGrants"`
-	PointerEvictions   int64 `json:"pointerEvictions"`
-	FlushedWords       int64 `json:"flushedWords"`
-	FlushStallCycles   int64 `json:"flushStallCycles"`
-	PrefetchedLines    int64 `json:"prefetchedLines"`
-
-	L1Hits                  int64 `json:"l1Hits"`
-	L1Misses                int64 `json:"l1Misses"`
-	TimeReadL1Invalidations int64 `json:"timeReadL1Invalidations"`
-
-	Cycles        int64 `json:"cycles"`
-	BarrierCycles int64 `json:"barrierCycles"`
-	Epochs        int64 `json:"epochs"`
+	EventCounts
 
 	ProcBusy  []int64 `json:"procBusy,omitempty"`
 	Imbalance float64 `json:"imbalance"`
@@ -100,76 +101,19 @@ type Snapshot struct {
 // worker's RunResult feeds the same experiment table builders that
 // consume local *Stats, and the rendered rows come out byte-identical.
 func (sn *Snapshot) Restore() *Stats {
-	return &Stats{
-		Scheme:                  sn.Scheme,
-		Reads:                   sn.Reads,
-		Writes:                  sn.Writes,
-		ReadHits:                sn.ReadHits,
-		WriteHits:               sn.WriteHits,
-		ReadMisses:              sn.ReadMisses.Array(),
-		WriteMisses:             sn.WriteMisses.Array(),
-		ReadTrafficWords:        sn.ReadTrafficWords,
-		WriteTrafficWords:       sn.WriteTrafficWords,
-		CoherenceTrafficWords:   sn.CoherenceTrafficWords,
-		CoherenceMsgs:           sn.CoherenceMsgs,
-		Invalidations:           sn.Invalidations,
-		MissLatencySum:          sn.MissLatencySum,
-		WriteMissLatencySum:     sn.WriteMissLatencySum,
-		TimetagResets:           sn.TimetagResets,
-		ResetInvalidations:      sn.ResetInvalidations,
-		WritesCoalesced:         sn.WritesCoalesced,
-		LeaseRenewals:           sn.LeaseRenewals,
-		ExclusiveGrants:         sn.ExclusiveGrants,
-		PointerEvictions:        sn.PointerEvictions,
-		FlushedWords:            sn.FlushedWords,
-		FlushStallCycles:        sn.FlushStallCycles,
-		PrefetchedLines:         sn.PrefetchedLines,
-		L1Hits:                  sn.L1Hits,
-		L1Misses:                sn.L1Misses,
-		TimeReadL1Invalidations: sn.TimeReadL1Invalidations,
-		Cycles:                  sn.Cycles,
-		BarrierCycles:           sn.BarrierCycles,
-		Epochs:                  sn.Epochs,
-		ProcBusy:                sn.ProcBusy,
-	}
+	return &Stats{Scheme: sn.Scheme, RefCounts: sn.RefCounts, EventCounts: sn.EventCounts, ProcBusy: sn.ProcBusy}
 }
 
 // Snapshot converts the run's counters to the exported JSON schema.
 func (s *Stats) Snapshot() Snapshot {
 	return Snapshot{
-		Scheme:                  s.Scheme,
-		Reads:                   s.Reads,
-		Writes:                  s.Writes,
-		ReadHits:                s.ReadHits,
-		WriteHits:               s.WriteHits,
-		ReadMisses:              CountsOf(s.ReadMisses),
-		WriteMisses:             CountsOf(s.WriteMisses),
-		MissRate:                s.MissRate(),
-		WriteMissRate:           s.WriteMissRate(),
-		AvgMissLatency:          s.AvgMissLatency(),
-		ReadTrafficWords:        s.ReadTrafficWords,
-		WriteTrafficWords:       s.WriteTrafficWords,
-		CoherenceTrafficWords:   s.CoherenceTrafficWords,
-		CoherenceMsgs:           s.CoherenceMsgs,
-		Invalidations:           s.Invalidations,
-		MissLatencySum:          s.MissLatencySum,
-		WriteMissLatencySum:     s.WriteMissLatencySum,
-		TimetagResets:           s.TimetagResets,
-		ResetInvalidations:      s.ResetInvalidations,
-		WritesCoalesced:         s.WritesCoalesced,
-		LeaseRenewals:           s.LeaseRenewals,
-		ExclusiveGrants:         s.ExclusiveGrants,
-		PointerEvictions:        s.PointerEvictions,
-		FlushedWords:            s.FlushedWords,
-		FlushStallCycles:        s.FlushStallCycles,
-		PrefetchedLines:         s.PrefetchedLines,
-		L1Hits:                  s.L1Hits,
-		L1Misses:                s.L1Misses,
-		TimeReadL1Invalidations: s.TimeReadL1Invalidations,
-		Cycles:                  s.Cycles,
-		BarrierCycles:           s.BarrierCycles,
-		Epochs:                  s.Epochs,
-		ProcBusy:                s.ProcBusy,
-		Imbalance:               s.Imbalance(),
+		Scheme:         s.Scheme,
+		RefCounts:      s.RefCounts,
+		MissRate:       s.MissRate(),
+		WriteMissRate:  s.WriteMissRate(),
+		AvgMissLatency: s.AvgMissLatency(),
+		EventCounts:    s.EventCounts,
+		ProcBusy:       s.ProcBusy,
+		Imbalance:      s.Imbalance(),
 	}
 }

@@ -36,8 +36,8 @@ const (
 	// coherence analog of the HSCD conservative miss and the directory
 	// false-sharing miss. Declared after MissBypass so the earlier
 	// classes keep their ordinals (binary traces store the class as a
-	// byte); MissClasses and ClassCounts put it in report position
-	// between conservative and bypass.
+	// byte); ClassTable puts it in report position between
+	// conservative and bypass.
 	MissLeaseExpired
 	numMissClasses
 )
@@ -46,117 +46,135 @@ const (
 // counter arrays outside this package.
 const NumMissClasses = int(numMissClasses)
 
+// ClassInfo names one miss class in each form the outputs print it.
+type ClassInfo struct {
+	Class   MissClass
+	Name    string // String(), Stats.String, Perfetto counter args
+	Key     string // ClassCounts JSON object key
+	Summary string // tpitrace summary line
+	Head    string // tpitrace table column head
+	Column  string // experiment table column head
+}
+
+// ClassTable declares every miss class once, in report order; every
+// list of classes, class names, or per-class cells derives from it. A
+// new class is one constant above and one row here.
+var ClassTable = [NumMissClasses]ClassInfo{
+	{MissCold, "cold", "cold", "cold", "cold", "cold"},
+	{MissReplace, "replace", "replace", "replace", "repl", "replace"},
+	{MissTrueSharing, "true-sharing", "trueSharing", "true", "true", "true-shr"},
+	{MissFalseSharing, "false-sharing", "falseSharing", "false", "false", "false-shr"},
+	{MissConservative, "conservative", "conservative", "conservative", "consv", "conserv"},
+	{MissLeaseExpired, "lease-expired", "leaseExpired", "lease-expired", "lease", "lease-exp"},
+	{MissBypass, "bypass", "bypass", "bypass", "byp", "bypass"},
+}
+
 func (m MissClass) String() string {
-	switch m {
-	case MissCold:
-		return "cold"
-	case MissReplace:
-		return "replace"
-	case MissTrueSharing:
-		return "true-sharing"
-	case MissFalseSharing:
-		return "false-sharing"
-	case MissConservative:
-		return "conservative"
-	case MissBypass:
-		return "bypass"
-	case MissLeaseExpired:
-		return "lease-expired"
-	default:
-		return "?"
+	for _, ci := range ClassTable {
+		if ci.Class == m {
+			return ci.Name
+		}
 	}
+	return "?"
 }
 
-// MissClasses lists all classes in report order.
-var MissClasses = []MissClass{
-	MissCold, MissReplace, MissTrueSharing, MissFalseSharing, MissConservative, MissLeaseExpired, MissBypass,
-}
-
-// Stats accumulates one simulation run's measurements.
+// Stats accumulates one simulation run's measurements. Its counters
+// sit in two embedded groups that Snapshot embeds too, so the JSON
+// schema and the in-memory counters share one declaration.
 type Stats struct {
 	Scheme string
 
-	Reads      int64 // all read references issued
-	Writes     int64 // all write references issued
-	ReadHits   int64
-	ReadMisses [numMissClasses]int64
-
-	// Write-reference decomposition, mirroring the read side: a write hit
-	// finds the word valid in the cache; a write miss is classified by the
-	// same tracker history (uncached/critical stores count as MissBypass).
-	WriteHits   int64
-	WriteMisses [numMissClasses]int64
-
-	// Traffic in words moved through the network.
-	ReadTrafficWords      int64
-	WriteTrafficWords     int64
-	CoherenceTrafficWords int64
-	CoherenceMsgs         int64 // invalidations, ownership transfers
-	Invalidations         int64 // lines/words invalidated by coherence
-
-	// Latency: sum of read miss latencies in cycles (for avg miss latency).
-	MissLatencySum int64
-
-	// WriteMissLatencySum sums write stalls charged at write misses (zero
-	// under weak consistency, where stores are buffered).
-	WriteMissLatencySum int64
-
-	// TPI-specific.
-	TimetagResets      int64 // two-phase reset events
-	ResetInvalidations int64 // words invalidated by resets
-	WritesCoalesced    int64 // redundant writes removed by the wb-cache
-
-	// Tardis-specific: lease renewals that moved no data (the home found
-	// the data unchanged and only extended the lease) and Tardis 2.0
-	// exclusive grants on unshared read misses.
-	LeaseRenewals   int64
-	ExclusiveGrants int64
-
-	// Limited-pointer directory: sharers evicted to free a pointer.
-	PointerEvictions int64
-
-	// Write-back-at-boundary policy: words flushed at barriers and the
-	// stall cycles those bursts cost.
-	FlushedWords     int64
-	FlushStallCycles int64
-
-	// PrefetchedLines counts one-block-lookahead prefetches issued.
-	PrefetchedLines int64
-
-	// Two-level TPI (on-chip L1 in front of the timetagged L2): L1 filter
-	// hits/misses and the L1 word invalidations the compiled Time-Read /
-	// bypass sequences issue. Kept here (not on the scheme) so they shard
-	// per lane and merge at barriers like every other counter.
-	L1Hits                  int64
-	L1Misses                int64
-	TimeReadL1Invalidations int64
-
-	// Execution time.
-	Cycles        int64
-	BarrierCycles int64
-	Epochs        int64
+	RefCounts
+	EventCounts
 
 	// ProcBusy is the per-processor busy-cycle total (compute + stalls),
 	// filled by the simulator for load-imbalance analysis.
 	ProcBusy []int64
 }
 
+// RefCounts counts the references a run issues and how they resolve.
+type RefCounts struct {
+	Reads     int64 `json:"reads"`  // all read references issued
+	Writes    int64 `json:"writes"` // all write references issued
+	ReadHits  int64 `json:"readHits"`
+	WriteHits int64 `json:"writeHits"`
+
+	// ReadMisses classifies every read that was not a hit. WriteMisses
+	// mirrors it for writes: a write hit finds the word valid in the
+	// cache; a write miss is classified by the same tracker history
+	// (uncached/critical stores count as MissBypass).
+	ReadMisses  ClassCounts `json:"readMisses"`
+	WriteMisses ClassCounts `json:"writeMisses"`
+}
+
+// EventCounts counts what the references cost: traffic, latency,
+// scheme-specific events and execution time.
+type EventCounts struct {
+	// Traffic in words moved through the network.
+	ReadTrafficWords      int64 `json:"readTrafficWords"`
+	WriteTrafficWords     int64 `json:"writeTrafficWords"`
+	CoherenceTrafficWords int64 `json:"coherenceTrafficWords"`
+	CoherenceMsgs         int64 `json:"coherenceMsgs"` // invalidations, ownership transfers
+	Invalidations         int64 `json:"invalidations"` // lines/words invalidated by coherence
+
+	// Latency: sum of read miss latencies in cycles (for avg miss latency).
+	MissLatencySum int64 `json:"missLatencySum"`
+
+	// WriteMissLatencySum sums write stalls charged at write misses (zero
+	// under weak consistency, where stores are buffered).
+	WriteMissLatencySum int64 `json:"writeMissLatencySum"`
+
+	// TPI-specific.
+	TimetagResets      int64 `json:"timetagResets"`      // two-phase reset events
+	ResetInvalidations int64 `json:"resetInvalidations"` // words invalidated by resets
+	WritesCoalesced    int64 `json:"writesCoalesced"`    // redundant writes removed by the wb-cache
+
+	// Tardis-specific: lease renewals that moved no data (the home found
+	// the data unchanged and only extended the lease) and Tardis 2.0
+	// exclusive grants on unshared read misses.
+	LeaseRenewals   int64 `json:"leaseRenewals"`
+	ExclusiveGrants int64 `json:"exclusiveGrants"`
+
+	// Limited-pointer directory: sharers evicted to free a pointer.
+	PointerEvictions int64 `json:"pointerEvictions"`
+
+	// Write-back-at-boundary policy: words flushed at barriers and the
+	// stall cycles those bursts cost.
+	FlushedWords     int64 `json:"flushedWords"`
+	FlushStallCycles int64 `json:"flushStallCycles"`
+
+	// PrefetchedLines counts one-block-lookahead prefetches issued.
+	PrefetchedLines int64 `json:"prefetchedLines"`
+
+	// Two-level TPI (on-chip L1 in front of the timetagged L2): L1 filter
+	// hits/misses and the L1 word invalidations the compiled Time-Read /
+	// bypass sequences issue. Kept here (not on the scheme) so they shard
+	// per lane and merge at barriers like every other counter.
+	L1Hits                  int64 `json:"l1Hits"`
+	L1Misses                int64 `json:"l1Misses"`
+	TimeReadL1Invalidations int64 `json:"timeReadL1Invalidations"`
+
+	// Execution time.
+	Cycles        int64 `json:"cycles"`
+	BarrierCycles int64 `json:"barrierCycles"`
+	Epochs        int64 `json:"epochs"`
+}
+
 // Add accumulates another run fragment's counters into s. It is the
 // host-parallel barrier merge: every field is an integer sum, so folding
 // per-processor shards in any order reproduces the sequential totals bit
 // for bit. Scheme and ProcBusy are identity fields owned by the enclosing
-// run, not counters, and are left untouched.
+// run, not counters, and are left untouched. It runs once per lane at
+// every barrier, so it is written out field by field rather than by
+// reflection; TestStatsAddCoversEveryCounter fails when a counter is
+// missing here.
 func (s *Stats) Add(o *Stats) {
 	s.Reads += o.Reads
 	s.Writes += o.Writes
 	s.ReadHits += o.ReadHits
-	for i := range s.ReadMisses {
-		s.ReadMisses[i] += o.ReadMisses[i]
-	}
 	s.WriteHits += o.WriteHits
-	for i := range s.WriteMisses {
-		s.WriteMisses[i] += o.WriteMisses[i]
-	}
+	s.ReadMisses.Add(o.ReadMisses)
+	s.WriteMisses.Add(o.WriteMisses)
 	s.ReadTrafficWords += o.ReadTrafficWords
 	s.WriteTrafficWords += o.WriteTrafficWords
 	s.CoherenceTrafficWords += o.CoherenceTrafficWords
@@ -202,13 +220,7 @@ func (s *Stats) Imbalance() float64 {
 }
 
 // TotalReadMisses sums all miss classes.
-func (s *Stats) TotalReadMisses() int64 {
-	var t int64
-	for _, v := range s.ReadMisses {
-		t += v
-	}
-	return t
-}
+func (s *Stats) TotalReadMisses() int64 { return s.ReadMisses.Total() }
 
 // MissRate is read misses over all reads.
 func (s *Stats) MissRate() float64 {
@@ -219,13 +231,7 @@ func (s *Stats) MissRate() float64 {
 }
 
 // TotalWriteMisses sums all write-miss classes.
-func (s *Stats) TotalWriteMisses() int64 {
-	var t int64
-	for _, v := range s.WriteMisses {
-		t += v
-	}
-	return t
-}
+func (s *Stats) TotalWriteMisses() int64 { return s.WriteMisses.Total() }
 
 // WriteMissRate is write misses over all writes.
 func (s *Stats) WriteMissRate() float64 {
@@ -271,16 +277,16 @@ func (s *Stats) String() string {
 	fmt.Fprintf(&b, "%-5s reads=%d writes=%d missrate=%.4f avgmisslat=%.1f cycles=%d\n",
 		s.Scheme, s.Reads, s.Writes, s.MissRate(), s.AvgMissLatency(), s.Cycles)
 	fmt.Fprintf(&b, "      misses:")
-	for _, c := range MissClasses {
-		if s.ReadMisses[c] > 0 {
-			fmt.Fprintf(&b, " %s=%d", c, s.ReadMisses[c])
+	for _, ci := range ClassTable {
+		if s.ReadMisses[ci.Class] > 0 {
+			fmt.Fprintf(&b, " %s=%d", ci.Name, s.ReadMisses[ci.Class])
 		}
 	}
 	if s.TotalWriteMisses() > 0 {
 		fmt.Fprintf(&b, "\n      wmisses:")
-		for _, c := range MissClasses {
-			if s.WriteMisses[c] > 0 {
-				fmt.Fprintf(&b, " %s=%d", c, s.WriteMisses[c])
+		for _, ci := range ClassTable {
+			if s.WriteMisses[ci.Class] > 0 {
+				fmt.Fprintf(&b, " %s=%d", ci.Name, s.WriteMisses[ci.Class])
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -94,19 +96,61 @@ func TestWriteMissDecomposition(t *testing.T) {
 }
 
 func TestClassCountsRoundTrip(t *testing.T) {
-	var a [NumMissClasses]int64
-	a[MissCold] = 1
-	a[MissReplace] = 2
-	a[MissTrueSharing] = 3
-	a[MissFalseSharing] = 4
-	a[MissConservative] = 5
-	a[MissBypass] = 6
-	c := CountsOf(a)
-	if c.Array() != a {
-		t.Fatalf("Array() round-trip: %+v -> %+v", a, c.Array())
-	}
-	if c.Total() != 21 {
+	var c ClassCounts
+	c[MissCold] = 1
+	c[MissReplace] = 2
+	c[MissTrueSharing] = 3
+	c[MissFalseSharing] = 4
+	c[MissConservative] = 5
+	c[MissLeaseExpired] = 7
+	c[MissBypass] = 6
+	if c.Total() != 28 {
 		t.Fatalf("Total() = %d", c.Total())
+	}
+	b, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"cold":1,"replace":2,"trueSharing":3,"falseSharing":4,"conservative":5,"leaseExpired":7,"bypass":6}`
+	if string(b) != want {
+		t.Fatalf("Marshal = %s, want %s", b, want)
+	}
+	var back ClassCounts
+	if err := json.Unmarshal(b, &back); err != nil || back != c {
+		t.Fatalf("Unmarshal = %v, %v; want %v", back, err, c)
+	}
+	// Like a tagged struct: null and missing keys keep the counts, keys
+	// match case-insensitively, unknown keys are ignored, and a
+	// non-integer is an error.
+	if err := json.Unmarshal([]byte(`null`), &back); err != nil || back != c {
+		t.Fatalf("null: %v, %v", back, err)
+	}
+	if err := json.Unmarshal([]byte(`{"COLD":9,"other":[1,{"a":2}]}`), &back); err != nil || back[MissCold] != 9 || back[MissBypass] != 6 {
+		t.Fatalf("partial object: %v, %v", back, err)
+	}
+	if err := json.Unmarshal([]byte(`{"cold":1.5}`), &back); err == nil {
+		t.Fatal("fractional count accepted")
+	}
+	var sum ClassCounts
+	sum.Add(c)
+	sum.Add(c)
+	if sum.Total() != 2*c.Total() || sum[MissLeaseExpired] != 14 {
+		t.Fatalf("Add: %v", sum)
+	}
+}
+
+// TestStatsAddCoversEveryCounter: Add is the host-parallel barrier
+// merge, written field by field; a counter it leaves out is silently
+// lost. Adding a fully populated Stats into a zero one must reproduce
+// every counter.
+func TestStatsAddCoversEveryCounter(t *testing.T) {
+	var o Stats
+	fillDistinct(&o)
+	var s Stats
+	s.Add(&o)
+	s.Scheme, s.ProcBusy = o.Scheme, o.ProcBusy
+	if !reflect.DeepEqual(s, o) {
+		t.Fatalf("Add dropped counters:\n got %+v\nwant %+v", s, o)
 	}
 }
 
@@ -126,7 +170,7 @@ func TestSnapshotMirrorsStats(t *testing.T) {
 	if snap.Scheme != "TPI" || snap.Reads != 100 || snap.Writes != 40 {
 		t.Fatalf("snapshot basics: %+v", snap)
 	}
-	if snap.ReadMisses.Array() != s.ReadMisses || snap.WriteMisses.Array() != s.WriteMisses {
+	if snap.ReadMisses != s.ReadMisses || snap.WriteMisses != s.WriteMisses {
 		t.Fatal("snapshot miss decomposition differs from stats")
 	}
 	if snap.MissRate != s.MissRate() || snap.WriteMissRate != s.WriteMissRate() {
@@ -152,8 +196,8 @@ func TestMissClassStrings(t *testing.T) {
 			t.Errorf("%d = %s, want %s", c, c, w)
 		}
 	}
-	if len(MissClasses) != len(want) {
-		t.Error("MissClasses list out of sync")
+	if len(ClassTable) != len(want) {
+		t.Error("ClassTable out of sync")
 	}
 }
 
@@ -169,5 +213,18 @@ func TestImbalance(t *testing.T) {
 	s.ProcBusy = []int64{400, 0, 0, 0}
 	if got := s.Imbalance(); got != 4.0 {
 		t.Fatalf("one-proc = %f", got)
+	}
+}
+
+// TestClassTableCoversEveryClass: every MissClass has exactly one row,
+// and no two rows share a name or JSON key.
+func TestClassTableCoversEveryClass(t *testing.T) {
+	var seen [NumMissClasses]bool
+	names, keys := map[string]bool{}, map[string]bool{}
+	for _, ci := range ClassTable {
+		if seen[ci.Class] || names[ci.Name] || keys[ci.Key] {
+			t.Errorf("duplicate row %+v", ci)
+		}
+		seen[ci.Class], names[ci.Name], keys[ci.Key] = true, true, true
 	}
 }

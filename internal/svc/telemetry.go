@@ -29,24 +29,62 @@ type svcTelemetry struct {
 	// {outcome=hit|miss|bad_key}: inbound GET /v1/cache/{key} traffic.
 	cacheEndpoint *telemetry.CounterVec
 
-	// Per-scheme simulation counters, fed by progress-sample deltas at
-	// epoch barriers (see runExporter).
-	runAborts       *telemetry.CounterVec
-	epochs          *telemetry.CounterVec
-	cycles          *telemetry.CounterVec
-	reads           *telemetry.CounterVec
-	writes          *telemetry.CounterVec
-	readMisses      *telemetry.CounterVec
-	writeMisses     *telemetry.CounterVec
-	invalidations   *telemetry.CounterVec
-	coherenceMsgs   *telemetry.CounterVec
-	trafficWords    *telemetry.CounterVec
-	leaseRenewals   *telemetry.CounterVec
-	streamLoops     *telemetry.CounterVec
-	streamFallbacks *telemetry.CounterVec
-	hostparEpochs   *telemetry.CounterVec
-	seqDoallEpochs  *telemetry.CounterVec
-	clusterWords    *telemetry.CounterVec
+	// runCounters are the per-scheme simulation counters, one per
+	// runMetrics row, fed by progress-sample deltas at epoch barriers
+	// (see runExporter).
+	runCounters  [len(runMetrics)]*telemetry.CounterVec
+	clusterWords *telemetry.CounterVec
+}
+
+// runMetric is one per-run tpisim_* counter family, labeled by scheme.
+// value reads the family's cumulative count from a progress sample; the
+// exporter adds the difference from the previous sample.
+type runMetric struct {
+	family, help string
+	value        func(p *sim.Progress) int64
+}
+
+// runMetrics declares every per-scheme simulation counter once:
+// registration, handle resolution and the delta export all loop over
+// it.
+var runMetrics = [...]runMetric{
+	// Aborted is set only on a run's last sample, so its 0→1 step
+	// counts each aborted run once.
+	{"tpisim_run_aborts_total", "Simulations that ended early (cancellation, deadline, fault).",
+		func(p *sim.Progress) int64 {
+			if p.Aborted {
+				return 1
+			}
+			return 0
+		}},
+	{"tpisim_run_epochs_total", "Simulated epochs completed, sampled at epoch barriers.",
+		func(p *sim.Progress) int64 { return p.Epoch }},
+	{"tpisim_run_cycles_total", "Simulated cycles elapsed, sampled at epoch barriers.",
+		func(p *sim.Progress) int64 { return p.Cycles }},
+	{"tpisim_reads_total", "Shared-data read references simulated.",
+		func(p *sim.Progress) int64 { return p.Stats.Reads }},
+	{"tpisim_writes_total", "Shared-data write references simulated.",
+		func(p *sim.Progress) int64 { return p.Stats.Writes }},
+	{"tpisim_read_misses_total", "Read misses across all miss classes.",
+		func(p *sim.Progress) int64 { return p.Stats.ReadMisses.Total() }},
+	{"tpisim_write_misses_total", "Write misses across all miss classes.",
+		func(p *sim.Progress) int64 { return p.Stats.WriteMisses.Total() }},
+	{"tpisim_invalidations_total", "Cache-line invalidations performed.",
+		func(p *sim.Progress) int64 { return p.Stats.Invalidations }},
+	{"tpisim_coherence_messages_total", "Coherence protocol messages exchanged.",
+		func(p *sim.Progress) int64 { return p.Stats.CoherenceMsgs }},
+	{"tpisim_traffic_words_total", "Interconnect traffic in words.",
+		func(p *sim.Progress) int64 { return p.Stats.TotalTraffic() }},
+	{"tpisim_lease_renewals_total", "Tardis timestamp-only lease renewals (no data transfer).",
+		func(p *sim.Progress) int64 { return p.Stats.LeaseRenewals }},
+	{"tpisim_stream_loops_total", "Recognized affine loops executed through stream cursors.",
+		func(p *sim.Progress) int64 { return p.StreamLoops }},
+	{"tpisim_stream_fallbacks_total", "Recognized affine loops that fell back to the scalar path.",
+		func(p *sim.Progress) int64 { return p.StreamFallbacks }},
+	{"tpisim_hostpar_epochs_total", "DOALL epochs sharded across host-parallel workers.",
+		func(p *sim.Progress) int64 { return p.HostParEpochs }},
+	{"tpisim_seq_doall_epochs_total", "DOALL epochs dispatched sequentially.",
+		func(p *sim.Progress) int64 { return p.SeqDoallEpochs }},
 }
 
 // Phase labels for phaseSeconds.
@@ -72,40 +110,12 @@ func newSvcTelemetry(reg *telemetry.Registry, s *Server) *svcTelemetry {
 		cacheEndpoint: reg.CounterVec("tpiserved_cache_endpoint_requests_total",
 			"Inbound GET /v1/cache/{key} requests served to the fleet.",
 			"outcome"),
-		runAborts: reg.CounterVec("tpisim_run_aborts_total",
-			"Simulations that ended early (cancellation, deadline, fault).",
-			"scheme"),
-		epochs: reg.CounterVec("tpisim_run_epochs_total",
-			"Simulated epochs completed, sampled at epoch barriers.", "scheme"),
-		cycles: reg.CounterVec("tpisim_run_cycles_total",
-			"Simulated cycles elapsed, sampled at epoch barriers.", "scheme"),
-		reads: reg.CounterVec("tpisim_reads_total",
-			"Shared-data read references simulated.", "scheme"),
-		writes: reg.CounterVec("tpisim_writes_total",
-			"Shared-data write references simulated.", "scheme"),
-		readMisses: reg.CounterVec("tpisim_read_misses_total",
-			"Read misses across all miss classes.", "scheme"),
-		writeMisses: reg.CounterVec("tpisim_write_misses_total",
-			"Write misses across all miss classes.", "scheme"),
-		invalidations: reg.CounterVec("tpisim_invalidations_total",
-			"Cache-line invalidations performed.", "scheme"),
-		coherenceMsgs: reg.CounterVec("tpisim_coherence_messages_total",
-			"Coherence protocol messages exchanged.", "scheme"),
-		trafficWords: reg.CounterVec("tpisim_traffic_words_total",
-			"Interconnect traffic in words.", "scheme"),
-		leaseRenewals: reg.CounterVec("tpisim_lease_renewals_total",
-			"Tardis timestamp-only lease renewals (no data transfer).", "scheme"),
-		streamLoops: reg.CounterVec("tpisim_stream_loops_total",
-			"Recognized affine loops executed through stream cursors.", "scheme"),
-		streamFallbacks: reg.CounterVec("tpisim_stream_fallbacks_total",
-			"Recognized affine loops that fell back to the scalar path.", "scheme"),
-		hostparEpochs: reg.CounterVec("tpisim_hostpar_epochs_total",
-			"DOALL epochs sharded across host-parallel workers.", "scheme"),
-		seqDoallEpochs: reg.CounterVec("tpisim_seq_doall_epochs_total",
-			"DOALL epochs dispatched sequentially.", "scheme"),
 		clusterWords: reg.CounterVec("tpisim_cluster_home_words_total",
 			"Word traffic served by each mesh cluster's home directory/memory slice (mesh topology only).",
 			"scheme", "cluster"),
+	}
+	for i, m := range runMetrics {
+		t.runCounters[i] = reg.CounterVec(m.family, m.help, "scheme")
 	}
 	t.register(reg, s)
 	return t
@@ -204,21 +214,7 @@ type runExporter struct {
 	hub    *eventHub
 	prev   sim.Progress
 
-	aborts          *telemetry.Counter
-	epochs          *telemetry.Counter
-	cycles          *telemetry.Counter
-	reads           *telemetry.Counter
-	writes          *telemetry.Counter
-	readMisses      *telemetry.Counter
-	writeMisses     *telemetry.Counter
-	invalidations   *telemetry.Counter
-	coherenceMsgs   *telemetry.Counter
-	trafficWords    *telemetry.Counter
-	leaseRenewals   *telemetry.Counter
-	streamLoops     *telemetry.Counter
-	streamFallbacks *telemetry.Counter
-	hostparEpochs   *telemetry.Counter
-	seqDoallEpochs  *telemetry.Counter
+	counters [len(runMetrics)]*telemetry.Counter
 
 	// clusterWords handles are resolved on the first sample that carries
 	// mesh cluster traffic (the cluster count is a run property, unknown
@@ -229,27 +225,11 @@ type runExporter struct {
 
 // newRunExporter resolves the scheme's counter handles for one run.
 func (t *svcTelemetry) newRunExporter(jobID, scheme string, hub *eventHub) *runExporter {
-	return &runExporter{
-		jobID:           jobID,
-		scheme:          scheme,
-		hub:             hub,
-		aborts:          t.runAborts.With(scheme),
-		epochs:          t.epochs.With(scheme),
-		cycles:          t.cycles.With(scheme),
-		reads:           t.reads.With(scheme),
-		writes:          t.writes.With(scheme),
-		readMisses:      t.readMisses.With(scheme),
-		writeMisses:     t.writeMisses.With(scheme),
-		invalidations:   t.invalidations.With(scheme),
-		coherenceMsgs:   t.coherenceMsgs.With(scheme),
-		trafficWords:    t.trafficWords.With(scheme),
-		leaseRenewals:   t.leaseRenewals.With(scheme),
-		streamLoops:     t.streamLoops.With(scheme),
-		streamFallbacks: t.streamFallbacks.With(scheme),
-		hostparEpochs:   t.hostparEpochs.With(scheme),
-		seqDoallEpochs:  t.seqDoallEpochs.With(scheme),
-		clusterVec:      t.clusterWords,
+	e := &runExporter{jobID: jobID, scheme: scheme, hub: hub, clusterVec: t.clusterWords}
+	for i, v := range t.runCounters {
+		e.counters[i] = v.With(scheme)
 	}
+	return e
 }
 
 // exportClusters mirrors per-cluster home-traffic deltas for mesh runs,
@@ -279,35 +259,21 @@ func (e *runExporter) exportClusters(p sim.Progress) {
 // cumulative snapshot to the hub (which applies its own heartbeat
 // throttle before fanning out to SSE subscribers).
 func (e *runExporter) sample(p sim.Progress) {
-	e.epochs.Add(p.Epoch - e.prev.Epoch)
-	e.cycles.Add(p.Cycles - e.prev.Cycles)
-	e.reads.Add(p.Counters.Reads - e.prev.Counters.Reads)
-	e.writes.Add(p.Counters.Writes - e.prev.Counters.Writes)
-	e.readMisses.Add(p.Counters.ReadMisses - e.prev.Counters.ReadMisses)
-	e.writeMisses.Add(p.Counters.WriteMisses - e.prev.Counters.WriteMisses)
-	e.invalidations.Add(p.Counters.Invalidations - e.prev.Counters.Invalidations)
-	e.coherenceMsgs.Add(p.Counters.CoherenceMsgs - e.prev.Counters.CoherenceMsgs)
-	e.trafficWords.Add(p.Counters.TrafficWords - e.prev.Counters.TrafficWords)
-	e.leaseRenewals.Add(p.Counters.LeaseRenewals - e.prev.Counters.LeaseRenewals)
-	e.streamLoops.Add(p.StreamLoops - e.prev.StreamLoops)
-	e.streamFallbacks.Add(p.StreamFallbacks - e.prev.StreamFallbacks)
-	e.hostparEpochs.Add(p.HostParEpochs - e.prev.HostParEpochs)
-	e.seqDoallEpochs.Add(p.SeqDoallEpochs - e.prev.SeqDoallEpochs)
+	for i, m := range runMetrics {
+		e.counters[i].Add(m.value(&p) - m.value(&e.prev))
+	}
 	e.exportClusters(p)
 	e.prev = p
-	if p.Aborted {
-		e.aborts.Inc()
-	}
 	e.hub.publishProgress(ProgressEvent{
 		Job:             e.jobID,
 		Epoch:           p.Epoch,
 		Cycles:          p.Cycles,
 		MaxEpochs:       p.MaxEpochs,
-		Reads:           p.Counters.Reads,
-		Writes:          p.Counters.Writes,
-		ReadMisses:      p.Counters.ReadMisses,
-		WriteMisses:     p.Counters.WriteMisses,
-		Invalidations:   p.Counters.Invalidations,
+		Reads:           p.Stats.Reads,
+		Writes:          p.Stats.Writes,
+		ReadMisses:      p.Stats.ReadMisses.Total(),
+		WriteMisses:     p.Stats.WriteMisses.Total(),
+		Invalidations:   p.Stats.Invalidations,
 		StreamLoops:     p.StreamLoops,
 		StreamFallbacks: p.StreamFallbacks,
 		HostParEpochs:   p.HostParEpochs,

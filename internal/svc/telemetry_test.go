@@ -3,9 +3,14 @@ package svc
 import (
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
+	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -134,5 +139,48 @@ func TestSharedRegistry(t *testing.T) {
 	}
 	if _, err := p.Value("tpiserved_workers", nil); err != nil {
 		t.Fatalf("server metrics missing from shared registry: %v", err)
+	}
+}
+
+// TestTelemetryDocNamesEveryFamily: docs/TELEMETRY.md is the metric
+// catalogue, so every family the server registers must be named there
+// in full, in backquotes (a labeled family may carry its label list).
+func TestTelemetryDocNamesEveryFamily(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	newTestServer(t, Options{Workers: 1, Registry: reg})
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "TELEMETRY.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range reg.Families() {
+		if !regexp.MustCompile("`" + regexp.QuoteMeta(fam) + "[`{]").Match(doc) {
+			t.Errorf("docs/TELEMETRY.md does not name registered family %s", fam)
+		}
+	}
+}
+
+// TestRunExporterDeltas: each per-run family advances by the difference
+// between consecutive cumulative samples, and an aborted run's last
+// sample counts one abort.
+func TestRunExporterDeltas(t *testing.T) {
+	s, hs := newTestServer(t, Options{Workers: 1})
+	exp := s.tel.newRunExporter("job-1", "HW", newEventHub(nil, 0))
+	var p sim.Progress
+	p.Epoch, p.Stats.Reads, p.Stats.ReadMisses[stats.MissCold] = 3, 10, 2
+	exp.sample(p)
+	p.Epoch, p.Stats.Reads, p.Stats.ReadMisses[stats.MissBypass] = 5, 25, 4
+	p.Done, p.Aborted = true, true
+	exp.sample(p)
+
+	parsed, raw := scrape(t, hs.URL+"/metrics")
+	for family, want := range map[string]float64{
+		"tpisim_run_epochs_total":  5,
+		"tpisim_reads_total":       25,
+		"tpisim_read_misses_total": 6,
+		"tpisim_run_aborts_total":  1,
+	} {
+		if got, err := parsed.Value(family, map[string]string{"scheme": "HW"}); err != nil || got != want {
+			t.Errorf("%s = %v (%v), want %v\nscrape:\n%s", family, got, err, want, raw)
+		}
 	}
 }

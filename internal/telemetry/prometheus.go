@@ -22,13 +22,9 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 // text format, families sorted by name, samples sorted by label set —
 // deterministic output for golden tests and clean diffs between scrapes.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	names := r.Families()
 	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
 	fams := make([]*family, 0, len(names))
-	sort.Strings(names)
 	for _, n := range names {
 		fams = append(fams, r.families[n])
 	}

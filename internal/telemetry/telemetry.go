@@ -57,6 +57,19 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
+// Families returns the name of every registered family, sorted —
+// including families with no samples yet, which the exposition omits.
+func (r *Registry) Families() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	names := make([]string, 0, len(r.families))
+	for n := range r.families {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // lookup returns the family for (name, typ, help), creating it on first
 // use and panicking on a conflicting re-registration.
 func (r *Registry) lookup(name, help, typ string) *family {
