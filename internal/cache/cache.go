@@ -369,7 +369,7 @@ var trackerPool sync.Pool
 // NewTracker sizes the tracker for the memory extent, reusing a released
 // tracker with room for it when one is pooled. Reset is just clearing
 // the seen bitset: reason and lostTT are only ever read for words whose
-// seen bit is set (ClassifyMiss checks Seen first), and NoteCached
+// seen bit is set (ClassifyMissLane checks Seen first), and NoteCached
 // rewrites reason before setting the bit.
 func NewTracker(memWords int64) *Tracker {
 	if t, ok := trackerPool.Get().(*Tracker); ok && int64(cap(t.reason)) >= memWords {
@@ -402,6 +402,19 @@ func (t *Tracker) NoteLost(addr prog.Word, r LostReason, tt int64) {
 		t.reason[addr] = r
 		t.lostTT[addr] = tt
 	}
+}
+
+// NoteLineLost records losing every valid word of line l, whose first
+// word is at base, with one reason; it returns how many words were valid.
+func (t *Tracker) NoteLineLost(l *Line, base prog.Word, r LostReason) int64 {
+	var n int64
+	for i, tt := range l.TT {
+		if tt != TTInvalid {
+			t.NoteLost(base+prog.Word(i), r, tt)
+			n++
+		}
+	}
+	return n
 }
 
 // Seen reports whether the processor ever cached addr.

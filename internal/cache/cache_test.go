@@ -142,6 +142,30 @@ func TestTracker(t *testing.T) {
 	}
 }
 
+// TestTrackerNoteLineLost: every valid word of the line is recorded lost
+// with its own timetag, holes are skipped, and the count is returned.
+func TestTrackerNoteLineLost(t *testing.T) {
+	c := New(64, 4, 1)
+	tr := NewTracker(64)
+	l := c.Victim(20)
+	l.Tag, l.State = 5, Shared
+	l.TT = []int64{3, TTInvalid, 4, 6}
+	for a := prog.Word(20); a < 24; a++ {
+		tr.NoteCached(a)
+	}
+	if n := tr.NoteLineLost(l, 20, LostInvalTrue); n != 3 {
+		t.Fatalf("valid words lost = %d, want 3", n)
+	}
+	for a, want := range map[prog.Word]int64{20: 3, 22: 4, 23: 6} {
+		if r, tt := tr.Lost(a); r != LostInvalTrue || tt != want {
+			t.Fatalf("word %d: lost %v/%d, want true-sharing/%d", a, r, tt, want)
+		}
+	}
+	if r, _ := tr.Lost(21); r != LostNone {
+		t.Fatalf("a hole must not be recorded lost, got %v", r)
+	}
+}
+
 func TestWriteBufferCoalescing(t *testing.T) {
 	wb := NewWriteBuffer(true)
 	if !wb.Write(10) {

@@ -114,14 +114,7 @@ type action struct {
 // System is the full-map directory memory system.
 type System struct {
 	*memsys.Core
-	// caches and trackers are built lazily on a processor's first
-	// reference (procState): a large-P run where most processors stay
-	// idle pays nothing for them. The slices themselves are sized to
-	// Procs at construction, so concurrent first-touches from distinct
-	// host-parallel workers write distinct elements.
-	caches   []*cache.Cache
-	trackers []*cache.Tracker
-	dir      []entry // one per memory line; frozen mid-epoch
+	dir []entry // one per memory line; frozen mid-epoch
 	// Multi-word presence backing for P > 64 (nil on the narrow path):
 	// wps words per line, sliced per entry by pres(). pend/pendMark/
 	// touched carry the replay prepass (see buildPend).
@@ -152,8 +145,7 @@ func New(cfg machine.Config, memWords int64) *System {
 		s.pend = make([]uint64, lines*int64(s.wps))
 		s.pendMark = make([]bool, lines)
 	}
-	s.caches = make([]*cache.Cache, cfg.Procs)
-	s.trackers = make([]*cache.Tracker, cfg.Procs)
+	s.EnableCaches(false) // write-back caches: no write buffers
 	s.logs = logsPool.Get(cfg.Procs)
 	for p := range s.logs {
 		s.logs[p] = s.logs[p][:0]
@@ -165,19 +157,6 @@ func New(cfg machine.Config, memWords int64) *System {
 // Name implements memsys.System.
 func (s *System) Name() string { return "HW" }
 
-// procState returns p's cache and tracker, building them on first use.
-// Safe under host parallelism: each processor is owned by exactly one
-// worker, so concurrent first-touches write distinct slice elements.
-func (s *System) procState(p int) (*cache.Cache, *cache.Tracker) {
-	if cc := s.caches[p]; cc != nil {
-		return cc, s.trackers[p]
-	}
-	cc := cache.New(s.Cfg.CacheWords, s.Cfg.LineWords, s.Cfg.Assoc)
-	tr := cache.NewTracker(s.Memory.Size())
-	s.caches[p], s.trackers[p] = cc, tr
-	return cc, tr
-}
-
 // FlushEpoch implements memsys.System: the lanes drain first so the
 // replay (which refreshes surviving claimant/filler copies and charges
 // dirty write-backs) reads barrier-final memory.
@@ -186,17 +165,9 @@ func (s *System) FlushEpoch() {
 	s.replayEpoch()
 }
 
-// ReleaseOwn implements memsys.OwnReleaser. The fields are nilled so any
-// use after release fails loudly instead of corrupting a pooled cache.
+// ReleaseOwn implements memsys.OwnReleaser: the action logs go back to
+// their pool. The field is nilled so any use after release fails loudly.
 func (s *System) ReleaseOwn() {
-	for p, cc := range s.caches {
-		if cc == nil {
-			continue
-		}
-		cache.Release(cc)
-		cache.ReleaseTracker(s.trackers[p])
-	}
-	s.caches, s.trackers = nil, nil
 	for p := range s.logs {
 		s.logs[p] = s.logs[p][:0]
 	}
@@ -209,7 +180,7 @@ func (s *System) ReleaseOwn() {
 func (s *System) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (float64, int64) {
 	ln := s.LaneFor(p)
 	ln.St.Reads++
-	cc, tr := s.procState(p)
+	cc, tr := s.ProcState(p)
 
 	if line, w, ok := cc.Lookup(addr); ok {
 		ln.St.ReadHits++
@@ -240,11 +211,8 @@ func (s *System) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (
 
 	nl, nw := s.fillLocal(p, ln, addr, false)
 	s.logs[p] = append(s.logs[p], action{kind: act, tag: tag, addr: addr})
-	ln.St.ReadTrafficWords += int64(s.Cfg.LineWords)
-	ln.Inject(int64(s.Cfg.LineWords) + 1)
-	lat := s.LineMissLatencyFor(p, addr) + extra
-	ln.St.MissLatencySum += lat
-	return nl.Vals[nw], lat
+	ln.St.MissLatencySum += extra
+	return nl.Vals[nw], s.ChargeLineMiss(ln, p, addr) + extra
 }
 
 // Write implements memsys.System: invalidation-based MSI with the
@@ -252,7 +220,7 @@ func (s *System) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (
 // stall (weak consistency); all costs are traffic-side.
 func (s *System) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 	ln := s.LaneFor(p)
-	cc, _ := s.procState(p)
+	cc, tr := s.ProcState(p)
 	tag, _ := cc.Split(addr)
 	e := &s.dir[tag]
 
@@ -292,7 +260,7 @@ func (s *System) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 	// Write miss: fetch the line with ownership. Classify from p's tracker
 	// history before the fill below records the new residency (sharer
 	// invalidations only touch other processors' trackers).
-	ln.St.WriteMisses[s.ClassifyMissLane(ln, s.trackers[p], addr)]++
+	ln.St.WriteMisses[s.ClassifyMissLane(ln, tr, addr)]++
 	if e.state == dirExclusive && int(e.owner) != p {
 		// The frozen directory shows a remote owner: charge the ownership
 		// transfer; the owner's invalidation replays at the barrier.
@@ -331,7 +299,7 @@ func (s *System) writeCritical(p int, ln *memsys.Lane, e *entry, tag int64, addr
 	base := prog.Word(tag * int64(lw))
 	woff := int(int64(addr) % int64(lw))
 	for q := 0; q < s.Cfg.Procs; q++ {
-		cc, tr := s.caches[q], s.trackers[q]
+		cc, tr := s.CacheOf(q)
 		if cc == nil { // never referenced anything: no copy to invalidate
 			continue
 		}
@@ -351,9 +319,9 @@ func (s *System) writeCritical(p int, ln *memsys.Lane, e *entry, tag int64, addr
 				}
 				s.Probe.Invalidation(p, q, addr, class)
 			}
-			noteLineLost(tr, line, base, lw, reason)
+			tr.NoteLineLost(line, base, reason)
 		} else {
-			noteLineLost(tr, line, base, lw, cache.LostInvalTrue)
+			tr.NoteLineLost(line, base, cache.LostInvalTrue)
 		}
 		if line.Dirty {
 			ln.St.WriteTrafficWords += int64(lw)
@@ -372,19 +340,10 @@ func (s *System) writeCritical(p int, ln *memsys.Lane, e *entry, tag int64, addr
 	return 0
 }
 
-// noteLineLost records the loss of every valid word of a line.
-func noteLineLost(tr *cache.Tracker, line *cache.Line, base prog.Word, lw int, reason cache.LostReason) {
-	for i := 0; i < lw; i++ {
-		if line.TT[i] != cache.TTInvalid {
-			tr.NoteLost(base+prog.Word(i), reason, line.TT[i])
-		}
-	}
-}
-
 // fillLocal installs the line containing addr in p's cache, evicting with
 // local bookkeeping only (the directory learns at the barrier replay).
 func (s *System) fillLocal(p int, ln *memsys.Lane, addr prog.Word, exclusive bool) (*cache.Line, int) {
-	cc, tr := s.caches[p], s.trackers[p]
+	cc, tr := s.CacheOf(p)
 	v := cc.Victim(addr)
 	if v.State != cache.Invalid {
 		if v.Dirty {
@@ -393,7 +352,7 @@ func (s *System) fillLocal(p int, ln *memsys.Lane, addr prog.Word, exclusive boo
 		}
 		s.logs[p] = append(s.logs[p], action{kind: actEvict, tag: v.Tag})
 		base := prog.Word(v.Tag * int64(cc.LineWords()))
-		noteLineLost(tr, v, base, cc.LineWords(), cache.LostReplaced)
+		tr.NoteLineLost(v, base, cache.LostReplaced)
 		v.InvalidateLine()
 	}
 	nl, nw := s.FillLane(ln, cc, tr, addr, s.Epoch, s.Epoch)
@@ -477,7 +436,7 @@ func (s *System) replayFill(p int, e *entry, a *action, fromOwner bool) {
 		e.state = dirShared
 		e.owner = 0
 	}
-	cc := s.caches[p]
+	cc, _ := s.CacheOf(p)
 	base := prog.Word(a.tag * int64(cc.LineWords()))
 	line, _, ok := cc.Lookup(base)
 	if !ok || line.Tag != a.tag {
@@ -530,7 +489,7 @@ func (s *System) replayClaim(p int, e *entry, a *action) {
 	// After the sweep only the claimant can hold a copy. Register by what
 	// its cache holds NOW: the claimed line may itself have been evicted
 	// (and possibly re-filled shared by a later read) within the epoch.
-	cc := s.caches[p]
+	cc, _ := s.CacheOf(p)
 	line, _, ok := cc.Lookup(base)
 	switch {
 	case ok && line.Tag == a.tag && line.State == cache.Exclusive:
@@ -552,7 +511,7 @@ func (s *System) replayClaim(p int, e *entry, a *action) {
 // by the written word's used bit), invalidated, and charged; either way
 // q's presence bit ends clear.
 func (s *System) claimVictim(p, q int, e *entry, a *action, base prog.Word, lw, woff int) {
-	cc, tr := s.caches[q], s.trackers[q]
+	cc, tr := s.CacheOf(q)
 	if cc == nil { // never referenced anything: no copy, no bit
 		return
 	}
@@ -572,7 +531,7 @@ func (s *System) claimVictim(p, q int, e *entry, a *action, base prog.Word, lw, 
 		}
 		s.Probe.Invalidation(p, q, a.addr, class)
 	}
-	noteLineLost(tr, line, base, lw, reason)
+	tr.NoteLineLost(line, base, reason)
 	if line.Dirty {
 		s.St.WriteTrafficWords += int64(lw)
 		s.Netw.Inject(int64(lw))
@@ -622,11 +581,11 @@ func (s *System) reservePointer(e *entry, p int, tag int64, addr prog.Word) {
 		if victim < 0 {
 			return
 		}
-		cc, tr := s.caches[victim], s.trackers[victim]
+		cc, tr := s.CacheOf(victim)
 		if cc != nil {
 			base := prog.Word(tag * int64(cc.LineWords()))
 			if line, _, ok := cc.Lookup(base); ok && line.Tag == tag {
-				noteLineLost(tr, line, base, cc.LineWords(), cache.LostReplaced)
+				tr.NoteLineLost(line, base, cache.LostReplaced)
 				if line.Dirty {
 					s.St.WriteTrafficWords += int64(s.Cfg.LineWords)
 					s.Netw.Inject(int64(s.Cfg.LineWords))
@@ -649,7 +608,7 @@ func (s *System) reservePointer(e *entry, p int, tag int64, addr prog.Word) {
 // downgradeOwner makes the exclusive owner's copy clean/shared
 // (write-back of dirty data is charged by the caller).
 func (s *System) downgradeOwner(owner int, tag int64) {
-	cc := s.caches[owner]
+	cc, _ := s.CacheOf(owner)
 	if cc == nil { // an owner without a cache cannot exist; be defensive
 		return
 	}
@@ -672,21 +631,14 @@ func (s *System) EpochBoundary(epoch int64) int64 {
 // word (MSI keeps whole lines valid), so the cut is the minimum timetag;
 // the compiler marking is ignored as in the scalar path.
 func (s *System) InitReadCursor(c *memsys.ReadCursor, p int, kind memsys.ReadKind, window int, addr0 prog.Word) {
-	ln := s.LaneFor(p)
-	cc, _ := s.procState(p)
-	*c = memsys.ReadCursor{
-		Mode: memsys.StreamCached, Sys: s, Core: s.Core, Ln: ln, CC: cc,
-		Proc: p, Kind: kind, Window: window, Cut: math.MinInt64,
-		Epoch: s.Epoch, HitCycles: s.Cfg.HitCycles, HitCtx: "hw read hit",
-		Fresh: ln.FreshWords(),
-	}
+	s.InitCachedReadCursor(c, s, p, kind, window, math.MinInt64, false, "hw read hit")
 }
 
 // InitWriteCursor implements memsys.System: the exclusive-hit store is
 // inlined (silent under the frozen directory); shared hits and misses
 // take the scalar path, which logs the deferred claim.
 func (s *System) InitWriteCursor(c *memsys.WriteCursor, p int, addr0 prog.Word) {
-	cc, _ := s.procState(p)
+	cc, _ := s.ProcState(p)
 	*c = memsys.WriteCursor{
 		Mode: memsys.StreamHW, Sys: s, Core: s.Core, Ln: s.LaneFor(p),
 		CC: cc, Proc: p, Epoch: s.Epoch,
@@ -708,7 +660,7 @@ func (s *System) CheckInvariants() error {
 		excl[i] = -1
 	}
 	for p := 0; p < s.Cfg.Procs; p++ {
-		cc := s.caches[p]
+		cc, _ := s.CacheOf(p)
 		if cc == nil {
 			continue
 		}
@@ -762,7 +714,7 @@ func (s *System) findStalePresence(e *entry, tag int64) int {
 		if bad >= 0 {
 			return
 		}
-		cc := s.caches[q]
+		cc, _ := s.CacheOf(q)
 		if cc == nil {
 			bad = q
 			return

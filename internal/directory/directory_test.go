@@ -133,7 +133,7 @@ func TestWriteMissInvalidatesAllSharers(t *testing.T) {
 		t.Fatalf("invalidations = %d, want 3", s.St.Invalidations)
 	}
 	for q := 1; q <= 3; q++ {
-		if line, w, ok := s.caches[q].Lookup(24); ok && line.ValidWord(w) {
+		if line, w, ok := cacheOf(s, q).Lookup(24); ok && line.ValidWord(w) {
 			t.Fatalf("P%d still holds an invalidated line", q)
 		}
 	}
@@ -179,7 +179,8 @@ func TestUsedBitsResetOnRefill(t *testing.T) {
 	barrier(t, s, 4)
 	s.Write(0, 8, 2.0, false) // invalidation: word 8 not used since refill
 	barrier(t, s, 5)
-	r, _ := s.trackers[1].Lost(10)
+	_, tr := s.CacheOf(1)
+	r, _ := tr.Lost(10)
 	if r != cache.LostInvalFalse {
 		t.Fatalf("second invalidation should be false sharing for P1, got %v", r)
 	}
@@ -202,14 +203,14 @@ func TestDeferredInvalidationUntilBarrier(t *testing.T) {
 	if s.St.Invalidations != 0 {
 		t.Fatalf("mid-epoch invalidations = %d, want 0", s.St.Invalidations)
 	}
-	if line, w, ok := s.caches[1].Lookup(8); !ok || !line.ValidWord(w) {
+	if line, w, ok := cacheOf(s, 1).Lookup(8); !ok || !line.ValidWord(w) {
 		t.Fatal("P1's copy must survive until the barrier")
 	}
 	barrier(t, s, 3)
 	if s.St.Invalidations != 1 {
 		t.Fatalf("post-barrier invalidations = %d, want 1", s.St.Invalidations)
 	}
-	if _, _, ok := s.caches[1].Lookup(8); ok {
+	if _, _, ok := cacheOf(s, 1).Lookup(8); ok {
 		t.Fatal("P1's copy must be gone after the barrier")
 	}
 	if v, _ := s.Read(1, 8, memsys.ReadRegular, 0); v != 9.0 {
@@ -227,11 +228,17 @@ func TestCriticalStoreEager(t *testing.T) {
 	s.Read(1, 8, memsys.ReadRegular, 0)
 	barrier(t, s, 2)
 	s.Write(0, 8, 4.0, true)
-	if _, _, ok := s.caches[1].Lookup(8); ok {
+	if _, _, ok := cacheOf(s, 1).Lookup(8); ok {
 		t.Fatal("critical store must invalidate sharers eagerly")
 	}
 	if v, _ := s.Read(1, 8, memsys.ReadBypass, 0); v != 4.0 {
 		t.Fatalf("same-epoch read after critical store = %v, want 4.0", v)
 	}
 	barrier(t, s, 3)
+}
+
+// cacheOf is processor q's cache, nil if q has referenced nothing.
+func cacheOf(s *System, q int) *cache.Cache {
+	cc, _ := s.CacheOf(q)
+	return cc
 }

@@ -355,9 +355,10 @@ func (c *Core) newLane(p int) *Lane {
 	return l
 }
 
-// OwnReleaser is a scheme's own release step: it returns the scheme's
-// caches, trackers and logs to their pools. Core.ReleaseCaches runs it
-// before returning the lanes.
+// OwnReleaser is a scheme's own release step: it returns what the scheme
+// built beyond Core's cache set (action logs, on-chip L1s) to their
+// pools. Core.ReleaseCaches runs it before returning the cache set and
+// the lanes.
 type OwnReleaser interface {
 	ReleaseOwn()
 }
@@ -367,12 +368,13 @@ type OwnReleaser interface {
 func (c *Core) OnRelease(r OwnReleaser) { c.release = r }
 
 // ReleaseCaches implements Releaser for every scheme: the scheme's
-// OnRelease step, then the lanes. Schemes do not override it, so no
-// scheme can forget to return its lanes.
+// OnRelease step, then the cache set, then the lanes. Schemes do not
+// override it, so no scheme can forget to return its caches or lanes.
 func (c *Core) ReleaseCaches() {
 	if c.release != nil {
 		c.release.ReleaseOwn()
 	}
+	c.releaseCaches()
 	c.releaseLanes()
 }
 

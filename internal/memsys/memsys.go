@@ -1,7 +1,8 @@
 // Package memsys defines the interface between the execution-driven
-// simulator and a coherence scheme's memory system, plus helpers shared
-// by the scheme implementations (miss classification, fill/evict logic,
-// network-latency accounting).
+// simulator and a coherence scheme's memory system, plus the state and
+// helpers shared by the scheme implementations (the per-processor cache
+// set, the write-validate store, miss classification, fills and
+// evictions, network-latency accounting).
 //
 // All schemes move real float64 values: the simulator reads through the
 // simulated caches, so any coherence bug corrupts the computation and is
@@ -202,6 +203,12 @@ type Core struct {
 	// release is the scheme's own release step (OnRelease).
 	release OwnReleaser
 
+	// The caching schemes' per-processor cache sets (EnableCaches; see
+	// caches.go): nil for BASE and the Oracle; writeBuffers is false for
+	// the HW directory's write-back caches.
+	caches       []procCaches
+	writeBuffers bool
+
 	// Mesh home mapping: homeClusters > 0 interleaves memory lines
 	// across per-cluster home slices instead of individual processors,
 	// and clusterWords tallies the fetch traffic each home slice served
@@ -290,16 +297,11 @@ func (c *Core) noteHomeFetch(home int, words int64) {
 	}
 }
 
-// ClassifyMiss decides the miss class for a word that is absent from
-// processor p's cache, using the per-word tracker history and, for words
-// lost to resets, whether the data actually changed since.
-func (c *Core) ClassifyMiss(tr *cache.Tracker, addr prog.Word) stats.MissClass {
-	return c.ClassifyMissLane(&c.seqLane, tr, addr)
-}
-
-// ClassifyMissLane is ClassifyMiss through a lane: write-epoch provenance
-// for reset losses must see the processor's own buffered same-epoch
-// stores.
+// ClassifyMissLane decides the miss class for a word that is absent
+// from processor p's cache, using the per-word tracker history and, for
+// words lost to resets, whether the data actually changed since. It reads
+// write-epoch provenance through the lane, so reset losses see the
+// processor's own buffered same-epoch stores.
 func (c *Core) ClassifyMissLane(ln *Lane, tr *cache.Tracker, addr prog.Word) stats.MissClass {
 	if !tr.Seen(addr) {
 		return stats.MissCold
@@ -326,23 +328,15 @@ func (c *Core) ClassifyMissLane(ln *Lane, tr *cache.Tracker, addr prog.Word) sta
 	}
 }
 
-// MissFill fills the whole line containing addr into cacheC for processor
-// p with fresh memory data, evicting as needed, and returns the line and
-// word index. Timetags: the accessed word gets ttAccessed, its neighbours
-// ttNeighbour (the TPI fill rule; write-through schemes pass the epoch for
-// both). The tracker records eviction losses and the new residency.
-func (c *Core) MissFill(cc *cache.Cache, tr *cache.Tracker, addr prog.Word, ttAccessed, ttNeighbour int64) (*cache.Line, int) {
-	return c.FillLane(&c.seqLane, cc, tr, addr, ttAccessed, ttNeighbour)
-}
-
-// FillLane is MissFill through a lane: fill data comes from the lane so a
-// processor refetching a line it stored to this epoch (write-validate
-// eviction followed by a read) sees its own buffered values.
+// FillLane fills the whole line containing addr into cc with fresh data
+// and returns the line and word index. Fill data comes from the lane, so
+// a processor refetching a line it stored to this epoch (write-validate
+// eviction followed by a read) sees its own buffered values. Timetags:
+// the accessed word gets ttAccessed, its neighbours ttNeighbour (the TPI
+// fill rule; write-through schemes pass the epoch for both). The tracker
+// records eviction losses and the new residency.
 func (c *Core) FillLane(ln *Lane, cc *cache.Cache, tr *cache.Tracker, addr prog.Word, ttAccessed, ttNeighbour int64) (*cache.Line, int) {
-	v := cc.Victim(addr)
-	if v.State != cache.Invalid {
-		c.evict(cc, tr, v)
-	}
+	v := replaceFrame(ln, cc, tr, addr)
 	tag, w := cc.Split(addr)
 	base := cc.LineBase(addr)
 	v.Tag = tag
@@ -364,40 +358,50 @@ func (c *Core) FillLane(ln *Lane, cc *cache.Cache, tr *cache.Tracker, addr prog.
 	return v, w
 }
 
-// evict records the loss of every valid word of a victim line.
-func (c *Core) evict(cc *cache.Cache, tr *cache.Tracker, v *cache.Line) {
-	base := prog.Word(v.Tag * int64(cc.LineWords()))
-	for i := 0; i < cc.LineWords(); i++ {
-		if v.TT[i] != cache.TTInvalid {
-			tr.NoteLost(base+prog.Word(i), cache.LostReplaced, v.TT[i])
-		}
-	}
-	v.InvalidateLine()
-}
-
-// LineMissLatency is the read-miss stall: base miss cost plus a request
-// out and a line-sized reply back through the network (average distance).
-func (c *Core) LineMissLatency() int64 {
-	return c.Cfg.MissCycles + c.Netw.RoundTrip(c.Cfg.LineWords)
-}
-
-// LineMissLatencyFor is the distance-aware variant: the request travels
-// from processor p to the word's home node and the line travels back.
+// LineMissLatencyFor is the read-miss stall: base miss cost plus a
+// request from processor p to the word's home node and a line-sized
+// reply back.
 func (c *Core) LineMissLatencyFor(p int, addr prog.Word) int64 {
 	home := c.HomeOf(addr)
 	c.noteHomeFetch(home, int64(c.Cfg.LineWords)+1)
 	return c.Cfg.MissCycles + c.Netw.RoundTripBetween(p, home, c.Cfg.LineWords)
 }
 
-// WordMissLatency is the stall of an uncached single-word fetch
-// (average distance).
-func (c *Core) WordMissLatency() int64 {
-	return c.Cfg.MissCycles + c.Netw.RoundTrip(1)
-}
-
-// WordMissLatencyFor is the distance-aware single-word fetch.
+// WordMissLatencyFor is the stall of an uncached single-word fetch by
+// processor p from the word's home node.
 func (c *Core) WordMissLatencyFor(p int, addr prog.Word) int64 {
 	home := c.HomeOf(addr)
 	c.noteHomeFetch(home, 2)
 	return c.Cfg.MissCycles + c.Netw.RoundTripBetween(p, home, 1)
+}
+
+// ReadClassified performs processor p's read through sys and recovers
+// its miss class by diffing st, the counter sink the read lands in:
+// every scheme increments exactly one of ReadHits or one ReadMisses cell
+// per read, so the diff is exact without widening System. Class -1
+// means a hit.
+func ReadClassified(sys System, st *stats.Stats, p int, addr prog.Word, kind ReadKind, window int) (float64, int64, int8) {
+	hits, misses := st.ReadHits, st.ReadMisses
+	v, stall := sys.Read(p, addr, kind, window)
+	return v, stall, missClass(st.ReadHits != hits, &misses, &st.ReadMisses)
+}
+
+// WriteClassified is ReadClassified for a write.
+func WriteClassified(sys System, st *stats.Stats, p int, addr prog.Word, val float64, crit bool) (int64, int8) {
+	hits, misses := st.WriteHits, st.WriteMisses
+	stall := sys.Write(p, addr, val, crit)
+	return stall, missClass(st.WriteHits != hits, &misses, &st.WriteMisses)
+}
+
+// missClass is the class whose counter moved between before and after,
+// -1 for a hit.
+func missClass(hit bool, before, after *stats.ClassCounts) int8 {
+	if !hit {
+		for i := range after {
+			if after[i] != before[i] {
+				return int8(i)
+			}
+		}
+	}
+	return -1
 }

@@ -53,7 +53,7 @@ func (o *Oracle) EpochBoundary(epoch int64) int64 {
 
 // InitReadCursor implements System: every read delegates to Read.
 func (o *Oracle) InitReadCursor(c *ReadCursor, p int, kind ReadKind, window int, addr0 prog.Word) {
-	*c = ReadCursor{Mode: StreamUncached, Sys: o, Ln: o.LaneFor(p), Proc: p, Kind: kind, Window: window}
+	o.InitUncachedReadCursor(c, o, p, kind, window)
 }
 
 // InitWriteCursor implements System: every write delegates to Write.

@@ -248,22 +248,9 @@ func (c *ReadCursor) readCached(addr prog.Word) (float64, int64, int8) {
 	}
 	// Anything but a clean hit — absent line, word-grain hole,
 	// window failure — takes the scheme's full scalar path (refresh,
-	// fill, eviction, prefetch, classification). The class is
-	// recovered by diffing the lane counters, exactly like
-	// sim.readClassified.
-	st := c.Ln.St
-	hitsBefore := st.ReadHits
-	missBefore := st.ReadMisses
-	v, stall := c.Sys.Read(c.Proc, addr, c.Kind, c.Window)
-	class := int8(-1)
-	if st.ReadHits == hitsBefore {
-		for i := range st.ReadMisses {
-			if st.ReadMisses[i] != missBefore[i] {
-				class = int8(i)
-				break
-			}
-		}
-	}
+	// fill, eviction, prefetch, classification), with the class
+	// recovered from the lane counters as for the scalar simulator.
+	v, stall, class := ReadClassified(c.Sys, c.Ln.St, c.Proc, addr, c.Kind, c.Window)
 	c.line = nil // the fill may have replaced or moved the line
 	return v, stall, class
 }
@@ -446,23 +433,45 @@ func (c *WriteCursor) Write(addr prog.Word, val float64) (int64, int8) {
 	return c.writeCached(addr, val)
 }
 
-// delegate routes one store through the scheme's scalar Write, recovering
-// the miss class by diffing the lane counters (like sim.writeClassified).
+// delegate routes one store through the scheme's scalar Write, with the
+// class recovered from the lane counters.
 func (c *WriteCursor) delegate(addr prog.Word, val float64) (int64, int8) {
-	st := c.Ln.St
-	hitsBefore := st.WriteHits
-	missBefore := st.WriteMisses
-	stall := c.Sys.Write(c.Proc, addr, val, false)
-	class := int8(-1)
-	if st.WriteHits == hitsBefore {
-		for i := range st.WriteMisses {
-			if st.WriteMisses[i] != missBefore[i] {
-				class = int8(i)
-				break
-			}
-		}
+	return WriteClassified(c.Sys, c.Ln.St, c.Proc, addr, val, false)
+}
+
+// InitCachedReadCursor prepares rc for processor p's StreamCached reads:
+// a word hits when it is valid and its timetag is at least cut, promote
+// raises a hit word's timetag to the epoch, and hitCtx labels the hit's
+// staleness-oracle check. sys is the scheme, the scalar fallback target.
+func (c *Core) InitCachedReadCursor(rc *ReadCursor, sys System, p int, kind ReadKind, window int, cut int64, promote bool, hitCtx string) {
+	ln := c.LaneFor(p)
+	cc, _ := c.ProcState(p)
+	*rc = ReadCursor{
+		Mode: StreamCached, Sys: sys, Core: c, Ln: ln, CC: cc,
+		Proc: p, Kind: kind, Window: window, Cut: cut, PromoteTT: promote,
+		Epoch: c.Epoch, HitCycles: c.Cfg.HitCycles, HitCtx: hitCtx,
+		Fresh: ln.FreshWords(),
 	}
-	return stall, class
+}
+
+// InitUncachedReadCursor prepares rc to route every read of processor p
+// through sys's scalar Read, each reported as a bypass miss (bypass
+// reads; the Oracle).
+func (c *Core) InitUncachedReadCursor(rc *ReadCursor, sys System, p int, kind ReadKind, window int) {
+	*rc = ReadCursor{Mode: StreamUncached, Sys: sys, Core: c, Ln: c.LaneFor(p), Proc: p, Kind: kind, Window: window}
+}
+
+// InitStoreCursor prepares wc for processor p's StreamCached stores,
+// with StoreLane's timetag rule (wtt, promote) and policy (writeBack);
+// sys is the scheme, the scalar target for stores to absent lines.
+func (c *Core) InitStoreCursor(wc *WriteCursor, sys System, p int, wtt int64, promote, writeBack bool) {
+	cc, tr := c.ProcState(p)
+	*wc = WriteCursor{
+		Mode: StreamCached, Sys: sys, Core: c, Ln: c.LaneFor(p),
+		CC: cc, Tr: tr, WB: c.caches[p].wb,
+		Proc: p, Epoch: c.Epoch, WTT: wtt, PromoteTT: promote,
+		WriteBack: writeBack, SeqC: c.Cfg.SeqConsistency,
+	}
 }
 
 // writeCached is the StreamCached store: the inlined present-line write
@@ -488,24 +497,13 @@ func (c *WriteCursor) writeCached(addr prog.Word, val float64) (int64, int8) {
 	if hit {
 		c.hits++
 	} else {
-		// Classify before the tracker below records the new residency.
+		// Classify before storeWord records the new residency.
 		cls := c.Core.ClassifyMissLane(ln, c.Tr, addr)
 		ln.St.WriteMisses[cls]++
 		class = int8(cls)
 	}
-	l.Vals[w] = val
-	if c.PromoteTT {
-		if l.TT[w] < c.WTT || l.TT[w] == cache.TTInvalid {
-			l.TT[w] = c.WTT
-		}
-	} else {
-		l.TT[w] = c.WTT
-	}
-	l.Used[w] = true
-	c.CC.Touch(l)
-	c.Tr.NoteCached(addr)
+	storeWord(c.CC, c.Tr, l, w, addr, val, c.WTT, c.PromoteTT, c.WriteBack)
 	if c.WriteBack {
-		l.DirtyW[w] = true
 		return 0, class
 	}
 	if c.WB.Write(addr) {

@@ -529,33 +529,23 @@ func readFast(t *task, addr prog.Word, kind memsys.ReadKind, window int, ref int
 	return v
 }
 
-// readClassified performs the read and recovers its hit/miss class by
-// diffing the scheme's own counters around the call: every scheme
-// increments exactly one of ReadHits or one ReadMisses cell per read, so
-// the diff is exact without widening the memsys.System interface. The
-// diff base is the processor's lane shard for always-buffered schemes
-// (their counters land there even sequentially), otherwise the task's
-// counter sink (the processor's stats shard in a host-parallel epoch).
-// class -1 means hit.
+// readClassified performs the read and recovers its hit/miss class
+// (memsys.ReadClassified, -1 for a hit). The diff base is the
+// processor's lane shard for always-buffered schemes (their counters
+// land there even sequentially), otherwise the task's counter sink (the
+// processor's stats shard in a host-parallel epoch).
 func readClassified(t *task, addr prog.Word, kind memsys.ReadKind, window int) (v float64, stall int64, class int8) {
-	st := t.st
-	if t.r.buffered {
-		st = t.r.sys.LaneStats(t.proc)
-	}
-	hitsBefore := st.ReadHits
-	missBefore := st.ReadMisses
-	v, stall = t.r.sys.Read(t.proc, addr, kind, window)
+	v, stall, class = memsys.ReadClassified(t.r.sys, t.classSink(), t.proc, addr, kind, window)
 	t.charge(stall)
-	class = -1
-	if st.ReadHits == hitsBefore {
-		for c := range st.ReadMisses {
-			if st.ReadMisses[c] != missBefore[c] {
-				class = int8(c)
-				break
-			}
-		}
-	}
 	return v, stall, class
+}
+
+// classSink is the counter sink a reference by t's processor lands in.
+func (t *task) classSink() *stats.Stats {
+	if t.r.buffered {
+		return t.r.sys.LaneStats(t.proc)
+	}
+	return t.st
 }
 
 // readObs is readFast plus attributed-counter recording.
@@ -571,25 +561,10 @@ func writeFast(t *task, addr prog.Word, v float64, ref int32) {
 	t.charge(1 + stall)
 }
 
-// writeClassified mirrors readClassified for the write-side counters.
+// writeClassified mirrors readClassified for a write.
 func writeClassified(t *task, addr prog.Word, v float64) (stall int64, class int8) {
-	st := t.st
-	if t.r.buffered {
-		st = t.r.sys.LaneStats(t.proc)
-	}
-	hitsBefore := st.WriteHits
-	missBefore := st.WriteMisses
-	stall = t.r.sys.Write(t.proc, addr, v, t.inCrit)
+	stall, class = memsys.WriteClassified(t.r.sys, t.classSink(), t.proc, addr, v, t.inCrit)
 	t.charge(1 + stall)
-	class = -1
-	if st.WriteHits == hitsBefore {
-		for c := range st.WriteMisses {
-			if st.WriteMisses[c] != missBefore[c] {
-				class = int8(c)
-				break
-			}
-		}
-	}
 	return stall, class
 }
 

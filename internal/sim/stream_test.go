@@ -5,21 +5,57 @@ import (
 	"strings"
 	"testing"
 
+	hwdir "repro/internal/directory"
 	"repro/internal/machine"
 	"repro/internal/memsys"
+	"repro/internal/prog"
 	"repro/internal/swschemes"
+	"repro/internal/tardis"
 	"repro/internal/tpi"
+	"repro/internal/vc"
 )
 
-// streamSystems builds the systems the equivalence runs cover: the
-// software schemes, TPI, and the sequential Oracle (whose cursors
-// delegate every reference to its scalar path).
-func streamSystems(cfg machine.Config, memWords int64) map[string]memsys.System {
-	return map[string]memsys.System{
-		"BASE":   swschemes.NewBase(cfg, memWords),
-		"SC":     swschemes.NewSC(cfg, memWords),
-		"TPI":    tpi.New(cfg, memWords),
-		"ORACLE": memsys.NewOracle(cfg, memWords),
+// streamSystem builds the one system an equivalence run covers: any of
+// the eight scheme variants, or the sequential Oracle (whose cursors
+// delegate every reference to its scalar path). cfg is the scheme's
+// default configuration before the case's mutation.
+func streamSystem(t *testing.T, scheme string, mut func(*machine.Config), p *prog.Prog) (memsys.System, machine.Config) {
+	t.Helper()
+	base := map[string]machine.Scheme{
+		"BASE": machine.SchemeBase, "SC": machine.SchemeSC, "TPI": machine.SchemeTPI,
+		"TPI2L": machine.SchemeTPI, "HW": machine.SchemeHW, "VC": machine.SchemeVC,
+		"TARDIS": machine.SchemeTardis, "TARDIS2": machine.SchemeTardis2,
+		"ORACLE": machine.SchemeTPI,
+	}
+	sch, ok := base[scheme]
+	if !ok {
+		t.Fatalf("unknown scheme %q", scheme)
+	}
+	cfg := machine.Default(sch)
+	cfg.Procs = 4
+	if scheme == "TPI2L" {
+		cfg.L1Words = 16
+	}
+	if mut != nil {
+		mut(&cfg)
+	}
+	switch scheme {
+	case "BASE":
+		return swschemes.NewBase(cfg, p.MemWords), cfg
+	case "SC":
+		return swschemes.NewSC(cfg, p.MemWords), cfg
+	case "TPI":
+		return tpi.New(cfg, p.MemWords), cfg
+	case "TPI2L":
+		return tpi.NewTwoLevel(cfg, p.MemWords), cfg
+	case "HW":
+		return hwdir.New(cfg, p.MemWords), cfg
+	case "VC":
+		return vc.New(cfg, p), cfg
+	case "TARDIS", "TARDIS2":
+		return tardis.New(cfg, p.MemWords), cfg
+	default:
+		return memsys.NewOracle(cfg, p.MemWords), cfg
 	}
 }
 
@@ -28,18 +64,19 @@ func streamSystems(cfg machine.Config, memWords int64) map[string]memsys.System 
 func runStreamCase(t *testing.T, src, scheme string, fast bool, mut func(*machine.Config)) (int64, any, []float64) {
 	t.Helper()
 	p, m := compileSrc(t, src)
-	cfg := machine.Default(machine.SchemeTPI)
-	cfg.Procs = 4
-	cfg.FastPath = fast
-	if mut != nil {
-		mut(&cfg)
-	}
-	sys := streamSystems(cfg, p.MemWords)[scheme]
+	sys, cfg := streamSystem(t, scheme, func(c *machine.Config) {
+		c.FastPath = fast
+		if mut != nil {
+			mut(c)
+		}
+	}, p)
 	st, err := New(p, m, sys, cfg).Run()
 	if err != nil {
 		t.Fatalf("%s fast=%v: %v", scheme, fast, err)
 	}
-	return st.Cycles, st.Snapshot(), sys.Mem().Snapshot()
+	snap, mem := st.Snapshot(), sys.Mem().Snapshot()
+	sys.ReleaseCaches()
+	return st.Cycles, snap, mem
 }
 
 // streamEquivSrc exercises the recognizer's full surface: 1D and 2D
@@ -79,8 +116,9 @@ proc main() {
 // TestStreamFastPathEquivalence is the tentpole's oracle at the sim
 // level: the stream fast path, alone and with -hostpar 4, must produce
 // cycles, stats snapshots, and final memory images bit-identical to the
-// sequential scalar run, under weak and sequential consistency, static
-// and dynamic scheduling, and TPI write-back.
+// sequential scalar run, for every scheme variant and the Oracle, under
+// weak and sequential consistency, static and dynamic scheduling, and
+// TPI's write-back and line-timetag knobs.
 func TestStreamFastPathEquivalence(t *testing.T) {
 	muts := map[string]func(*machine.Config){
 		"default":   nil,
@@ -90,7 +128,7 @@ func TestStreamFastPathEquivalence(t *testing.T) {
 		"writeback": func(c *machine.Config) { c.TPIWriteBack = true },
 		"linett":    func(c *machine.Config) { c.LineTimetags = true },
 	}
-	for _, scheme := range []string{"BASE", "SC", "TPI", "ORACLE"} {
+	for _, scheme := range []string{"BASE", "SC", "TPI", "TPI2L", "HW", "VC", "TARDIS", "TARDIS2", "ORACLE"} {
 		for name, mut := range muts {
 			t.Run(scheme+"/"+name, func(t *testing.T) {
 				offC, offS, offM := runStreamCase(t, streamEquivSrc, scheme, false, mut)
@@ -313,7 +351,7 @@ proc main() {
   }
 }
 `
-	for _, scheme := range []string{"SC", "TPI"} {
+	for _, scheme := range []string{"SC", "TPI", "TPI2L", "HW", "VC", "TARDIS", "TARDIS2"} {
 		onC, onS, onM := runStreamCase(t, src, scheme, true, nil)
 		offC, offS, offM := runStreamCase(t, src, scheme, false, nil)
 		if onC != offC || !reflect.DeepEqual(onS, offS) || !reflect.DeepEqual(onM, offM) {

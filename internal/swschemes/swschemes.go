@@ -13,7 +13,6 @@ package swschemes
 import (
 	"math"
 
-	"repro/internal/cache"
 	"repro/internal/machine"
 	"repro/internal/memsys"
 	"repro/internal/prog"
@@ -85,52 +84,17 @@ func (s *Base) InitWriteCursor(c *memsys.WriteCursor, p int, addr0 prog.Word) {
 // SC is the software cache-bypass scheme.
 type SC struct {
 	*memsys.Core
-	caches   []*cache.Cache
-	trackers []*cache.Tracker
-	wbufs    []*cache.WriteBuffer
 }
 
 // NewSC builds an SC system.
 func NewSC(cfg machine.Config, memWords int64) *SC {
 	s := &SC{Core: memsys.NewCore(cfg, memWords)}
-	s.caches = make([]*cache.Cache, cfg.Procs)
-	s.trackers = make([]*cache.Tracker, cfg.Procs)
-	s.wbufs = make([]*cache.WriteBuffer, cfg.Procs)
-	s.OnRelease(s)
+	s.EnableCaches(true)
 	return s
-}
-
-// procState returns p's cache and tracker (building them, and the write
-// buffer, on first use). Safe under host parallelism: each processor is
-// owned by exactly one worker, so concurrent first-touches write
-// distinct slice elements.
-func (s *SC) procState(p int) (*cache.Cache, *cache.Tracker) {
-	if cc := s.caches[p]; cc != nil {
-		return cc, s.trackers[p]
-	}
-	cc := cache.New(s.Cfg.CacheWords, s.Cfg.LineWords, s.Cfg.Assoc)
-	s.caches[p] = cc
-	s.trackers[p] = cache.NewTracker(s.Memory.Size())
-	s.wbufs[p] = cache.NewWriteBuffer(s.Cfg.WriteBufferCache)
-	return cc, s.trackers[p]
 }
 
 // Name implements memsys.System.
 func (s *SC) Name() string { return "SC" }
-
-// ReleaseOwn implements memsys.OwnReleaser. The fields are nilled so any
-// use after release fails loudly instead of corrupting a pooled cache.
-func (s *SC) ReleaseOwn() {
-	for p, cc := range s.caches {
-		if cc == nil {
-			continue
-		}
-		cache.Release(cc)
-		cache.ReleaseTracker(s.trackers[p])
-		cache.ReleaseWriteBuffer(s.wbufs[p])
-	}
-	s.caches, s.trackers, s.wbufs = nil, nil, nil
-}
 
 // Read implements memsys.System. Potentially-stale reads (Time-Read or
 // bypass marks) fetch the word from memory without validating the cache;
@@ -139,21 +103,10 @@ func (s *SC) ReleaseOwn() {
 func (s *SC) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (float64, int64) {
 	ln := s.LaneFor(p)
 	ln.St.Reads++
-	cc, tr := s.procState(p)
-
 	if kind != memsys.ReadRegular {
-		v := ln.Value(addr)
-		if line, w, ok := cc.Lookup(addr); ok && line.ValidWord(w) {
-			line.Vals[w] = v
-		}
-		ln.St.ReadMisses[stats.MissBypass]++
-		ln.St.ReadTrafficWords++
-		ln.Inject(2)
-		lat := s.WordMissLatencyFor(p, addr)
-		ln.St.MissLatencySum += lat
-		return v, lat
+		return s.BypassRead(ln, p, addr)
 	}
-
+	cc, tr := s.ProcState(p)
 	if line, w, ok := cc.Lookup(addr); ok && line.ValidWord(w) {
 		ln.St.ReadHits++
 		line.Used[w] = true
@@ -163,88 +116,26 @@ func (s *SC) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (floa
 	}
 	ln.St.ReadMisses[s.ClassifyMissLane(ln, tr, addr)]++
 	nl, nw := s.FillLane(ln, cc, tr, addr, s.Epoch, s.Epoch)
-	ln.St.ReadTrafficWords += int64(s.Cfg.LineWords)
-	ln.Inject(int64(s.Cfg.LineWords) + 1)
-	lat := s.LineMissLatencyFor(p, addr)
-	ln.St.MissLatencySum += lat
-	return nl.Vals[nw], lat
+	return nl.Vals[nw], s.ChargeLineMiss(ln, p, addr)
 }
 
-// Write implements memsys.System: write-through, write-validate allocate.
-// Critical stores self-invalidate like TPI's.
+// Write implements memsys.System: write-through, write-validate
+// allocate, each word stamped with the epoch. Critical stores
+// self-invalidate like TPI's.
 func (s *SC) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 	ln := s.LaneFor(p)
-	ln.St.Writes++
-	ln.Write(addr, val, p, s.Epoch)
-	cc, tr := s.procState(p)
 	if crit {
-		ln.St.WriteMisses[stats.MissBypass]++
-		if line, w, ok := cc.Lookup(addr); ok && line.ValidWord(w) {
-			tr.NoteLost(addr, cache.LostInvalTrue, line.TT[w])
-			line.InvalidateWord(w)
-		}
-		ln.St.WriteTrafficWords++
-		ln.Inject(1)
+		ln.Write(addr, val, p, s.Epoch)
+		s.StoreCritical(ln, p, addr)
 		return 0
 	}
-	line, w, ok := cc.Lookup(addr)
-	hit := ok && line.ValidWord(w)
-	if hit {
-		ln.St.WriteHits++
-	} else {
-		// Classify before the tracker below records the new residency.
-		ln.St.WriteMisses[s.ClassifyMissLane(ln, tr, addr)]++
-	}
-	if ok {
-		line.Vals[w] = val
-		line.TT[w] = s.Epoch
-		line.Used[w] = true
-		cc.Touch(line)
-		tr.NoteCached(addr)
-	} else {
-		v := cc.Victim(addr)
-		if v.State != cache.Invalid {
-			base := prog.Word(v.Tag * int64(cc.LineWords()))
-			for i := 0; i < cc.LineWords(); i++ {
-				if v.TT[i] != cache.TTInvalid {
-					tr.NoteLost(base+prog.Word(i), cache.LostReplaced, v.TT[i])
-				}
-			}
-			v.InvalidateLine()
-		}
-		tag, w := cc.Split(addr)
-		v.Tag = tag
-		v.State = cache.Shared
-		v.Vals[w] = val
-		v.TT[w] = s.Epoch
-		v.Used[w] = true
-		cc.Touch(v)
-		tr.NoteCached(addr)
-	}
-	if s.wbufs[p].Write(addr) {
-		ln.St.WriteTrafficWords++
-		ln.Inject(1)
-	} else {
-		ln.St.WritesCoalesced++
-	}
-	if s.Cfg.SeqConsistency {
-		lat := s.WordMissLatencyFor(p, addr)
-		if !hit {
-			ln.St.WriteMissLatencySum += lat
-		}
-		return lat
-	}
-	return 0
+	return s.StoreLane(ln, p, addr, val, s.Epoch, false, false)
 }
 
 // EpochBoundary implements memsys.System.
 func (s *SC) EpochBoundary(epoch int64) int64 {
 	s.Epoch = epoch
-	for _, wb := range s.wbufs {
-		if wb != nil {
-			wb.Flush()
-		}
-	}
+	s.FlushWriteBuffers()
 	return 0
 }
 
@@ -253,27 +144,14 @@ func (s *SC) EpochBoundary(epoch int64) int64 {
 // marked reads always take SC's bypass path.
 func (s *SC) InitReadCursor(c *memsys.ReadCursor, p int, kind memsys.ReadKind, window int, addr0 prog.Word) {
 	if kind != memsys.ReadRegular {
-		*c = memsys.ReadCursor{Mode: memsys.StreamUncached, Sys: s, Ln: s.LaneFor(p), Proc: p, Kind: kind, Window: window}
+		s.InitUncachedReadCursor(c, s, p, kind, window)
 		return
 	}
-	ln := s.LaneFor(p)
-	cc, _ := s.procState(p)
-	*c = memsys.ReadCursor{
-		Mode: memsys.StreamCached, Sys: s, Core: s.Core, Ln: ln, CC: cc,
-		Proc: p, Kind: kind, Window: window, Cut: math.MinInt64,
-		Epoch: s.Epoch, HitCycles: s.Cfg.HitCycles, HitCtx: "sc regular hit",
-		Fresh: ln.FreshWords(),
-	}
+	s.InitCachedReadCursor(c, s, p, kind, window, math.MinInt64, false, "sc regular hit")
 }
 
 // InitWriteCursor implements memsys.System: write-through with the
-// unconditional tag assignment (PromoteTT false).
+// unconditional tag assignment.
 func (s *SC) InitWriteCursor(c *memsys.WriteCursor, p int, addr0 prog.Word) {
-	cc, tr := s.procState(p)
-	*c = memsys.WriteCursor{
-		Mode: memsys.StreamCached, Sys: s, Core: s.Core, Ln: s.LaneFor(p),
-		CC: cc, Tr: tr, WB: s.wbufs[p],
-		Proc: p, Epoch: s.Epoch, WTT: s.Epoch,
-		SeqC: s.Cfg.SeqConsistency,
-	}
+	s.InitStoreCursor(c, s, p, s.Epoch, false, false)
 }

@@ -37,6 +37,9 @@ func TestBaseNeverCaches(t *testing.T) {
 	if s.St.ReadTrafficWords != 5 || s.St.WriteTrafficWords != 1 {
 		t.Fatalf("traffic = %d/%d", s.St.ReadTrafficWords, s.St.WriteTrafficWords)
 	}
+	if s.Caches() != nil {
+		t.Fatal("BASE must build no caches")
+	}
 }
 
 func TestSCRegularReadsCache(t *testing.T) {
@@ -82,7 +85,7 @@ func TestSCCriticalWriteSelfInvalidates(t *testing.T) {
 	s.EpochBoundary(1)
 	s.Write(0, 24, 1.0, false)
 	s.Write(0, 24, 2.0, true)
-	if line, w, ok := s.caches[0].Lookup(24); ok && line.ValidWord(w) {
+	if line, w, ok := s.Caches()[0].Lookup(24); ok && line.ValidWord(w) {
 		t.Fatal("critical store must drop the writer's cached word")
 	}
 	if s.Memory.Read(24) != 2.0 {

@@ -104,15 +104,13 @@ type act struct {
 }
 
 // actsPool recycles the per-processor action logs across runs; ReleaseOwn
-// hands them back, just before Core.ReleaseCaches returns the lanes.
+// hands them back, just before Core.ReleaseCaches returns the caches and
+// lanes.
 var actsPool memsys.TablePool[[]act]
 
 // System is the Tardis timestamp-coherence memory system.
 type System struct {
 	*memsys.Core
-	caches   []*cache.Cache
-	trackers []*cache.Tracker
-	wbufs    []*cache.WriteBuffer
 
 	home  *home   // frozen-mid-epoch per-line (wts, rts, hist)
 	owner []int16 // frozen-mid-epoch per-line exclusive owner; nil unless TardisExclusive
@@ -169,42 +167,18 @@ func New(cfg machine.Config, memWords int64) *System {
 	for p := range s.acts {
 		s.acts[p] = s.acts[p][:0]
 	}
-	s.caches = make([]*cache.Cache, cfg.Procs)
-	s.trackers = make([]*cache.Tracker, cfg.Procs)
-	s.wbufs = make([]*cache.WriteBuffer, cfg.Procs)
+	s.EnableCaches(true)
 	s.EnableAlwaysBuffered()
 	s.OnRelease(s)
 	return s
 }
 
-// procState returns p's cache and tracker (building them, and the write
-// buffer, on first use; safe under host parallelism — each processor is
-// owned by exactly one worker).
-func (s *System) procState(p int) (*cache.Cache, *cache.Tracker) {
-	if cc := s.caches[p]; cc != nil {
-		return cc, s.trackers[p]
-	}
-	cc := cache.New(s.Cfg.CacheWords, s.Cfg.LineWords, s.Cfg.Assoc)
-	s.caches[p] = cc
-	s.trackers[p] = cache.NewTracker(s.Memory.Size())
-	s.wbufs[p] = cache.NewWriteBuffer(s.Cfg.WriteBufferCache)
-	return cc, s.trackers[p]
-}
-
 // Name implements memsys.System.
 func (s *System) Name() string { return s.Cfg.Scheme.String() }
 
-// ReleaseOwn implements memsys.OwnReleaser.
+// ReleaseOwn implements memsys.OwnReleaser: the action logs go back to
+// their pool.
 func (s *System) ReleaseOwn() {
-	for p, cc := range s.caches {
-		if cc == nil {
-			continue
-		}
-		cache.Release(cc)
-		cache.ReleaseTracker(s.trackers[p])
-		cache.ReleaseWriteBuffer(s.wbufs[p])
-	}
-	s.caches, s.trackers, s.wbufs = nil, nil, nil
 	actsPool.Put(s.acts)
 	s.acts = nil
 }
@@ -281,20 +255,10 @@ func (s *System) log(p int, kind actKind, line, end int64) {
 func (s *System) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (float64, int64) {
 	ln := s.LaneFor(p)
 	ln.St.Reads++
-	cc, tr := s.procState(p)
-
 	if kind == memsys.ReadBypass {
-		v := ln.Value(addr)
-		if line, w, ok := cc.Lookup(addr); ok && line.ValidWord(w) {
-			line.Vals[w] = v
-		}
-		ln.St.ReadMisses[stats.MissBypass]++
-		ln.St.ReadTrafficWords++
-		ln.Inject(2)
-		lat := s.WordMissLatencyFor(p, addr)
-		ln.St.MissLatencySum += lat
-		return v, lat
+		return s.BypassRead(ln, p, addr)
 	}
+	cc, tr := s.ProcState(p)
 
 	line, w, present := cc.Lookup(addr)
 	if present && line.TT[w] != cache.TTInvalid {
@@ -317,7 +281,7 @@ func (s *System) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (
 			ln.St.ReadMisses[stats.MissTrueSharing]++
 			s.refreshLine(ln, line, w, addr, cc, tr, end)
 			s.log(p, actRenewStale, lid, end)
-			return line.Vals[w], s.chargeLineMiss(ln, p, addr)
+			return line.Vals[w], s.ChargeLineMiss(ln, p, addr)
 		}
 		// Data unchanged: pure lease renewal — timestamps move, data
 		// does not. This is the Tardis analog of the HSCD conservative
@@ -339,10 +303,10 @@ func (s *System) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (
 		}
 		s.refreshLine(ln, line, w, addr, cc, tr, end)
 		s.log(p, actGrant, lid, end)
-		return line.Vals[w], s.chargeLineMiss(ln, p, addr)
+		return line.Vals[w], s.ChargeLineMiss(ln, p, addr)
 	}
 	nl, nw := s.fillLine(ln, cc, tr, p, addr)
-	return nl.Vals[nw], s.chargeLineMiss(ln, p, addr)
+	return nl.Vals[nw], s.ChargeLineMiss(ln, p, addr)
 }
 
 // lineChanged reports whether any valid word of the (expired) line
@@ -490,15 +454,6 @@ func (s *System) chargeWriteback(ln *memsys.Lane, cc *cache.Cache) {
 	ln.Inject(int64(cc.LineWords()) + 1)
 }
 
-// chargeLineMiss is the full line fetch: request out, line back.
-func (s *System) chargeLineMiss(ln *memsys.Lane, p int, addr prog.Word) int64 {
-	ln.St.ReadTrafficWords += int64(s.Cfg.LineWords)
-	ln.Inject(int64(s.Cfg.LineWords) + 1)
-	lat := s.LineMissLatencyFor(p, addr)
-	ln.St.MissLatencySum += lat
-	return lat
-}
-
 // chargeRenewal is the data-free lease renewal: a timestamp round trip
 // (coherence traffic, not data traffic) at single-word latency.
 func (s *System) chargeRenewal(ln *memsys.Lane, p int, addr prog.Word) int64 {
@@ -529,102 +484,50 @@ func (s *System) chargeRecall(ln *memsys.Lane, p int, addr prog.Word) int64 {
 // data written back on eviction.
 func (s *System) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 	ln := s.LaneFor(p)
-	ln.St.Writes++
-	cc, tr := s.procState(p)
+	lid := int64(addr) / int64(s.Cfg.LineWords)
 	if crit {
 		// Critical-section store: globally visible now, local copy
 		// dropped, and — unlike VC, whose CVNs advance via epoch mod
 		// sets — the home must still jump wts past outstanding leases,
 		// or same-line copies elsewhere would outlive the store.
 		ln.WriteThrough(addr, val, p, s.Epoch)
-		ln.St.WriteMisses[stats.MissBypass]++
-		if line, w, ok := cc.Lookup(addr); ok && line.ValidWord(w) {
-			tr.NoteLost(addr, cache.LostInvalTrue, line.TT[w])
-			line.InvalidateWord(w)
-		}
-		lid := int64(addr) / int64(s.Cfg.LineWords)
+		s.StoreCritical(ln, p, addr)
 		wend := s.writeEnd(lid)
 		s.log(p, actWrite, lid, wend)
 		s.notePts(p, wend)
-		ln.St.WriteTrafficWords++
-		ln.Inject(1)
 		return 0
 	}
-	ln.Write(addr, val, p, s.Epoch)
+	cc, _ := s.ProcState(p)
 	line, w, ok := cc.Lookup(addr)
-
-	// Tardis 2.0 silent store: the frozen home owner table still names
-	// this processor, so no lease can be granted to anyone else this
-	// epoch and the store needs no home interaction at all. Mirrored
-	// exactly by the StreamTardis write cursor.
-	if ok && line.TT[w] != cache.TTInvalid && s.excl &&
-		line.State == cache.Exclusive && s.owner[line.Tag] == int16(p) {
-		ln.St.WriteHits++
-		line.Vals[w] = val
-		line.Used[w] = true
-		line.Dirty = true
-		cc.Touch(line)
-		return 0
+	switch {
+	case ok && line.State == cache.Exclusive && s.excl && s.owner[line.Tag] == int16(p):
+		if line.TT[w] != cache.TTInvalid {
+			// Tardis 2.0 silent store: the frozen home owner table still
+			// names this processor, so no lease can be granted to anyone
+			// else this epoch and the store needs no home interaction at
+			// all. Mirrored exactly by the StreamTardis write cursor.
+			ln.St.Writes++
+			ln.Write(addr, val, p, s.Epoch)
+			ln.St.WriteHits++
+			line.Vals[w] = val
+			line.Used[w] = true
+			line.Dirty = true
+			cc.Touch(line)
+			return 0
+		}
+	case ok && line.State == cache.Exclusive:
+		// Stale exclusivity hint (the home revoked us): demote.
+		line.State = cache.Shared
+	case !ok:
+		if v := cc.Victim(addr); v.State != cache.Invalid && v.Dirty {
+			s.chargeWriteback(ln, cc) // silently-stored victim
+		}
 	}
-
-	lid := int64(addr) / int64(s.Cfg.LineWords)
 	wend := s.writeEnd(lid)
-	hit := ok && line.TT[w] != cache.TTInvalid
-	if hit {
-		ln.St.WriteHits++
-	} else {
-		// Classify before the tracker below records the new residency.
-		ln.St.WriteMisses[s.ClassifyMissLane(ln, tr, addr)]++
-	}
-	if ok {
-		if line.State == cache.Exclusive && !(s.excl && s.owner[line.Tag] == int16(p)) {
-			// Stale exclusivity hint (the home revoked us): demote.
-			line.State = cache.Shared
-		}
-		line.Vals[w] = val
-		line.TT[w] = wend
-		line.Used[w] = true
-		cc.Touch(line)
-		tr.NoteCached(addr)
-	} else {
-		v := cc.Victim(addr)
-		if v.State != cache.Invalid {
-			if v.Dirty {
-				s.chargeWriteback(ln, cc)
-			}
-			base := prog.Word(v.Tag * int64(cc.LineWords()))
-			for i := 0; i < cc.LineWords(); i++ {
-				if v.TT[i] != cache.TTInvalid {
-					tr.NoteLost(base+prog.Word(i), cache.LostReplaced, v.TT[i])
-				}
-			}
-			v.InvalidateLine()
-		}
-		tag, w := cc.Split(addr)
-		v.Tag = tag
-		v.State = cache.Shared
-		v.Vals[w] = val
-		v.TT[w] = wend
-		v.Used[w] = true
-		cc.Touch(v)
-		tr.NoteCached(addr)
-	}
+	stall := s.StoreLane(ln, p, addr, val, wend, false, false)
 	s.log(p, actWrite, lid, wend)
 	s.notePts(p, wend)
-	if s.wbufs[p].Write(addr) {
-		ln.St.WriteTrafficWords++
-		ln.Inject(1)
-	} else {
-		ln.St.WritesCoalesced++
-	}
-	if s.Cfg.SeqConsistency {
-		lat := s.WordMissLatencyFor(p, addr)
-		if !hit {
-			ln.St.WriteMissLatencySum += lat
-		}
-		return lat
-	}
-	return 0
+	return stall
 }
 
 // EpochBoundary implements memsys.System. The simulator's FlushEpoch has
@@ -633,11 +536,7 @@ func (s *System) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 func (s *System) EpochBoundary(epoch int64) int64 {
 	s.Epoch = epoch
 	s.SetLaneEpoch(epoch)
-	for _, wb := range s.wbufs {
-		if wb != nil {
-			wb.Flush()
-		}
-	}
+	s.FlushWriteBuffers()
 	return 0
 }
 
@@ -732,28 +631,11 @@ func (s *System) replay() {
 // uniform lease check TT[w] >= gts, with gts frozen mid-epoch — a
 // StreamCached cursor with Cut = gts. Time-Reads take the same path.
 func (s *System) InitReadCursor(c *memsys.ReadCursor, p int, kind memsys.ReadKind, window int, addr0 prog.Word) {
-	ln := s.LaneFor(p)
 	if kind == memsys.ReadBypass {
-		*c = memsys.ReadCursor{
-			Mode: memsys.StreamUncached,
-			Sys:  s, Core: s.Core, Ln: ln, Proc: p,
-			Kind: kind, Window: window,
-		}
+		s.InitUncachedReadCursor(c, s, p, kind, window)
 		return
 	}
-	cc, _ := s.procState(p)
-	*c = memsys.ReadCursor{
-		Mode: memsys.StreamCached,
-		Sys:  s, Core: s.Core, Ln: ln,
-		CC: cc, Proc: p,
-		Kind: kind, Window: window,
-		Cut:       s.gts,
-		PromoteTT: false,
-		Epoch:     s.Epoch,
-		HitCycles: s.Cfg.HitCycles,
-		HitCtx:    "tardis hit",
-		Fresh:     ln.FreshWords(),
-	}
+	s.InitCachedReadCursor(c, s, p, kind, window, s.gts, false, "tardis hit")
 }
 
 // InitWriteCursor implements memsys.System. Write timestamps depend on
@@ -762,7 +644,7 @@ func (s *System) InitReadCursor(c *memsys.ReadCursor, p int, kind memsys.ReadKin
 // owner table and delegates the rest to the scalar Write; otherwise
 // every store delegates.
 func (s *System) InitWriteCursor(c *memsys.WriteCursor, p int, addr0 prog.Word) {
-	cc, _ := s.procState(p)
+	cc, _ := s.ProcState(p)
 	if s.excl {
 		*c = memsys.WriteCursor{
 			Mode: memsys.StreamTardis,

@@ -50,7 +50,7 @@ func NewTwoLevel(cfg machine.Config, memWords int64) *TwoLevel {
 }
 
 // l1For returns p's L1, building it on first use (same single-owner
-// argument as procState).
+// argument as Core.ProcState).
 func (t *TwoLevel) l1For(p int) *cache.Cache {
 	if l1 := t.l1[p]; l1 != nil {
 		return l1
@@ -64,7 +64,7 @@ func (t *TwoLevel) l1For(p int) *cache.Cache {
 func (t *TwoLevel) Name() string { return "TPI2L" }
 
 // ReleaseOwn implements memsys.OwnReleaser: the L1s return to the
-// pool along with the embedded TPI system's timetagged caches.
+// pool; Core.ReleaseCaches then returns the timetagged L2 caches.
 func (t *TwoLevel) ReleaseOwn() {
 	for _, cc := range t.l1 {
 		if cc != nil {
@@ -72,7 +72,6 @@ func (t *TwoLevel) ReleaseOwn() {
 		}
 	}
 	t.l1 = nil
-	t.System.ReleaseOwn()
 }
 
 // Read implements memsys.System.

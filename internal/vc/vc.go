@@ -44,9 +44,6 @@ import (
 // System is the version-control memory system.
 type System struct {
 	*memsys.Core
-	caches   []*cache.Cache
-	trackers []*cache.Tracker
-	wbufs    []*cache.WriteBuffer
 
 	cvn    []int64 // current version number per variable
 	varOf  []int32 // word address -> variable id (-1: padding)
@@ -90,45 +87,13 @@ func New(cfg machine.Config, p *prog.Prog) *System {
 		assign(ai.Name, ai.Base, ai.Size)
 	}
 
-	s.caches = make([]*cache.Cache, cfg.Procs)
-	s.trackers = make([]*cache.Tracker, cfg.Procs)
-	s.wbufs = make([]*cache.WriteBuffer, cfg.Procs)
+	s.EnableCaches(true)
 	s.EnableAlwaysBuffered()
-	s.OnRelease(s)
 	return s
-}
-
-// procState returns p's cache and tracker (building them, and the write
-// buffer, on first use). Safe under host parallelism: each processor is
-// owned by exactly one worker, so concurrent first-touches write
-// distinct slice elements.
-func (s *System) procState(p int) (*cache.Cache, *cache.Tracker) {
-	if cc := s.caches[p]; cc != nil {
-		return cc, s.trackers[p]
-	}
-	cc := cache.New(s.Cfg.CacheWords, s.Cfg.LineWords, s.Cfg.Assoc)
-	s.caches[p] = cc
-	s.trackers[p] = cache.NewTracker(s.Memory.Size())
-	s.wbufs[p] = cache.NewWriteBuffer(s.Cfg.WriteBufferCache)
-	return cc, s.trackers[p]
 }
 
 // Name implements memsys.System.
 func (s *System) Name() string { return "VC" }
-
-// ReleaseOwn implements memsys.OwnReleaser. The fields are nilled so any
-// use after release fails loudly instead of corrupting a pooled cache.
-func (s *System) ReleaseOwn() {
-	for p, cc := range s.caches {
-		if cc == nil {
-			continue
-		}
-		cache.Release(cc)
-		cache.ReleaseTracker(s.trackers[p])
-		cache.ReleaseWriteBuffer(s.wbufs[p])
-	}
-	s.caches, s.trackers, s.wbufs = nil, nil, nil
-}
 
 // cvnAt returns the current version of the variable holding addr
 // (padding words version 0, never advanced).
@@ -156,20 +121,10 @@ func (s *System) EpochMods(names []string) {
 func (s *System) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (float64, int64) {
 	ln := s.LaneFor(p)
 	ln.St.Reads++
-	cc, tr := s.procState(p)
-
 	if kind == memsys.ReadBypass {
-		v := ln.Value(addr)
-		if line, w, ok := cc.Lookup(addr); ok && line.ValidWord(w) {
-			line.Vals[w] = v
-		}
-		ln.St.ReadMisses[stats.MissBypass]++
-		ln.St.ReadTrafficWords++
-		ln.Inject(2)
-		lat := s.WordMissLatencyFor(p, addr)
-		ln.St.MissLatencySum += lat
-		return v, lat
+		return s.BypassRead(ln, p, addr)
 	}
+	cc, tr := s.ProcState(p)
 
 	line, w, present := cc.Lookup(addr)
 	if present && line.ValidWord(w) {
@@ -187,16 +142,16 @@ func (s *System) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (
 			ln.St.ReadMisses[stats.MissConservative]++
 		}
 		s.refreshLine(ln, line, w, addr, cc, tr)
-		return line.Vals[w], s.chargeLineMiss(ln, p, addr)
+		return line.Vals[w], s.ChargeLineMiss(ln, p, addr)
 	}
 
 	ln.St.ReadMisses[s.ClassifyMissLane(ln, tr, addr)]++
 	if present {
 		s.refreshLine(ln, line, w, addr, cc, tr)
-		return line.Vals[w], s.chargeLineMiss(ln, p, addr)
+		return line.Vals[w], s.ChargeLineMiss(ln, p, addr)
 	}
 	nl, nw := s.fillLine(ln, cc, tr, addr)
-	return nl.Vals[nw], s.chargeLineMiss(ln, p, addr)
+	return nl.Vals[nw], s.ChargeLineMiss(ln, p, addr)
 }
 
 // fillLine installs the line with per-word BVN = CVN(var of word).
@@ -224,83 +179,18 @@ func (s *System) refreshLine(ln *memsys.Lane, line *cache.Line, w int, addr prog
 	cc.Touch(line)
 }
 
-func (s *System) chargeLineMiss(ln *memsys.Lane, p int, addr prog.Word) int64 {
-	ln.St.ReadTrafficWords += int64(s.Cfg.LineWords)
-	ln.Inject(int64(s.Cfg.LineWords) + 1)
-	lat := s.LineMissLatencyFor(p, addr)
-	ln.St.MissLatencySum += lat
-	return lat
-}
-
 // Write implements memsys.System: write-through; the written word's BVN
 // becomes CVN+1 (the version this epoch is producing). Regular stores
 // buffer in the lane until the barrier; critical-section stores write
 // through eagerly (they only occur in sequential epochs).
 func (s *System) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 	ln := s.LaneFor(p)
-	ln.St.Writes++
-	cc, tr := s.procState(p)
 	if crit {
 		ln.WriteThrough(addr, val, p, s.Epoch)
-		ln.St.WriteMisses[stats.MissBypass]++
-		if line, w, ok := cc.Lookup(addr); ok && line.ValidWord(w) {
-			tr.NoteLost(addr, cache.LostInvalTrue, line.TT[w])
-			line.InvalidateWord(w)
-		}
-		ln.St.WriteTrafficWords++
-		ln.Inject(1)
+		s.StoreCritical(ln, p, addr)
 		return 0
 	}
-	ln.Write(addr, val, p, s.Epoch)
-	bvn := s.cvnAt(addr) + 1
-	line, w, ok := cc.Lookup(addr)
-	hit := ok && line.ValidWord(w)
-	if hit {
-		ln.St.WriteHits++
-	} else {
-		// Classify before the tracker below records the new residency.
-		ln.St.WriteMisses[s.ClassifyMissLane(ln, tr, addr)]++
-	}
-	if ok {
-		line.Vals[w] = val
-		line.TT[w] = bvn
-		line.Used[w] = true
-		cc.Touch(line)
-		tr.NoteCached(addr)
-	} else {
-		v := cc.Victim(addr)
-		if v.State != cache.Invalid {
-			base := prog.Word(v.Tag * int64(cc.LineWords()))
-			for i := 0; i < cc.LineWords(); i++ {
-				if v.TT[i] != cache.TTInvalid {
-					tr.NoteLost(base+prog.Word(i), cache.LostReplaced, v.TT[i])
-				}
-			}
-			v.InvalidateLine()
-		}
-		tag, w := cc.Split(addr)
-		v.Tag = tag
-		v.State = cache.Shared
-		v.Vals[w] = val
-		v.TT[w] = bvn
-		v.Used[w] = true
-		cc.Touch(v)
-		tr.NoteCached(addr)
-	}
-	if s.wbufs[p].Write(addr) {
-		ln.St.WriteTrafficWords++
-		ln.Inject(1)
-	} else {
-		ln.St.WritesCoalesced++
-	}
-	if s.Cfg.SeqConsistency {
-		lat := s.WordMissLatencyFor(p, addr)
-		if !hit {
-			ln.St.WriteMissLatencySum += lat
-		}
-		return lat
-	}
-	return 0
+	return s.StoreLane(ln, p, addr, val, s.cvnAt(addr)+1, false, false)
 }
 
 // EpochBoundary implements memsys.System. The simulator's FlushEpoch has
@@ -308,11 +198,7 @@ func (s *System) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 func (s *System) EpochBoundary(epoch int64) int64 {
 	s.Epoch = epoch
 	s.SetLaneEpoch(epoch)
-	for _, wb := range s.wbufs {
-		if wb != nil {
-			wb.Flush()
-		}
-	}
+	s.FlushWriteBuffers()
 	return 0
 }
 
@@ -321,44 +207,17 @@ func (s *System) EpochBoundary(epoch int64) int64 {
 // the affine entry guards keep every stream address inside one variable.
 // Time-Reads take the same path as regular reads (VC ignores windows).
 func (s *System) InitReadCursor(c *memsys.ReadCursor, p int, kind memsys.ReadKind, window int, addr0 prog.Word) {
-	ln := s.LaneFor(p)
 	if kind == memsys.ReadBypass {
-		*c = memsys.ReadCursor{
-			Mode: memsys.StreamUncached,
-			Sys:  s, Core: s.Core, Ln: ln, Proc: p,
-			Kind: kind, Window: window,
-		}
+		s.InitUncachedReadCursor(c, s, p, kind, window)
 		return
 	}
-	cc, _ := s.procState(p)
-	*c = memsys.ReadCursor{
-		Mode: memsys.StreamCached,
-		Sys:  s, Core: s.Core, Ln: ln,
-		CC: cc, Proc: p,
-		Kind: kind, Window: window,
-		Cut:       s.cvnAt(addr0),
-		PromoteTT: false,
-		Epoch:     s.Epoch,
-		HitCycles: s.Cfg.HitCycles,
-		HitCtx:    "vc hit",
-		Fresh:     ln.FreshWords(),
-	}
+	s.InitCachedReadCursor(c, s, p, kind, window, s.cvnAt(addr0), false, "vc hit")
 }
 
 // InitWriteCursor implements memsys.System. The written BVN is
 // CVN(stream variable)+1, constant across the stream.
 func (s *System) InitWriteCursor(c *memsys.WriteCursor, p int, addr0 prog.Word) {
-	cc, tr := s.procState(p)
-	*c = memsys.WriteCursor{
-		Mode: memsys.StreamCached,
-		Sys:  s, Core: s.Core, Ln: s.LaneFor(p),
-		CC: cc, Tr: tr, WB: s.wbufs[p],
-		Proc:      p,
-		Epoch:     s.Epoch,
-		WTT:       s.cvnAt(addr0) + 1,
-		PromoteTT: false,
-		SeqC:      s.Cfg.SeqConsistency,
-	}
+	s.InitStoreCursor(c, s, p, s.cvnAt(addr0)+1, false, false)
 }
 
 // CVN exposes a variable's current version (tests).
