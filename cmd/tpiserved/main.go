@@ -2,14 +2,10 @@
 // internal/svc HTTP JSON API (POST /v1/runs, GET/DELETE /v1/runs/{id},
 // GET /v1/runs/{id}/events, GET /v1/healthz, GET /v1/metrics) over a
 // bounded worker pool with content-addressed compile and result caches,
-// plus a Prometheus scrape endpoint on GET /metrics. With -peers, the
-// daemon joins a fleet: every worker serves its result cache on
-// GET /v1/cache/{key} and probes its siblings for a content-address hit
-// before simulating a miss locally (see docs/SERVICE.md). With
-// -advertise and -join the fleet wires itself: the daemon registers its
-// advertised URL with the listed seeds over PUT /v1/peers, adopts
-// whatever siblings the seeds already know, and repeats every
-// -reannounce so seed restarts heal without a coordinator.
+// plus a Prometheus scrape endpoint on GET /metrics. POST /v1/cache
+// answers which result keys the daemon's cache holds; cmd/tpisweep
+// uses it to send each repeated point to the worker that already holds
+// its result (see docs/SERVICE.md).
 //
 // Usage:
 //
@@ -57,20 +53,10 @@ func main() {
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
 	logFormat := flag.String("log-format", "text", "log encoding: text or json")
 	debugAddr := flag.String("debug-addr", "", "optional second listener with net/http/pprof and /metrics (e.g. localhost:8178)")
-	peers := flag.String("peers", "", "comma-separated sibling base URLs whose caches are probed before simulating (e.g. http://host1:8177,http://host2:8177); updatable at runtime via PUT /v1/peers")
-	peerTimeout := flag.Duration("peer-timeout", 2*time.Second, "per-probe deadline for peer cache fetches")
-	advertise := flag.String("advertise", "", "base URL other fleet members can reach this daemon at (e.g. http://host1:8177); required by -join")
-	join := flag.String("join", "", "comma-separated fleet members to self-register with on startup (requires -advertise)")
-	reannounce := flag.Duration("reannounce", time.Minute, "how often to repeat the -join registration, healing seed restarts")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "tpiserved: unexpected argument %q\n", flag.Arg(0))
 		flag.PrintDefaults()
-		os.Exit(2)
-	}
-
-	if *join != "" && *advertise == "" {
-		fmt.Fprintln(os.Stderr, "tpiserved: -join requires -advertise (the URL peers register for this daemon)")
 		os.Exit(2)
 	}
 
@@ -83,11 +69,6 @@ func main() {
 	reg := telemetry.NewRegistry()
 	telemetry.RegisterRuntimeMetrics(reg, 5*time.Second)
 
-	var peerList []string
-	if *peers != "" {
-		peerList = strings.Split(*peers, ",")
-	}
-
 	s := svc.New(svc.Options{
 		Workers:             *workers,
 		QueueDepth:          *queue,
@@ -97,8 +78,6 @@ func main() {
 		MaxBodyBytes:        *maxBody,
 		Logger:              logger,
 		Registry:            reg,
-		Peers:               peerList,
-		PeerTimeout:         *peerTimeout,
 	})
 	hs := &http.Server{Addr: *addr, Handler: s.Handler()}
 
@@ -120,19 +99,6 @@ func main() {
 		logger.Info("debug listener up", "addr", *debugAddr)
 	}
 
-	annCtx, annCancel := context.WithCancel(context.Background())
-	defer annCancel()
-	if *join != "" {
-		ann := &svc.Announcer{
-			Self:   *advertise,
-			Seeds:  strings.Split(*join, ","),
-			Server: s,
-			Log:    logger,
-		}
-		go ann.Run(annCtx, *reannounce)
-		logger.Info("fleet self-registration on", "advertise", *advertise, "join", *join, "reannounce", reannounce.String())
-	}
-
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	logger.Info("serving", "addr", *addr, "workers", *workers, "queue", *queue)
@@ -144,8 +110,6 @@ func main() {
 	case sig := <-sigc:
 		logger.Info("signal received, draining", "signal", sig.String(), "timeout", drainTimeout.String())
 	}
-	annCancel() // stop re-announcing before the listener goes away
-
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	drainErr := s.Drain(ctx)

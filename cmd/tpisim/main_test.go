@@ -50,6 +50,7 @@ func TestExitCodes(t *testing.T) {
 		{"unknown kernel", []string{"-bench", "nope"}, 1, "unknown kernel"},
 		{"unreadable file", []string{"/no/such/file.pfl"}, 1, "no such file"},
 		{"bad n", []string{"-bench", "ocean", "-n", "0"}, 1, "out of range"},
+		{"segment too large", []string{"-bench", "ocean", "-n", "20000"}, 1, "exceeds the supported maximum"},
 		{"bad procs", []string{"-bench", "ocean", "-procs", "0"}, 1, "-procs"},
 		{"bad cache", []string{"-bench", "ocean", "-cache", "-1"}, 1, "-cache"},
 		{"bad line", []string{"-bench", "ocean", "-line", "0"}, 1, "-line"},

@@ -16,13 +16,13 @@
 //	tpisweep -workers http://h1:8177,http://h2:8177 \
 //	    -kernels ocean,trfd -schemes BASE,TPI,HW -n 24,48
 //
-// Unless -wire-peers=false, the coordinator first tells every worker
-// about its siblings (PUT /v1/peers), so the fleet shares its
-// content-addressed result caches: a point simulated on any worker is
-// simulated exactly once fleet-wide. Workers that die mid-sweep are
-// retired after consecutive failures and their share of the grid is
-// rebalanced onto the survivors. -min-cached-rate turns the warm-
-// resubmission cache floor into an exit code for CI.
+// Before a grid sweep, the coordinator asks every worker which of the
+// grid's result keys its cache holds (POST /v1/cache) and sends each
+// held point to its holder, so a repeated point is served from cache
+// rather than simulated again on another worker. Workers that die
+// mid-sweep are retired after consecutive failures and their share of
+// the grid is rebalanced onto the survivors. -min-cached-rate turns the
+// warm-resubmission cache floor into an exit code for CI.
 package main
 
 import (
@@ -53,7 +53,6 @@ func main() {
 	maxAttempts := flag.Int("max-attempts", 3, "submission attempts per job before it is recorded failed")
 	deathThreshold := flag.Int("death-threshold", 3, "consecutive failures that retire a worker for the sweep")
 	reqTimeout := flag.Duration("request-timeout", 5*time.Minute, "per-submission deadline (queue + simulation)")
-	wirePeers := flag.Bool("wire-peers", true, "PUT each worker's sibling list so the fleet shares its result caches")
 	wait := flag.Duration("wait", 10*time.Second, "how long to wait for workers to become healthy")
 	minCachedRate := flag.Float64("min-cached-rate", 0, "exit non-zero unless the sweep's cached fraction reaches this floor (grid mode)")
 
@@ -76,7 +75,7 @@ func main() {
 	if err := run(runArgs{
 		workers: *workers, window: *window, maxAttempts: *maxAttempts,
 		deathThreshold: *deathThreshold, reqTimeout: *reqTimeout,
-		wirePeers: *wirePeers, wait: *wait, minCachedRate: *minCachedRate,
+		wait: *wait, minCachedRate: *minCachedRate,
 		selected: selected, quick: *quick, procs: *procs,
 		markdown: *markdown, jsonOut: *jsonOut, outFile: *outFile,
 		specFile: *specFile, kernels: *kernels, schemes: *schemes,
@@ -93,7 +92,6 @@ type runArgs struct {
 	maxAttempts    int
 	deathThreshold int
 	reqTimeout     time.Duration
-	wirePeers      bool
 	wait           time.Duration
 	minCachedRate  float64
 	selected       []string
@@ -128,11 +126,6 @@ func run(a runArgs) error {
 	ctx := context.Background()
 	if err := waitHealthy(ctx, coord.Workers(), a.wait); err != nil {
 		return err
-	}
-	if a.wirePeers {
-		if err := coord.WirePeers(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "tpisweep: peer wiring incomplete: %v\n", err)
-		}
 	}
 	if len(a.selected) > 0 {
 		return runExperiments(ctx, coord, a)
@@ -221,7 +214,6 @@ type row struct {
 	Worker  string          `json:"worker,omitempty"`
 	State   string          `json:"state,omitempty"`
 	Cached  bool            `json:"cached,omitempty"`
-	Peer    bool            `json:"peer,omitempty"`
 	RunMS   float64         `json:"runMs,omitempty"`
 	Error   string          `json:"error,omitempty"`
 	Result  json.RawMessage `json:"result,omitempty"`
@@ -258,7 +250,6 @@ func runGrid(ctx context.Context, coord *sweep.Coordinator, a runArgs) error {
 		if r.Status != nil {
 			ln.State = r.Status.State
 			ln.Cached = r.Status.Cached
-			ln.Peer = r.Status.Peer
 			ln.RunMS = r.Status.RunMS
 			if !a.noResults {
 				ln.Result = r.Status.Result
@@ -272,9 +263,9 @@ func runGrid(ctx context.Context, coord *sweep.Coordinator, a runArgs) error {
 
 	_, st, err := coord.Do(ctx, jobs, stream)
 	fmt.Fprintf(os.Stderr,
-		"tpisweep: %d/%d done (%d failed) in %.0fms — %d simulated, %d cached (%d from peers), %d retries, %d worker deaths, cached rate %.1f%%\n",
+		"tpisweep: %d/%d done (%d failed) in %.0fms — %d simulated, %d cached, %d retries, %d worker deaths, cached rate %.1f%%\n",
 		st.Done, st.Jobs, st.Failed, st.ElapsedMS, st.Simulated, st.Cached,
-		st.PeerServed, st.Retries, st.WorkerDeaths, 100*st.CachedRate())
+		st.Retries, st.WorkerDeaths, 100*st.CachedRate())
 	if err != nil {
 		return err
 	}

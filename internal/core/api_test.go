@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/machine"
 )
 
@@ -20,6 +21,20 @@ func TestCompileErrors(t *testing.T) {
 			!strings.Contains(err.Error(), c.want) {
 			t.Errorf("Compile(%q) error = %v, want substring %q", c.src, err, c.want)
 		}
+	}
+}
+
+// TestCompileRejectsOversizedSegment: ocean at n=20000 lays out about
+// 1.2G words. Compile must refuse it before any scheme allocates the
+// segment, so one outside request cannot exhaust host memory.
+func TestCompileRejectsOversizedSegment(t *testing.T) {
+	k, err := bench.Get("ocean", bench.Params{N: 20000, Steps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = CompileForConfig(k.Source, machine.Default(machine.SchemeTPI))
+	if err == nil || !strings.Contains(err.Error(), "exceeds the supported maximum") {
+		t.Fatalf("CompileForConfig(ocean n=20000) error = %v, want the data-segment bound", err)
 	}
 }
 

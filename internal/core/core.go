@@ -125,6 +125,9 @@ func Compile(src string, opts CompileOptions) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
+	if p.MemWords > machine.MaxMemWords {
+		return nil, fmt.Errorf("core: data segment of %d words exceeds the supported maximum %d", p.MemWords, machine.MaxMemWords)
+	}
 	a := sections.Analyze(p, sections.Options{Interproc: opts.Interproc})
 	m := marking.Compute(a, marking.Options{FirstReadReuse: opts.FirstReadReuse})
 	return &Compiled{Source: src, AST: ast, Info: info, Prog: p, Analysis: a, Marks: m,

@@ -1,11 +1,10 @@
 // Package httpx is the shared HTTP client for the fleet tools: the load
-// generator (cmd/tpiload), the sweep coordinator (internal/sweep), and
-// the job server's peer-cache probes (internal/svc) all talk to
-// tpiserved workers through it. One Client holds a keep-alive connection
-// pool, applies a per-request deadline to every attempt, and retries
-// transport errors and 5xx responses a bounded number of times with
-// jittered exponential backoff — the retry/backoff policy lives here
-// once instead of being reimplemented per caller.
+// generator (cmd/tpiload) and the sweep coordinator (internal/sweep)
+// talk to tpiserved workers through it. One Client holds a keep-alive
+// connection pool, applies a per-request deadline to every attempt, and
+// retries transport errors and 5xx responses a bounded number of times
+// with jittered exponential backoff — the retry/backoff policy lives
+// here once instead of being reimplemented per caller.
 //
 // Retrying POSTs is safe against this API: every mutation is
 // content-addressed (a resubmitted run request lands on the same result
@@ -117,7 +116,7 @@ func retryable(status int) bool {
 // the transport level or the context ended.
 func (c *Client) Do(ctx context.Context, method, url, contentType string, body []byte) (status int, respBody []byte, err error) {
 	for attempt := 0; ; attempt++ {
-		status, respBody, err = c.once(ctx, method, url, contentType, body)
+		status, respBody, err = c.Once(ctx, method, url, contentType, body)
 		if err == nil && !retryable(status) {
 			return status, respBody, nil
 		}
@@ -133,8 +132,9 @@ func (c *Client) Do(ctx context.Context, method, url, contentType string, body [
 	}
 }
 
-// once runs a single attempt under the per-request deadline.
-func (c *Client) once(ctx context.Context, method, url, contentType string, body []byte) (int, []byte, error) {
+// Once runs a single attempt under the per-request deadline, with no
+// retry. Like Do, it returns non-2xx responses with a nil error.
+func (c *Client) Once(ctx context.Context, method, url, contentType string, body []byte) (int, []byte, error) {
 	if c.opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.opts.Timeout)

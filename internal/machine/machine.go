@@ -362,6 +362,14 @@ func (c Config) IsTardis() bool {
 // and it keeps the directory's int16 owner pointers sufficient.
 const MaxProcs = 16384
 
+// MaxMemWords bounds a program's data segment in words (16M words,
+// 128 MiB of simulated memory). Every simulated scheme allocates the
+// whole segment, and trace replay indexes every word, so the bound turns
+// an oversized request or trace into a one-line error instead of an
+// allocation the host cannot satisfy. The in-repo kernels stay far below
+// it: ocean, the largest, reaches it only near n = 2365.
+const MaxMemWords = 1 << 24
+
 // DefaultClusterSize is the processors-per-cluster default of the mesh
 // topology: four cores per node, the TSAR-style organization.
 const DefaultClusterSize = 4

@@ -71,7 +71,7 @@ func TestTraceRejectsCorruptInput(t *testing.T) {
 		{"string length past payload", rawTrace(binary.AppendUvarint(nil, 9)), "out of range"},
 		{"procs past 2^63", rawTrace(headerWith(1<<63, 64)), "out of range"},
 		{"procs past MaxProcs", rawTrace(headerWith(machine.MaxProcs+1, 64)), "processor count"},
-		{"segment past MaxTraceMemWords", rawTrace(headerWith(4, MaxTraceMemWords+1)), "data segment"},
+		{"segment past MaxTraceMemWords", rawTrace(headerWith(4, machine.MaxMemWords+1)), "data segment"},
 		{"array outside segment", rawTrace(headerWith(4, 40)), "leaves the 40-word segment"},
 		{"array count past payload", rawTrace(binary.AppendUvarint(headerPrefix(&meta, 4, 64), 9)), "length"},
 		{"proc out of range", records(func(tw *TraceWriter) { tw.read(4, 0, 0, 0, -1, 0) }), "processor 4"},
@@ -113,7 +113,7 @@ func FuzzTraceReader(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Replay accepted a trace NewTraceReader rejects: %v", err)
 		}
-		if tr.Meta().MemWords > MaxTraceMemWords || tr.Meta().Procs > machine.MaxProcs {
+		if tr.Meta().MemWords > machine.MaxMemWords || tr.Meta().Procs > machine.MaxProcs {
 			t.Fatalf("accepted header out of bounds: %+v", *tr.Meta())
 		}
 	})

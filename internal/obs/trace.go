@@ -38,11 +38,6 @@ import (
 // Header and record fields are checked against the header's machine
 // (processors, data segment, reference table) and the encodings' ranges.
 
-// MaxTraceMemWords bounds the data segment a trace header may describe:
-// replay indexes every word, so the bound caps its memory (16M words,
-// far above any kernel size a trace is practical for).
-const MaxTraceMemWords = 1 << 24
-
 // maxEpochJump bounds how far an epoch record may run ahead of the
 // highest epoch seen so far. The simulator announces epochs one by one;
 // replay keeps a row per epoch, so an unbounded jump would let one record
@@ -446,7 +441,7 @@ func decodeMeta(payload []byte) (Meta, error) {
 	m.Scheme = d.string()
 	m.Procs = int(d.below(d.int(), machine.MaxProcs+1, "processor count"))
 	m.LineWords = int(d.int())
-	m.MemWords = d.below(d.int(), MaxTraceMemWords+1, "data segment words")
+	m.MemWords = d.below(d.int(), machine.MaxMemWords+1, "data segment words")
 	nArrays := d.count()
 	var end int64 // arrays are sorted, disjoint, and inside the segment
 	for i := int64(0); i < nArrays && d.err == nil; i++ {

@@ -49,11 +49,11 @@ func (c *lruCache[V]) Get(key string) (V, bool) {
 }
 
 // Peek returns the value for key, refreshing its recency but NOT the
-// hit/miss counters. The peer-cache endpoint serves probes from sibling
-// workers through it, so fleet traffic cannot distort the tier's
-// submission-path hit rate (which tpiload and the CI smoke assert on);
-// endpoint-level outcomes are counted separately in the telemetry
-// families.
+// hit/miss counters. POST /v1/cache answers the sweep coordinator's
+// routing queries through it, so those queries cannot distort the
+// tier's submission-path hit rate (which tpiload and the CI smoke
+// assert on). The recency refresh keeps a key resident that is about
+// to be routed here.
 func (c *lruCache[V]) Peek(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,8 +1,13 @@
 package svc
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -135,5 +140,76 @@ func TestSingleflightPropagatesError(t *testing.T) {
 	_, err, _ := g.Do("k", func() (int, error) { return 0, wantErr })
 	if err != wantErr {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// queryCache posts keys to POST /v1/cache and returns the held subset.
+func queryCache(t *testing.T, hs *httptest.Server, keys ...string) []string {
+	t.Helper()
+	body, err := json.Marshal(CacheQuery{Keys: keys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(hs.URL+"/v1/cache", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/cache: HTTP %d", resp.StatusCode)
+	}
+	var held CacheQuery
+	if err := json.NewDecoder(resp.Body).Decode(&held); err != nil {
+		t.Fatal(err)
+	}
+	if held.Keys == nil {
+		t.Fatal(`POST /v1/cache answered null keys, want a list`)
+	}
+	return held.Keys
+}
+
+func TestCacheEndpoint(t *testing.T) {
+	_, hs := newTestServer(t, Options{Workers: 2})
+	req := RunRequest{Kernel: "ocean", Scheme: "TPI"}
+	if code, st := postRun(t, hs, req); code != http.StatusOK || st.State != StateDone {
+		t.Fatalf("seed run: HTTP %d state %s error %q", code, st.State, st.Error)
+	}
+	key, err := RequestKey(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	missKey := strings.Repeat("0", 64)
+	if got := queryCache(t, hs, missKey, key); len(got) != 1 || got[0] != key {
+		t.Fatalf("held keys %v, want [%s]", got, key)
+	}
+	if got := queryCache(t, hs, missKey); len(got) != 0 {
+		t.Fatalf("held keys %v for a miss, want none", got)
+	}
+	if got := queryCache(t, hs); len(got) != 0 {
+		t.Fatalf("held keys %v for an empty query, want none", got)
+	}
+}
+
+// TestCacheEndpointDoesNotCountTierStats pins the Peek contract: routing
+// queries must move neither the result tier's hit/miss counters, which
+// tpiload and the CI smoke assert on, nor the job counters.
+func TestCacheEndpointDoesNotCountTierStats(t *testing.T) {
+	s, hs := newTestServer(t, Options{Workers: 1})
+	req := RunRequest{Kernel: "trfd", Scheme: "TPI"}
+	if code, st := postRun(t, hs, req); code != http.StatusOK || st.State != StateDone {
+		t.Fatalf("seed run: HTTP %d state %s", code, st.State)
+	}
+	key, err := RequestKey(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.MetricsSnapshot()
+	queryCache(t, hs, key, strings.Repeat("a", 64)) // one hit, one miss
+	after := s.MetricsSnapshot()
+	if after.ResultCache.Hits != before.ResultCache.Hits || after.ResultCache.Misses != before.ResultCache.Misses {
+		t.Fatalf("cache query moved tier stats: before %+v after %+v", before.ResultCache, after.ResultCache)
+	}
+	if after.Jobs != before.Jobs {
+		t.Fatalf("cache query moved job counters: before %+v after %+v", before.Jobs, after.Jobs)
 	}
 }

@@ -34,7 +34,7 @@ type Event struct {
 	Data []byte
 }
 
-// PhaseEvent announces a job lifecycle transition. Phases are the job
+// PhaseEvent reports a job lifecycle transition. Phases are the job
 // states plus the two worker-side sub-states of "running": a job moves
 // queued → compiling → running → done|failed|cancelled (cache hits jump
 // straight from queued to done).

@@ -20,17 +20,12 @@ import (
 //	                             epoch-progress heartbeats, terminal
 //	                             result/error event
 //	DELETE /v1/runs/{id}         cancel a queued or running job
-//	GET    /v1/cache/{key}       raw cached RunResult bytes by content
-//	                             address (the fleet's peer-fetch protocol);
-//	                             404 on a miss, never triggers work
-//	GET    /v1/peers             current sibling list
-//	PUT    /v1/peers             replace the sibling list: {"peers":[...]}
+//	POST   /v1/cache             which of {"keys":[...]} the result cache
+//	                             holds: {"keys":[held...]}; never triggers
+//	                             work (the sweep coordinator routes on it)
 //	GET    /v1/healthz           {"status":"ok"} or 503 {"status":"draining"}
 //	GET    /v1/metrics           Metrics JSON (?format=prometheus for text)
 //	GET    /metrics              Prometheus text exposition
-//
-// GET /v1/runs/{id} and GET /v1/cache/{key} honor Accept-Encoding: gzip
-// for bodies of gzipMinBytes or more.
 //
 // Every response carries an X-Request-ID header (echoed from the
 // request when present) that also tags the Debug-level access log.
@@ -40,9 +35,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/runs/{id}", s.handleGet)
 	mux.HandleFunc("GET /v1/runs/{id}/events", s.handleEvents)
 	mux.HandleFunc("DELETE /v1/runs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
-	mux.HandleFunc("GET /v1/peers", s.handlePeersGet)
-	mux.HandleFunc("PUT /v1/peers", s.handlePeersPut)
+	mux.HandleFunc("POST /v1/cache", s.handleCacheQuery)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealth)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics", s.handlePrometheus)
@@ -89,17 +82,28 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
+// decodeBody decodes a JSON request body into v, rejecting unknown
+// fields (400) and bodies over MaxBodyBytes (413). It reports whether
+// the handler should go on; on false the error response is written.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, err.Error())
-			return
-		}
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
+	default:
 		writeError(w, http.StatusBadRequest, "svc: request JSON: "+err.Error())
+	}
+	return false
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var req RunRequest
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 
@@ -121,41 +125,38 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "svc: unknown job "+r.PathValue("id"))
 		return
 	}
-	st := jb.status(false)
-	code := http.StatusAccepted
-	switch st.State {
-	case StateDone, StateFailed, StateCancelled:
-		code = http.StatusOK
-	}
-	body, err := json.Marshal(st)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "svc: marshal status: "+err.Error())
-		return
-	}
-	body = append(body, '\n')
-	writeBodyMaybeGzip(w, r, code, "application/json", body)
+	writeStatus(w, jb.status(false))
 }
 
-// handleCacheGet serves raw cached result bytes by content address —
-// the peer-fetch protocol. Misses are cheap 404s (Peek counts no
-// tier-level miss, so fleet probes cannot distort the submission-path
-// hit rate); a hit refreshes the entry's recency, keeping results the
-// fleet actually shares resident longest.
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !validCacheKey(key) {
-		s.tel.cacheEndpoint.With("bad_key").Inc()
-		writeError(w, http.StatusBadRequest, "svc: cache key must be 64 hex characters")
+// CacheQuery is the POST /v1/cache request and response: result keys
+// (RequestKey values) in, the subset this server's result cache holds
+// out.
+type CacheQuery struct {
+	Keys []string `json:"keys"`
+}
+
+// handleCacheQuery answers which of the given keys the result cache
+// holds. It reads through Peek, so a query moves neither the tier's
+// hit/miss counters nor any job counter: only submissions do.
+func (s *Server) handleCacheQuery(w http.ResponseWriter, r *http.Request) {
+	var q CacheQuery
+	if !s.decodeBody(w, r, &q) {
 		return
 	}
-	b, ok := s.resultCache.Peek(key)
-	if !ok {
-		s.tel.cacheEndpoint.With("miss").Inc()
-		writeError(w, http.StatusNotFound, "svc: no cached result for key")
-		return
+	for _, k := range q.Keys {
+		if !validCacheKey(k) {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("svc: cache key %.80q is not 64 lowercase hex characters", k))
+			return
+		}
 	}
-	s.tel.cacheEndpoint.With("hit").Inc()
-	writeBodyMaybeGzip(w, r, http.StatusOK, "application/json", b)
+	held := CacheQuery{Keys: []string{}}
+	for _, k := range q.Keys {
+		if _, ok := s.resultCache.Peek(k); ok {
+			held.Keys = append(held.Keys, k)
+		}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(held)
 }
 
 // validCacheKey reports whether key looks like a hex sha256 — the only
@@ -171,33 +172,6 @@ func validCacheKey(key string) bool {
 		}
 	}
 	return true
-}
-
-// peersDoc is the GET/PUT /v1/peers payload.
-type peersDoc struct {
-	Peers []string `json:"peers"`
-}
-
-func (s *Server) handlePeersGet(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(peersDoc{Peers: s.Peers()})
-}
-
-func (s *Server) handlePeersPut(w http.ResponseWriter, r *http.Request) {
-	var doc peersDoc
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		writeError(w, http.StatusBadRequest, "svc: peers JSON: "+err.Error())
-		return
-	}
-	if err := s.SetPeers(doc.Peers); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.log.Info("peer list updated", "peers", len(s.Peers()))
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(peersDoc{Peers: s.Peers()})
 }
 
 // handleEvents streams a job's event hub as Server-Sent Events. The

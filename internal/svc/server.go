@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/httpx"
 	"repro/internal/telemetry"
 )
 
@@ -49,20 +48,6 @@ type Options struct {
 	// SSE stream (default 250ms). Progress is sampled at epoch barriers
 	// and dropped when it arrives faster than this.
 	HeartbeatInterval time.Duration
-	// Peers lists sibling workers' base URLs (e.g. "http://host:8080").
-	// Before simulating a result-cache miss, the server probes each
-	// peer's GET /v1/cache/{key}; a hit is adopted into the local cache
-	// and served without simulating. Updatable at runtime via SetPeers
-	// (PUT /v1/peers).
-	Peers []string
-	// PeerTimeout bounds each individual peer probe (default 2s). Probes
-	// are best-effort: a slow or dead peer must not cost more than this
-	// before the job falls back to the next peer or local simulation.
-	PeerTimeout time.Duration
-	// PeerClient issues the peer probes (default: an httpx client with
-	// PeerTimeout and no retries — a peer miss is answered locally, not
-	// retried).
-	PeerClient *httpx.Client
 }
 
 func (o Options) withDefaults() Options {
@@ -99,12 +84,6 @@ func (o Options) withDefaults() Options {
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = 250 * time.Millisecond
 	}
-	if o.PeerTimeout <= 0 {
-		o.PeerTimeout = 2 * time.Second
-	}
-	if o.PeerClient == nil {
-		o.PeerClient = httpx.New(httpx.Options{Timeout: o.PeerTimeout, Retries: -1})
-	}
 	return o
 }
 
@@ -132,7 +111,6 @@ type Server struct {
 
 	mu       sync.Mutex
 	draining bool
-	peers    []string // sibling base URLs, normalized (no trailing slash)
 	jobs     map[string]*job
 	fifo     []string        // registration order, for history pruning
 	inflight map[string]*job // resultKey → live job (singleflight for runs)
@@ -147,11 +125,7 @@ type counters struct {
 	Submitted   int64 `json:"submitted"`
 	Deduped     int64 `json:"deduped"`
 	CacheServed int64 `json:"cacheServed"`
-	// PeerServed jobs were answered by adopting a sibling worker's cached
-	// result (a subset of neither CacheServed nor Simulated — a third
-	// way a submission completes).
-	PeerServed int64 `json:"peerServed"`
-	Simulated  int64 `json:"simulated"`
+	Simulated   int64 `json:"simulated"`
 	Done        int64 `json:"done"`
 	Failed      int64 `json:"failed"`
 	Cancelled   int64 `json:"cancelled"`
@@ -199,9 +173,6 @@ func New(opts Options) *Server {
 		byScheme:     make(map[string]*schemeLatency),
 	}
 	s.tel = newSvcTelemetry(s.reg, s)
-	if err := s.SetPeers(opts.Peers); err != nil {
-		s.log.Warn("peer list rejected; starting without peers", "error", err.Error())
-	}
 	for i := 0; i < opts.Workers; i++ {
 		s.workerWG.Add(1)
 		go s.worker()
@@ -482,23 +453,6 @@ func (s *Server) runJob(jb *job) {
 	queueWait := jb.started.Sub(jb.submitted)
 	jb.mu.Unlock()
 	s.tel.phaseSeconds.With(phaseQueue).Observe(queueWait.Seconds())
-
-	// Before paying for a compile and a simulation, ask the fleet: a
-	// sibling may already hold this content address.
-	if body, peer, ok := s.fetchFromPeers(jb.ctx, jb.res); ok {
-		s.resultCache.Put(jb.res.resultKey, body)
-		jb.mu.Lock()
-		jb.cached = true
-		jb.peer = true
-		jb.mu.Unlock()
-		s.mu.Lock()
-		s.counters.PeerServed++
-		s.mu.Unlock()
-		s.log.Info("job served from peer cache", "job", jb.id, "peer", peer,
-			"program", jb.res.program, "scheme", jb.res.cfg.Scheme.String())
-		s.finishJob(jb, body, nil)
-		return
-	}
 
 	jb.hub.publishPhase(jb.id, PhaseCompiling, msSince(jb.submitted, time.Now()))
 	tc := time.Now()

@@ -295,7 +295,7 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	_, hs := newTestServer(t, Options{Workers: 1})
+	_, hs := newTestServer(t, Options{Workers: 1, MaxBodyBytes: 4096})
 	cases := []struct {
 		name string
 		req  RunRequest
@@ -312,6 +312,7 @@ func TestBadRequests(t *testing.T) {
 		{"scheme in config", RunRequest{Kernel: "ocean", Scheme: "TPI", Config: json.RawMessage(`{"Scheme": "HW"}`)}, http.StatusBadRequest},
 		{"obs trace", RunRequest{Kernel: "ocean", Obs: "trace"}, http.StatusBadRequest},
 		{"bad source", RunRequest{Source: "this is not PFL"}, http.StatusOK}, // compile errors are job failures
+		{"segment too large", RunRequest{Kernel: "ocean", N: 20000}, http.StatusOK},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -321,6 +322,29 @@ func TestBadRequests(t *testing.T) {
 			}
 			if tc.code == http.StatusOK && st.State != StateFailed {
 				t.Fatalf("compile-error job state %s, want failed", st.State)
+			}
+		})
+	}
+
+	key := strings.Repeat("0", 64)
+	cacheCases := []struct {
+		name, body string
+		code       int
+	}{
+		{"cache bad key", `{"keys":["` + key[:63] + `G"]}`, http.StatusBadRequest},
+		{"cache short key", `{"keys":["abc"]}`, http.StatusBadRequest},
+		{"cache unknown field", `{"keys":[],"owner":"w1"}`, http.StatusBadRequest},
+		{"cache oversize", `{"keys":["` + strings.Repeat(key+`","`, 100) + key + `"]}`, http.StatusRequestEntityTooLarge},
+	}
+	for _, tc := range cacheCases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(hs.URL+"/v1/cache", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.code {
+				t.Fatalf("HTTP %d, want %d", resp.StatusCode, tc.code)
 			}
 		})
 	}

@@ -1,7 +1,8 @@
 // Package svc is the simulation-as-a-service subsystem: a long-lived job
 // server that amortizes what the one-shot CLIs rebuild on every
 // invocation. It exposes an HTTP JSON API (POST /v1/runs, GET and DELETE
-// /v1/runs/{id}, GET /v1/healthz, GET /v1/metrics) backed by
+// /v1/runs/{id}, POST /v1/cache, GET /v1/healthz, GET /v1/metrics)
+// backed by
 //
 //   - a bounded worker pool over a bounded submission queue,
 //   - a content-addressed two-tier cache — a compile cache keyed by
@@ -170,10 +171,10 @@ func resolve(req *RunRequest) (*resolved, error) {
 }
 
 // RequestKey resolves a request to its content-addressed result key:
-// the hex sha256 the server caches the marshaled RunResult under and
-// serves raw on GET /v1/cache/{key}. Sweep coordinators use it to probe
-// fleet caches (or dedupe grid points) without submitting work. The
-// request is fully validated on the way.
+// the hex sha256 the server caches the marshaled RunResult under.
+// The sweep coordinator asks each worker which keys it holds
+// (POST /v1/cache) and routes every held job to its holder. The request
+// is fully validated on the way.
 func RequestKey(req *RunRequest) (string, error) {
 	res, err := resolve(req)
 	if err != nil {
@@ -197,13 +198,9 @@ type JobStatus struct {
 	State   string `json:"state"`
 	Program string `json:"program"`
 	Scheme  string `json:"scheme"`
-	// Cached means the result was served from the result cache (local or
-	// a peer's) without running a simulation.
+	// Cached means the result was served from the result cache without
+	// running a simulation.
 	Cached bool `json:"cached,omitempty"`
-	// Peer means the cached result was fetched from a sibling worker's
-	// content-addressed cache (GET /v1/cache/{key}) instead of simulated
-	// locally; Cached is also set.
-	Peer bool `json:"peer,omitempty"`
 	// Deduped means this submission was collapsed onto an already
 	// in-flight identical job (whose id it shares).
 	Deduped bool    `json:"deduped,omitempty"`
@@ -231,7 +228,6 @@ type job struct {
 	err      error
 	result   []byte
 	cached   bool
-	peer     bool
 	started  time.Time
 	finished time.Time
 	done     chan struct{}
@@ -328,7 +324,6 @@ func (j *job) statusLocked(deduped bool) JobStatus {
 		Program: j.res.program,
 		Scheme:  j.res.cfg.Scheme.String(),
 		Cached:  j.cached,
-		Peer:    j.peer,
 		Deduped: deduped,
 		Result:  j.result,
 	}

@@ -22,12 +22,6 @@ type svcTelemetry struct {
 	phaseSeconds *telemetry.HistogramVec
 	// coalesced is tpiserved_singleflight_coalesced_total{kind=compile|run}.
 	coalesced *telemetry.CounterVec
-	// peerRequests is tpiserved_peer_cache_requests_total
-	// {outcome=hit|miss|error|invalid}: outbound probes of sibling caches.
-	peerRequests *telemetry.CounterVec
-	// cacheEndpoint is tpiserved_cache_endpoint_requests_total
-	// {outcome=hit|miss|bad_key}: inbound GET /v1/cache/{key} traffic.
-	cacheEndpoint *telemetry.CounterVec
 
 	// runCounters are the per-scheme simulation counters, one per
 	// runMetrics row, fed by progress-sample deltas at epoch barriers
@@ -104,12 +98,6 @@ func newSvcTelemetry(reg *telemetry.Registry, s *Server) *svcTelemetry {
 		coalesced: reg.CounterVec("tpiserved_singleflight_coalesced_total",
 			"Submissions collapsed onto identical in-flight work, by kind.",
 			"kind"),
-		peerRequests: reg.CounterVec("tpiserved_peer_cache_requests_total",
-			"Outbound probes of sibling workers' content-addressed caches.",
-			"outcome"),
-		cacheEndpoint: reg.CounterVec("tpiserved_cache_endpoint_requests_total",
-			"Inbound GET /v1/cache/{key} requests served to the fleet.",
-			"outcome"),
 		clusterWords: reg.CounterVec("tpisim_cluster_home_words_total",
 			"Word traffic served by each mesh cluster's home directory/memory slice (mesh topology only).",
 			"scheme", "cluster"),
@@ -127,7 +115,6 @@ func (t *svcTelemetry) register(reg *telemetry.Registry, s *Server) {
 		"submitted":    func(c counters) int64 { return c.Submitted },
 		"deduped":      func(c counters) int64 { return c.Deduped },
 		"cache_served": func(c counters) int64 { return c.CacheServed },
-		"peer_served":  func(c counters) int64 { return c.PeerServed },
 		"simulated":    func(c counters) int64 { return c.Simulated },
 		"done":         func(c counters) int64 { return c.Done },
 		"failed":       func(c counters) int64 { return c.Failed },

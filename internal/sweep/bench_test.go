@@ -53,9 +53,6 @@ func BenchmarkSweepThroughput(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := coord.WirePeers(context.Background()); err != nil {
-					b.Fatal(err)
-				}
 				jobs, err := benchSpec().Expand()
 				if err != nil {
 					b.Fatal(err)
@@ -72,9 +69,6 @@ func BenchmarkSweepThroughput(b *testing.B) {
 			defer shutdown()
 			coord, err := New(Options{Workers: urls})
 			if err != nil {
-				b.Fatal(err)
-			}
-			if err := coord.WirePeers(context.Background()); err != nil {
 				b.Fatal(err)
 			}
 			warm, err := benchSpec().Expand()

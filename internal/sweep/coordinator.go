@@ -31,8 +31,8 @@ type Options struct {
 	// death land on a different worker — that is the rebalance path.
 	MaxAttempts int
 	// DeathThreshold is how many consecutive failures mark a worker
-	// dead (default 3). A dead worker's slots stop, its queued share is
-	// picked up by the survivors, and it is not retried this sweep.
+	// dead (default 3). A dead worker's slots stop, the jobs routed to
+	// it move to the shared queue, and it is not retried this sweep.
 	DeathThreshold int
 	// RequestTimeout bounds each synchronous submission, queue and
 	// simulation time included (default 5m).
@@ -94,17 +94,16 @@ type Stats struct {
 	Jobs         int     `json:"jobs"`
 	Done         int     `json:"done"`
 	Failed       int     `json:"failed"`
-	Cached       int     `json:"cached"`     // served from a worker's result cache
-	PeerServed   int     `json:"peerServed"` // subset of Cached adopted from a sibling
-	Simulated    int     `json:"simulated"`  // actually ran on a worker
-	Retries      int     `json:"retries"`    // resubmissions after a failed attempt
+	Cached       int     `json:"cached"`    // served from a worker's result cache
+	Simulated    int     `json:"simulated"` // actually ran on a worker
+	Retries      int     `json:"retries"`   // resubmissions after a failed attempt
 	WorkerDeaths int     `json:"workerDeaths"`
 	ElapsedMS    float64 `json:"elapsedMs"`
 }
 
-// CachedRate is the fraction of completed jobs served without a fresh
-// simulation (local result-cache hits plus peer adoptions) — what the
-// warm-resubmission CI floor asserts on.
+// CachedRate is the fraction of completed jobs served from a worker's
+// result cache without a fresh simulation — what the warm-resubmission
+// CI floor asserts on.
 func (s Stats) CachedRate() float64 {
 	if s.Done == 0 {
 		return 0
@@ -117,6 +116,7 @@ func (s Stats) CachedRate() float64 {
 // blocked on the queue.
 type worker struct {
 	url    string
+	idx    int // position in Coordinator.workers
 	consec int
 	dead   bool
 	deadCh chan struct{}
@@ -158,7 +158,7 @@ func New(opts Options) (*Coordinator, error) {
 		if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
 			return nil, fmt.Errorf("sweep: worker %q: want an absolute http(s) URL", w)
 		}
-		c.workers = append(c.workers, &worker{url: w, deadCh: make(chan struct{})})
+		c.workers = append(c.workers, &worker{url: w, idx: len(c.workers), deadCh: make(chan struct{})})
 	}
 	c.live = len(c.workers)
 	return c, nil
@@ -173,41 +173,100 @@ func (c *Coordinator) Workers() []string {
 	return out
 }
 
-// WirePeers tells every worker about its siblings (PUT /v1/peers), so
-// the fleet's content-addressed caches probe each other on miss. Best
-// effort per worker: a worker that cannot be reached is logged and
-// skipped (it may be the one the sweep is about to discover dead).
-func (c *Coordinator) WirePeers(ctx context.Context) error {
-	if len(c.workers) < 2 {
+// routeTimeout bounds the cache queries route sends before a sweep.
+const routeTimeout = 2 * time.Second
+
+// route returns, for each job, the index of the live worker whose
+// result cache holds the job's key, or -1 when none does. It asks every
+// live worker in one concurrent POST /v1/cache each, without retries and
+// under routeTimeout; a worker that fails to answer holds nothing (only
+// submissions decide whether a worker is alive). A key held by several
+// workers goes to the first of them. With fewer than two live workers
+// there is nothing to choose, so route computes no key and sends no
+// query.
+func (c *Coordinator) route(ctx context.Context, jobs []Job) []int {
+	holder := make([]int, len(jobs))
+	for i := range holder {
+		holder[i] = -1
+	}
+	var live []*worker
+	c.mu.Lock()
+	for _, w := range c.workers {
+		if !w.dead {
+			live = append(live, w)
+		}
+	}
+	c.mu.Unlock()
+	if len(live) < 2 {
+		return holder
+	}
+
+	keys := make([]string, len(jobs))
+	var q svc.CacheQuery
+	seen := make(map[string]bool, len(jobs))
+	for i := range jobs {
+		k, err := svc.RequestKey(&jobs[i].Req)
+		if err != nil {
+			continue // the submission reports the error
+		}
+		keys[i] = k
+		if !seen[k] {
+			seen[k] = true
+			q.Keys = append(q.Keys, k)
+		}
+	}
+	if len(q.Keys) == 0 {
+		return holder
+	}
+	body, err := json.Marshal(q)
+	if err != nil {
+		return holder
+	}
+
+	qctx, cancel := context.WithTimeout(ctx, routeTimeout)
+	defer cancel()
+	held := make([]map[string]bool, len(live))
+	var wg sync.WaitGroup
+	for i, w := range live {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			held[i] = c.heldKeys(qctx, w, body)
+		}()
+	}
+	wg.Wait()
+
+	for i, k := range keys {
+		for j, w := range live {
+			if held[j][k] {
+				holder[i] = w.idx
+				break
+			}
+		}
+	}
+	return holder
+}
+
+// heldKeys sends one cache query to w and returns the keys it holds; on
+// any failure it returns none.
+func (c *Coordinator) heldKeys(ctx context.Context, w *worker, body []byte) map[string]bool {
+	status, resp, err := c.client.Once(ctx, http.MethodPost, w.url+"/v1/cache", "application/json", body)
+	var q svc.CacheQuery
+	if err == nil && status != http.StatusOK {
+		err = &httpx.StatusError{Status: status, Body: resp}
+	}
+	if err == nil {
+		err = json.Unmarshal(resp, &q)
+	}
+	if err != nil {
+		c.log.Warn("cache query failed; routing nothing to the worker", "worker", w.url, "error", err.Error())
 		return nil
 	}
-	var firstErr error
-	for i, w := range c.workers {
-		peers := make([]string, 0, len(c.workers)-1)
-		for j, p := range c.workers {
-			if j != i {
-				peers = append(peers, p.url)
-			}
-		}
-		body, err := json.Marshal(map[string][]string{"peers": peers})
-		if err != nil {
-			return err
-		}
-		status, respBody, err := c.client.Do(ctx, http.MethodPut, w.url+"/v1/peers", "application/json", body)
-		switch {
-		case err != nil:
-			c.log.Warn("peer wiring failed", "worker", w.url, "error", err.Error())
-			if firstErr == nil {
-				firstErr = err
-			}
-		case status != http.StatusOK:
-			c.log.Warn("peer wiring rejected", "worker", w.url, "status", status)
-			if firstErr == nil {
-				firstErr = &httpx.StatusError{Status: status, Body: respBody}
-			}
-		}
+	held := make(map[string]bool, len(q.Keys))
+	for _, k := range q.Keys {
+		held[k] = true
 	}
-	return firstErr
+	return held
 }
 
 // task is one job's scheduling state inside a sweep.
@@ -216,15 +275,16 @@ type task struct {
 	attempts int
 }
 
-// sweepRun is the per-Do state: the shared queue, the exactly-once
-// result slots, and the completion signals.
+// sweepRun is the per-Do state: the queues, the exactly-once result
+// slots, and the completion signals.
 type sweepRun struct {
 	c *Coordinator
 
 	mu      sync.Mutex
-	pending []*task
-	signal  chan struct{} // capacity 1; re-armed by pop while items remain
-	open    int           // jobs without a delivered result
+	shared  []*task         // jobs any worker may run
+	own     [][]*task       // own[i]: jobs routed to workers[i], which holds their key
+	wake    []chan struct{} // wake[i]: capacity 1, wakes workers[i]'s slots
+	open    int             // jobs without a delivered result
 	filled  []bool
 	results []Result
 	stats   Stats
@@ -236,8 +296,10 @@ type sweepRun struct {
 }
 
 // Do runs every job to a terminal outcome and returns the results in
-// Seq order. onResult (optional) streams each result as it lands, from
-// the delivering worker's goroutine, serialized. Do returns an error
+// Seq order. A job whose result some live worker's cache already holds
+// is sent to that worker (see route); every other job goes to whichever
+// worker is free first. onResult (optional) streams each result as it
+// lands, from the delivering worker's goroutine, serialized. Do returns an error
 // only when the sweep could not complete — every worker died or ctx
 // ended — and even then the returned slice has one Result per job (the
 // undeliverable ones carry the error).
@@ -245,7 +307,8 @@ func (c *Coordinator) Do(ctx context.Context, jobs []Job, onResult func(Result))
 	start := time.Now()
 	r := &sweepRun{
 		c:       c,
-		signal:  make(chan struct{}, 1),
+		own:     make([][]*task, len(c.workers)),
+		wake:    make([]chan struct{}, len(c.workers)),
 		open:    len(jobs),
 		filled:  make([]bool, len(jobs)),
 		results: make([]Result, len(jobs)),
@@ -257,10 +320,20 @@ func (c *Coordinator) Do(ctx context.Context, jobs []Job, onResult func(Result))
 		if jobs[i].Seq != i {
 			return nil, r.stats, fmt.Errorf("sweep: job %d has seq %d; expand jobs with Spec.Expand", i, jobs[i].Seq)
 		}
-		r.pending = append(r.pending, &task{job: jobs[i]})
 	}
 	if len(jobs) == 0 {
 		return r.results, r.stats, nil
+	}
+	for i := range r.wake {
+		r.wake[i] = make(chan struct{}, 1)
+	}
+	for i, h := range c.route(ctx, jobs) {
+		t := &task{job: jobs[i]}
+		if h < 0 {
+			r.shared = append(r.shared, t)
+		} else {
+			r.own[h] = append(r.own[h], t)
+		}
 	}
 
 	// The callback runs on its own goroutine in delivery order; the
@@ -287,6 +360,7 @@ func (c *Coordinator) Do(ctx context.Context, jobs []Job, onResult func(Result))
 	var wg sync.WaitGroup
 	for _, w := range c.workers {
 		if w.dead {
+			r.release(w) // it died after route asked it
 			continue
 		}
 		for s := 0; s < c.opts.Window; s++ {
@@ -370,6 +444,7 @@ func (r *sweepRun) slot(ctx context.Context, w *worker) {
 			r.requeue(t)
 		}
 		if died {
+			r.release(w)
 			return
 		}
 		// Pause this slot before it pulls again, so a flapping worker
@@ -379,31 +454,45 @@ func (r *sweepRun) slot(ctx context.Context, w *worker) {
 }
 
 // pop blocks until a task is available or the sweep is over for this
-// slot (queue drained, worker dead, context done). While more tasks
-// remain after a pop, the signal is re-armed so sibling slots wake too.
+// slot (queue drained, worker dead, context done). A slot takes from its
+// own worker's queue first, then from the shared queue; it never takes
+// a job routed to another worker. While either queue still holds tasks
+// after a pop, the worker's wake channel is re-armed so its sibling
+// slots wake too.
 func (r *sweepRun) pop(ctx context.Context, w *worker) *task {
 	for {
+		select {
+		case <-w.deadCh:
+			r.release(w)
+			return nil
+		default:
+		}
 		r.mu.Lock()
 		if r.open == 0 {
 			r.mu.Unlock()
 			return nil
 		}
-		if len(r.pending) > 0 {
-			t := r.pending[0]
-			r.pending = r.pending[1:]
-			more := len(r.pending) > 0
+		q := &r.own[w.idx]
+		if len(*q) == 0 {
+			q = &r.shared
+		}
+		if len(*q) > 0 {
+			t := (*q)[0]
+			*q = (*q)[1:]
+			more := len(r.own[w.idx]) > 0 || len(r.shared) > 0
 			r.mu.Unlock()
 			if more {
-				r.arm()
+				r.arm(w.idx)
 			}
 			return t
 		}
 		r.mu.Unlock()
 		select {
-		case <-r.signal:
+		case <-r.wake[w.idx]:
 		case <-r.done:
 			return nil
 		case <-w.deadCh:
+			r.release(w)
 			return nil
 		case <-ctx.Done():
 			return nil
@@ -411,21 +500,44 @@ func (r *sweepRun) pop(ctx context.Context, w *worker) *task {
 	}
 }
 
-// arm makes the signal channel hot without blocking.
-func (r *sweepRun) arm() {
+// arm makes worker i's wake channel hot without blocking.
+func (r *sweepRun) arm(i int) {
 	select {
-	case r.signal <- struct{}{}:
+	case r.wake[i] <- struct{}{}:
 	default:
 	}
 }
 
-// requeue returns a failed task to the queue for another worker.
+// share appends tasks to the shared queue and wakes every worker's
+// slots, since any of them may take the tasks.
+func (r *sweepRun) share(ts ...*task) {
+	if len(ts) == 0 {
+		return
+	}
+	r.mu.Lock()
+	r.shared = append(r.shared, ts...)
+	r.mu.Unlock()
+	for i := range r.wake {
+		r.arm(i)
+	}
+}
+
+// requeue returns a failed task to the shared queue for any worker.
 func (r *sweepRun) requeue(t *task) {
 	r.mu.Lock()
-	r.pending = append(r.pending, t)
 	r.stats.Retries++
 	r.mu.Unlock()
-	r.arm()
+	r.share(t)
+}
+
+// release moves a dead worker's routed tasks to the shared queue. Each
+// of its slots calls it on the way out; after the first it is a no-op.
+func (r *sweepRun) release(w *worker) {
+	r.mu.Lock()
+	ts := r.own[w.idx]
+	r.own[w.idx] = nil
+	r.mu.Unlock()
+	r.share(ts...)
 }
 
 // deliver records a terminal outcome. The first delivery for a Seq
@@ -451,11 +563,7 @@ func (r *sweepRun) deliverLocked(res Result) {
 		r.stats.Done++
 		if res.Status.Cached {
 			r.stats.Cached++
-		}
-		if res.Status.Peer {
-			r.stats.PeerServed++
-		}
-		if !res.Status.Cached {
+		} else {
 			r.stats.Simulated++
 		}
 	}

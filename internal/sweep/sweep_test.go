@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -269,12 +270,13 @@ func TestSweepAllWorkersDead(t *testing.T) {
 	}
 }
 
-// TestWirePeersSharesCache wires two workers as peers, warms one, and
-// sweeps through the other: every point must be served from the peer's
-// cache, not simulated twice.
-func TestWirePeersSharesCache(t *testing.T) {
+// TestRouteWarmWorker warms worker A through one coordinator, then
+// sweeps the same grid through a fresh two-worker coordinator: every
+// point must be routed to A and served from its cache, and worker B
+// must see no submission at all.
+func TestRouteWarmWorker(t *testing.T) {
 	urls, _, svs := fleet(t, 2)
-	coordA, err := New(Options{Workers: urls[:1]})
+	warm, err := New(Options{Workers: urls[:1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,34 +284,104 @@ func TestWirePeersSharesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, st, err := coordA.Do(context.Background(), jobs, nil); err != nil || st.Done != len(jobs) {
+	if _, st, err := warm.Do(context.Background(), jobs, nil); err != nil || st.Done != len(jobs) {
 		t.Fatalf("warm-up sweep: err=%v stats=%+v", err, st)
 	}
 
-	coordB, err := New(Options{Workers: urls[1:]})
+	coord, err := New(Options{Workers: urls})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := New(Options{Workers: urls})
+	results, st, err := coord.Do(context.Background(), jobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := full.WirePeers(context.Background()); err != nil {
-		t.Fatal(err)
+	if st.Cached != len(jobs) || st.Simulated != 0 {
+		t.Fatalf("expected every point cached, got %+v", st)
 	}
-	jobs2, err := smallSpec().Expand()
+	for i, r := range results {
+		if r.Worker != urls[0] {
+			t.Fatalf("job %d ran on %s, want the holder %s", i, r.Worker, urls[0])
+		}
+	}
+	if m := svs[1].MetricsSnapshot(); m.Jobs.Submitted != 0 {
+		t.Fatalf("worker B saw %d submissions, want 0", m.Jobs.Submitted)
+	}
+}
+
+// TestRouteHolderDiesMidSweep routes a warm grid to its holder, lets
+// the holder answer one job, then kills it with its other submissions
+// hanging. The holder's routed jobs must move to the survivor, and each
+// job must be delivered exactly once.
+func TestRouteHolderDiesMidSweep(t *testing.T) {
+	urls, _, svs := fleet(t, 2) // urls[0] warms; urls[1] survives
+	warm, err := New(Options{Workers: urls[:1]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := coordB.Do(context.Background(), jobs2, nil)
+	jobs, err := smallSpec().Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.PeerServed != len(jobs2) || st.Simulated != 0 {
-		t.Fatalf("expected all peer-served, got %+v", st)
+	if _, st, err := warm.Do(context.Background(), jobs, nil); err != nil || st.Done != len(jobs) {
+		t.Fatalf("warm-up sweep: err=%v stats=%+v", err, st)
 	}
-	if m := svs[1].MetricsSnapshot(); m.Jobs.Simulated != 0 {
-		t.Fatalf("worker B simulated %d jobs", m.Jobs.Simulated)
+
+	// A second listener on the warm server answers cache queries and
+	// one submission; later submissions hang until the listener dies.
+	var runs atomic.Int64
+	h := svs[0].Handler()
+	holder := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/runs" && runs.Add(1) > 1 {
+			io.Copy(io.Discard, r.Body) // lets the server notice the close
+			<-r.Context().Done()
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(holder.Close)
+
+	coord, err := New(Options{
+		Workers:        []string{holder.URL, urls[1]},
+		Window:         2,
+		DeathThreshold: 2,
+		BackoffBase:    5 * time.Millisecond,
+		BackoffMax:     20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := make([]int, len(jobs))
+	var once atomic.Bool
+	results, st, err := coord.Do(context.Background(), jobs, func(r Result) {
+		delivered[r.Job.Seq]++
+		if once.CompareAndSwap(false, true) {
+			holder.CloseClientConnections()
+			holder.Close()
+		}
+	})
+	if err != nil {
+		t.Fatalf("sweep failed: %v (stats %+v)", err, st)
+	}
+	for i, r := range results {
+		if r.Err != nil || r.Status == nil || r.Status.State != svc.StateDone {
+			t.Fatalf("job %d (%s): err=%v status=%+v", i, r.Job.Label, r.Err, r.Status)
+		}
+		if delivered[i] != 1 {
+			t.Fatalf("job %d delivered %d times, want once", i, delivered[i])
+		}
+	}
+	fromHolder := 0
+	for _, r := range results {
+		if r.Worker == holder.URL {
+			fromHolder++
+		}
+	}
+	if fromHolder != 1 || st.WorkerDeaths != 1 {
+		t.Fatalf("holder answered %d jobs with %d worker deaths, want 1 and 1 (stats %+v)", fromHolder, st.WorkerDeaths, st)
+	}
+	if m := svs[1].MetricsSnapshot(); m.Jobs.Submitted != int64(len(jobs)-1) {
+		t.Fatalf("survivor saw %d submissions, want %d", m.Jobs.Submitted, len(jobs)-1)
 	}
 }
 
@@ -320,11 +392,6 @@ func TestWarmResubmitCachedRate(t *testing.T) {
 	urls, _, _ := fleet(t, 2)
 	coord, err := New(Options{Workers: urls})
 	if err != nil {
-		t.Fatal(err)
-	}
-	// Peer wiring makes the floor deterministic: a warm point landing on
-	// the other worker is adopted from its sibling instead of re-simulated.
-	if err := coord.WirePeers(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	jobs, err := smallSpec().Expand()

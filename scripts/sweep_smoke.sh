@@ -4,13 +4,12 @@
 #
 #   1. Fleet experiment output is byte-identical to sequential
 #      cmd/experiments at the same size (-quick -exp E3 -json).
-#   2. Resubmitting a just-swept grid to the peer-wired fleet is served
-#      from the shared content-addressed cache at a >= 90% rate.
+#   2. Resubmitting a just-swept grid from a fresh tpisweep process is
+#      served from the workers' content-addressed caches at a >= 90%
+#      rate: the coordinator routes each point to the worker holding it.
 #   3. A fresh grid sweep completes exactly-once even when one worker
-#      is killed mid-sweep (jobs rebalance onto the survivor).
-#   4. A fleet wired only by -advertise/-join self-registration (no
-#      coordinator peer wiring) registers mutually and shares its
-#      result caches across workers.
+#      is killed mid-sweep (jobs rebalance onto the survivor), and the
+#      sweep reports the death.
 #
 # Usage: scripts/sweep_smoke.sh [bindir]   (defaults to a temp dir)
 set -euo pipefail
@@ -46,20 +45,27 @@ echo "   ok: $(wc -c <"$BIN/seq.json") bytes identical"
 GRID=(-kernels ocean,trfd,flo52,qcd2 -schemes BASE,TPI,HW -n 32,48 -steps 3)
 JOBS=24
 
-echo "== 2. warm resubmission to the peer-wired fleet is >= 90% cached =="
+echo "== 2. warm resubmission is >= 90% cached =="
 "$BIN/tpisweep" -workers "$W1,$W2" "${GRID[@]}" -no-results >/dev/null
 "$BIN/tpisweep" -workers "$W1,$W2" "${GRID[@]}" \
   -no-results -min-cached-rate 0.9 >/dev/null 2>"$BIN/warm.log"
 cat "$BIN/warm.log"
 echo "   ok"
 
-# A fresh grid (different step count) so the kill test runs cold and
-# is still in flight 300ms in.
+# A fresh grid (different step count) so the kill test runs cold.
 KGRID=(-kernels ocean,trfd,flo52,qcd2 -schemes BASE,TPI,HW -n 32,48 -steps 4)
 
 echo "== 3. kill one worker mid-sweep; jobs rebalance, sweep completes =="
-( sleep 0.3; kill -9 "$W2_PID" 2>/dev/null || true; echo "   (killed worker 2)" ) &
+# The kill follows progress, not a clock: worker 2 dies as soon as the
+# first result row is on disk, while most of the grid is still queued.
+: >"$BIN/rows.ndjson"
+(
+  until [ -s "$BIN/rows.ndjson" ]; do sleep 0.01; done
+  kill -9 "$W2_PID" 2>/dev/null || true
+  echo "   (killed worker 2 after the first row)"
+) &
 KILLER=$!
+PIDS+=($KILLER)
 "$BIN/tpisweep" -workers "$W1,$W2" "${KGRID[@]}" \
   -no-results -max-attempts 6 -death-threshold 2 \
   >"$BIN/rows.ndjson" 2>"$BIN/sweep.log"
@@ -70,45 +76,16 @@ if [ "$ROWS" -ne "$JOBS" ]; then
   echo "expected $JOBS result rows, got $ROWS" >&2
   exit 1
 fi
-echo "   ok: $ROWS/$JOBS rows, exactly once"
-
-echo "== 4. self-joined fleet registers mutually and shares its caches =="
-PORT3=18273
-PORT4=18274
-W3="http://127.0.0.1:$PORT3"
-W4="http://127.0.0.1:$PORT4"
-"$BIN/tpiserved" -addr "127.0.0.1:$PORT3" -workers 2 \
-  -advertise "$W3" >"$BIN/w3.log" 2>&1 &
-PIDS+=($!)
-"$BIN/tpiserved" -addr "127.0.0.1:$PORT4" -workers 2 \
-  -advertise "$W4" -join "$W3" -reannounce 2s >"$BIN/w4.log" 2>&1 &
-PIDS+=($!)
-
-# Wait for the announcer round: W3 must learn W4 (the PUT) and W4 must
-# adopt W3 (the merge) with no coordinator involved.
-for i in $(seq 1 100); do
-  if curl -fsS "$W3/v1/peers" 2>/dev/null | grep -q "$W4" &&
-     curl -fsS "$W4/v1/peers" 2>/dev/null | grep -q "$W3"; then
-    break
-  fi
-  if [ "$i" -eq 100 ]; then
-    echo "self-registration never converged" >&2
-    curl -fsS "$W3/v1/peers" >&2 || true
-    curl -fsS "$W4/v1/peers" >&2 || true
-    exit 1
-  fi
-  sleep 0.1
-done
-echo "   mutual registration up"
-
-# Seed W3's cache alone, then resubmit the same grid to W4 alone with
-# coordinator peer wiring off: every hit must ride the self-registered
-# peer link back to W3's cache.
-SGRID=(-kernels ocean,trfd -schemes TPI,TARDIS2 -n 32 -steps 3)
-"$BIN/tpisweep" -workers "$W3" -wire-peers=false "${SGRID[@]}" -no-results >/dev/null
-"$BIN/tpisweep" -workers "$W4" -wire-peers=false "${SGRID[@]}" \
-  -no-results -min-cached-rate 0.9 >/dev/null 2>"$BIN/selfjoin.log"
-cat "$BIN/selfjoin.log"
-echo "   ok"
+SEQS=$(grep -o '"seq":[0-9]*' "$BIN/rows.ndjson" | sort -u | wc -l)
+if [ "$SEQS" -ne "$JOBS" ]; then
+  echo "expected $JOBS distinct seqs, got $SEQS" >&2
+  exit 1
+fi
+DEATHS=$(grep -oE '[0-9]+ worker deaths' "$BIN/sweep.log" | cut -d' ' -f1)
+if [ "${DEATHS:-0}" -lt 1 ]; then
+  echo "worker 2 was not killed mid-sweep: the summary reports ${DEATHS:-no} worker deaths" >&2
+  exit 1
+fi
+echo "   ok: $ROWS/$JOBS rows, exactly once, $DEATHS worker death(s)"
 
 echo "sweep smoke passed"
