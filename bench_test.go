@@ -305,7 +305,7 @@ func BenchmarkSimHotLoop(b *testing.B) {
 // streams) and trfd (stream-dominated: the n-cubed matmul inner loops
 // put nearly every reference on the fast path). Both arms produce
 // bit-identical statistics (guarded by the exper equivalence tests);
-// only ns/op may change. docs/results.md records the measured deltas.
+// only ns/op may change. CHANGES.md records the measured deltas.
 func BenchmarkStreamFastPath(b *testing.B) {
 	variants := []struct {
 		name    string
@@ -502,7 +502,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 // into a telemetry registry at every epoch barrier — the tpiserved
 // configuration with no scraper or SSE subscriber attached. The
 // per-reference hot path is untouched by sampling, so the two arms must
-// stay within noise of each other; docs/results.md records the measured
+// stay within noise of each other; CHANGES.md records the measured
 // numbers.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	k, err := bench.Get("ocean", bench.DefaultParams())

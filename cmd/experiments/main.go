@@ -10,7 +10,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -92,13 +91,6 @@ func main() {
 	if *quick {
 		p = bench.DefaultParams()
 	}
-	s := exper.NewSuite(p, *procs)
-	s.HostPar = *hostpar
-	s.NoFastPath = !*fastpath
-
-	// The registry lives in exper so cmd/tpisweep drives the same list.
-	entries := s.Entries()
-
 	if *procs <= 0 {
 		fmt.Fprintf(os.Stderr, "experiments: -procs must be positive, got %d\n", *procs)
 		os.Exit(1)
@@ -107,65 +99,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: -hostpar must be >= 0, got %d\n", *hostpar)
 		os.Exit(1)
 	}
-	known := map[string]bool{}
-	for _, e := range entries {
-		known[e.ID] = true
-	}
-	want := map[string]bool{}
-	for _, id := range selected {
-		id = strings.ToUpper(id)
-		if !known[id] {
-			fmt.Fprintf(os.Stderr, "experiments: unknown experiment id %q (want E1..E%d)\n", id, len(entries))
-			os.Exit(1)
-		}
-		want[id] = true
-	}
+	s := exper.NewSuite(p, *procs)
+	s.HostPar = *hostpar
+	s.NoFastPath = !*fastpath
 
-	var sink strings.Builder
-	emit := func(text string) {
-		fmt.Print(text)
-		sink.WriteString(text)
-	}
-
-	results := exper.Results{SchemaVersion: exper.ResultsSchemaVersion, Params: p, Procs: *procs}
 	start := time.Now()
-	for _, e := range entries {
-		if len(want) > 0 && !want[e.ID] {
-			continue
-		}
-		t0 := time.Now()
-		tab, err := e.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.ID, err)
-			os.Exit(1)
-		}
-		switch {
-		case *jsonOut:
-			results.Experiments = append(results.Experiments, tab)
-		case *markdown:
-			emit(tab.Markdown() + "\n")
-		default:
-			emit(tab.String())
-			emit("\n")
-		}
-		fmt.Fprintf(os.Stderr, "(%s in %v)\n", e.ID, time.Since(t0).Round(time.Millisecond))
+	if err := s.RunSelected(selected, *markdown, *jsonOut, os.Stdout, os.Stderr, *outFile); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "total %v\n", time.Since(start).Round(time.Millisecond))
-
-	if *jsonOut {
-		data, err := json.MarshalIndent(&results, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		emit(string(data))
-	}
-	if *outFile != "" {
-		if err := os.WriteFile(*outFile, []byte(sink.String()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: write %s: %v\n", *outFile, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *outFile)
-	}
 }

@@ -1,6 +1,6 @@
 // Command tpiserved is the simulation-as-a-service daemon: it serves the
 // internal/svc HTTP JSON API (POST /v1/runs, GET/DELETE /v1/runs/{id},
-// GET /v1/runs/{id}/events, GET /v1/healthz, GET /v1/metrics) over a
+// GET /v1/runs/{id}/events, GET /v1/healthz) over a
 // bounded worker pool with content-addressed compile and result caches,
 // plus a Prometheus scrape endpoint on GET /metrics. POST /v1/cache
 // answers which result keys the daemon's cache holds; cmd/tpisweep

@@ -54,6 +54,7 @@ func TestExitCodes(t *testing.T) {
 		{"bad procs", []string{"-bench", "ocean", "-procs", "0"}, 1, "-procs"},
 		{"bad cache", []string{"-bench", "ocean", "-cache", "-1"}, 1, "-cache"},
 		{"bad line", []string{"-bench", "ocean", "-line", "0"}, 1, "-line"},
+		{"cache too large", []string{"-bench", "ocean", "-scheme", "TPI", "-l1", "1099511627776"}, 1, "exceeds the supported total"},
 		{"btrace multi scheme", []string{"-bench", "trfd", "-scheme", "all", "-btrace", "/tmp/x"}, 1, "-btrace"},
 		{"text trace flag removed", []string{"-bench", "trfd", "-trace", "/tmp/x"}, 2, "flag provided but not defined: -trace"},
 	}

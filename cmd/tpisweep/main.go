@@ -133,9 +133,9 @@ func run(a runArgs) error {
 	return runGrid(ctx, coord, a)
 }
 
-// runExperiments mirrors cmd/experiments' rendering exactly, with the
-// suite's executor pointed at the fleet — same entries, same output
-// bytes.
+// runExperiments renders the tables through the same exper runner as
+// cmd/experiments, with the suite's executor pointed at the fleet —
+// same entries, same output bytes.
 func runExperiments(ctx context.Context, coord *sweep.Coordinator, a runArgs) error {
 	p := bench.PaperParams()
 	if a.quick {
@@ -146,64 +146,12 @@ func runExperiments(ctx context.Context, coord *sweep.Coordinator, a runArgs) er
 	}
 	s := exper.NewSuite(p, a.procs)
 	s.Exec = coord.ExperExec(ctx, p)
-	entries := s.Entries()
-	known := map[string]bool{}
-	for _, e := range entries {
-		known[e.ID] = true
-	}
-	want := map[string]bool{}
-	for _, id := range a.selected {
-		id = strings.ToUpper(id)
-		if !known[id] {
-			return fmt.Errorf("unknown experiment id %q (want E1..E%d)", id, len(entries))
-		}
-		want[id] = true
-	}
-
-	var sink strings.Builder
-	emit := func(text string) {
-		fmt.Print(text)
-		sink.WriteString(text)
-	}
-	results := exper.Results{SchemaVersion: exper.ResultsSchemaVersion, Params: p, Procs: a.procs}
 	start := time.Now()
-	for _, e := range entries {
-		if len(want) > 0 && !want[e.ID] {
-			continue
-		}
-		t0 := time.Now()
-		tab, err := e.Run()
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		switch {
-		case a.jsonOut:
-			results.Experiments = append(results.Experiments, tab)
-		case a.markdown:
-			emit(tab.Markdown() + "\n")
-		default:
-			emit(tab.String())
-			emit("\n")
-		}
-		fmt.Fprintf(os.Stderr, "(%s in %v)\n", e.ID, time.Since(t0).Round(time.Millisecond))
+	if err := s.RunSelected(a.selected, a.markdown, a.jsonOut, os.Stdout, os.Stderr, a.outFile); err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "total %v across %d workers\n",
 		time.Since(start).Round(time.Millisecond), len(coord.Workers()))
-
-	if a.jsonOut {
-		data, err := json.MarshalIndent(&results, "", "  ")
-		if err != nil {
-			return err
-		}
-		data = append(data, '\n')
-		emit(string(data))
-	}
-	if a.outFile != "" {
-		if err := os.WriteFile(a.outFile, []byte(sink.String()), 0o644); err != nil {
-			return fmt.Errorf("write %s: %w", a.outFile, err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", a.outFile)
-	}
 	return nil
 }
 

@@ -1,10 +1,9 @@
-// Package httpx is the shared HTTP client for the fleet tools: the load
-// generator (cmd/tpiload) and the sweep coordinator (internal/sweep)
-// talk to tpiserved workers through it. One Client holds a keep-alive
-// connection pool, applies a per-request deadline to every attempt, and
-// retries transport errors and 5xx responses a bounded number of times
-// with jittered exponential backoff — the retry/backoff policy lives
-// here once instead of being reimplemented per caller.
+// Package httpx is the HTTP client the sweep coordinator
+// (internal/sweep) and cmd/tpisweep use to talk to tpiserved workers.
+// One Client holds a keep-alive connection pool, applies a per-request
+// deadline to every attempt, and retries transport errors and 5xx
+// responses a bounded number of times with jittered exponential
+// backoff.
 //
 // Retrying POSTs is safe against this API: every mutation is
 // content-addressed (a resubmitted run request lands on the same result
@@ -40,9 +39,6 @@ type Options struct {
 	BackoffBase time.Duration
 	// BackoffMax caps the backoff (default 2s).
 	BackoffMax time.Duration
-	// MaxIdleConnsPerHost sizes the keep-alive pool per worker
-	// (default 16).
-	MaxIdleConnsPerHost int
 }
 
 func (o Options) withDefaults() Options {
@@ -64,9 +60,6 @@ func (o Options) withDefaults() Options {
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = 2 * time.Second
 	}
-	if o.MaxIdleConnsPerHost <= 0 {
-		o.MaxIdleConnsPerHost = 16
-	}
 	return o
 }
 
@@ -78,15 +71,13 @@ type Client struct {
 }
 
 // New builds a Client. The underlying transport clones the defaults
-// (HTTP/2, proxy env) but widens the per-host idle pool so a sweep's
-// bounded in-flight window reuses connections instead of re-dialing.
+// (HTTP/2, proxy env) but widens the per-host idle pool to 16 so a
+// sweep's bounded in-flight window reuses connections instead of
+// re-dialing.
 func New(opts Options) *Client {
 	opts = opts.withDefaults()
 	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConnsPerHost = opts.MaxIdleConnsPerHost
-	if tr.MaxIdleConns < opts.MaxIdleConnsPerHost {
-		tr.MaxIdleConns = opts.MaxIdleConnsPerHost * 4
-	}
+	tr.MaxIdleConnsPerHost = 16
 	return &Client{hc: &http.Client{Transport: tr}, opts: opts}
 }
 
@@ -195,17 +186,6 @@ func (c *Client) GetJSON(ctx context.Context, url string, out any) error {
 		return fmt.Errorf("httpx: GET %s: decode body: %w", url, err)
 	}
 	return nil
-}
-
-// Stream issues a GET without retries, buffering, or a per-request
-// deadline — the SSE follower owns the response lifetime. The caller
-// must close the response body.
-func (c *Client) Stream(ctx context.Context, url string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	return c.hc.Do(req)
 }
 
 // backoff computes the jittered delay before retry number attempt.

@@ -36,10 +36,17 @@ func TestParseConfigRejectsInvalid(t *testing.T) {
 		`{"Topology": "hypercube"}`,
 		`{} {}`,
 		`[1,2]`,
+		`{"CacheWords": 1073741824}`,
+		`{"L1Words": 274877906944}`,
+		`{"Procs": 16384, "CacheWords": 32768}`,
 	} {
 		if _, err := ParseConfig([]byte(bad), Default(SchemeTPI)); err == nil {
 			t.Errorf("ParseConfig(%s) = nil error, want failure", bad)
 		}
+	}
+	// The total-cache bound admits the paper's 64 KB cache at MaxProcs.
+	if _, err := ParseConfig([]byte(`{"Procs": 16384}`), Default(SchemeTPI)); err != nil {
+		t.Errorf("64 KB caches at MaxProcs: %v", err)
 	}
 }
 

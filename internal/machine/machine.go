@@ -362,6 +362,13 @@ func (c Config) IsTardis() bool {
 // and it keeps the directory's int16 owner pointers sufficient.
 const MaxProcs = 16384
 
+// MaxTotalCacheWords bounds the machine's total cache capacity,
+// Procs × (CacheWords + L1Words): the paper's 64 KB cache (16384 words)
+// on every processor at MaxProcs. The simulated caches are sized from
+// these fields, so the bound turns an oversized cache into a one-line
+// error instead of an allocation the host cannot satisfy.
+const MaxTotalCacheWords = MaxProcs * 16384
+
 // MaxMemWords bounds a program's data segment in words (16M words,
 // 128 MiB of simulated memory). Every simulated scheme allocates the
 // whole segment, and trace replay indexes every word, so the bound turns
@@ -427,6 +434,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("machine: LeaseMax must be >= 0, got %d", c.LeaseMax)
 	case c.LeaseMax > 0 && c.LeaseEpochs > c.LeaseMax:
 		return fmt.Errorf("machine: LeaseEpochs %d exceeds LeaseMax %d", c.LeaseEpochs, c.LeaseMax)
+	}
+	l1 := max(c.L1Words, 0) // L1Words <= 0 means no L1
+	if c.CacheWords > MaxTotalCacheWords || l1 > MaxTotalCacheWords || int64(c.Procs)*(c.CacheWords+l1) > MaxTotalCacheWords {
+		return fmt.Errorf("machine: %d processors × (CacheWords %d + L1Words %d) exceeds the supported total of %d cache words",
+			c.Procs, c.CacheWords, l1, MaxTotalCacheWords)
 	}
 	lines := c.CacheWords / int64(c.LineWords)
 	if lines%int64(c.Assoc) != 0 {

@@ -72,7 +72,7 @@ func TestEpochWriteSetsDisjoint(t *testing.T) {
 					t:      t,
 					writer: map[prog.Word]int{},
 				}
-				if _, err := New(p, m, sys, cfg).Run(); err != nil {
+				if _, err := newRunner(t, p, m, sys, cfg).Run(); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -127,7 +127,7 @@ func runKernelHostPar(t *testing.T, sys memsys.System, cfg machine.Config) *Runn
 		t.Fatal(err)
 	}
 	p, m := compileSrc(t, k.Source)
-	r := New(p, m, sys, cfg)
+	r := newRunner(t, p, m, sys, cfg)
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -40,24 +40,6 @@ proc main() {
 	}
 }
 
-// TestLowerErrorSurfacesFromRun: New defers lowering diagnostics to Run,
-// preserving the interpreter-era error flow for existing callers.
-func TestLowerErrorSurfacesFromRun(t *testing.T) {
-	p, m := compileSrc(t, `
-program p
-scalar s = 0
-proc main() {
-  for i = 0 to 3 step 0 { s = i }
-}
-`)
-	cfg := machine.Default(machine.SchemeBase)
-	cfg.Procs = 2
-	r := New(p, m, memsys.NewOracle(cfg, p.MemWords), cfg)
-	if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "loop step is zero") {
-		t.Fatalf("Run err = %v, want zero-step diagnostic", err)
-	}
-}
-
 // TestLoweredProgramReusable: one lowered Program drives many runners;
 // every run must produce identical results and timing (execute-many is
 // the whole point of lowering).
@@ -184,7 +166,7 @@ proc main() {
 		cfg := machine.Default(machine.SchemeBase)
 		cfg.Procs = 2
 		sys := memsys.NewOracle(cfg, p.MemWords)
-		st, err := New(p, m, sys, cfg).Run()
+		st, err := newRunner(t, p, m, sys, cfg).Run()
 		if err != nil {
 			t.Fatal(err)
 		}

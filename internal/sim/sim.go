@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/epochg"
 	"repro/internal/machine"
-	"repro/internal/marking"
 	"repro/internal/memsys"
 	"repro/internal/obs"
 	"repro/internal/pfl"
@@ -48,13 +47,12 @@ type writeFunc func(t *task, addr prog.Word, v float64, ref int32)
 
 // Runner executes one lowered program on one memory system.
 type Runner struct {
-	lp       *Program
-	lowerErr error
-	sys      memsys.System
-	cfg      machine.Config
-	ctx      context.Context
-	rec      *obs.Recorder
-	st       *stats.Stats // sys.Stats(), cached at Run start for the observed path
+	lp  *Program
+	sys memsys.System
+	cfg machine.Config
+	ctx context.Context
+	rec *obs.Recorder
+	st  *stats.Stats // sys.Stats(), cached at Run start for the observed path
 
 	read  readFunc
 	write writeFunc
@@ -104,16 +102,6 @@ type Runner struct {
 	dynHeap []int32
 }
 
-// New builds a runner, lowering the program first. The marking must
-// have been computed for this program. Lowering diagnostics surface
-// from Run, preserving the interpreter-era error flow.
-func New(p *prog.Prog, marks *marking.Result, sys memsys.System, cfg machine.Config) *Runner {
-	lp, err := Lower(p, marks)
-	r := NewLowered(lp, sys, cfg)
-	r.lowerErr = err
-	return r
-}
-
 // NewLowered builds a runner over an already-lowered program, so the
 // lowering cost is paid once per compiled program rather than per run.
 func NewLowered(lp *Program, sys memsys.System, cfg machine.Config) *Runner {
@@ -134,9 +122,6 @@ func NewLowered(lp *Program, sys memsys.System, cfg machine.Config) *Runner {
 // Run initializes memory from declarations, executes proc main, and
 // returns the accumulated statistics.
 func (r *Runner) Run() (st *stats.Stats, err error) {
-	if r.lowerErr != nil {
-		return nil, r.lowerErr
-	}
 	defer func() {
 		if p := recover(); p != nil {
 			re, ok := p.(runError)

@@ -35,6 +35,17 @@ func compileSrc(t *testing.T, src string) (*prog.Prog, *marking.Result) {
 	return p, marking.Compute(a, marking.DefaultOptions())
 }
 
+// newRunner lowers p and builds a runner over sys, failing the test on
+// a lowering error.
+func newRunner(t testing.TB, p *prog.Prog, m *marking.Result, sys memsys.System, cfg machine.Config) *Runner {
+	t.Helper()
+	lp, err := Lower(p, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewLowered(lp, sys, cfg)
+}
+
 func runOracle(t *testing.T, src string, procs int, mutate func(*machine.Config)) (*memsys.Oracle, *Runner) {
 	t.Helper()
 	p, m := compileSrc(t, src)
@@ -44,7 +55,7 @@ func runOracle(t *testing.T, src string, procs int, mutate func(*machine.Config)
 		mutate(&cfg)
 	}
 	sys := memsys.NewOracle(cfg, p.MemWords)
-	r := New(p, m, sys, cfg)
+	r := newRunner(t, p, m, sys, cfg)
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +140,7 @@ proc main() {
 	cfg := machine.Default(machine.SchemeBase)
 	cfg.Procs = 1
 	sys := memsys.NewOracle(cfg, p.MemWords)
-	if _, err := New(p, m, sys, cfg).Run(); err != nil {
+	if _, err := newRunner(t, p, m, sys, cfg).Run(); err != nil {
 		t.Fatal(err)
 	}
 	// 7 + 5 + 3 + 1 = 16; the empty loop adds nothing.
@@ -158,7 +169,7 @@ proc main() {
 	cfg := machine.Default(machine.SchemeBase)
 	cfg.Procs = 4
 	sys := memsys.NewOracle(cfg, p.MemWords)
-	if _, err := New(p, m, sys, cfg).Run(); err != nil {
+	if _, err := newRunner(t, p, m, sys, cfg).Run(); err != nil {
 		t.Fatal(err)
 	}
 	// A[i] = i + 3 (t = 0, 3, 6); sum = 28 + 24 = 52.
@@ -186,7 +197,7 @@ proc main() {
 		cfg := machine.Default(machine.SchemeBase)
 		cfg.Procs = procs
 		sys := memsys.NewOracle(cfg, p.MemWords)
-		st, err := New(p, m, sys, cfg).Run()
+		st, err := newRunner(t, p, m, sys, cfg).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +227,7 @@ proc main() {
 		cfg.Procs = 8
 		cfg.CyclicSched = cyclic
 		sys := memsys.NewOracle(cfg, p.MemWords)
-		st, err := New(p, m, sys, cfg).Run()
+		st, err := newRunner(t, p, m, sys, cfg).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +263,7 @@ proc main() {
 		cfg := machine.Default(machine.SchemeBase)
 		cfg.Procs = 4
 		sys := memsys.NewOracle(cfg, p.MemWords)
-		st, err := New(p, m, sys, cfg).Run()
+		st, err := newRunner(t, p, m, sys, cfg).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +290,7 @@ proc main() {
 	cfg.Procs = 2
 	cfg.MaxEpochs = 100
 	sys := memsys.NewOracle(cfg, p.MemWords)
-	_, err := New(p, m, sys, cfg).Run()
+	_, err := newRunner(t, p, m, sys, cfg).Run()
 	if err == nil || !strings.Contains(err.Error(), "epoch limit") {
 		t.Fatalf("want epoch-limit error, got %v", err)
 	}
@@ -300,7 +311,7 @@ proc main() {
 	cfg := machine.Default(machine.SchemeBase)
 	cfg.Procs = 1
 	sys := memsys.NewOracle(cfg, p.MemWords)
-	_, err := New(p, m, sys, cfg).Run()
+	_, err := newRunner(t, p, m, sys, cfg).Run()
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("want subscript error, got %v", err)
 	}
@@ -328,7 +339,7 @@ proc main() {
 	cfg := machine.Default(machine.SchemeBase)
 	cfg.Procs = 1
 	sys := memsys.NewOracle(cfg, p.MemWords)
-	if _, err := New(p, m, sys, cfg).Run(); err != nil {
+	if _, err := newRunner(t, p, m, sys, cfg).Run(); err != nil {
 		t.Fatalf("short-circuit failed: %v", err)
 	}
 	if got := scalarVal(t, p, sys, "r"); got != 2.0 {
@@ -349,7 +360,7 @@ proc main() {
 	cfg := machine.Default(machine.SchemeBase)
 	cfg.Procs = 1
 	sys := memsys.NewOracle(cfg, p.MemWords)
-	if _, err := New(p, m, sys, cfg).Run(); err == nil {
+	if _, err := newRunner(t, p, m, sys, cfg).Run(); err == nil {
 		t.Fatal("want division-by-zero error")
 	}
 }
@@ -371,7 +382,7 @@ proc main() {
 	cfg := machine.Default(machine.SchemeBase)
 	cfg.Procs = 1
 	sys := memsys.NewOracle(cfg, p.MemWords)
-	if _, err := New(p, m, sys, cfg).Run(); err != nil {
+	if _, err := newRunner(t, p, m, sys, cfg).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got := scalarVal(t, p, sys, "r"); got != 42 {
@@ -393,7 +404,7 @@ proc main() {
 	cfg := machine.Default(machine.SchemeBase)
 	cfg.Procs = 2
 	sys := memsys.NewOracle(cfg, p.MemWords)
-	r := New(p, m, sys, cfg)
+	r := newRunner(t, p, m, sys, cfg)
 	var buf bytes.Buffer
 	meta := obs.Meta{Procs: cfg.Procs, MemWords: p.MemWords, Refs: make([]obs.RefInfo, p.Info.NumRefs)}
 	rec, err := obs.NewRecorder(obs.LevelTrace, meta, &buf)
@@ -459,7 +470,7 @@ proc main() {
 	cfg := machine.Default(machine.SchemeBase)
 	cfg.Procs = 2
 	sys := memsys.NewOracle(cfg, p.MemWords)
-	st, err := New(p, m, sys, cfg).Run()
+	st, err := newRunner(t, p, m, sys, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +503,7 @@ proc main() {
 	cfg.Procs = 4
 	cfg.MigrateSerial = true
 	sys := memsys.NewOracle(cfg, p.MemWords)
-	st, err := New(p, m, sys, cfg).Run()
+	st, err := newRunner(t, p, m, sys, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

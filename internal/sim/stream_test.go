@@ -70,7 +70,7 @@ func runStreamCase(t *testing.T, src, scheme string, fast bool, mut func(*machin
 			mut(c)
 		}
 	}, p)
-	st, err := New(p, m, sys, cfg).Run()
+	st, err := newRunner(t, p, m, sys, cfg).Run()
 	if err != nil {
 		t.Fatalf("%s fast=%v: %v", scheme, fast, err)
 	}
@@ -268,7 +268,7 @@ proc main() {
 				cfg.Procs = 2
 				cfg.FastPath = fast
 				sys := tpi.New(cfg, p.MemWords)
-				_, err := New(p, m, sys, cfg).Run()
+				_, err := newRunner(t, p, m, sys, cfg).Run()
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Fatalf("fast=%v: err = %v, want %q", fast, err, tc.want)
 				}
@@ -318,7 +318,7 @@ func TestStreamNonCapableScheme(t *testing.T) {
 		cfg.L1Words = 1024
 		cfg.FastPath = fast
 		sys := tpi.NewTwoLevel(cfg, p.MemWords)
-		st, err := New(p, m, sys, cfg).Run()
+		st, err := newRunner(t, p, m, sys, cfg).Run()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@ import (
 // pays compile + simulate. warm: every request is identical, so after
 // the first they are all result-cache hits. The p50-ms/op metric is the
 // median per-request latency; the warm/cold median ratio is the payoff
-// of the two-tier cache (recorded in docs/results.md).
+// of the two-tier cache (recorded in CHANGES.md).
 func BenchmarkServiceThroughput(b *testing.B) {
 	bench := func(b *testing.B, reqFor func(i int) RunRequest) {
 		s := New(Options{Workers: 2, ResultCacheEntries: 8192, CompileCacheEntries: 8192})

@@ -51,8 +51,8 @@ func (c *lruCache[V]) Get(key string) (V, bool) {
 // Peek returns the value for key, refreshing its recency but NOT the
 // hit/miss counters. POST /v1/cache answers the sweep coordinator's
 // routing queries through it, so those queries cannot distort the
-// tier's submission-path hit rate (which tpiload and the CI smoke
-// assert on). The recency refresh keeps a key resident that is about
+// tier's submission-path hit rate (tpiserved_cache_hits_total and
+// tpiserved_cache_misses_total). The recency refresh keeps a key resident that is about
 // to be routed here.
 func (c *lruCache[V]) Peek(key string) (V, bool) {
 	c.mu.Lock()
@@ -89,11 +89,11 @@ func (c *lruCache[V]) Put(key string, v V) {
 
 // CacheStats is the metrics view of one tier.
 type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Size      int   `json:"size"`
-	Capacity  int   `json:"capacity"`
+	Hits      int64
+	Misses    int64
+	Evictions int64
+	Size      int
+	Capacity  int
 }
 
 // Stats snapshots the hit/miss/eviction counters and occupancy.

@@ -192,7 +192,7 @@ func TestCacheEndpoint(t *testing.T) {
 
 // TestCacheEndpointDoesNotCountTierStats pins the Peek contract: routing
 // queries must move neither the result tier's hit/miss counters, which
-// tpiload and the CI smoke assert on, nor the job counters.
+// /metrics exports as the tier's hit rate, nor the job counters.
 func TestCacheEndpointDoesNotCountTierStats(t *testing.T) {
 	s, hs := newTestServer(t, Options{Workers: 1})
 	req := RunRequest{Kernel: "trfd", Scheme: "TPI"}

@@ -24,7 +24,6 @@ import (
 //	                             holds: {"keys":[held...]}; never triggers
 //	                             work (the sweep coordinator routes on it)
 //	GET    /v1/healthz           {"status":"ok"} or 503 {"status":"draining"}
-//	GET    /v1/metrics           Metrics JSON (?format=prometheus for text)
 //	GET    /metrics              Prometheus text exposition
 //
 // Every response carries an X-Request-ID header (echoed from the
@@ -37,7 +36,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/runs/{id}", s.handleCancel)
 	mux.HandleFunc("POST /v1/cache", s.handleCacheQuery)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealth)
-	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics", s.handlePrometheus)
 	return s.withRequestID(mux)
 }
@@ -242,21 +240,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
-}
-
-// handleMetrics serves the JSON metrics document. ?format=prometheus is
-// an alias for GET /metrics — the JSON document is kept for scripts but
-// the Prometheus endpoint is what fleet scrapers should use (see
-// docs/SERVICE.md).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		s.handlePrometheus(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.MetricsSnapshot())
 }
 
 // handlePrometheus serves the registry in Prometheus text format 0.0.4.

@@ -117,40 +117,27 @@ type Server struct {
 	nextID   int64
 	busy     int
 	counters counters
-	byScheme map[string]*schemeLatency
 }
 
-// counters are the cumulative job-flow counts served by /v1/metrics.
+// counters are the cumulative job-flow counts, exported on /metrics as
+// tpiserved_jobs_total.
 type counters struct {
-	Submitted   int64 `json:"submitted"`
-	Deduped     int64 `json:"deduped"`
-	CacheServed int64 `json:"cacheServed"`
-	Simulated   int64 `json:"simulated"`
-	Done        int64 `json:"done"`
-	Failed      int64 `json:"failed"`
-	Cancelled   int64 `json:"cancelled"`
-	Rejected    int64 `json:"rejected"`
+	Submitted   int64
+	Deduped     int64
+	CacheServed int64
+	Simulated   int64
+	Done        int64
+	Failed      int64
+	Cancelled   int64
+	Rejected    int64
 }
 
-// schemeLatency aggregates successful run wall time per scheme.
-type schemeLatency struct {
-	Count   int64   `json:"count"`
-	TotalMS float64 `json:"totalMs"`
-	MaxMS   float64 `json:"maxMs"`
-}
-
-// Metrics is the /v1/metrics document (expvar-style flat JSON).
+// Metrics is a point-in-time copy of the job counters and both cache
+// tiers, for in-process callers; /metrics serves the same state.
 type Metrics struct {
-	UptimeMS      float64                  `json:"uptimeMs"`
-	Draining      bool                     `json:"draining"`
-	Workers       int                      `json:"workers"`
-	WorkersBusy   int                      `json:"workersBusy"`
-	QueueDepth    int                      `json:"queueDepth"`
-	QueueCapacity int                      `json:"queueCapacity"`
-	Jobs          counters                 `json:"jobs"`
-	CompileCache  CacheStats               `json:"compileCache"`
-	ResultCache   CacheStats               `json:"resultCache"`
-	RunsByScheme  map[string]schemeLatency `json:"runsByScheme"`
+	Jobs         counters
+	CompileCache CacheStats
+	ResultCache  CacheStats
 }
 
 // New builds a server and starts its worker pool.
@@ -170,7 +157,6 @@ func New(opts Options) *Server {
 		resultCache:  newLRU[[]byte](opts.ResultCacheEntries),
 		jobs:         make(map[string]*job),
 		inflight:     make(map[string]*job),
-		byScheme:     make(map[string]*schemeLatency),
 	}
 	s.tel = newSvcTelemetry(s.reg, s)
 	for i := 0; i < opts.Workers; i++ {
@@ -470,8 +456,7 @@ func (s *Server) runJob(jb *job) {
 		Ctx:      jb.ctx,
 		Progress: exp.sample,
 	})
-	elapsed := time.Since(t0)
-	s.tel.phaseSeconds.With(phaseRun).Observe(elapsed.Seconds())
+	s.tel.phaseSeconds.With(phaseRun).Observe(time.Since(t0).Seconds())
 	if err != nil {
 		s.finishJob(jb, nil, err)
 		return
@@ -485,17 +470,6 @@ func (s *Server) runJob(jb *job) {
 
 	s.mu.Lock()
 	s.counters.Simulated++
-	sl := s.byScheme[jb.res.cfg.Scheme.String()]
-	if sl == nil {
-		sl = &schemeLatency{}
-		s.byScheme[jb.res.cfg.Scheme.String()] = sl
-	}
-	sl.Count++
-	ms := float64(elapsed) / float64(time.Millisecond)
-	sl.TotalMS += ms
-	if ms > sl.MaxMS {
-		sl.MaxMS = ms
-	}
 	s.mu.Unlock()
 
 	s.finishJob(jb, b, nil)
@@ -568,23 +542,9 @@ func (s *Server) clearInflight(jb *job) {
 	s.mu.Unlock()
 }
 
-// MetricsSnapshot assembles the /v1/metrics document.
+// MetricsSnapshot copies the job counters and cache-tier statistics.
 func (s *Server) MetricsSnapshot() Metrics {
-	s.mu.Lock()
-	m := Metrics{
-		UptimeMS:      msSince(s.started, time.Now()),
-		Draining:      s.draining,
-		Workers:       s.opts.Workers,
-		WorkersBusy:   s.busy,
-		QueueDepth:    len(s.queue),
-		QueueCapacity: s.opts.QueueDepth,
-		Jobs:          s.counters,
-		RunsByScheme:  make(map[string]schemeLatency, len(s.byScheme)),
-	}
-	for k, v := range s.byScheme {
-		m.RunsByScheme[k] = *v
-	}
-	s.mu.Unlock()
+	m := Metrics{Jobs: s.countersSnapshot()}
 	m.CompileCache = s.compileCache.Stats()
 	m.ResultCache = s.resultCache.Stats()
 	return m

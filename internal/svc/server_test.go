@@ -308,6 +308,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown config field", RunRequest{Kernel: "ocean", Config: json.RawMessage(`{"LineWord": 8}`)}, http.StatusBadRequest},
 		{"invalid config", RunRequest{Kernel: "ocean", Config: json.RawMessage(`{"Procs": -1}`)}, http.StatusBadRequest},
 		{"procs over limit", RunRequest{Kernel: "ocean", Scheme: "HW", Config: json.RawMessage(`{"Procs": 65536}`)}, http.StatusBadRequest},
+		{"cache over limit", RunRequest{Kernel: "ocean", Scheme: "TPI", Config: json.RawMessage(`{"L1Words": 274877906944}`)}, http.StatusBadRequest},
 		{"cluster size off mesh", RunRequest{Kernel: "ocean", Config: json.RawMessage(`{"ClusterSize": 4}`)}, http.StatusBadRequest},
 		{"scheme in config", RunRequest{Kernel: "ocean", Scheme: "TPI", Config: json.RawMessage(`{"Scheme": "HW"}`)}, http.StatusBadRequest},
 		{"obs trace", RunRequest{Kernel: "ocean", Obs: "trace"}, http.StatusBadRequest},

@@ -1,8 +1,8 @@
 // Package svc is the simulation-as-a-service subsystem: a long-lived job
 // server that amortizes what the one-shot CLIs rebuild on every
 // invocation. It exposes an HTTP JSON API (POST /v1/runs, GET and DELETE
-// /v1/runs/{id}, POST /v1/cache, GET /v1/healthz, GET /v1/metrics)
-// backed by
+// /v1/runs/{id}, GET /v1/runs/{id}/events, POST /v1/cache,
+// GET /v1/healthz) and a Prometheus GET /metrics, backed by
 //
 //   - a bounded worker pool over a bounded submission queue,
 //   - a content-addressed two-tier cache — a compile cache keyed by
@@ -15,9 +15,9 @@
 //     context at every epoch barrier and a cancelled run releases its
 //     pooled caches through the memsys.Releaser hook.
 //
-// The daemon wrapper is cmd/tpiserved; cmd/tpiload is the load generator
-// used by the benchmark and the CI smoke test. docs/SERVICE.md is the
-// API reference.
+// The daemon wrapper is cmd/tpiserved; cmd/tpisweep is its client,
+// sharding sweeps across a fleet of daemons (internal/sweep).
+// docs/SERVICE.md is the API reference.
 package svc
 
 import (

@@ -1,6 +1,6 @@
-// Prometheus wiring for the job server: every counter the JSON
-// /v1/metrics document already tracks is mirrored into a
-// telemetry.Registry at scrape time (CounterFunc/GaugeFunc reading the
+// Prometheus wiring for the job server: the job-flow counters, cache
+// tiers, queue and pool state are mirrored into a telemetry.Registry
+// at scrape time (CounterFunc/GaugeFunc reading the
 // same state under the same lock — one source of truth, no drift), and
 // the per-run simulation counters are exported as per-scheme deltas by
 // a runExporter attached to each job's progress callback.
@@ -109,7 +109,7 @@ func newSvcTelemetry(reg *telemetry.Registry, s *Server) *svcTelemetry {
 	return t
 }
 
-// register adds the scrape-time mirrors of the server's JSON metrics.
+// register adds the scrape-time mirrors of the server's own state.
 func (t *svcTelemetry) register(reg *telemetry.Registry, s *Server) {
 	outcomes := map[string]func(c counters) int64{
 		"submitted":    func(c counters) int64 { return c.Submitted },
@@ -124,7 +124,7 @@ func (t *svcTelemetry) register(reg *telemetry.Registry, s *Server) {
 	for name, get := range outcomes {
 		get := get
 		reg.CounterFunc("tpiserved_jobs_total",
-			"Cumulative job-flow counts (mirrors /v1/metrics jobs).",
+			"Cumulative job-flow counts by outcome.",
 			telemetry.Labels{"outcome": name},
 			func() float64 { return float64(get(s.countersSnapshot())) })
 	}

@@ -107,23 +107,20 @@ func TestPrometheusScrape(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpointFormats checks the JSON document's content type and
-// the ?format=prometheus alias.
+// TestMetricsEndpointFormats checks /metrics serves the Prometheus
+// text format and that the retired JSON /v1/metrics route is gone.
 func TestMetricsEndpointFormats(t *testing.T) {
 	_, hs := newTestServer(t, Options{Workers: 1})
+
+	scrape(t, hs.URL+"/metrics") // checks the Prometheus Content-Type
 
 	resp, err := http.Get(hs.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("/v1/metrics Content-Type %q, want application/json", ct)
-	}
-
-	p, _ := scrape(t, hs.URL+"/v1/metrics?format=prometheus")
-	if _, err := p.Value("tpiserved_queue_capacity", nil); err != nil {
-		t.Fatalf("prometheus alias missing queue capacity: %v", err)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/metrics: HTTP %d, want 404", resp.StatusCode)
 	}
 }
 

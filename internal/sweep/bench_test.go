@@ -43,7 +43,7 @@ func benchSpec() Spec {
 // simulates) vs warm (fleet reused — every point is a cache hit), at 1
 // and 2 in-process workers. The cold 2-worker/1-worker ratio is the
 // sharding speedup; the warm numbers are the coordinator+HTTP floor.
-// docs/results.md records the measured medians.
+// CHANGES.md records the measured medians.
 func BenchmarkSweepThroughput(b *testing.B) {
 	for _, n := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d/cold", n), func(b *testing.B) {

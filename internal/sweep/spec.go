@@ -10,10 +10,12 @@
 // service's fidelity contract pins a worker's result JSON to what a
 // local run produces, and stats.Snapshot.Restore is lossless — so the
 // experiment tables built from a sweep render the same bytes as
-// cmd/experiments running sequentially in-process. The fleet shares
-// work through the content-addressed caches: each worker serves its
-// result cache on GET /v1/cache/{key} and probes its siblings before
-// simulating a miss, so a point simulated anywhere is simulated once.
+// cmd/experiments running sequentially in-process. Workers do not know
+// each other; the coordinator routes repeats. Before a sweep it asks
+// each live worker which of the sweep's result keys its cache holds
+// (POST /v1/cache) and queues each held job on its holder, so a point
+// one worker already simulated is served from that worker's cache
+// instead of being simulated again elsewhere.
 //
 // cmd/tpisweep is the CLI; docs/SERVICE.md documents the protocol.
 package sweep
