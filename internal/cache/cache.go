@@ -8,9 +8,15 @@
 // stale data — if a scheme ever allowed it — would visibly corrupt the
 // computation. That is intentional: it is what makes the staleness oracle
 // and the sequential-equivalence property tests meaningful.
+//
+// Line state lives in pointer-free chunks of chunkSets consecutive sets
+// (see chunk), allocated the first time a fill claims a set in them.
+// Schemes name a line by its Frame and read or write its per-line and
+// per-word state only through Cache methods.
 package cache
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 
@@ -33,42 +39,63 @@ const (
 // TTInvalid marks an invalid word (no valid data in that word slot).
 const TTInvalid = int64(-1)
 
-// Line is one cache line frame.
-type Line struct {
-	Tag   int64 // line address (word address / line size); -1 when empty
-	State State
-	Dirty bool
-	Vals  []float64
-	// TT is the per-word timetag: the epoch at which the word was last
-	// written, filled, or validated by this processor. TTInvalid marks an
-	// invalid word.
-	TT []int64
-	// Used marks words accessed by the local processor since the fill
-	// (for false-sharing classification).
-	Used []bool
-	// DirtyW marks words written but not yet flushed to memory under the
-	// write-back-at-boundary policy (traffic accounting only; the
-	// simulator keeps memory values authoritative).
-	DirtyW []bool
-	lru    int64
+// Frame names one line frame of a cache: the chunk holding its set and
+// the frame's slot in it (set-in-chunk × associativity + way), so the
+// per-frame accessors index the chunk directly. A frame stays valid
+// until the cache is released; the zero Frame, which Lookup returns on
+// a miss, names no frame.
+type Frame struct {
+	ch chunk
+	i  int
 }
 
-// ValidWord reports whether word w of the line holds data.
-func (l *Line) ValidWord(w int) bool { return l.State != Invalid && l.TT[w] != TTInvalid }
+// chunkSets is the number of consecutive sets one chunk stores: one
+// word of the touched-set bitset.
+const chunkSets = 64
 
-// InvalidateWord drops one word.
-func (l *Line) InvalidateWord(w int) { l.TT[w] = TTInvalid }
+// chunk is the storage of chunkSets consecutive sets: one allocation of
+// 64-bit words, carved into the regions a layout names. It holds no
+// pointers, so the garbage collector never scans it.
+type chunk []uint64
 
-// InvalidateLine drops the whole line.
-func (l *Line) InvalidateLine() {
-	l.State = Invalid
-	l.Dirty = false
-	l.Tag = -1
-	for i := range l.TT {
-		l.TT[i] = TTInvalid
-		l.Used[i] = false
-		l.DirtyW[i] = false
+// layout gives the word offsets of a chunk's regions for one (line size,
+// associativity). Per frame: the tag (at offset 0; -1 when empty), the
+// meta word (State in the low byte, the line dirty bit above it) and the
+// LRU stamp. Per word, frame-major: the timetag and the value (float64
+// bits). Then the Used and DirtyW bitsets, one bit per word.
+type layout struct {
+	meta, lru, tt, vals, used, dirtyW, size int
+}
+
+// dirtyBit is the line dirty bit in a frame's meta word.
+const dirtyBit = 1 << 8
+
+// allOnes is -1 (an empty tag, TTInvalid) as a chunk word.
+const allOnes = ^uint64(0)
+
+func newLayout(lineWords, assoc int) layout {
+	frames := chunkSets * assoc
+	words := frames * lineWords
+	bitWords := (words + 63) / 64
+	l := layout{meta: frames, lru: 2 * frames, tt: 3 * frames}
+	l.vals = l.tt + words
+	l.used = l.vals + words
+	l.dirtyW = l.used + bitWords
+	l.size = l.dirtyW + bitWords
+	return l
+}
+
+// newChunk allocates a chunk in the fresh state: every tag empty and
+// every timetag TTInvalid, everything else zero.
+func (l layout) newChunk() chunk {
+	ch := make(chunk, l.size)
+	for i := 0; i < l.meta; i++ {
+		ch[i] = allOnes
 	}
+	for i := l.tt; i < l.vals; i++ {
+		ch[i] = allOnes
+	}
+	return ch
 }
 
 // Cache is one processor's data cache.
@@ -86,111 +113,175 @@ type Cache struct {
 	// of two; it is -1 otherwise (modulo fallback).
 	setMask int64
 	assoc   int
-	lines   []Line // sets * assoc, set-major
-	clock   int64
+	layout
+	// chunks holds one chunk per chunkSets sets, nil until Victim first
+	// claims a set in it.
+	chunks []chunk
+	free   *chunkList
+	clock  int64
 	// touched has one bit per set, set by Victim: every fill goes through
 	// Victim first, so a set whose bit is clear still holds only the
-	// fresh-construction state. reset, InvalidateAll and ForEachValidLine
-	// walk the touched sets alone, in ascending order — the order of a
-	// full scan over the set-major line array. Only reset clears it.
-	touched []uint64
-	// Flat backing arrays behind the per-line subslices (one allocation
-	// each; see New). Kept here so a pooled reset can clear them by range.
-	vals   []float64
-	tt     []int64
-	used   []bool
-	dirtyW []bool
+	// fresh-construction state. Release, InvalidateAll and
+	// ForEachValidLine walk the touched sets alone, in ascending order —
+	// the order of a full scan over the lines. Only Release clears it.
+	// chunkSets is 64, so word ci of the bitset is chunk ci's sets.
+	touched       []uint64
+	capacityWords int64
 }
 
-// Caches are the largest allocations a simulated run makes (megabytes of
-// line frames and word arrays per processor), and systems are built per
-// run, so construction cost — allocation, zeroing, and the GC pressure of
-// the line slice headers — dominates short end-to-end runs. New therefore
-// draws from a per-geometry pool of released caches and resets them
-// instead of allocating. A reset cache is indistinguishable from a fresh
-// one in every field, and the reset costs what the previous run touched:
-// only the sets Victim marked are restored (Tag -1, State Invalid, LRU
-// zeroed, words zeroed with TTInvalid timetags); every other set never
-// left the fresh state.
-type poolKey struct {
+// A run builds a cache per processor and touches a few percent of the
+// sets of most of them, so storage is paid per touched chunk, and both
+// the chunks and the small Cache headers are recycled. Release returns
+// every chunk, restored to the fresh state, to the free list of its
+// (line size, associativity), and the header to the free list of its
+// geometry.
+type geometry struct {
 	capacityWords int64
 	lineWords     int
 	assoc         int
 }
 
-var pools sync.Map // poolKey -> *sync.Pool of *Cache
+var headers sync.Map // geometry -> *FreeList[*Cache]
 
-// Release returns a cache to the construction pool. The caller must not
-// use it afterwards (core releases a run's system only after the last
-// snapshot has been taken).
-func Release(c *Cache) {
-	key := poolKey{int64(len(c.vals)), c.lineWords, c.assoc}
-	p, _ := pools.LoadOrStore(key, &sync.Pool{})
-	p.(*sync.Pool).Put(c)
+type chunkKey struct{ lineWords, assoc int }
+
+var chunkLists sync.Map // chunkKey -> *chunkList
+
+// chunkList holds released chunks of one layout, all in the fresh state.
+type chunkList struct {
+	layout
+	FreeList[chunk]
 }
 
-// reset restores a pooled cache to the fresh-construction state by
-// restoring the touched sets.
-func (c *Cache) reset() {
-	c.clock = 0
-	c.forTouchedSets(func(lo, hi int) {
+// FreeList is a stack of released values kept for reuse. Unlike a
+// sync.Pool, the garbage collector never drains it: a run's structures
+// survive however many collections pass before the next run, so a
+// smaller heap (more frequent collections) does not mean more
+// reallocation. It holds at most the values that were in use at once.
+type FreeList[T any] struct {
+	mu    sync.Mutex
+	items []T
+}
+
+// Get pops a released value; ok is false when the list is empty.
+func (l *FreeList[T]) Get() (v T, ok bool) {
+	l.mu.Lock()
+	if n := len(l.items); n > 0 {
+		v, ok = l.items[n-1], true
+		var zero T
+		l.items[n-1] = zero
+		l.items = l.items[:n-1]
+	}
+	l.mu.Unlock()
+	return v, ok
+}
+
+// Put pushes a value; the caller must not use it afterwards.
+func (l *FreeList[T]) Put(v T) {
+	l.mu.Lock()
+	l.items = append(l.items, v)
+	l.mu.Unlock()
+}
+
+// loadOrStore returns m's value for key, storing mk() on a miss. The
+// plain Load comes first so the common hit allocates nothing.
+func loadOrStore[K comparable, V any](m *sync.Map, key K, mk func() *V) *V {
+	if v, ok := m.Load(key); ok {
+		return v.(*V)
+	}
+	v, _ := m.LoadOrStore(key, mk())
+	return v.(*V)
+}
+
+// get takes a fresh chunk from the list, or allocates one.
+func (cl *chunkList) get() chunk {
+	if ch, ok := cl.Get(); ok {
+		return ch
+	}
+	return cl.newChunk()
+}
+
+// Release returns a cache for reuse: its touched sets are restored to
+// the fresh state, every chunk goes back to its free list, and the
+// header to the free list of its geometry. The caller must not use it
+// afterwards (core releases a run's system only after the last snapshot
+// has been taken).
+func Release(c *Cache) {
+	c.forTouchedSets(func(ch chunk, _, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			l := &c.lines[i]
-			l.Tag = -1
-			l.State = Invalid
-			l.Dirty = false
-			l.lru = 0
+			ch[i] = allOnes
 		}
+		clear(ch[c.meta+lo : c.meta+hi])
+		clear(ch[c.lru+lo : c.lru+hi])
 		wlo, whi := lo*c.lineWords, hi*c.lineWords
-		for i := wlo; i < whi; i++ {
-			c.tt[i] = TTInvalid
+		for i := c.tt + wlo; i < c.tt+whi; i++ {
+			ch[i] = allOnes
 		}
-		clear(c.vals[wlo:whi])
-		clear(c.used[wlo:whi])
-		clear(c.dirtyW[wlo:whi])
+		clear(ch[c.vals+wlo : c.vals+whi])
+		clearBits(ch[c.used:c.dirtyW], wlo, whi)
+		clearBits(ch[c.dirtyW:c.size], wlo, whi)
 	})
 	clear(c.touched)
+	c.clock = 0
+	for i, ch := range c.chunks {
+		if ch != nil {
+			c.free.Put(ch)
+			c.chunks[i] = nil
+		}
+	}
+	headerList(c.capacityWords, c.lineWords, c.assoc).Put(c)
 }
 
-// forTouchedSets calls fn with the line range [lo, hi) of every touched
-// set, in ascending set order.
-func (c *Cache) forTouchedSets(fn func(lo, hi int)) {
-	for wi, left := range c.touched {
+// headerList returns the free list of released Cache headers of one
+// geometry.
+func headerList(capacityWords int64, lineWords, assoc int) *FreeList[*Cache] {
+	return loadOrStore(&headers, geometry{capacityWords, lineWords, assoc}, func() *FreeList[*Cache] {
+		return &FreeList[*Cache]{}
+	})
+}
+
+// forTouchedSets calls fn with the chunk, chunk index and slot range
+// [lo, hi) of every run of consecutive touched sets, in ascending set
+// order. One word of the touched bitset covers exactly one chunk.
+func (c *Cache) forTouchedSets(fn func(ch chunk, ci, lo, hi int)) {
+	for ci, left := range c.touched {
 		for left != 0 {
-			s := wi<<6 + bits.TrailingZeros64(left)
-			left &= left - 1
-			fn(s*c.assoc, (s+1)*c.assoc)
+			s := bits.TrailingZeros64(left)
+			run := bits.TrailingZeros64(^(left >> uint(s)))
+			left &^= (uint64(1)<<uint(run) - 1) << uint(s)
+			fn(c.chunks[ci], ci, s*c.assoc, (s+run)*c.assoc)
 		}
 	}
 }
 
 // New builds a cache of capacityWords with the given line size (words)
 // and associativity. capacityWords must be a multiple of lineWords*assoc.
-// The per-line word arrays are carved out of four shared backing slices,
-// so construction costs a handful of allocations rather than four per
-// line; a released cache of the same geometry is reused instead of
-// allocating at all (systems are built per simulated run).
+// A released cache of the same geometry is reused when there is one
+// (systems are built per simulated run); either way the cache holds no
+// line storage until its first fill.
 func New(capacityWords int64, lineWords, assoc int) *Cache {
-	if p, ok := pools.Load(poolKey{capacityWords, lineWords, assoc}); ok {
-		if c, ok := p.(*sync.Pool).Get().(*Cache); ok {
-			c.reset()
-			return c
-		}
+	if c, ok := headerList(capacityWords, lineWords, assoc).Get(); ok {
+		return c
 	}
 	return build(capacityWords, lineWords, assoc)
 }
 
-// build allocates a fresh cache (New without the pool).
+// build allocates a fresh cache (New without reuse).
 func build(capacityWords int64, lineWords, assoc int) *Cache {
-	numLines := int(capacityWords) / lineWords
-	sets := numLines / assoc
+	sets := int(capacityWords) / lineWords / assoc
+	fl := loadOrStore(&chunkLists, chunkKey{lineWords, assoc}, func() *chunkList {
+		return &chunkList{layout: newLayout(lineWords, assoc)}
+	})
 	c := &Cache{
-		lineWords: lineWords,
-		sets:      sets,
-		setMask:   -1,
-		assoc:     assoc,
-		lines:     make([]Line, numLines),
-		touched:   make([]uint64, (sets+63)/64),
+		lineWords:     lineWords,
+		sets:          sets,
+		setMask:       -1,
+		assoc:         assoc,
+		layout:        fl.layout,
+		chunks:        make([]chunk, (sets+chunkSets-1)/chunkSets),
+		free:          fl,
+		touched:       make([]uint64, (sets+chunkSets-1)/chunkSets),
+		capacityWords: capacityWords,
 	}
 	if sets&(sets-1) == 0 {
 		c.setMask = int64(sets - 1)
@@ -199,24 +290,6 @@ func build(capacityWords int64, lineWords, assoc int) *Cache {
 		c.pow2 = true
 		c.shift = uint(bits.TrailingZeros(uint(lineWords)))
 		c.mask = int64(lineWords - 1)
-	}
-	words := numLines * lineWords
-	vals := make([]float64, words)
-	tt := make([]int64, words)
-	used := make([]bool, words)
-	dirtyW := make([]bool, words)
-	for i := range tt {
-		tt[i] = TTInvalid
-	}
-	c.vals, c.tt, c.used, c.dirtyW = vals, tt, used, dirtyW
-	for i := range c.lines {
-		l := &c.lines[i]
-		l.Tag = -1
-		lo, hi := i*lineWords, (i+1)*lineWords
-		l.Vals = vals[lo:hi:hi]
-		l.TT = tt[lo:hi:hi]
-		l.Used = used[lo:hi:hi]
-		l.DirtyW = dirtyW[lo:hi:hi]
 	}
 	return c
 }
@@ -249,85 +322,273 @@ func (c *Cache) setIndex(tag int64) int {
 	return int(tag % int64(c.sets))
 }
 
-// Lookup finds the line holding addr. It returns (line, word index,
+// Lookup finds the line holding addr. It returns (frame, word index,
 // present); present means the tag matches and the line is not Invalid —
-// the word itself may still be invalid (check ValidWord).
-func (c *Cache) Lookup(addr prog.Word) (*Line, int, bool) {
+// the word itself may still be invalid (check ValidWord). A miss returns
+// the zero Frame, and never allocates.
+func (c *Cache) Lookup(addr prog.Word) (Frame, int, bool) {
 	tag, w := c.Split(addr)
-	lo := c.setIndex(tag) * c.assoc
-	for i := lo; i < lo+c.assoc; i++ {
-		if l := &c.lines[i]; l.State != Invalid && l.Tag == tag {
-			return l, w, true
+	s := uint(c.setIndex(tag))
+	if ch := c.chunks[s/chunkSets]; ch != nil {
+		lo := int(s%chunkSets) * c.assoc
+		for i := lo; i < lo+c.assoc; i++ {
+			if int64(ch[i]) == tag { // an empty frame's tag is -1
+				return Frame{ch, i}, w, true
+			}
 		}
 	}
-	return nil, w, false
+	return Frame{}, w, false
+}
+
+// Holds reports whether *f still holds line tag — the condition Lookup
+// matches on. The zero Frame holds nothing. The stream cursors check the
+// frame they remember on every reference, in place, hence the pointer.
+func (c *Cache) Holds(f *Frame, tag int64) bool {
+	return f.ch != nil && int64(f.ch[f.i]) == tag
+}
+
+// Victim selects the frame to (re)fill for addr: an invalid way if one
+// exists, else the LRU way. The returned frame may hold a conflicting
+// valid line that the caller must evict first. The set is marked
+// touched (see Cache.touched), and its chunk allocated if this is the
+// chunk's first fill.
+func (c *Cache) Victim(addr prog.Word) Frame {
+	tag, _ := c.Split(addr)
+	s := uint(c.setIndex(tag))
+	c.touched[s/chunkSets] |= 1 << (s % chunkSets)
+	ch := c.chunks[s/chunkSets]
+	if ch == nil {
+		ch = c.free.get()
+		c.chunks[s/chunkSets] = ch
+	}
+	lo := int(s%chunkSets) * c.assoc
+	victim := -1
+	for i := lo; i < lo+c.assoc; i++ {
+		if State(ch[c.meta+i]) == Invalid {
+			return Frame{ch, i}
+		}
+		if victim < 0 || int64(ch[c.lru+i]) < int64(ch[c.lru+victim]) {
+			victim = i
+		}
+	}
+	return Frame{ch, victim}
+}
+
+// Tag returns the line address (word address / line size) f holds, -1
+// when empty.
+func (c *Cache) Tag(f Frame) int64 {
+	ch, i := f.ch, f.i
+	return int64(ch[i])
+}
+
+// State returns f's line state.
+func (c *Cache) State(f Frame) State {
+	ch, i := f.ch, f.i
+	return State(ch[c.meta+i])
+}
+
+// SetState moves a valid line between Shared and Exclusive: only
+// InvalidateLine makes a frame Invalid, because it also empties the tag,
+// and Lookup matches on the tag alone.
+func (c *Cache) SetState(f Frame, st State) {
+	ch, i := f.ch, f.i
+	ch[c.meta+i] = ch[c.meta+i]&^0xff | uint64(st)
+}
+
+// Dirty reports the line-grain dirty bit (write-back caches).
+func (c *Cache) Dirty(f Frame) bool {
+	ch, i := f.ch, f.i
+	return ch[c.meta+i]&dirtyBit != 0
+}
+
+// SetDirty sets or clears the line-grain dirty bit.
+func (c *Cache) SetDirty(f Frame, dirty bool) {
+	ch, i := f.ch, f.i
+	if dirty {
+		ch[c.meta+i] |= dirtyBit
+	} else {
+		ch[c.meta+i] &^= dirtyBit
+	}
+}
+
+// Install claims an invalid frame for line tag in state st (Shared or
+// Exclusive), clean. Its words stay invalid until the caller fills
+// them.
+func (c *Cache) Install(f Frame, tag int64, st State) {
+	ch, i := f.ch, f.i
+	ch[i] = uint64(tag)
+	ch[c.meta+i] = uint64(st)
 }
 
 // Touch refreshes the line's LRU position. Direct-mapped caches (the
 // default configuration) skip the bookkeeping: Victim ignores LRU order
 // when the set has a single way, so the clock is unobservable.
-func (c *Cache) Touch(l *Line) {
+func (c *Cache) Touch(f Frame) {
 	if c.assoc == 1 {
 		return
 	}
 	c.clock++
-	l.lru = c.clock
+	ch, i := f.ch, f.i
+	ch[c.lru+i] = uint64(c.clock)
 }
 
-// Victim selects the frame to (re)fill for addr: an invalid way if one
-// exists, else the LRU way. The returned line may hold a conflicting
-// valid line that the caller must evict first. The set is marked
-// touched (see Cache.touched).
-func (c *Cache) Victim(addr prog.Word) *Line {
-	tag, _ := c.Split(addr)
-	s := c.setIndex(tag)
-	c.touched[s>>6] |= 1 << (uint(s) & 63)
-	set := c.lines[s*c.assoc : (s+1)*c.assoc]
-	var victim *Line
-	for i := range set {
-		l := &set[i]
-		if l.State == Invalid {
-			return l
-		}
-		if victim == nil || l.lru < victim.lru {
-			victim = l
-		}
+// InvalidateLine drops the whole line: empty tag, Invalid, clean, every
+// word invalid with its used and dirty-word bits clear.
+func (c *Cache) InvalidateLine(f Frame) {
+	ch, i := f.ch, f.i
+	ch[i] = allOnes
+	ch[c.meta+i] = 0
+	lo := i * c.lineWords
+	for k := c.tt + lo; k < c.tt+lo+c.lineWords; k++ {
+		ch[k] = allOnes
 	}
-	return victim
+	clearBits(ch[c.used:c.dirtyW], lo, lo+c.lineWords)
+	clearBits(ch[c.dirtyW:c.size], lo, lo+c.lineWords)
+}
+
+// ValidWord reports whether word w of the line holds data.
+func (c *Cache) ValidWord(f Frame, w int) bool {
+	ch, i := f.ch, f.i
+	return State(ch[c.meta+i]) != Invalid && int64(ch[c.tt+i*c.lineWords+w]) != TTInvalid
+}
+
+// InvalidateWord drops one word (its dirty-word bit stays: traffic
+// accounting only).
+func (c *Cache) InvalidateWord(f Frame, w int) {
+	ch, i := f.ch, f.i
+	ch[c.tt+i*c.lineWords+w] = allOnes
+}
+
+// TT returns word w's timetag: the epoch (or version, or lease) at which
+// the word was last written, filled, or validated by this processor;
+// TTInvalid for an invalid word.
+func (c *Cache) TT(f Frame, w int) int64 {
+	ch, i := f.ch, f.i
+	return int64(ch[c.tt+i*c.lineWords+w])
+}
+
+// SetTT sets word w's timetag.
+func (c *Cache) SetTT(f Frame, w int, tt int64) {
+	ch, i := f.ch, f.i
+	ch[c.tt+i*c.lineWords+w] = uint64(tt)
+}
+
+// Val returns word w's cached value.
+func (c *Cache) Val(f Frame, w int) float64 {
+	ch, i := f.ch, f.i
+	return math.Float64frombits(ch[c.vals+i*c.lineWords+w])
+}
+
+// SetVal sets word w's cached value.
+func (c *Cache) SetVal(f Frame, w int, v float64) {
+	ch, i := f.ch, f.i
+	ch[c.vals+i*c.lineWords+w] = math.Float64bits(v)
+}
+
+// Used reports whether word w was accessed by the local processor since
+// the fill (for false-sharing classification).
+func (c *Cache) Used(f Frame, w int) bool {
+	ch, i := f.ch, f.i
+	b := i*c.lineWords + w
+	return ch[c.used+b>>6]&(1<<(uint(b)&63)) != 0
+}
+
+// MarkUsed sets word w's used bit.
+func (c *Cache) MarkUsed(f Frame, w int) {
+	ch, i := f.ch, f.i
+	b := i*c.lineWords + w
+	ch[c.used+b>>6] |= 1 << (uint(b) & 63)
+}
+
+// MarkDirtyWord marks word w written but not yet flushed to memory under
+// the write-back-at-boundary policy (traffic accounting only; the
+// simulator keeps memory values authoritative).
+func (c *Cache) MarkDirtyWord(f Frame, w int) {
+	ch, i := f.ch, f.i
+	b := i*c.lineWords + w
+	ch[c.dirtyW+b>>6] |= 1 << (uint(b) & 63)
+}
+
+// DirtyWords counts the line's dirty words.
+func (c *Cache) DirtyWords(f Frame) int64 {
+	ch, i := f.ch, f.i
+	lo := i * c.lineWords
+	return countBits(ch[c.dirtyW:c.size], lo, lo+c.lineWords)
+}
+
+// FlushDirtyWords counts the line's dirty words and clears them (the
+// barrier's write-back burst).
+func (c *Cache) FlushDirtyWords(f Frame) int64 {
+	ch, i := f.ch, f.i
+	lo := i * c.lineWords
+	n := countBits(ch[c.dirtyW:c.size], lo, lo+c.lineWords)
+	clearBits(ch[c.dirtyW:c.size], lo, lo+c.lineWords)
+	return n
+}
+
+// clearBits clears bits [lo, hi) of a bitset.
+func clearBits(bs []uint64, lo, hi int) {
+	for lo < hi {
+		n := min(hi-lo, 64-lo&63)
+		bs[lo>>6] &^= (uint64(1)<<uint(n) - 1) << (uint(lo) & 63)
+		lo += n
+	}
+}
+
+// countBits counts the set bits in [lo, hi) of a bitset.
+func countBits(bs []uint64, lo, hi int) int64 {
+	var c int
+	for lo < hi {
+		n := min(hi-lo, 64-lo&63)
+		c += bits.OnesCount64(bs[lo>>6] >> (uint(lo) & 63) & (uint64(1)<<uint(n) - 1))
+		lo += n
+	}
+	return int64(c)
 }
 
 // InvalidateAll drops every line (whole-cache flash invalidation).
 // It returns the number of valid words dropped.
 func (c *Cache) InvalidateAll() int64 {
 	var dropped int64
-	c.forTouchedSets(func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			l := &c.lines[i]
-			if l.State == Invalid {
-				continue
+	c.ForEachValidLine(func(f Frame) {
+		for w := 0; w < c.lineWords; w++ {
+			if c.TT(f, w) != TTInvalid {
+				dropped++
 			}
-			for w := range l.TT {
-				if l.TT[w] != TTInvalid {
-					dropped++
-				}
-			}
-			l.InvalidateLine()
 		}
+		c.InvalidateLine(f)
 	})
 	return dropped
 }
 
 // ForEachValidLine visits every non-invalid line, in ascending line
 // order.
-func (c *Cache) ForEachValidLine(fn func(l *Line)) {
-	c.forTouchedSets(func(lo, hi int) {
+func (c *Cache) ForEachValidLine(fn func(f Frame)) {
+	c.forTouchedSets(func(ch chunk, ci, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if c.lines[i].State != Invalid {
-				fn(&c.lines[i])
+			if State(ch[c.meta+i]) != Invalid {
+				fn(Frame{ch, i})
 			}
 		}
 	})
 }
+
+// Footprint reports the chunks the cache holds, the distinct chunks its
+// touched sets span, and the chunks a cache holding every set would.
+func (c *Cache) Footprint() (held, touched, total int) {
+	for ci, ch := range c.chunks {
+		if ch != nil {
+			held++
+		}
+		if c.touched[ci] != 0 {
+			touched++
+		}
+	}
+	return held, touched, len(c.chunks)
+}
+
+// ChunkBytes is the size of one chunk of the cache's geometry.
+func (c *Cache) ChunkBytes() int { return 8 * c.size }
 
 // LostReason records why a processor lost a word it once cached; it feeds
 // the miss classifier.
@@ -358,21 +619,20 @@ type Tracker struct {
 	lostTT []int64
 }
 
-// trackerPool recycles released trackers across memory extents: a
-// tracker serves any extent up to its capacity, so the pool holds about
-// as many trackers as concurrent runs use, however many program sizes
-// pass through it. A pool per exact extent would keep each size's
-// trackers alive until two GC cycles pass without a run of that size, so
-// the fewer collections a workload triggers the more sizes it retains.
-var trackerPool sync.Pool
+// trackers recycles released trackers across memory extents: a tracker
+// serves any extent up to its capacity, so the list holds about as many
+// trackers as concurrent runs use, however many program sizes pass
+// through it.
+var trackers FreeList[*Tracker]
 
 // NewTracker sizes the tracker for the memory extent, reusing a released
-// tracker with room for it when one is pooled. Reset is just clearing
-// the seen bitset: reason and lostTT are only ever read for words whose
-// seen bit is set (ClassifyMissLane checks Seen first), and NoteCached
-// rewrites reason before setting the bit.
+// tracker when the latest one has room for it (a smaller one is
+// dropped). Reset is just clearing the seen bitset: reason and lostTT
+// are only ever read for words whose seen bit is set (ClassifyMissLane
+// checks Seen first), and NoteCached rewrites reason before setting the
+// bit.
 func NewTracker(memWords int64) *Tracker {
-	if t, ok := trackerPool.Get().(*Tracker); ok && int64(cap(t.reason)) >= memWords {
+	if t, ok := trackers.Get(); ok && int64(cap(t.reason)) >= memWords {
 		t.seen = t.seen[:(memWords+63)/64]
 		t.reason = t.reason[:memWords]
 		t.lostTT = t.lostTT[:memWords]
@@ -386,9 +646,9 @@ func NewTracker(memWords int64) *Tracker {
 	}
 }
 
-// ReleaseTracker returns a tracker to the construction pool; the caller
+// ReleaseTracker returns a tracker to its free list; the caller
 // must not use it afterwards.
-func ReleaseTracker(t *Tracker) { trackerPool.Put(t) }
+func ReleaseTracker(t *Tracker) { trackers.Put(t) }
 
 // NoteCached records that the processor now caches addr.
 func (t *Tracker) NoteCached(addr prog.Word) {
@@ -404,13 +664,14 @@ func (t *Tracker) NoteLost(addr prog.Word, r LostReason, tt int64) {
 	}
 }
 
-// NoteLineLost records losing every valid word of line l, whose first
-// word is at base, with one reason; it returns how many words were valid.
-func (t *Tracker) NoteLineLost(l *Line, base prog.Word, r LostReason) int64 {
+// NoteLineLost records losing every valid word of frame f of c with one
+// reason; it returns how many words were valid.
+func (t *Tracker) NoteLineLost(c *Cache, f Frame, r LostReason) int64 {
+	base := prog.Word(c.Tag(f) * int64(c.lineWords))
 	var n int64
-	for i, tt := range l.TT {
-		if tt != TTInvalid {
-			t.NoteLost(base+prog.Word(i), r, tt)
+	for w := 0; w < c.lineWords; w++ {
+		if tt := c.TT(f, w); tt != TTInvalid {
+			t.NoteLost(base+prog.Word(w), r, tt)
 			n++
 		}
 	}

@@ -3,6 +3,8 @@ package cache
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -26,25 +28,24 @@ func TestLookupMissThenFill(t *testing.T) {
 		t.Fatal("empty cache must miss")
 	}
 	v := c.Victim(20)
-	if v == nil || v.State != Invalid {
+	if v.ch == nil || c.State(v) != Invalid {
 		t.Fatal("victim in empty cache must be an invalid frame")
 	}
 	tag, w := c.Split(20)
-	v.Tag = tag
-	v.State = Shared
-	v.TT[w] = 5
-	v.Vals[w] = 3.25
+	c.Install(v, tag, Shared)
+	c.SetTT(v, w, 5)
+	c.SetVal(v, w, 3.25)
 	c.Touch(v)
 	l, w2, ok := c.Lookup(20)
-	if !ok || w2 != w || !l.ValidWord(w2) || l.Vals[w2] != 3.25 {
+	if !ok || w2 != w || !c.ValidWord(l, w2) || c.Val(l, w2) != 3.25 {
 		t.Fatalf("lookup after fill failed: %v %d %v", l, w2, ok)
 	}
 	// Word 21 shares the line but is invalid.
 	l21, w21, ok := c.Lookup(21)
-	if !ok || l21 != l {
+	if !ok || !sameFrame(l21, l) {
 		t.Fatal("same-line lookup must find the line")
 	}
-	if l21.ValidWord(w21) {
+	if c.ValidWord(l21, w21) {
 		t.Fatal("unfilled word must be invalid")
 	}
 }
@@ -55,10 +56,9 @@ func TestDirectMappedConflict(t *testing.T) {
 	fill := func(addr prog.Word) {
 		v := c.Victim(addr)
 		tag, w := c.Split(addr)
-		v.InvalidateLine()
-		v.Tag = tag
-		v.State = Shared
-		v.TT[w] = 1
+		c.InvalidateLine(v)
+		c.Install(v, tag, Shared)
+		c.SetTT(v, w, 1)
 		c.Touch(v)
 	}
 	fill(0)
@@ -67,8 +67,8 @@ func TestDirectMappedConflict(t *testing.T) {
 	}
 	v := c.Victim(16)
 	tag0, _ := c.Split(0)
-	if v.Tag != tag0 {
-		t.Fatalf("victim for 16 must be the line holding 0, got tag %d", v.Tag)
+	if c.Tag(v) != tag0 {
+		t.Fatalf("victim for 16 must be the line holding 0, got tag %d", c.Tag(v))
 	}
 	fill(16)
 	if _, _, ok := c.Lookup(0); ok {
@@ -81,10 +81,9 @@ func TestSetAssociativeLRU(t *testing.T) {
 	fill := func(addr prog.Word) {
 		v := c.Victim(addr)
 		tag, w := c.Split(addr)
-		v.InvalidateLine()
-		v.Tag = tag
-		v.State = Shared
-		v.TT[w] = 1
+		c.InvalidateLine(v)
+		c.Install(v, tag, Shared)
+		c.SetTT(v, w, 1)
 		c.Touch(v)
 	}
 	// tags 0, 4, 8 all map to set 0 (4 sets).
@@ -109,10 +108,9 @@ func TestInvalidateAll(t *testing.T) {
 	c := New(64, 4, 1)
 	v := c.Victim(0)
 	tag, _ := c.Split(0)
-	v.Tag = tag
-	v.State = Shared
-	v.TT[0] = 1
-	v.TT[2] = 3
+	c.Install(v, tag, Shared)
+	c.SetTT(v, 0, 1)
+	c.SetTT(v, 2, 3)
 	if got := c.InvalidateAll(); got != 2 {
 		t.Fatalf("dropped %d words, want 2", got)
 	}
@@ -148,12 +146,14 @@ func TestTrackerNoteLineLost(t *testing.T) {
 	c := New(64, 4, 1)
 	tr := NewTracker(64)
 	l := c.Victim(20)
-	l.Tag, l.State = 5, Shared
-	l.TT = []int64{3, TTInvalid, 4, 6}
+	c.Install(l, 5, Shared)
+	for w, tt := range []int64{3, TTInvalid, 4, 6} {
+		c.SetTT(l, w, tt)
+	}
 	for a := prog.Word(20); a < 24; a++ {
 		tr.NoteCached(a)
 	}
-	if n := tr.NoteLineLost(l, 20, LostInvalTrue); n != 3 {
+	if n := tr.NoteLineLost(c, l, LostInvalTrue); n != 3 {
 		t.Fatalf("valid words lost = %d, want 3", n)
 	}
 	for a, want := range map[prog.Word]int64{20: 3, 22: 4, 23: 6} {
@@ -254,7 +254,7 @@ func TestQuickCacheModelConsistency(t *testing.T) {
 				if ww != w {
 					return false
 				}
-				if present[tag] && l.ValidWord(ww) && l.Vals[ww] != model[int64(addr)] {
+				if present[tag] && c.ValidWord(l, ww) && c.Val(l, ww) != model[int64(addr)] {
 					return false
 				}
 				c.Touch(l)
@@ -262,15 +262,14 @@ func TestQuickCacheModelConsistency(t *testing.T) {
 			}
 			// fill
 			v := c.Victim(addr)
-			if v.State != Invalid {
-				delete(present, v.Tag)
+			if c.State(v) != Invalid {
+				delete(present, c.Tag(v))
 			}
-			v.InvalidateLine()
-			v.Tag = tag
-			v.State = Shared
+			c.InvalidateLine(v)
+			c.Install(v, tag, Shared)
 			val := r.Float64()
-			v.TT[w] = int64(step)
-			v.Vals[w] = val
+			c.SetTT(v, w, int64(step))
+			c.SetVal(v, w, val)
 			model[int64(addr)] = val
 			present[tag] = true
 			c.Touch(v)
@@ -286,13 +285,12 @@ func TestFourWayAssociativity(t *testing.T) {
 	c := New(64, 4, 4) // 16 lines, 4 sets of 4 ways
 	fill := func(addr prog.Word, stamp int64) {
 		v := c.Victim(addr)
-		if v.State != Invalid {
-			v.InvalidateLine()
+		if c.State(v) != Invalid {
+			c.InvalidateLine(v)
 		}
 		tag, w := c.Split(addr)
-		v.Tag = tag
-		v.State = Shared
-		v.TT[w] = stamp
+		c.Install(v, tag, Shared)
+		c.SetTT(v, w, stamp)
 		c.Touch(v)
 	}
 	// Four tags mapping to set 0 coexist (tags 0,4,8,12 with 4 sets).
@@ -320,11 +318,10 @@ func TestForEachValidLine(t *testing.T) {
 	c := New(32, 4, 1)
 	v := c.Victim(0)
 	tag, _ := c.Split(0)
-	v.Tag = tag
-	v.State = Shared
-	v.TT[0] = 1
+	c.Install(v, tag, Shared)
+	c.SetTT(v, 0, 1)
 	seen := 0
-	c.ForEachValidLine(func(l *Line) { seen++ })
+	c.ForEachValidLine(func(Frame) { seen++ })
 	if seen != 1 {
 		t.Fatalf("visited %d lines, want 1", seen)
 	}
@@ -334,22 +331,21 @@ func TestWordValidityAndDirtyBits(t *testing.T) {
 	c := New(16, 4, 1)
 	v := c.Victim(0)
 	tag, _ := c.Split(0)
-	v.Tag = tag
-	v.State = Shared
-	v.TT[1] = 5
-	v.DirtyW[1] = true
-	if v.ValidWord(0) || !v.ValidWord(1) {
+	c.Install(v, tag, Shared)
+	c.SetTT(v, 1, 5)
+	c.MarkDirtyWord(v, 1)
+	if c.ValidWord(v, 0) || !c.ValidWord(v, 1) {
 		t.Fatal("per-word validity broken")
 	}
-	v.InvalidateWord(1)
-	if v.ValidWord(1) {
+	c.InvalidateWord(v, 1)
+	if c.ValidWord(v, 1) {
 		t.Fatal("InvalidateWord failed")
 	}
-	if !v.DirtyW[1] {
+	if c.DirtyWords(v) != 1 {
 		t.Fatal("InvalidateWord must not clear dirty accounting")
 	}
-	v.InvalidateLine()
-	if v.DirtyW[1] {
+	c.InvalidateLine(v)
+	if c.DirtyWords(v) != 0 {
 		t.Fatal("InvalidateLine must clear dirty bits")
 	}
 }
@@ -441,25 +437,28 @@ func TestTrackerBitset(t *testing.T) {
 func dirty(c *Cache, rng *rand.Rand, n int) {
 	for i := 0; i < n; i++ {
 		addr := prog.Word(rng.Intn(4096))
-		if l, w, ok := c.Lookup(addr); ok && rng.Intn(3) == 0 {
-			l.InvalidateWord(w)
+		if f, w, ok := c.Lookup(addr); ok && rng.Intn(3) == 0 {
+			c.InvalidateWord(f, w)
 			continue
 		}
 		v := c.Victim(addr)
 		tag, w := c.Split(addr)
-		v.InvalidateLine()
-		v.Tag = tag
-		v.State = Shared
+		c.InvalidateLine(v)
+		c.Install(v, tag, Shared)
 		if rng.Intn(2) == 0 {
-			v.State = Exclusive
-			v.Dirty = true
+			c.SetState(v, Exclusive)
+			c.SetDirty(v, true)
 		}
-		for k := range v.TT {
+		for k := 0; k < c.LineWords(); k++ {
 			if k == w || rng.Intn(2) == 0 {
-				v.TT[k] = int64(i)
-				v.Vals[k] = float64(i)
-				v.Used[k] = rng.Intn(2) == 0
-				v.DirtyW[k] = rng.Intn(2) == 0
+				c.SetTT(v, k, int64(i))
+				c.SetVal(v, k, float64(i))
+				if rng.Intn(2) == 0 {
+					c.MarkUsed(v, k)
+				}
+				if rng.Intn(2) == 0 {
+					c.MarkDirtyWord(v, k)
+				}
 			}
 		}
 		c.Touch(v)
@@ -469,88 +468,237 @@ func dirty(c *Cache, rng *rand.Rand, n int) {
 	}
 }
 
-// fullScanValid lists the valid lines in line-array order: what
-// ForEachValidLine visited before it walked only the touched sets.
-func fullScanValid(c *Cache) []*Line {
-	var out []*Line
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
-			out = append(out, &c.lines[i])
+// fullScanValid lists the valid lines in line order, over every slot of
+// every allocated chunk: what ForEachValidLine would visit without the
+// touched-set bitset.
+func fullScanValid(c *Cache) []Frame {
+	var out []Frame
+	for _, ch := range c.chunks {
+		if ch == nil {
+			continue
+		}
+		for i := 0; i < chunkSets*c.assoc; i++ {
+			if State(ch[c.meta+i]) != Invalid {
+				out = append(out, Frame{ch, i})
+			}
 		}
 	}
 	return out
 }
 
-// TestPooledReuseIsFresh: a cache released back to the construction pool
-// and re-obtained with the same geometry must equal a freshly built one
-// in every field — line tags, states, dirty bits, values, timetags,
-// used/dirty-word bits, LRU stamps, the clock and the touched-set bitset —
-// after fills, partial fills, word invalidations and a flash
-// invalidation. Associativity 3 gives a set count that is not a power of
-// two (the modulo set index).
+// sameFrame reports whether two frames name the same slot of the same
+// chunk.
+func sameFrame(a, b Frame) bool { return &a.ch[0] == &b.ch[0] && a.i == b.i }
+
+// geometries are the (capacity, associativity) pairs the pooling and
+// scan tests cover at four-word lines: single-chunk caches with 64 sets,
+// associativity 3 with a set count that is not a power of two (the
+// modulo set index), and caches spanning several chunks, one ending in
+// a partial chunk.
+var geometries = []struct {
+	capacity int64
+	assoc    int
+}{{256, 1}, {256, 2}, {240, 3}, {768, 1}, {1536, 2}, {1536, 3}, {4096, 4}}
+
+// TestPooledReuseIsFresh: a cache released to the free list and
+// re-obtained with the same geometry must equal a freshly built one
+// in every field — the chunk table (all chunks returned), the clock and
+// the touched-set bitset — after fills, partial fills, word
+// invalidations and a flash invalidation, and must miss everywhere.
 func TestPooledReuseIsFresh(t *testing.T) {
 	const lineWords = 4
-	for _, g := range []struct {
-		capacity int64
-		assoc    int
-	}{{256, 1}, {256, 2}, {240, 3}} {
+	for _, g := range geometries {
 		c := New(g.capacity, lineWords, g.assoc)
 		dirty(c, rand.New(rand.NewSource(int64(g.assoc))), 500)
 		Release(c)
 		r := New(g.capacity, lineWords, g.assoc)
 		if r != c {
-			t.Logf("assoc %d: pool did not return the released cache (GC-cleared pool)", g.assoc)
-			continue
+			t.Fatalf("%d/%d: New did not reuse the released cache", g.capacity, g.assoc)
 		}
 		if fresh := build(g.capacity, lineWords, g.assoc); !reflect.DeepEqual(r, fresh) {
-			for i := range r.lines {
-				if !reflect.DeepEqual(r.lines[i], fresh.lines[i]) {
-					t.Fatalf("assoc %d: pooled line %d = %+v, fresh %+v", g.assoc, i, r.lines[i], fresh.lines[i])
-				}
-			}
-			t.Fatalf("assoc %d: pooled cache differs from a fresh one outside the lines", g.assoc)
+			t.Fatalf("%d/%d: pooled cache differs from a fresh one", g.capacity, g.assoc)
 		}
 		for addr := prog.Word(0); addr < 4096; addr += 3 {
 			if _, _, ok := r.Lookup(addr); ok {
-				t.Fatalf("assoc %d: pooled cache hits addr %d before any fill", g.assoc, addr)
+				t.Fatalf("%d/%d: pooled cache hits addr %d before any fill", g.capacity, g.assoc, addr)
+			}
+		}
+		if held, _, _ := r.Footprint(); held != 0 {
+			t.Fatalf("%d/%d: pooled cache holds %d chunks before any fill", g.capacity, g.assoc, held)
+		}
+	}
+}
+
+// TestFreeListChunkIsFresh: every chunk Release puts on the free list —
+// whatever its sets held — equals a freshly allocated chunk of its
+// layout, word for word.
+func TestFreeListChunkIsFresh(t *testing.T) {
+	for _, g := range geometries {
+		c := build(g.capacity, 4, g.assoc)
+		dirty(c, rand.New(rand.NewSource(g.capacity)), 800)
+		held, _, _ := c.Footprint()
+		fl := c.free
+		fl.mu.Lock()
+		before := len(fl.items)
+		fl.mu.Unlock()
+		Release(c)
+		fl.mu.Lock()
+		released := append([]chunk(nil), fl.items[before:]...)
+		fl.mu.Unlock()
+		if len(released) != held {
+			t.Fatalf("%d/%d: Release returned %d chunks, the cache held %d", g.capacity, g.assoc, len(released), held)
+		}
+		fresh := fl.newChunk()
+		for k, ch := range released {
+			if !slices.Equal(ch, fresh) {
+				t.Fatalf("%d/%d: released chunk %d differs from a fresh one", g.capacity, g.assoc, k)
 			}
 		}
 	}
+}
+
+// TestChunkStorageHasNoPointers: a chunk's element type holds no
+// pointer, slice, map, string or interface, so the garbage collector
+// never scans cache storage.
+func TestChunkStorageHasNoPointers(t *testing.T) {
+	var walk func(reflect.Type, string)
+	walk = func(ty reflect.Type, path string) {
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.String, reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("%s: %v holds a pointer", path, ty)
+		case reflect.Array:
+			walk(ty.Elem(), path+"[]")
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(chunk{}).Elem(), "chunk[]")
+}
+
+// TestLookupDoesNotAllocateChunks: only Victim allocates a chunk, and
+// only the one holding the set it claims.
+func TestLookupDoesNotAllocateChunks(t *testing.T) {
+	c := build(1536, 4, 2) // 192 sets in three chunks
+	for addr := prog.Word(0); addr < 8192; addr++ {
+		if _, _, ok := c.Lookup(addr); ok {
+			t.Fatalf("empty cache hits %d", addr)
+		}
+	}
+	if held, _, _ := c.Footprint(); held != 0 {
+		t.Fatalf("lookups allocated %d chunks", held)
+	}
+	c.Victim(prog.Word(4 * 130)) // set 130: the third chunk
+	if held, touched, total := c.Footprint(); held != 1 || touched != 1 || total != 3 || c.chunks[2] == nil {
+		t.Fatalf("footprint after one fill = %d held, %d touched of %d", held, touched, total)
+	}
+	Release(c)
+}
+
+// TestReleaseAllocatesNothing: once warm, a New+fill+Release cycle of
+// one geometry reuses the released header and chunks.
+func TestReleaseAllocatesNothing(t *testing.T) {
+	cycle := func() {
+		c := New(16384, 4, 1)
+		for addr := prog.Word(0); addr < 16384; addr += 4 * chunkSets { // one fill per chunk
+			v := c.Victim(addr)
+			tag, w := c.Split(addr)
+			c.Install(v, tag, Shared)
+			c.SetTT(v, w, 1)
+		}
+		Release(c)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a warm New+Release cycle allocates %v times", n)
+	}
+}
+
+// TestConcurrentReuse: caches of one geometry built, filled and released
+// from several goroutines at once — as concurrent runs and host-parallel
+// workers do — share the free lists without handing one chunk to two
+// caches: every cache starts empty and reads back what it wrote.
+func TestConcurrentReuse(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for round := 0; round < 50; round++ {
+				c := New(1536, 4, 2)
+				if held, _, _ := c.Footprint(); held != 0 {
+					t.Errorf("goroutine %d round %d: a new cache holds %d chunks", g, round, held)
+					return
+				}
+				want := map[int64]float64{}
+				for i := 0; i < 100; i++ {
+					addr := prog.Word(rng.Intn(4096))
+					tag, w := c.Split(addr)
+					f, _, ok := c.Lookup(addr)
+					if !ok {
+						f = c.Victim(addr)
+						if c.State(f) != Invalid {
+							delete(want, c.Tag(f))
+							c.InvalidateLine(f)
+						}
+						c.Install(f, tag, Shared)
+					}
+					v := float64(g*1e6 + round*1e3 + i)
+					c.SetTT(f, w, 0)
+					c.SetVal(f, w, v)
+					want[tag] = v
+					if got := c.Val(f, w); got != v || c.Tag(f) != tag {
+						t.Errorf("goroutine %d round %d: wrote %v to line %d, read %v from line %d", g, round, v, tag, got, c.Tag(f))
+						return
+					}
+				}
+				c.ForEachValidLine(func(f Frame) {
+					if _, ok := want[c.Tag(f)]; !ok {
+						t.Errorf("goroutine %d round %d: line %d is valid but was never filled", g, round, c.Tag(f))
+					}
+				})
+				Release(c)
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestTouchedSetScans: ForEachValidLine visits exactly the lines a full
 // scan finds, in the same order, and InvalidateAll drops the same words
 // a full scan counts — over pooled and fresh caches alike.
 func TestTouchedSetScans(t *testing.T) {
-	for _, assoc := range []int{1, 2, 3} {
-		capacity := int64(256)
-		if assoc == 3 {
-			capacity = 240
-		}
-		rng := rand.New(rand.NewSource(int64(10 + assoc)))
+	for _, g := range geometries {
+		rng := rand.New(rand.NewSource(g.capacity + int64(g.assoc)))
 		for round := 0; round < 4; round++ {
-			c := New(capacity, 4, assoc)
+			c := New(g.capacity, 4, g.assoc)
 			dirty(c, rng, 50+rng.Intn(400))
 			want := fullScanValid(c)
-			var got []*Line
-			c.ForEachValidLine(func(l *Line) { got = append(got, l) })
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("assoc %d round %d: ForEachValidLine visited %d lines, full scan %d (or in another order)",
-					assoc, round, len(got), len(want))
+			var got []Frame
+			c.ForEachValidLine(func(f Frame) { got = append(got, f) })
+			if !slices.EqualFunc(got, want, sameFrame) {
+				t.Fatalf("%d/%d round %d: ForEachValidLine visited %d lines, full scan %d (or in another order)",
+					g.capacity, g.assoc, round, len(got), len(want))
 			}
 			var words int64
-			for _, l := range want {
-				for w := range l.TT {
-					if l.TT[w] != TTInvalid {
+			for _, f := range want {
+				for w := 0; w < c.LineWords(); w++ {
+					if c.TT(f, w) != TTInvalid {
 						words++
 					}
 				}
 			}
 			if dropped := c.InvalidateAll(); dropped != words {
-				t.Fatalf("assoc %d round %d: InvalidateAll dropped %d words, full scan counts %d", assoc, round, dropped, words)
+				t.Fatalf("%d/%d round %d: InvalidateAll dropped %d words, full scan counts %d", g.capacity, g.assoc, round, dropped, words)
 			}
 			if left := fullScanValid(c); len(left) != 0 {
-				t.Fatalf("assoc %d round %d: %d lines valid after InvalidateAll", assoc, round, len(left))
+				t.Fatalf("%d/%d round %d: %d lines valid after InvalidateAll", g.capacity, g.assoc, round, len(left))
+			}
+			if held, touched, _ := c.Footprint(); held != touched {
+				t.Fatalf("%d/%d round %d: %d chunks held, %d touched", g.capacity, g.assoc, round, held, touched)
 			}
 			Release(c)
 		}
@@ -590,8 +738,7 @@ func TestPooledTrackerIsFresh(t *testing.T) {
 		ReleaseTracker(tr)
 		r := NewTracker(extent)
 		if r != tr {
-			t.Logf("extent %d: pool did not return the released tracker (GC-cleared pool)", extent)
-			continue
+			t.Fatalf("extent %d: NewTracker did not reuse the released tracker", extent)
 		}
 		for a := prog.Word(0); a < prog.Word(extent); a++ {
 			if r.Seen(a) {

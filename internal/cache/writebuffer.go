@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"sync"
-
-	"repro/internal/prog"
-)
+import "repro/internal/prog"
 
 // WriteBuffer models the infinite write buffer of a write-through cache.
 // When organized as a cache (DEC Alpha 21164 style, the paper's
@@ -37,13 +33,13 @@ const wbMinSlots = 64 // power of two; tiny tables grow rarely
 // neither reallocates nor rehashes. A generation bump (Flush) makes every
 // slot stale, which is exactly the fresh-buffer state; table capacity is
 // not observable (Write's coalescing decision is pure membership).
-var wbPool sync.Pool
+var wbPool FreeList[*WriteBuffer]
 
 // NewWriteBuffer creates a buffer; coalesce selects the
 // write-buffer-as-cache organization.
 func NewWriteBuffer(coalesce bool) *WriteBuffer {
 	if coalesce {
-		if wb, ok := wbPool.Get().(*WriteBuffer); ok {
+		if wb, ok := wbPool.Get(); ok {
 			wb.Flush()
 			return wb
 		}
@@ -56,7 +52,7 @@ func NewWriteBuffer(coalesce bool) *WriteBuffer {
 	return wb
 }
 
-// ReleaseWriteBuffer returns a buffer to the construction pool; the
+// ReleaseWriteBuffer returns a buffer to its free list; the
 // caller must not use it afterwards.
 func ReleaseWriteBuffer(wb *WriteBuffer) {
 	if wb.coalesce {

@@ -271,23 +271,36 @@ func TestRandomProgramsAllSchemesMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("generated program does not compile: %v\n%s", err, src)
 			}
+			// Two cache geometries per seed: a small one with 64 sets
+			// (one chunk of cache storage), and one of 192 sets — three
+			// chunks, a set count that is not a power of two, and at
+			// associativity 3 frame slots that are not either.
+			geometries := []struct {
+				words int64
+				assoc int
+			}{
+				{256 << (seed % 3), []int{1, 2, 4}[seed%3]}, // small caches force evictions
+				{[]int64{1536, 2304}[seed%2], []int{2, 3}[seed%2]},
+			}
 			for _, s := range machine.AllSchemes {
-				cfg := machine.Default(s)
-				cfg.Procs = 4 + int(seed%3)*2
-				cfg.CacheWords = 256 << (seed % 3) // small caches force evictions
-				cfg.Assoc = []int{1, 2, 4}[seed%3]
-				if seed%4 == 3 {
-					cfg.Topology = "torus"
-				}
-				cfg.MigrateSerial = seed%2 == 1
-				cfg.CyclicSched = seed%3 == 1
-				if s == machine.SchemeTPI {
-					cfg.TimetagBits = []int{2, 4, 8}[seed%3] // force resets sometimes
-					cfg.LineTimetags = seed%5 == 0
-					cfg.TPIWriteBack = seed%7 == 0
-				}
-				if _, err := VerifyAgainstOracle(c, cfg); err != nil {
-					t.Fatalf("seed %d scheme %s: %v\nprogram:\n%s", seed, s, err, src)
+				for _, g := range geometries {
+					cfg := machine.Default(s)
+					cfg.Procs = 4 + int(seed%3)*2
+					cfg.CacheWords = g.words
+					cfg.Assoc = g.assoc
+					if seed%4 == 3 {
+						cfg.Topology = "torus"
+					}
+					cfg.MigrateSerial = seed%2 == 1
+					cfg.CyclicSched = seed%3 == 1
+					if s == machine.SchemeTPI {
+						cfg.TimetagBits = []int{2, 4, 8}[seed%3] // force resets sometimes
+						cfg.LineTimetags = seed%5 == 0
+						cfg.TPIWriteBack = seed%7 == 0
+					}
+					if _, err := VerifyAgainstOracle(c, cfg); err != nil {
+						t.Fatalf("seed %d scheme %s cache %d/%d: %v\nprogram:\n%s", seed, s, g.words, g.assoc, err, src)
+					}
 				}
 			}
 		})

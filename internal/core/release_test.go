@@ -166,12 +166,9 @@ func TestLanePoolFreshness(t *testing.T) {
 // no new lanes. One cycle builds a system, runs a parallel epoch that
 // draws every processor's lane and releases the system; against a cycle
 // that never enters the epoch it may cost at most the one allocation of
-// handing the lane table back to its pool, where rebuilding the lanes
+// handing the lane table back to its free list, where rebuilding the lanes
 // would cost at least one per processor.
 func TestLanePoolReuse(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
 	c := compileT(t, stencilSrc)
 	for _, v := range laneVariants() {
 		cfg := v.cfg

@@ -182,12 +182,13 @@ func (s *System) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (
 	ln.St.Reads++
 	cc, tr := s.ProcState(p)
 
-	if line, w, ok := cc.Lookup(addr); ok {
+	if f, w, ok := cc.Lookup(addr); ok {
 		ln.St.ReadHits++
-		line.Used[w] = true
-		cc.Touch(line)
-		ln.CheckFresh(addr, line.Vals[w], p, "hw read hit")
-		return line.Vals[w], s.Cfg.HitCycles
+		cc.MarkUsed(f, w)
+		cc.Touch(f)
+		v := cc.Val(f, w)
+		ln.CheckFresh(addr, v, p, "hw read hit")
+		return v, s.Cfg.HitCycles
 	}
 
 	ln.St.ReadMisses[s.ClassifyMissLane(ln, tr, addr)]++
@@ -202,17 +203,17 @@ func (s *System) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (
 		// The downgrade itself replays at the barrier.
 		owner := int(e.owner)
 		home := s.HomeOf(addr)
-		extra = s.Netw.DelayBetween(home, owner, 1) + s.Netw.DelayBetween(owner, p, s.Cfg.LineWords)
+		extra = s.Lat.Word(home, owner) + s.Lat.Line(owner, p)
 		ln.St.CoherenceTrafficWords += int64(s.Cfg.LineWords) + 2
 		ln.St.CoherenceMsgs++
 		ln.Inject(int64(s.Cfg.LineWords) + 2)
 		act = actFillFromOwner
 	}
 
-	nl, nw := s.fillLocal(p, ln, addr, false)
+	nf, nw := s.fillLocal(p, ln, addr, false)
 	s.logs[p] = append(s.logs[p], action{kind: act, tag: tag, addr: addr})
 	ln.St.MissLatencySum += extra
-	return nl.Vals[nw], s.ChargeLineMiss(ln, p, addr) + extra
+	return cc.Val(nf, nw), s.ChargeLineMiss(ln, p, addr) + extra
 }
 
 // Write implements memsys.System: invalidation-based MSI with the
@@ -229,30 +230,27 @@ func (s *System) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 	}
 	ln.St.Writes++
 
-	if line, w, ok := cc.Lookup(addr); ok {
+	if f, w, ok := cc.Lookup(addr); ok {
 		ln.St.WriteHits++
 		ln.Write(addr, val, p, s.Epoch)
-		if line.State == cache.Exclusive {
-			line.Vals[w] = val
-			line.Dirty = true
-			line.Used[w] = true
-			cc.Touch(line)
+		exclusive := cc.State(f) == cache.Exclusive
+		// A shared hit upgrades the local copy eagerly (later same-epoch
+		// stores hit exclusive); the sharer sweep replays at the barrier.
+		cc.SetState(f, cache.Exclusive)
+		cc.SetVal(f, w, val)
+		cc.SetDirty(f, true)
+		cc.MarkUsed(f, w)
+		cc.Touch(f)
+		if exclusive {
 			return 0
 		}
-		// Shared hit: upgrade the local copy eagerly (later same-epoch
-		// stores hit exclusive); the sharer sweep replays at the barrier.
-		line.State = cache.Exclusive
-		line.Vals[w] = val
-		line.Dirty = true
-		line.Used[w] = true
-		cc.Touch(line)
 		s.logs[p] = append(s.logs[p], action{kind: actClaim, tag: tag, addr: addr})
 		ln.St.CoherenceMsgs++ // upgrade request
 		ln.St.CoherenceTrafficWords++
 		ln.Inject(1)
 		if s.Cfg.SeqConsistency {
 			// the upgrade must be acknowledged before the write retires
-			return s.Netw.RoundTripBetween(p, s.HomeOf(addr), 1)
+			return s.Lat.WordRoundTrip(p, s.HomeOf(addr))
 		}
 		return 0
 	}
@@ -269,9 +267,9 @@ func (s *System) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 		ln.Inject(int64(s.Cfg.LineWords) + 2)
 	}
 	ln.Write(addr, val, p, s.Epoch)
-	nl, nw := s.fillLocal(p, ln, addr, true)
-	nl.Vals[nw] = val
-	nl.Dirty = true
+	nf, nw := s.fillLocal(p, ln, addr, true)
+	cc.SetVal(nf, nw, val)
+	cc.SetDirty(nf, true)
 	s.logs[p] = append(s.logs[p], action{kind: actClaim, tag: tag, addr: addr})
 	ln.St.ReadTrafficWords += int64(s.Cfg.LineWords) // ownership fetch
 	ln.Inject(int64(s.Cfg.LineWords) + 1)
@@ -303,13 +301,13 @@ func (s *System) writeCritical(p int, ln *memsys.Lane, e *entry, tag int64, addr
 		if cc == nil { // never referenced anything: no copy to invalidate
 			continue
 		}
-		line, w, ok := cc.Lookup(base + prog.Word(woff))
-		if !ok || line.Tag != tag {
+		f, w, ok := cc.Lookup(base + prog.Word(woff))
+		if !ok || cc.Tag(f) != tag {
 			continue
 		}
 		if q != p {
 			reason := cache.LostInvalFalse
-			if line.Used[w] {
+			if cc.Used(f, w) {
 				reason = cache.LostInvalTrue
 			}
 			if s.Probe != nil {
@@ -319,15 +317,15 @@ func (s *System) writeCritical(p int, ln *memsys.Lane, e *entry, tag int64, addr
 				}
 				s.Probe.Invalidation(p, q, addr, class)
 			}
-			tr.NoteLineLost(line, base, reason)
+			tr.NoteLineLost(cc, f, reason)
 		} else {
-			tr.NoteLineLost(line, base, cache.LostInvalTrue)
+			tr.NoteLineLost(cc, f, cache.LostInvalTrue)
 		}
-		if line.Dirty {
+		if cc.Dirty(f) {
 			ln.St.WriteTrafficWords += int64(lw)
 			ln.Inject(int64(lw))
 		}
-		line.InvalidateLine()
+		cc.InvalidateLine(f)
 		ln.St.Invalidations++
 		ln.St.CoherenceMsgs++
 		ln.St.CoherenceTrafficWords += 2
@@ -342,24 +340,23 @@ func (s *System) writeCritical(p int, ln *memsys.Lane, e *entry, tag int64, addr
 
 // fillLocal installs the line containing addr in p's cache, evicting with
 // local bookkeeping only (the directory learns at the barrier replay).
-func (s *System) fillLocal(p int, ln *memsys.Lane, addr prog.Word, exclusive bool) (*cache.Line, int) {
+func (s *System) fillLocal(p int, ln *memsys.Lane, addr prog.Word, exclusive bool) (cache.Frame, int) {
 	cc, tr := s.CacheOf(p)
 	v := cc.Victim(addr)
-	if v.State != cache.Invalid {
-		if v.Dirty {
+	if cc.State(v) != cache.Invalid {
+		if cc.Dirty(v) {
 			ln.St.WriteTrafficWords += int64(s.Cfg.LineWords)
 			ln.Inject(int64(s.Cfg.LineWords))
 		}
-		s.logs[p] = append(s.logs[p], action{kind: actEvict, tag: v.Tag})
-		base := prog.Word(v.Tag * int64(cc.LineWords()))
-		tr.NoteLineLost(v, base, cache.LostReplaced)
-		v.InvalidateLine()
+		s.logs[p] = append(s.logs[p], action{kind: actEvict, tag: cc.Tag(v)})
+		tr.NoteLineLost(cc, v, cache.LostReplaced)
+		cc.InvalidateLine(v)
 	}
-	nl, nw := s.FillLane(ln, cc, tr, addr, s.Epoch, s.Epoch)
+	nf, nw := s.FillLane(ln, cc, tr, addr, s.Epoch, s.Epoch)
 	if exclusive {
-		nl.State = cache.Exclusive
+		cc.SetState(nf, cache.Exclusive)
 	}
-	return nl, nw
+	return nf, nw
 }
 
 // replayEpoch applies the deferred directory mutations in (processor,
@@ -438,15 +435,15 @@ func (s *System) replayFill(p int, e *entry, a *action, fromOwner bool) {
 	}
 	cc, _ := s.CacheOf(p)
 	base := prog.Word(a.tag * int64(cc.LineWords()))
-	line, _, ok := cc.Lookup(base)
-	if !ok || line.Tag != a.tag {
+	f, _, ok := cc.Lookup(base)
+	if !ok || cc.Tag(f) != a.tag {
 		s.clearPresence(e, a.tag, p)
 		return
 	}
 	if fromOwner {
 		// The mid-epoch fill read through the lane, which cannot see the
 		// owner's buffered same-epoch stores; memory is final now.
-		s.refreshFromMemory(line, cc)
+		s.refreshFromMemory(cc, f)
 	}
 	s.reservePointer(e, p, a.tag, a.addr)
 	s.presAdd(e, a.tag, p)
@@ -490,14 +487,14 @@ func (s *System) replayClaim(p int, e *entry, a *action) {
 	// its cache holds NOW: the claimed line may itself have been evicted
 	// (and possibly re-filled shared by a later read) within the epoch.
 	cc, _ := s.CacheOf(p)
-	line, _, ok := cc.Lookup(base)
+	f, _, ok := cc.Lookup(base)
 	switch {
-	case ok && line.Tag == a.tag && line.State == cache.Exclusive:
-		s.refreshFromMemory(line, cc)
+	case ok && cc.Tag(f) == a.tag && cc.State(f) == cache.Exclusive:
+		s.refreshFromMemory(cc, f)
 		e.state, e.owner = dirExclusive, int16(p)
 		s.presSetOnly(e, a.tag, p)
-	case ok && line.Tag == a.tag:
-		s.refreshFromMemory(line, cc)
+	case ok && cc.Tag(f) == a.tag:
+		s.refreshFromMemory(cc, f)
 		e.state, e.owner = dirShared, 0
 		s.presSetOnly(e, a.tag, p)
 	default:
@@ -515,13 +512,13 @@ func (s *System) claimVictim(p, q int, e *entry, a *action, base prog.Word, lw, 
 	if cc == nil { // never referenced anything: no copy, no bit
 		return
 	}
-	line, w, ok := cc.Lookup(base + prog.Word(woff))
-	if !ok || line.Tag != a.tag {
+	f, w, ok := cc.Lookup(base + prog.Word(woff))
+	if !ok || cc.Tag(f) != a.tag {
 		s.presRemove(e, a.tag, q)
 		return
 	}
 	reason := cache.LostInvalFalse
-	if line.Used[w] {
+	if cc.Used(f, w) {
 		reason = cache.LostInvalTrue
 	}
 	if s.Probe != nil {
@@ -531,12 +528,12 @@ func (s *System) claimVictim(p, q int, e *entry, a *action, base prog.Word, lw, 
 		}
 		s.Probe.Invalidation(p, q, a.addr, class)
 	}
-	tr.NoteLineLost(line, base, reason)
-	if line.Dirty {
+	tr.NoteLineLost(cc, f, reason)
+	if cc.Dirty(f) {
 		s.St.WriteTrafficWords += int64(lw)
 		s.Netw.Inject(int64(lw))
 	}
-	line.InvalidateLine()
+	cc.InvalidateLine(f)
 	s.presRemove(e, a.tag, q)
 	s.St.Invalidations++
 	s.St.CoherenceMsgs++
@@ -556,11 +553,11 @@ func (s *System) clearPresence(e *entry, tag int64, p int) {
 // refreshFromMemory overwrites a line's valid words with barrier-final
 // memory: the copies replay leaves alive (claimants, forwarded fillers)
 // may hold words other processors wrote this epoch through their lanes.
-func (s *System) refreshFromMemory(line *cache.Line, cc *cache.Cache) {
-	base := prog.Word(line.Tag * int64(cc.LineWords()))
+func (s *System) refreshFromMemory(cc *cache.Cache, f cache.Frame) {
+	base := prog.Word(cc.Tag(f) * int64(cc.LineWords()))
 	for i := 0; i < cc.LineWords(); i++ {
-		if line.TT[i] != cache.TTInvalid {
-			line.Vals[i] = s.Memory.Read(base + prog.Word(i))
+		if cc.TT(f, i) != cache.TTInvalid {
+			cc.SetVal(f, i, s.Memory.Read(base+prog.Word(i)))
 		}
 	}
 }
@@ -584,13 +581,13 @@ func (s *System) reservePointer(e *entry, p int, tag int64, addr prog.Word) {
 		cc, tr := s.CacheOf(victim)
 		if cc != nil {
 			base := prog.Word(tag * int64(cc.LineWords()))
-			if line, _, ok := cc.Lookup(base); ok && line.Tag == tag {
-				tr.NoteLineLost(line, base, cache.LostReplaced)
-				if line.Dirty {
+			if f, _, ok := cc.Lookup(base); ok && cc.Tag(f) == tag {
+				tr.NoteLineLost(cc, f, cache.LostReplaced)
+				if cc.Dirty(f) {
 					s.St.WriteTrafficWords += int64(s.Cfg.LineWords)
 					s.Netw.Inject(int64(s.Cfg.LineWords))
 				}
-				line.InvalidateLine()
+				cc.InvalidateLine(f)
 			}
 		}
 		if s.Probe != nil {
@@ -613,9 +610,9 @@ func (s *System) downgradeOwner(owner int, tag int64) {
 		return
 	}
 	base := prog.Word(tag * int64(cc.LineWords()))
-	if line, _, ok := cc.Lookup(base); ok && line.Tag == tag {
-		line.State = cache.Shared
-		line.Dirty = false
+	if f, _, ok := cc.Lookup(base); ok && cc.Tag(f) == tag {
+		cc.SetState(f, cache.Shared)
+		cc.SetDirty(f, false)
 	}
 }
 
@@ -665,21 +662,21 @@ func (s *System) CheckInvariants() error {
 			continue
 		}
 		var err error
-		cc.ForEachValidLine(func(line *cache.Line) {
+		cc.ForEachValidLine(func(f cache.Frame) {
 			if err != nil {
 				return
 			}
-			tag := line.Tag
+			tag := cc.Tag(f)
 			e := &s.dir[tag]
 			if !s.presHas(e, tag, p) {
 				err = fmt.Errorf("directory: line %d: P%d holds a copy without a presence bit", tag, p)
 				return
 			}
 			holders[tag]++
-			if line.State == cache.Exclusive {
+			if cc.State(f) == cache.Exclusive {
 				excl[tag] = int32(p)
 			}
-			if line.Dirty && line.State != cache.Exclusive {
+			if cc.Dirty(f) && cc.State(f) != cache.Exclusive {
 				err = fmt.Errorf("directory: line %d: dirty non-exclusive copy at P%d", tag, p)
 			}
 		})
@@ -720,7 +717,7 @@ func (s *System) findStalePresence(e *entry, tag int64) int {
 			return
 		}
 		base := prog.Word(tag * int64(cc.LineWords()))
-		if line, _, ok := cc.Lookup(base); !ok || line.Tag != tag {
+		if f, _, ok := cc.Lookup(base); !ok || cc.Tag(f) != tag {
 			bad = q
 		}
 	}

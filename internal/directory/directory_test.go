@@ -6,6 +6,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/machine"
 	"repro/internal/memsys"
+	"repro/internal/prog"
 	"repro/internal/stats"
 )
 
@@ -133,7 +134,7 @@ func TestWriteMissInvalidatesAllSharers(t *testing.T) {
 		t.Fatalf("invalidations = %d, want 3", s.St.Invalidations)
 	}
 	for q := 1; q <= 3; q++ {
-		if line, w, ok := cacheOf(s, q).Lookup(24); ok && line.ValidWord(w) {
+		if validWord(cacheOf(s, q), 24) {
 			t.Fatalf("P%d still holds an invalidated line", q)
 		}
 	}
@@ -203,7 +204,7 @@ func TestDeferredInvalidationUntilBarrier(t *testing.T) {
 	if s.St.Invalidations != 0 {
 		t.Fatalf("mid-epoch invalidations = %d, want 0", s.St.Invalidations)
 	}
-	if line, w, ok := cacheOf(s, 1).Lookup(8); !ok || !line.ValidWord(w) {
+	if !validWord(cacheOf(s, 1), 8) {
 		t.Fatal("P1's copy must survive until the barrier")
 	}
 	barrier(t, s, 3)
@@ -241,4 +242,10 @@ func TestCriticalStoreEager(t *testing.T) {
 func cacheOf(s *System, q int) *cache.Cache {
 	cc, _ := s.CacheOf(q)
 	return cc
+}
+
+// validWord reports whether cc holds a valid copy of addr.
+func validWord(cc *cache.Cache, addr prog.Word) bool {
+	f, w, ok := cc.Lookup(addr)
+	return ok && cc.ValidWord(f, w)
 }

@@ -100,47 +100,41 @@ func (c *Core) releaseCaches() {
 
 // replaceFrame returns the frame addr's line will occupy in cc. A valid
 // occupant is replaced: the tracker records the loss of each of its
-// valid words, its write-back-dirty words (DirtyW, set only under
-// TPIWriteBack) are charged as write traffic, and the frame is
-// invalidated. Line-grain dirty data (the HW directory's and Tardis's
-// Dirty lines) is the caller's to charge first.
-func replaceFrame(ln *Lane, cc *cache.Cache, tr *cache.Tracker, addr prog.Word) *cache.Line {
+// valid words, its write-back-dirty words (set only under TPIWriteBack)
+// are charged as write traffic, and the frame is invalidated. Line-grain
+// dirty data (the HW directory's and Tardis's Dirty lines) is the
+// caller's to charge first.
+func replaceFrame(ln *Lane, cc *cache.Cache, tr *cache.Tracker, addr prog.Word) cache.Frame {
 	v := cc.Victim(addr)
-	if v.State == cache.Invalid {
+	if cc.State(v) == cache.Invalid {
 		return v
 	}
-	tr.NoteLineLost(v, prog.Word(v.Tag*int64(cc.LineWords())), cache.LostReplaced)
-	var dirty int64
-	for _, d := range v.DirtyW {
-		if d {
-			dirty++
-		}
-	}
-	if dirty > 0 {
+	tr.NoteLineLost(cc, v, cache.LostReplaced)
+	if dirty := cc.DirtyWords(v); dirty > 0 {
 		ln.St.WriteTrafficWords += dirty
 		ln.Inject(dirty)
 	}
-	v.InvalidateLine()
+	cc.InvalidateLine(v)
 	return v
 }
 
-// storeWord is the write-validate update of word w of l, a line present
+// storeWord is the write-validate update of word w of f, a line present
 // in cc: the value, the timetag (promote raises an older tag to wtt,
 // TPI's rule; otherwise wtt is assigned), the used bit and LRU, the
 // tracker's residency, and under writeBack the dirty bit. StoreLane and
 // the StreamCached write cursor share it. The promote test also
 // validates an invalid word: its tag, TTInvalid (-1), is below TPI's
 // store tag, E or E-1, or equal to it at epoch 0.
-func storeWord(cc *cache.Cache, tr *cache.Tracker, l *cache.Line, w int, addr prog.Word, val float64, wtt int64, promote, writeBack bool) {
-	l.Vals[w] = val
-	if !promote || l.TT[w] < wtt {
-		l.TT[w] = wtt
+func storeWord(cc *cache.Cache, tr *cache.Tracker, f cache.Frame, w int, addr prog.Word, val float64, wtt int64, promote, writeBack bool) {
+	cc.SetVal(f, w, val)
+	if !promote || cc.TT(f, w) < wtt {
+		cc.SetTT(f, w, wtt)
 	}
-	l.Used[w] = true
-	cc.Touch(l)
+	cc.MarkUsed(f, w)
+	cc.Touch(f)
 	tr.NoteCached(addr)
 	if writeBack {
-		l.DirtyW[w] = true
+		cc.MarkDirtyWord(f, w)
 	}
 }
 
@@ -156,19 +150,19 @@ func (c *Core) StoreLane(ln *Lane, p int, addr prog.Word, val float64, wtt int64
 	ln.St.Writes++
 	ln.Write(addr, val, p, c.Epoch)
 	cc, tr := c.ProcState(p)
-	l, w, ok := cc.Lookup(addr)
-	hit := ok && l.ValidWord(w)
+	f, w, ok := cc.Lookup(addr)
+	hit := ok && cc.ValidWord(f, w)
 	if hit {
 		ln.St.WriteHits++
 	} else {
 		ln.St.WriteMisses[c.ClassifyMissLane(ln, tr, addr)]++
 	}
 	if !ok {
-		l = replaceFrame(ln, cc, tr, addr)
-		l.Tag, _ = cc.Split(addr)
-		l.State = cache.Shared
+		f = replaceFrame(ln, cc, tr, addr)
+		tag, _ := cc.Split(addr)
+		cc.Install(f, tag, cache.Shared)
 	}
-	storeWord(cc, tr, l, w, addr, val, wtt, promote, writeBack)
+	storeWord(cc, tr, f, w, addr, val, wtt, promote, writeBack)
 	if writeBack {
 		// The word drains in the barrier's flush burst; memory values
 		// stay authoritative, only traffic and stalls follow the policy.
@@ -202,9 +196,9 @@ func (c *Core) StoreCritical(ln *Lane, p int, addr prog.Word) {
 	ln.St.Writes++
 	ln.St.WriteMisses[stats.MissBypass]++
 	cc, tr := c.ProcState(p)
-	if l, w, ok := cc.Lookup(addr); ok && l.ValidWord(w) {
-		tr.NoteLost(addr, cache.LostInvalTrue, l.TT[w])
-		l.InvalidateWord(w)
+	if f, w, ok := cc.Lookup(addr); ok && cc.ValidWord(f, w) {
+		tr.NoteLost(addr, cache.LostInvalTrue, cc.TT(f, w))
+		cc.InvalidateWord(f, w)
 	}
 	ln.St.WriteTrafficWords++
 	ln.Inject(1)
@@ -217,8 +211,8 @@ func (c *Core) StoreCritical(ln *Lane, p int, addr prog.Word) {
 func (c *Core) BypassRead(ln *Lane, p int, addr prog.Word) (float64, int64) {
 	v := ln.Value(addr)
 	cc, _ := c.ProcState(p)
-	if l, w, ok := cc.Lookup(addr); ok && l.ValidWord(w) {
-		l.Vals[w] = v
+	if f, w, ok := cc.Lookup(addr); ok && cc.ValidWord(f, w) {
+		cc.SetVal(f, w, v)
 	}
 	ln.St.ReadMisses[stats.MissBypass]++
 	ln.St.ReadTrafficWords++

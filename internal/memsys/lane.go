@@ -54,8 +54,8 @@ package memsys
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
+	"repro/internal/cache"
 	"repro/internal/memory"
 	"repro/internal/network"
 	"repro/internal/prog"
@@ -296,15 +296,16 @@ func (c *Core) EpochBuffered() bool { return c.alwaysBuffered }
 func (c *Core) FlushEpoch() { c.FlushEpochLanes() }
 
 // TablePool recycles per-processor tables (lane sets, action logs) across
-// runs. A table goes back at its full capacity, so one grown by a
-// large-P run also serves every smaller run after it, and a table too
-// small for a run is grown in place, keeping the entries it has.
-type TablePool[T any] struct{ pool sync.Pool }
+// runs, on a free list the garbage collector does not drain (see
+// cache.FreeList). A table goes back at its full capacity, so one grown
+// by a large-P run also serves every smaller run after it, and a table
+// too small for a run is grown in place, keeping the entries it has.
+type TablePool[T any] struct{ list cache.FreeList[[]T] }
 
 // Get returns a table of length procs. Entries come back as the last run
 // that used them left them; callers scrub what they reuse.
 func (tp *TablePool[T]) Get(procs int) []T {
-	t, _ := tp.pool.Get().([]T)
+	t, _ := tp.list.Get()
 	if cap(t) < procs {
 		t = append(t[:cap(t)], make([]T, procs-cap(t))...)
 	}
@@ -312,7 +313,7 @@ func (tp *TablePool[T]) Get(procs int) []T {
 }
 
 // Put returns a table to the pool; the caller must not use it afterwards.
-func (tp *TablePool[T]) Put(t []T) { tp.pool.Put(t[:cap(t)]) }
+func (tp *TablePool[T]) Put(t []T) { tp.list.Put(t[:cap(t)]) }
 
 // lanesPool recycles lane sets across runs: the write logs and overlay
 // tables grow to an epoch's working set once and are then reused

@@ -180,8 +180,11 @@ type Core struct {
 	Cfg    machine.Config
 	Memory *memory.Memory
 	Netw   network.Net
-	St     stats.Stats
-	Epoch  int64
+	// Lat is Netw's latency table for single words and whole lines,
+	// current as of the last epoch barrier.
+	Lat   *network.Latency
+	St    stats.Stats
+	Epoch int64
 
 	// Probe, when non-nil, observes coherence events (see Probe).
 	Probe Probe
@@ -246,6 +249,7 @@ func NewCore(cfg machine.Config, memWords int64) *Core {
 	default:
 		c.Netw = network.New(cfg.Procs, cfg.SwitchArity)
 	}
+	c.Lat = c.Netw.Latencies(cfg.LineWords)
 	c.St.Scheme = cfg.Scheme.String()
 	c.seqLane = Lane{St: &c.St, mem: c.Memory, net: c.Netw}
 	return c
@@ -329,33 +333,31 @@ func (c *Core) ClassifyMissLane(ln *Lane, tr *cache.Tracker, addr prog.Word) sta
 }
 
 // FillLane fills the whole line containing addr into cc with fresh data
-// and returns the line and word index. Fill data comes from the lane, so
+// and returns the frame and word index. Fill data comes from the lane, so
 // a processor refetching a line it stored to this epoch (write-validate
 // eviction followed by a read) sees its own buffered values. Timetags:
 // the accessed word gets ttAccessed, its neighbours ttNeighbour (the TPI
 // fill rule; write-through schemes pass the epoch for both). The tracker
-// records eviction losses and the new residency.
-func (c *Core) FillLane(ln *Lane, cc *cache.Cache, tr *cache.Tracker, addr prog.Word, ttAccessed, ttNeighbour int64) (*cache.Line, int) {
-	v := replaceFrame(ln, cc, tr, addr)
+// records eviction losses and the new residency. The claimed frame is
+// invalid, so its used bits are already clear.
+func (c *Core) FillLane(ln *Lane, cc *cache.Cache, tr *cache.Tracker, addr prog.Word, ttAccessed, ttNeighbour int64) (cache.Frame, int) {
+	f := replaceFrame(ln, cc, tr, addr)
 	tag, w := cc.Split(addr)
 	base := cc.LineBase(addr)
-	v.Tag = tag
-	v.State = cache.Shared
-	v.Dirty = false
+	cc.Install(f, tag, cache.Shared)
 	for i := 0; i < cc.LineWords(); i++ {
 		a := base + prog.Word(i)
-		v.Vals[i] = ln.Value(a)
+		cc.SetVal(f, i, ln.Value(a))
 		if i == w {
-			v.TT[i] = ttAccessed
+			cc.SetTT(f, i, ttAccessed)
 		} else {
-			v.TT[i] = ttNeighbour
+			cc.SetTT(f, i, ttNeighbour)
 		}
-		v.Used[i] = false
 		tr.NoteCached(a)
 	}
-	v.Used[w] = true
-	cc.Touch(v)
-	return v, w
+	cc.MarkUsed(f, w)
+	cc.Touch(f)
+	return f, w
 }
 
 // LineMissLatencyFor is the read-miss stall: base miss cost plus a
@@ -364,7 +366,7 @@ func (c *Core) FillLane(ln *Lane, cc *cache.Cache, tr *cache.Tracker, addr prog.
 func (c *Core) LineMissLatencyFor(p int, addr prog.Word) int64 {
 	home := c.HomeOf(addr)
 	c.noteHomeFetch(home, int64(c.Cfg.LineWords)+1)
-	return c.Cfg.MissCycles + c.Netw.RoundTripBetween(p, home, c.Cfg.LineWords)
+	return c.Cfg.MissCycles + c.Lat.LineRoundTrip(p, home)
 }
 
 // WordMissLatencyFor is the stall of an uncached single-word fetch by
@@ -372,7 +374,7 @@ func (c *Core) LineMissLatencyFor(p int, addr prog.Word) int64 {
 func (c *Core) WordMissLatencyFor(p int, addr prog.Word) int64 {
 	home := c.HomeOf(addr)
 	c.noteHomeFetch(home, 2)
-	return c.Cfg.MissCycles + c.Netw.RoundTripBetween(p, home, 1)
+	return c.Cfg.MissCycles + c.Lat.WordRoundTrip(p, home)
 }
 
 // ReadClassified performs processor p's read through sys and recovers

@@ -73,14 +73,14 @@ func TestMissFillTimetagsAndEviction(t *testing.T) {
 	tr := cache.NewTracker(core.Memory.Size())
 	core.Memory.InitWord(8, 2.5)
 
-	line, w := core.FillLane(core.LaneFor(0), cc, tr, 9, 10, 9)
-	if w != 1 || line.TT[1] != 10 {
-		t.Fatalf("accessed word tt = %d at %d", line.TT[1], w)
+	f, w := core.FillLane(core.LaneFor(0), cc, tr, 9, 10, 9)
+	if w != 1 || cc.TT(f, 1) != 10 {
+		t.Fatalf("accessed word tt = %d at %d", cc.TT(f, 1), w)
 	}
-	if line.TT[0] != 9 || line.TT[2] != 9 || line.TT[3] != 9 {
-		t.Fatalf("neighbour tts = %v", line.TT)
+	if cc.TT(f, 0) != 9 || cc.TT(f, 2) != 9 || cc.TT(f, 3) != 9 {
+		t.Fatalf("neighbour tts = %d %d %d", cc.TT(f, 0), cc.TT(f, 2), cc.TT(f, 3))
 	}
-	if line.Vals[0] != 2.5 {
+	if cc.Val(f, 0) != 2.5 {
 		t.Fatal("fill must bring memory data")
 	}
 	for i := 0; i < 4; i++ {
@@ -187,11 +187,11 @@ func TestStoreLaneHitMissAndCoalescing(t *testing.T) {
 		t.Fatalf("weak-consistency store stalled %d", stall)
 	}
 	cc, _ := core.ProcState(0)
-	line, w, ok := cc.Lookup(9)
-	if !ok || line.TT[w] != 3 || line.Vals[w] != 1.5 || !line.Used[w] {
+	f, w, ok := cc.Lookup(9)
+	if !ok || cc.TT(f, w) != 3 || cc.Val(f, w) != 1.5 || !cc.Used(f, w) {
 		t.Fatal("the store must validate the written word with its timetag")
 	}
-	if line.ValidWord(0) {
+	if cc.ValidWord(f, 0) {
 		t.Fatal("write-validate must not fetch the neighbours")
 	}
 	core.StoreLane(ln, 0, 9, 2.5, 3, false, false)
@@ -216,12 +216,12 @@ func TestStoreLaneTimetagRules(t *testing.T) {
 	core.StoreLane(ln, 0, 9, 1, 7, true, false)
 	core.StoreLane(ln, 0, 9, 2, 5, true, false)
 	cc, _ := core.ProcState(0)
-	if line, w, _ := cc.Lookup(9); line.TT[w] != 7 {
-		t.Fatalf("promote rule lowered the tag to %d", line.TT[w])
+	if f, w, _ := cc.Lookup(9); cc.TT(f, w) != 7 {
+		t.Fatalf("promote rule lowered the tag to %d", cc.TT(f, w))
 	}
 	core.StoreLane(ln, 0, 9, 3, 5, false, false)
-	if line, w, _ := cc.Lookup(9); line.TT[w] != 5 {
-		t.Fatalf("assignment rule left the tag at %d", line.TT[w])
+	if f, w, _ := cc.Lookup(9); cc.TT(f, w) != 5 {
+		t.Fatalf("assignment rule left the tag at %d", cc.TT(f, w))
 	}
 }
 
@@ -238,7 +238,7 @@ func TestStoreLaneWriteBackEviction(t *testing.T) {
 		t.Fatal("a write-back store must not write through")
 	}
 	cc, tr := core.ProcState(0)
-	if line, w, _ := cc.Lookup(9); !line.DirtyW[w] {
+	if f, _, _ := cc.Lookup(9); cc.DirtyWords(f) != 1 {
 		t.Fatal("a write-back store must mark its word dirty")
 	}
 	core.StoreLane(ln, 0, 9+prog.Word(cfg.CacheWords), 2, 1, true, true)
@@ -275,7 +275,7 @@ func TestStoreCriticalSelfInvalidates(t *testing.T) {
 	core.StoreLane(ln, 0, 9, 1, 2, false, false)
 	core.StoreCritical(ln, 0, 9)
 	cc, tr := core.ProcState(0)
-	if line, w, ok := cc.Lookup(9); ok && line.ValidWord(w) {
+	if f, w, ok := cc.Lookup(9); ok && cc.ValidWord(f, w) {
 		t.Fatal("a critical store must drop the writer's copy")
 	}
 	if r, tt := tr.Lost(9); r != cache.LostInvalTrue || tt != 2 {
@@ -297,7 +297,7 @@ func TestBypassReadRefreshesCachedCopy(t *testing.T) {
 		t.Fatalf("bypass read = %v/%d", v, lat)
 	}
 	cc, _ := core.ProcState(0)
-	if line, w, _ := cc.Lookup(9); line.Vals[w] != 4 {
+	if f, w, _ := cc.Lookup(9); cc.Val(f, w) != 4 {
 		t.Fatal("a bypass read must refresh the cached copy's value")
 	}
 	if core.St.ReadMisses[stats.MissBypass] != 1 || core.St.ReadTrafficWords != 1 {

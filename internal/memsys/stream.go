@@ -16,12 +16,13 @@ package memsys
 // charge, and traffic injection is bit-identical to the scalar path by
 // construction.
 //
-// Soundness of the inlined hit: the cursor caches the line pointer of
-// the previously-touched line and revalidates it on every access
-// (tag match + not Invalid) — exactly the condition cache.Lookup uses —
-// so any eviction, refill, or invalidation between two accesses is
-// observed. The hit predicate (word valid, timetag within the Time-Read
-// window cut) is the scalar hit predicate verbatim; when it fails the
+// Soundness of the inlined hit: the cursor caches the frame of the
+// previously-touched line and revalidates it on every access
+// (cache.Holds: the tag match cache.Lookup uses; an invalid frame's tag
+// is empty), so any eviction, refill, or invalidation between two
+// accesses is observed. The hit predicate (word valid, timetag within
+// the Time-Read window cut) is the scalar hit predicate verbatim; when
+// it fails the
 // cursor falls back to the scheme's scalar path, which re-runs the full
 // decision from scratch. Coherence state only changes at epoch
 // boundaries, and cursors never outlive the loop entry that initialized
@@ -100,8 +101,8 @@ type ReadCursor struct {
 	L1HitCycles int64
 	L2HitCycles int64
 
-	line   *cache.Line // last-touched line; revalidated on every access
-	l1line *cache.Line // StreamTwoLevel: last-touched L1 line
+	line   cache.Frame // last-touched line; revalidated on every access
+	l1line cache.Frame // StreamTwoLevel: last-touched L1 line
 
 	// Batched counters, applied by Flush at stream-loop exit. Stats and
 	// network load are only observed at epoch boundaries (the network
@@ -157,16 +158,13 @@ func (c *ReadCursor) Read(addr prog.Word) (float64, int64, int8) {
 
 	case StreamTwoLevel:
 		if c.Kind == ReadRegular {
-			tag, w := c.L1.Split(addr)
-			l := c.l1line
-			if l == nil || l.Tag != tag || l.State == cache.Invalid {
-				l, _, _ = c.L1.Lookup(addr)
-				c.l1line = l
-			}
-			if l != nil && l.TT[w] != cache.TTInvalid {
+			l1 := c.L1
+			tag, w := l1.Split(addr)
+			if (l1.Holds(&c.l1line, tag) || relookup(l1, &c.l1line, addr)) && l1.TT(c.l1line, w) != cache.TTInvalid {
+				f := c.l1line
 				c.l1hits++
-				c.L1.Touch(l)
-				v := l.Vals[w]
+				l1.Touch(f)
+				v := l1.Val(f, w)
 				if c.Fresh == nil || v != c.Fresh[addr] {
 					c.Ln.CheckFresh(addr, v, c.Proc, "tpi2l L1 hit")
 				}
@@ -177,14 +175,14 @@ func (c *ReadCursor) Read(addr prog.Word) (float64, int64, int8) {
 			if lat == c.HitCycles {
 				lat = c.L2HitCycles // the L2 tag+timetag access is slower
 			}
-			FillWordL1(c.L1, addr, v)
-			c.l1line = nil // the fill may have installed or moved the line
+			FillWordL1(l1, addr, v)
+			c.l1line = cache.Frame{} // the fill may have installed or moved the line
 			return v, lat, class
 		}
 		// Time-Read / bypass: the on-chip copy cannot be validated; the
 		// compiled sequence invalidates it and re-reads through the L2.
-		if l, w, ok := c.L1.Lookup(addr); ok && l.ValidWord(w) {
-			l.InvalidateWord(w)
+		if f, w, ok := c.L1.Lookup(addr); ok && c.L1.ValidWord(f, w) {
+			c.L1.InvalidateWord(f, w)
 			c.trInval++
 		}
 		v, lat, class := c.readInner(addr)
@@ -193,7 +191,7 @@ func (c *ReadCursor) Read(addr prog.Word) (float64, int64, int8) {
 		}
 		if c.Kind == ReadTime {
 			FillWordL1(c.L1, addr, v)
-			c.l1line = nil
+			c.l1line = cache.Frame{}
 		}
 		return v, lat, class
 
@@ -224,34 +222,33 @@ func (c *ReadCursor) readInner(addr prog.Word) (float64, int64, int8) {
 // readCached is the StreamCached reference: the inlined revalidated-hit
 // path with scalar fallback.
 func (c *ReadCursor) readCached(addr prog.Word) (float64, int64, int8) {
-	tag, w := c.CC.Split(addr)
-	l := c.line
-	if l == nil || l.Tag != tag || l.State == cache.Invalid {
-		l, _, _ = c.CC.Lookup(addr)
-		c.line = l
-	}
-	if l != nil && l.TT[w] != cache.TTInvalid && l.TT[w] >= c.Cut {
-		c.hits++
-		if c.PromoteTT {
-			l.TT[w] = c.Epoch
+	cc := c.CC
+	tag, w := cc.Split(addr)
+	if cc.Holds(&c.line, tag) || relookup(cc, &c.line, addr) {
+		f := c.line
+		if tt := cc.TT(f, w); tt != cache.TTInvalid && tt >= c.Cut {
+			c.hits++
+			if c.PromoteTT {
+				cc.SetTT(f, w, c.Epoch)
+			}
+			cc.MarkUsed(f, w)
+			cc.Touch(f)
+			v := cc.Val(f, w)
+			if c.Fresh == nil || v != c.Fresh[addr] {
+				// Buffered lane, or a genuine staleness-oracle failure:
+				// CheckFresh re-runs the compare against the value this
+				// processor must see and panics with the full diagnostic.
+				c.Ln.CheckFresh(addr, v, c.Proc, c.HitCtx)
+			}
+			return v, c.HitCycles, -1
 		}
-		l.Used[w] = true
-		c.CC.Touch(l)
-		v := l.Vals[w]
-		if c.Fresh == nil || v != c.Fresh[addr] {
-			// Buffered lane, or a genuine staleness-oracle failure:
-			// CheckFresh re-runs the compare against the value this
-			// processor must see and panics with the full diagnostic.
-			c.Ln.CheckFresh(addr, v, c.Proc, c.HitCtx)
-		}
-		return v, c.HitCycles, -1
 	}
 	// Anything but a clean hit — absent line, word-grain hole,
 	// window failure — takes the scheme's full scalar path (refresh,
 	// fill, eviction, prefetch, classification), with the class
 	// recovered from the lane counters as for the scalar simulator.
 	v, stall, class := ReadClassified(c.Sys, c.Ln.St, c.Proc, addr, c.Kind, c.Window)
-	c.line = nil // the fill may have replaced or moved the line
+	c.line = cache.Frame{} // the fill may have replaced or moved the line
 	return v, stall, class
 }
 
@@ -260,21 +257,20 @@ func (c *ReadCursor) readCached(addr prog.Word) (float64, int64, int8) {
 // path). Shared by the scalar two-level Read path and StreamTwoLevel
 // cursors.
 func FillWordL1(l1 *cache.Cache, addr prog.Word, v float64) {
-	if line, w, ok := l1.Lookup(addr); ok {
-		line.Vals[w] = v
-		line.TT[w] = 0 // L1 carries no timetags; 0 marks "valid"
-		l1.Touch(line)
+	if f, w, ok := l1.Lookup(addr); ok {
+		l1.SetVal(f, w, v)
+		l1.SetTT(f, w, 0) // L1 carries no timetags; 0 marks "valid"
+		l1.Touch(f)
 		return
 	}
 	vic := l1.Victim(addr)
-	if vic.State != cache.Invalid {
-		vic.InvalidateLine() // clean write-through L1: silent drop
+	if l1.State(vic) != cache.Invalid {
+		l1.InvalidateLine(vic) // clean write-through L1: silent drop
 	}
 	tag, w := l1.Split(addr)
-	vic.Tag = tag
-	vic.State = cache.Shared
-	vic.Vals[w] = v
-	vic.TT[w] = 0
+	l1.Install(vic, tag, cache.Shared)
+	l1.SetVal(vic, w, v)
+	l1.SetTT(vic, w, 0)
 	l1.Touch(vic)
 }
 
@@ -311,8 +307,8 @@ type WriteCursor struct {
 	// barrier), so the check is deterministic.
 	Owners []int16
 
-	line   *cache.Line
-	l1line *cache.Line
+	line   cache.Frame
+	l1line cache.Frame
 
 	// Batched counters, applied by Flush at stream-loop exit (same
 	// argument as ReadCursor's: stats and network load are only observed
@@ -362,36 +358,21 @@ func (c *WriteCursor) Write(addr prog.Word, val float64) (int64, int8) {
 		// hits (upgrades) and misses involve the directory action log —
 		// scalar path.
 		tag, w := c.CC.Split(addr)
-		l := c.line
-		if l == nil || l.Tag != tag || l.State == cache.Invalid {
-			l, _, _ = c.CC.Lookup(addr)
-			c.line = l
-		}
-		if l != nil && l.State == cache.Exclusive && l.TT[w] != cache.TTInvalid {
-			c.n++
-			c.hits++
-			c.Ln.Write(addr, val, c.Proc, c.Epoch)
-			l.Vals[w] = val
-			l.Used[w] = true
-			l.Dirty = true
-			c.CC.Touch(l)
+		if cc, f := c.CC, &c.line; (cc.Holds(f, tag) || relookup(cc, f, addr)) && c.exclusiveValid(*f, w) {
+			c.silentStore(*f, w, addr, val)
 			return 0, -1
 		}
 		stall, class := c.delegate(addr, val)
-		c.line = nil // an upgrade/fill may have moved or replaced the line
+		c.line = cache.Frame{} // an upgrade/fill may have moved or replaced the line
 		return stall, class
 
 	case StreamTwoLevel:
 		// Write-through both levels: update a valid on-chip word (stream
 		// writes are never critical), then run the inner (L2) path.
-		tag, w := c.L1.Split(addr)
-		l := c.l1line
-		if l == nil || l.Tag != tag || l.State == cache.Invalid {
-			l, _, _ = c.L1.Lookup(addr)
-			c.l1line = l
-		}
-		if l != nil && l.TT[w] != cache.TTInvalid {
-			l.Vals[w] = val
+		l1 := c.L1
+		tag, w := l1.Split(addr)
+		if (l1.Holds(&c.l1line, tag) || relookup(l1, &c.l1line, addr)) && l1.TT(c.l1line, w) != cache.TTInvalid {
+			l1.SetVal(c.l1line, w, val)
 		}
 		return c.writeCached(addr, val)
 
@@ -403,24 +384,13 @@ func (c *WriteCursor) Write(addr prog.Word, val float64) (int64, int8) {
 		// silent-store path does. Shared hits, demotions, and misses need
 		// the lease grant and the home action log — scalar path.
 		tag, w := c.CC.Split(addr)
-		l := c.line
-		if l == nil || l.Tag != tag || l.State == cache.Invalid {
-			l, _, _ = c.CC.Lookup(addr)
-			c.line = l
-		}
-		if l != nil && l.State == cache.Exclusive && l.TT[w] != cache.TTInvalid &&
+		if cc, f := c.CC, &c.line; (cc.Holds(f, tag) || relookup(cc, f, addr)) && c.exclusiveValid(*f, w) &&
 			int(tag) < len(c.Owners) && c.Owners[tag] == int16(c.Proc) {
-			c.n++
-			c.hits++
-			c.Ln.Write(addr, val, c.Proc, c.Epoch)
-			l.Vals[w] = val
-			l.Used[w] = true
-			l.Dirty = true
-			c.CC.Touch(l)
+			c.silentStore(*f, w, addr, val)
 			return 0, -1
 		}
 		stall, class := c.delegate(addr, val)
-		c.line = nil // a grant/fill may have moved or replaced the line
+		c.line = cache.Frame{} // a grant/fill may have moved or replaced the line
 		return stall, class
 
 	case StreamUncached:
@@ -431,6 +401,35 @@ func (c *WriteCursor) Write(addr prog.Word, val float64) (int64, int8) {
 		return c.delegate(addr, val)
 	}
 	return c.writeCached(addr, val)
+}
+
+// relookup leaves in *last the frame of cc holding addr's line and
+// reports whether there is one. The cursors call it when their
+// remembered frame no longer Holds the line:
+// cc.Holds(last, tag) || relookup(cc, last, addr) is the revalidated
+// lookup, written out at each site so the common case stays inline.
+func relookup(cc *cache.Cache, last *cache.Frame, addr prog.Word) bool {
+	f, _, ok := cc.Lookup(addr)
+	*last = f
+	return ok
+}
+
+// exclusiveValid reports whether f is an Exclusive line whose word w is
+// valid: the store the HW and Tardis cursors inline.
+func (c *WriteCursor) exclusiveValid(f cache.Frame, w int) bool {
+	return c.CC.State(f) == cache.Exclusive && c.CC.TT(f, w) != cache.TTInvalid
+}
+
+// silentStore is the inlined exclusive-hit store: the buffered memory
+// shadow and the own-cache word update, with no coherence action.
+func (c *WriteCursor) silentStore(f cache.Frame, w int, addr prog.Word, val float64) {
+	c.n++
+	c.hits++
+	c.Ln.Write(addr, val, c.Proc, c.Epoch)
+	c.CC.SetVal(f, w, val)
+	c.CC.MarkUsed(f, w)
+	c.CC.SetDirty(f, true)
+	c.CC.Touch(f)
 }
 
 // delegate routes one store through the scheme's scalar Write, with the
@@ -480,19 +479,15 @@ func (c *Core) InitStoreCursor(wc *WriteCursor, sys System, p int, wtt int64, pr
 // accounting.
 func (c *WriteCursor) writeCached(addr prog.Word, val float64) (int64, int8) {
 	tag, w := c.CC.Split(addr)
-	l := c.line
-	if l == nil || l.Tag != tag || l.State == cache.Invalid {
-		l, _, _ = c.CC.Lookup(addr)
-		c.line = l
-	}
-	if l == nil {
+	if cc := c.CC; !cc.Holds(&c.line, tag) && !relookup(cc, &c.line, addr) {
 		// The allocation installs a line; the next access finds it.
 		return c.delegate(addr, val)
 	}
+	f := c.line
 	ln := c.Ln
 	c.n++
 	ln.Write(addr, val, c.Proc, c.Epoch)
-	hit := l.TT[w] != cache.TTInvalid
+	hit := c.CC.TT(f, w) != cache.TTInvalid
 	class := int8(-1)
 	if hit {
 		c.hits++
@@ -502,7 +497,7 @@ func (c *WriteCursor) writeCached(addr prog.Word, val float64) (int64, int8) {
 		ln.St.WriteMisses[cls]++
 		class = int8(cls)
 	}
-	storeWord(c.CC, c.Tr, l, w, addr, val, c.WTT, c.PromoteTT, c.WriteBack)
+	storeWord(c.CC, c.Tr, f, w, addr, val, c.WTT, c.PromoteTT, c.WriteBack)
 	if c.WriteBack {
 		return 0, class
 	}

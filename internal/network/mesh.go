@@ -21,6 +21,7 @@ type Mesh struct {
 	Wrap       bool
 
 	loadEstimator
+	lat *Latency // nil until Latencies
 }
 
 var _ Net = (*Mesh)(nil)
@@ -84,6 +85,37 @@ func (m *Mesh) AvgHops() float64 {
 		return (nf*nf - 1) / (3 * nf)
 	}
 	return lineAvg(m.DimX) + lineAvg(m.DimY)
+}
+
+// AdvanceTo implements Net.
+func (m *Mesh) AdvanceTo(cycle int64) {
+	if m.advance(cycle) && m.lat != nil {
+		m.fill()
+	}
+}
+
+// Latencies implements Net: one entry per hop count up to the grid
+// diameter.
+func (m *Mesh) Latencies(lineWords int) *Latency {
+	m.lat = newLatency(m, m.maxDist(m.DimX)+m.maxDist(m.DimY), lineWords)
+	m.fill()
+	return m.lat
+}
+
+// maxDist is the largest distance along a dimension of n nodes.
+func (m *Mesh) maxDist(n int) int {
+	if m.Wrap {
+		return n / 2
+	}
+	return n - 1
+}
+
+// fill rebuilds the latency table at the current load.
+func (m *Mesh) fill() {
+	for h := range m.lat.word {
+		m.lat.word[h] = m.delayHops(float64(h), 1)
+		m.lat.line[h] = m.delayHops(float64(h), m.lat.lineWords)
+	}
 }
 
 func (m *Mesh) delayHops(hops float64, payloadWords int) int64 {

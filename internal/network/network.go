@@ -27,21 +27,63 @@ import (
 type Net interface {
 	// Inject records words entering the network for load estimation.
 	Inject(words int64)
-	// AdvanceTo updates the load estimate at a new global cycle count.
+	// AdvanceTo updates the load estimate at a new global cycle count,
+	// and with it the latency table.
 	AdvanceTo(cycle int64)
 	// Load returns the clamped offered-load estimate.
 	Load() float64
-	// Delay is the one-way traversal time under uniform (average
-	// distance) traffic.
-	Delay(payloadWords int) int64
-	// DelayBetween is the one-way traversal time between two endpoints
-	// (equal to Delay for distance-independent topologies).
-	DelayBetween(src, dst, payloadWords int) int64
-	// RoundTrip is a request out and a payload back, average distance.
-	RoundTrip(payloadWords int) int64
-	// RoundTripBetween is a request src->dst and a payload dst->src.
-	RoundTripBetween(src, dst, payloadWords int) int64
+	// Latencies returns the network's latency table for one-word and
+	// lineWords-word packets, which every later AdvanceTo keeps current.
+	// Call it once, before the first AdvanceTo.
+	Latencies(lineWords int) *Latency
 	fmt.Stringer
+}
+
+// Latency is a network's miss-latency table: the one-way delay of a
+// one-word and of a line-sized packet, by hop count (a single entry,
+// hop count 0, for the distance-independent Model). The load estimate
+// only changes at AdvanceTo, so the network rebuilds the table there,
+// each entry from the same expression Delay or DelayBetween evaluates;
+// a miss then costs a table read instead of a call and a math.Ceil.
+// AdvanceTo runs at the epoch barrier, so host-parallel workers only
+// ever read the table.
+type Latency struct {
+	mesh       *Mesh // hop counts; nil for the Model
+	lineWords  int
+	word, line []int64 // one-way delay by hop count
+}
+
+func newLatency(mesh *Mesh, maxHops, lineWords int) *Latency {
+	return &Latency{mesh: mesh, lineWords: lineWords,
+		word: make([]int64, maxHops+1), line: make([]int64, maxHops+1)}
+}
+
+// hops is the table index of the path src->dst.
+func (t *Latency) hops(src, dst int) int {
+	if t.mesh == nil {
+		return 0
+	}
+	return t.mesh.Hops(src, dst)
+}
+
+// Word is DelayBetween(src, dst, 1).
+func (t *Latency) Word(src, dst int) int64 { return t.word[t.hops(src, dst)] }
+
+// Line is DelayBetween(src, dst, lineWords).
+func (t *Latency) Line(src, dst int) int64 { return t.line[t.hops(src, dst)] }
+
+// WordRoundTrip is RoundTripBetween(src, dst, 1): a request out and a
+// one-word reply back (hop counts are symmetric).
+func (t *Latency) WordRoundTrip(src, dst int) int64 {
+	h := t.hops(src, dst)
+	return t.word[h] + t.word[h]
+}
+
+// LineRoundTrip is RoundTripBetween(src, dst, lineWords): a request out
+// and a line back.
+func (t *Latency) LineRoundTrip(src, dst int) int64 {
+	h := t.hops(src, dst)
+	return t.word[h] + t.line[h]
 }
 
 // loadEstimator is the offered-load estimate every model shares: words
@@ -57,10 +99,11 @@ type loadEstimator struct {
 // Inject records words entering the network (for load estimation).
 func (e *loadEstimator) Inject(words int64) { e.words += words }
 
-// AdvanceTo updates the load estimate at a new global cycle count.
-func (e *loadEstimator) AdvanceTo(cycle int64) {
+// advance updates the load estimate at a new global cycle count and
+// reports whether it moved the clock.
+func (e *loadEstimator) advance(cycle int64) bool {
 	if cycle <= e.lastCycle {
-		return
+		return false
 	}
 	dt := cycle - e.lastCycle
 	inst := float64(e.words) / (float64(dt) * float64(e.ports))
@@ -68,6 +111,7 @@ func (e *loadEstimator) AdvanceTo(cycle int64) {
 	e.ewmaLoad = alpha*inst + (1-alpha)*e.ewmaLoad
 	e.words = 0
 	e.lastCycle = cycle
+	return true
 }
 
 // Load returns the current offered-load estimate, clamped to [0, 0.95]
@@ -90,6 +134,7 @@ type Model struct {
 	Stages int // ceil(log_k Procs)
 
 	loadEstimator
+	lat *Latency // nil until Latencies
 }
 
 var _ Net = (*Model)(nil)
@@ -107,6 +152,26 @@ func New(procs, arity int) *Model {
 		stages = 1
 	}
 	return &Model{Procs: procs, Arity: arity, Stages: stages, loadEstimator: loadEstimator{ports: procs}}
+}
+
+// AdvanceTo implements Net.
+func (m *Model) AdvanceTo(cycle int64) {
+	if m.advance(cycle) && m.lat != nil {
+		m.fill()
+	}
+}
+
+// Latencies implements Net.
+func (m *Model) Latencies(lineWords int) *Latency {
+	m.lat = newLatency(nil, 0, lineWords)
+	m.fill()
+	return m.lat
+}
+
+// fill rebuilds the latency table at the current load.
+func (m *Model) fill() {
+	m.lat.word[0] = m.Delay(1)
+	m.lat.line[0] = m.Delay(m.lat.lineWords)
 }
 
 // Delay returns the one-way network traversal time in cycles for a packet

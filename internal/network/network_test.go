@@ -248,3 +248,93 @@ func TestSharedLoadEstimator(t *testing.T) {
 		}
 	}
 }
+
+// TestLatencyTableMatchesDirectDelays drives every model's load estimate
+// through a sweep of injections that reaches both clamps — 0 while idle,
+// 0.95 when saturated — then decays, and after each AdvanceTo checks that
+// every latency-table entry equals the direct delay expression it
+// stands for: one-word and line payloads at every hop count up to the
+// diameter, both round trips, and the directory's forwarded-read form
+// DelayBetween(home, owner, 1) + DelayBetween(owner, p, line).
+func TestLatencyTableMatchesDirectDelays(t *testing.T) {
+	const lineWords = 4
+	model := New(64, 4)
+	mesh := NewMesh(64, 4, false)
+	torus := NewMesh(64, 1, true)
+	type direct interface {
+		Net
+		DelayBetween(src, dst, payloadWords int) int64
+		RoundTripBetween(src, dst, payloadWords int) int64
+	}
+	nets := []struct {
+		net   direct
+		delay func(hops, payload int) int64 // direct one-way delay
+	}{
+		{model, func(_, payload int) int64 { return model.Delay(payload) }},
+		{mesh, func(h, payload int) int64 { return mesh.delayHops(float64(h), payload) }},
+		{torus, func(h, payload int) int64 { return torus.delayHops(float64(h), payload) }},
+	}
+	tables := make([]*Latency, len(nets))
+	for i, n := range nets {
+		tables[i] = n.net.Latencies(lineWords)
+	}
+	sawTop, sawZero := false, false
+	cycle := int64(0)
+	for step := 0; step < 120; step++ {
+		var inject int64 // idle first: load 0
+		switch {
+		case step >= 5 && step < 45:
+			inject = int64(step-5) * int64(step-5) * 50 // rising load
+		case step >= 45 && step < 60:
+			inject = 1 << 40 // saturate: clamp at 0.95
+		}
+		cycle += 1000
+		for i, n := range nets {
+			n.net.Inject(inject)
+			n.net.AdvanceTo(cycle)
+			lat := tables[i]
+			for h := range lat.word {
+				if lat.word[h] != n.delay(h, 1) || lat.line[h] != n.delay(h, lineWords) {
+					t.Fatalf("%v step %d hops %d: table %d/%d, direct %d/%d", n.net, step, h,
+						lat.word[h], lat.line[h], n.delay(h, 1), n.delay(h, lineWords))
+				}
+			}
+			d := n.net
+			for src := 0; src < 64; src++ {
+				for dst := 0; dst < 64; dst++ {
+					if lat.Word(src, dst) != d.DelayBetween(src, dst, 1) || lat.Line(src, dst) != d.DelayBetween(src, dst, lineWords) {
+						t.Fatalf("%v step %d %d->%d: one-way delays differ", d, step, src, dst)
+					}
+					if lat.WordRoundTrip(src, dst) != d.RoundTripBetween(src, dst, 1) ||
+						lat.LineRoundTrip(src, dst) != d.RoundTripBetween(src, dst, lineWords) {
+						t.Fatalf("%v step %d %d->%d: round trips differ", d, step, src, dst)
+					}
+					owner := (src + dst) % 64 // the directory's forwarded read: home -> owner -> reader
+					if lat.Word(dst, owner)+lat.Line(owner, src) !=
+						d.DelayBetween(dst, owner, 1)+d.DelayBetween(owner, src, lineWords) {
+						t.Fatalf("%v step %d %d->%d via %d: forwarded read differs", d, step, src, dst, owner)
+					}
+				}
+			}
+		}
+		switch model.Load() {
+		case 0.95:
+			sawTop = true
+		case 0:
+			sawZero = true
+		}
+	}
+	if !sawTop || !sawZero {
+		t.Fatalf("load sweep missed a clamp: reached 0.95 %v, 0 %v", sawTop, sawZero)
+	}
+	// The model's table has one entry; a grid's covers the diameter, the
+	// largest hop count of any pair.
+	if got := len(tables[0].word); got != 1 {
+		t.Errorf("model table has %d hop entries, want 1", got)
+	}
+	for _, m := range []*Mesh{mesh, torus} {
+		if got, want := len(m.lat.word)-1, gridDiameter(t, m); got != want {
+			t.Errorf("%v: table covers %d hops, diameter %d", m, got, want)
+		}
+	}
+}

@@ -107,16 +107,17 @@ func (s *SC) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (floa
 		return s.BypassRead(ln, p, addr)
 	}
 	cc, tr := s.ProcState(p)
-	if line, w, ok := cc.Lookup(addr); ok && line.ValidWord(w) {
+	if f, w, ok := cc.Lookup(addr); ok && cc.ValidWord(f, w) {
 		ln.St.ReadHits++
-		line.Used[w] = true
-		cc.Touch(line)
-		ln.CheckFresh(addr, line.Vals[w], p, "sc regular hit")
-		return line.Vals[w], s.Cfg.HitCycles
+		cc.MarkUsed(f, w)
+		cc.Touch(f)
+		v := cc.Val(f, w)
+		ln.CheckFresh(addr, v, p, "sc regular hit")
+		return v, s.Cfg.HitCycles
 	}
 	ln.St.ReadMisses[s.ClassifyMissLane(ln, tr, addr)]++
-	nl, nw := s.FillLane(ln, cc, tr, addr, s.Epoch, s.Epoch)
-	return nl.Vals[nw], s.ChargeLineMiss(ln, p, addr)
+	nf, nw := s.FillLane(ln, cc, tr, addr, s.Epoch, s.Epoch)
+	return cc.Val(nf, nw), s.ChargeLineMiss(ln, p, addr)
 }
 
 // Write implements memsys.System: write-through, write-validate

@@ -85,7 +85,8 @@ func TestSCCriticalWriteSelfInvalidates(t *testing.T) {
 	s.EpochBoundary(1)
 	s.Write(0, 24, 1.0, false)
 	s.Write(0, 24, 2.0, true)
-	if line, w, ok := s.Caches()[0].Lookup(24); ok && line.ValidWord(w) {
+	cc := s.Caches()[0]
+	if f, w, ok := cc.Lookup(24); ok && cc.ValidWord(f, w) {
 		t.Fatal("critical store must drop the writer's cached word")
 	}
 	if s.Memory.Read(24) != 2.0 {

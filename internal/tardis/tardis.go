@@ -260,63 +260,64 @@ func (s *System) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (
 	}
 	cc, tr := s.ProcState(p)
 
-	line, w, present := cc.Lookup(addr)
-	if present && line.TT[w] != cache.TTInvalid {
-		if line.TT[w] >= s.gts {
+	f, w, present := cc.Lookup(addr)
+	if present && cc.TT(f, w) != cache.TTInvalid {
+		if cc.TT(f, w) >= s.gts {
 			// Unexpired lease: the uniform Tardis hit.
 			ln.St.ReadHits++
-			line.Used[w] = true
-			cc.Touch(line)
-			ln.CheckFresh(addr, line.Vals[w], p, "tardis hit")
-			return line.Vals[w], s.Cfg.HitCycles
+			cc.MarkUsed(f, w)
+			cc.Touch(f)
+			v := cc.Val(f, w)
+			ln.CheckFresh(addr, v, p, "tardis hit")
+			return v, s.Cfg.HitCycles
 		}
-		lid := line.Tag
+		lid := cc.Tag(f)
 		end := s.grantEnd(lid)
 		if s.ownerHeld(lid, p) {
 			// Expired lease on a line another processor owns: recall.
-			return s.recallRead(ln, cc, tr, line, w, addr, lid, end, p)
+			return s.recallRead(ln, cc, tr, f, w, addr, lid, end, p)
 		}
-		if s.lineChanged(ln, cc, line, addr) {
+		if s.lineChanged(ln, cc, f, addr) {
 			// The data moved on: a necessary coherence re-fetch.
 			ln.St.ReadMisses[stats.MissTrueSharing]++
-			s.refreshLine(ln, line, w, addr, cc, tr, end)
+			s.refreshLine(ln, f, w, addr, cc, tr, end)
 			s.log(p, actRenewStale, lid, end)
-			return line.Vals[w], s.ChargeLineMiss(ln, p, addr)
+			return cc.Val(f, w), s.ChargeLineMiss(ln, p, addr)
 		}
 		// Data unchanged: pure lease renewal — timestamps move, data
 		// does not. This is the Tardis analog of the HSCD conservative
 		// miss, in its own class.
 		ln.St.ReadMisses[stats.MissLeaseExpired]++
 		ln.St.LeaseRenewals++
-		s.extendLine(ln, line, w, addr, cc, end, p)
+		s.extendLine(ln, f, w, addr, cc, end, p)
 		s.log(p, actRenewFresh, lid, end)
-		return line.Vals[w], s.chargeRenewal(ln, p, addr)
+		return cc.Val(f, w), s.chargeRenewal(ln, p, addr)
 	}
 
 	ln.St.ReadMisses[s.ClassifyMissLane(ln, tr, addr)]++
 	if present {
 		// Word-grain hole in a present line.
-		lid := line.Tag
+		lid := cc.Tag(f)
 		end := s.grantEnd(lid)
 		if s.ownerHeld(lid, p) {
-			return s.recallWord(ln, cc, tr, line, w, addr, lid, end, p)
+			return s.recallWord(ln, cc, tr, f, w, addr, lid, end, p)
 		}
-		s.refreshLine(ln, line, w, addr, cc, tr, end)
+		s.refreshLine(ln, f, w, addr, cc, tr, end)
 		s.log(p, actGrant, lid, end)
-		return line.Vals[w], s.ChargeLineMiss(ln, p, addr)
+		return cc.Val(f, w), s.ChargeLineMiss(ln, p, addr)
 	}
-	nl, nw := s.fillLine(ln, cc, tr, p, addr)
-	return nl.Vals[nw], s.ChargeLineMiss(ln, p, addr)
+	nf, nw := s.fillLine(ln, cc, tr, p, addr)
+	return cc.Val(nf, nw), s.ChargeLineMiss(ln, p, addr)
 }
 
 // lineChanged reports whether any valid word of the (expired) line
 // differs from what this processor must currently see — the home's
 // renewal check, decided against lane-visible values so sequential and
 // host-parallel runs agree.
-func (s *System) lineChanged(ln *memsys.Lane, cc *cache.Cache, line *cache.Line, addr prog.Word) bool {
+func (s *System) lineChanged(ln *memsys.Lane, cc *cache.Cache, f cache.Frame, addr prog.Word) bool {
 	base := cc.LineBase(addr)
 	for i := 0; i < cc.LineWords(); i++ {
-		if line.TT[i] != cache.TTInvalid && line.Vals[i] != ln.Value(base+prog.Word(i)) {
+		if cc.TT(f, i) != cache.TTInvalid && cc.Val(f, i) != ln.Value(base+prog.Word(i)) {
 			return true
 		}
 	}
@@ -326,33 +327,33 @@ func (s *System) lineChanged(ln *memsys.Lane, cc *cache.Cache, line *cache.Line,
 // extendLine renews the line's valid words in place: no data moves, the
 // lease timetags advance to end (never backwards — a word written this
 // epoch already carries the strictly larger write timestamp).
-func (s *System) extendLine(ln *memsys.Lane, line *cache.Line, w int, addr prog.Word, cc *cache.Cache, end int64, p int) {
-	for i := range line.TT {
-		if line.TT[i] != cache.TTInvalid && line.TT[i] < end {
-			line.TT[i] = end
+func (s *System) extendLine(ln *memsys.Lane, f cache.Frame, w int, addr prog.Word, cc *cache.Cache, end int64, p int) {
+	for i := 0; i < cc.LineWords(); i++ {
+		if tt := cc.TT(f, i); tt != cache.TTInvalid && tt < end {
+			cc.SetTT(f, i, end)
 		}
 	}
-	line.Used[w] = true
-	cc.Touch(line)
-	ln.CheckFresh(addr, line.Vals[w], p, "tardis renewal")
+	cc.MarkUsed(f, w)
+	cc.Touch(f)
+	ln.CheckFresh(addr, cc.Val(f, w), p, "tardis renewal")
 }
 
 // refreshLine re-fetches a present line through the lane; every word's
 // lease becomes at least end.
-func (s *System) refreshLine(ln *memsys.Lane, line *cache.Line, w int, addr prog.Word, cc *cache.Cache, tr *cache.Tracker, end int64) {
+func (s *System) refreshLine(ln *memsys.Lane, f cache.Frame, w int, addr prog.Word, cc *cache.Cache, tr *cache.Tracker, end int64) {
 	base := cc.LineBase(addr)
 	for i := 0; i < cc.LineWords(); i++ {
 		a := base + prog.Word(i)
-		line.Vals[i] = ln.Value(a)
-		if line.TT[i] < end {
-			line.TT[i] = end
+		cc.SetVal(f, i, ln.Value(a))
+		if cc.TT(f, i) < end {
+			cc.SetTT(f, i, end)
 		}
 		tr.NoteCached(a)
 	}
-	line.State = cache.Shared
-	line.Dirty = false
-	line.Used[w] = true
-	cc.Touch(line)
+	cc.SetState(f, cache.Shared)
+	cc.SetDirty(f, false)
+	cc.MarkUsed(f, w)
+	cc.Touch(f)
 }
 
 // recallRead handles an expired word of a line exclusively owned by
@@ -360,45 +361,44 @@ func (s *System) refreshLine(ln *memsys.Lane, line *cache.Line, w int, addr prog
 // via the grant) and can vouch only for the requested word — the owner
 // may be silently storing to the line's other words this very epoch, so
 // their leases are curtailed rather than renewed (see staleMark).
-func (s *System) recallRead(ln *memsys.Lane, cc *cache.Cache, tr *cache.Tracker, line *cache.Line, w int, addr prog.Word, lid, end int64, p int) (float64, int64) {
-	changed := line.Vals[w] != ln.Value(addr)
+func (s *System) recallRead(ln *memsys.Lane, cc *cache.Cache, tr *cache.Tracker, f cache.Frame, w int, addr prog.Word, lid, end int64, p int) (float64, int64) {
+	changed := cc.Val(f, w) != ln.Value(addr)
 	if changed {
 		ln.St.ReadMisses[stats.MissTrueSharing]++
 	} else {
 		ln.St.ReadMisses[stats.MissLeaseExpired]++
 		ln.St.LeaseRenewals++
 	}
-	s.staleMark(line, w)
-	line.Vals[w] = ln.Value(addr)
-	if line.TT[w] < end {
-		line.TT[w] = end
-	}
-	line.State = cache.Shared
-	line.Used[w] = true
-	cc.Touch(line)
-	tr.NoteCached(addr)
+	s.recallWordState(ln, cc, tr, f, w, addr, end)
 	if changed {
 		s.log(p, actRenewStale, lid, end)
 	} else {
 		s.log(p, actRenewFresh, lid, end)
 	}
-	return line.Vals[w], s.chargeRecall(ln, p, addr)
+	return cc.Val(f, w), s.chargeRecall(ln, p, addr)
 }
 
 // recallWord fills a word-grain hole of an owner-held present line —
 // like recallRead but the requested word has no prior copy to compare.
-func (s *System) recallWord(ln *memsys.Lane, cc *cache.Cache, tr *cache.Tracker, line *cache.Line, w int, addr prog.Word, lid, end int64, p int) (float64, int64) {
-	s.staleMark(line, w)
-	line.Vals[w] = ln.Value(addr)
-	if line.TT[w] < end {
-		line.TT[w] = end
-	}
-	line.State = cache.Shared
-	line.Used[w] = true
-	cc.Touch(line)
-	tr.NoteCached(addr)
+func (s *System) recallWord(ln *memsys.Lane, cc *cache.Cache, tr *cache.Tracker, f cache.Frame, w int, addr prog.Word, lid, end int64, p int) (float64, int64) {
+	s.recallWordState(ln, cc, tr, f, w, addr, end)
 	s.log(p, actGrant, lid, end)
-	return line.Vals[w], s.chargeRecall(ln, p, addr)
+	return cc.Val(f, w), s.chargeRecall(ln, p, addr)
+}
+
+// recallWordState is the cache side of a recall: every other valid word
+// expires (staleMark), word w is re-fetched through the lane with a
+// lease of at least end, and the line drops to Shared.
+func (s *System) recallWordState(ln *memsys.Lane, cc *cache.Cache, tr *cache.Tracker, f cache.Frame, w int, addr prog.Word, end int64) {
+	s.staleMark(cc, f, w)
+	cc.SetVal(f, w, ln.Value(addr))
+	if cc.TT(f, w) < end {
+		cc.SetTT(f, w, end)
+	}
+	cc.SetState(f, cache.Shared)
+	cc.MarkUsed(f, w)
+	cc.Touch(f)
+	tr.NoteCached(addr)
 }
 
 // staleMark caps the lease of every valid word of the line except w at
@@ -407,11 +407,11 @@ func (s *System) recallWord(ln *memsys.Lane, cc *cache.Cache, tr *cache.Tracker,
 // is harmless (the hit predicate rejects it) and the next access decides
 // renewal vs re-fetch by comparing values, which by then include the
 // owner's flushed stores.
-func (s *System) staleMark(line *cache.Line, w int) {
+func (s *System) staleMark(cc *cache.Cache, f cache.Frame, w int) {
 	cut := s.gts - 1
-	for i := range line.TT {
-		if i != w && line.TT[i] > cut {
-			line.TT[i] = cut
+	for i := 0; i < cc.LineWords(); i++ {
+		if i != w && cc.TT(f, i) > cut {
+			cc.SetTT(f, i, cut)
 		}
 	}
 }
@@ -419,31 +419,31 @@ func (s *System) staleMark(line *cache.Line, w int) {
 // fillLine installs the line with lease end per word; an unshared line
 // (no outstanding leases, no foreign owner) is granted Exclusive under
 // TardisExclusive. A dirty victim (silent stores) writes back first.
-func (s *System) fillLine(ln *memsys.Lane, cc *cache.Cache, tr *cache.Tracker, p int, addr prog.Word) (*cache.Line, int) {
-	if v := cc.Victim(addr); v.State != cache.Invalid && v.Dirty {
+func (s *System) fillLine(ln *memsys.Lane, cc *cache.Cache, tr *cache.Tracker, p int, addr prog.Word) (cache.Frame, int) {
+	if v := cc.Victim(addr); cc.State(v) != cache.Invalid && cc.Dirty(v) {
 		s.chargeWriteback(ln, cc)
-		v.Dirty = false
+		cc.SetDirty(v, false)
 	}
 	lid := int64(addr) / int64(s.Cfg.LineWords)
 	wts, rts, _ := s.home.get(lid)
 	end := s.grantEnd(lid)
-	nl, nw := s.FillLane(ln, cc, tr, addr, end, end)
+	nf, nw := s.FillLane(ln, cc, tr, addr, end, end)
 	if s.ownerHeld(lid, p) {
 		// Owner-held line: recall it (one coherence message on top of
 		// the fetch); only the accessed word's lease can be granted.
-		s.staleMark(nl, nw)
+		s.staleMark(cc, nf, nw)
 		ln.St.CoherenceMsgs++
 		s.log(p, actGrant, lid, end)
-		return nl, nw
+		return nf, nw
 	}
 	if s.excl && rts <= wts && (s.owner[lid] < 0 || s.owner[lid] == int16(p)) {
-		nl.State = cache.Exclusive
+		cc.SetState(nf, cache.Exclusive)
 		ln.St.ExclusiveGrants++
 		s.log(p, actOwnGrant, lid, end)
 	} else {
 		s.log(p, actGrant, lid, end)
 	}
-	return nl, nw
+	return nf, nw
 }
 
 // chargeWriteback accounts a dirty (silently-stored) victim line's
@@ -498,10 +498,10 @@ func (s *System) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 		return 0
 	}
 	cc, _ := s.ProcState(p)
-	line, w, ok := cc.Lookup(addr)
+	f, w, ok := cc.Lookup(addr)
 	switch {
-	case ok && line.State == cache.Exclusive && s.excl && s.owner[line.Tag] == int16(p):
-		if line.TT[w] != cache.TTInvalid {
+	case ok && cc.State(f) == cache.Exclusive && s.excl && s.owner[cc.Tag(f)] == int16(p):
+		if cc.TT(f, w) != cache.TTInvalid {
 			// Tardis 2.0 silent store: the frozen home owner table still
 			// names this processor, so no lease can be granted to anyone
 			// else this epoch and the store needs no home interaction at
@@ -509,17 +509,17 @@ func (s *System) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 			ln.St.Writes++
 			ln.Write(addr, val, p, s.Epoch)
 			ln.St.WriteHits++
-			line.Vals[w] = val
-			line.Used[w] = true
-			line.Dirty = true
-			cc.Touch(line)
+			cc.SetVal(f, w, val)
+			cc.MarkUsed(f, w)
+			cc.SetDirty(f, true)
+			cc.Touch(f)
 			return 0
 		}
-	case ok && line.State == cache.Exclusive:
+	case ok && cc.State(f) == cache.Exclusive:
 		// Stale exclusivity hint (the home revoked us): demote.
-		line.State = cache.Shared
+		cc.SetState(f, cache.Shared)
 	case !ok:
-		if v := cc.Victim(addr); v.State != cache.Invalid && v.Dirty {
+		if v := cc.Victim(addr); cc.State(v) != cache.Invalid && cc.Dirty(v) {
 			s.chargeWriteback(ln, cc) // silently-stored victim
 		}
 	}

@@ -75,10 +75,10 @@ func (s *System) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (
 	}
 	cc, tr := s.ProcState(p)
 
-	line, w, present := cc.Lookup(addr)
-	if present && line.ValidWord(w) {
+	f, w, present := cc.Lookup(addr)
+	if present && cc.ValidWord(f, w) {
 		ok := true
-		if kind == memsys.ReadTime && line.TT[w] < s.Epoch-s.effWindow(window) {
+		if kind == memsys.ReadTime && cc.TT(f, w) < s.Epoch-s.effWindow(window) {
 			ok = false
 		}
 		if ok {
@@ -87,38 +87,39 @@ func (s *System) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (
 				// Per-word tags may be promoted on a validated hit; a
 				// line-granular tag may not (its other words could have
 				// been written by other tasks since the fill).
-				line.TT[w] = s.Epoch
+				cc.SetTT(f, w, s.Epoch)
 			}
-			line.Used[w] = true
-			cc.Touch(line)
-			ln.CheckFresh(addr, line.Vals[w], p, kind.HitContext())
-			return line.Vals[w], s.Cfg.HitCycles
+			cc.MarkUsed(f, w)
+			cc.Touch(f)
+			v := cc.Val(f, w)
+			ln.CheckFresh(addr, v, p, kind.HitContext())
+			return v, s.Cfg.HitCycles
 		}
 		// Window failure on a present word: necessary (data really
 		// changed) or conservative (compiler/window artifact)?
-		if ln.LastWriteEpoch(addr) > line.TT[w] {
+		if ln.LastWriteEpoch(addr) > cc.TT(f, w) {
 			ln.St.ReadMisses[stats.MissTrueSharing]++
 		} else {
 			ln.St.ReadMisses[stats.MissConservative]++
 		}
-		s.refreshLine(ln, line, w, addr, cc, tr)
-		return line.Vals[w], s.ChargeLineMiss(ln, p, addr)
+		s.refreshLine(ln, f, w, addr, cc, tr)
+		return cc.Val(f, w), s.ChargeLineMiss(ln, p, addr)
 	}
 
 	// Word absent (whole line, or a word-grain hole).
 	ln.St.ReadMisses[s.ClassifyMissLane(ln, tr, addr)]++
 	if present {
-		s.refreshLine(ln, line, w, addr, cc, tr)
-		return line.Vals[w], s.ChargeLineMiss(ln, p, addr)
+		s.refreshLine(ln, f, w, addr, cc, tr)
+		return cc.Val(f, w), s.ChargeLineMiss(ln, p, addr)
 	}
 	accessedTT := s.Epoch
 	if s.Cfg.LineTimetags {
 		accessedTT = s.Epoch - 1 // the line tag claims only fill freshness
 	}
-	nl, nw := s.FillLane(ln, cc, tr, addr, accessedTT, s.Epoch-1)
+	nf, nw := s.FillLane(ln, cc, tr, addr, accessedTT, s.Epoch-1)
 	lat := s.ChargeLineMiss(ln, p, addr)
 	s.maybePrefetch(ln, cc, tr, addr)
-	return nl.Vals[nw], lat
+	return cc.Val(nf, nw), lat
 }
 
 // maybePrefetch fetches the sequentially-next line after a demand miss
@@ -144,20 +145,20 @@ func (s *System) maybePrefetch(ln *memsys.Lane, cc *cache.Cache, tr *cache.Track
 
 // refreshLine refetches a present line's data from memory, promoting the
 // accessed word to the current epoch and its neighbours to at least E-1.
-func (s *System) refreshLine(ln *memsys.Lane, line *cache.Line, w int, addr prog.Word, cc *cache.Cache, tr *cache.Tracker) {
+func (s *System) refreshLine(ln *memsys.Lane, f cache.Frame, w int, addr prog.Word, cc *cache.Cache, tr *cache.Tracker) {
 	base := cc.LineBase(addr)
 	for i := 0; i < cc.LineWords(); i++ {
-		line.Vals[i] = ln.Value(base + prog.Word(i))
-		if nt := s.Epoch - 1; line.TT[i] == cache.TTInvalid || line.TT[i] < nt {
-			line.TT[i] = nt
+		cc.SetVal(f, i, ln.Value(base+prog.Word(i)))
+		if nt := s.Epoch - 1; cc.TT(f, i) < nt {
+			cc.SetTT(f, i, nt)
 		}
 		tr.NoteCached(base + prog.Word(i))
 	}
 	if !s.Cfg.LineTimetags {
-		line.TT[w] = s.Epoch
+		cc.SetTT(f, w, s.Epoch)
 	}
-	line.Used[w] = true
-	cc.Touch(line)
+	cc.MarkUsed(f, w)
+	cc.Touch(f)
 }
 
 // Write implements memsys.System: write-through with an infinite write
@@ -241,13 +242,8 @@ func (s *System) flushDirty() int64 {
 			continue
 		}
 		var dirty int64
-		cc.ForEachValidLine(func(l *cache.Line) {
-			for i := range l.DirtyW {
-				if l.DirtyW[i] {
-					dirty++
-					l.DirtyW[i] = false
-				}
-			}
+		cc.ForEachValidLine(func(f cache.Frame) {
+			dirty += cc.FlushDirtyWords(f)
 		})
 		s.St.FlushedWords += dirty
 		s.St.WriteTrafficWords += dirty
@@ -268,23 +264,24 @@ func (s *System) resetOutOfPhase(p int, cut int64) {
 	if cc == nil {
 		return
 	}
-	cc.ForEachValidLine(func(l *cache.Line) {
-		base := prog.Word(l.Tag * int64(cc.LineWords()))
+	cc.ForEachValidLine(func(f cache.Frame) {
+		base := prog.Word(cc.Tag(f) * int64(cc.LineWords()))
 		live := 0
 		for i := 0; i < cc.LineWords(); i++ {
-			if l.TT[i] == cache.TTInvalid {
+			tt := cc.TT(f, i)
+			if tt == cache.TTInvalid {
 				continue
 			}
-			if l.TT[i] <= cut {
-				tr.NoteLost(base+prog.Word(i), cache.LostReset, l.TT[i])
-				l.InvalidateWord(i)
+			if tt <= cut {
+				tr.NoteLost(base+prog.Word(i), cache.LostReset, tt)
+				cc.InvalidateWord(f, i)
 				s.St.ResetInvalidations++
 			} else {
 				live++
 			}
 		}
 		if live == 0 {
-			l.InvalidateLine()
+			cc.InvalidateLine(f)
 		}
 	})
 }
@@ -296,9 +293,9 @@ func (s *System) flashInvalidate(p int) {
 	if cc == nil {
 		return
 	}
-	cc.ForEachValidLine(func(l *cache.Line) {
-		s.St.ResetInvalidations += tr.NoteLineLost(l, prog.Word(l.Tag*int64(cc.LineWords())), cache.LostReset)
-		l.InvalidateLine()
+	cc.ForEachValidLine(func(f cache.Frame) {
+		s.St.ResetInvalidations += tr.NoteLineLost(cc, f, cache.LostReset)
+		cc.InvalidateLine(f)
 	})
 }
 

@@ -89,16 +89,16 @@ func TestFillNeighbourRule(t *testing.T) {
 	// Miss on word 8 fills the line 8..11.
 	s.Read(0, 8, memsys.ReadRegular, 0)
 	cc := s.Caches()[0]
-	line, w, ok := cc.Lookup(8)
-	if !ok || !line.ValidWord(w) {
+	f, w, ok := cc.Lookup(8)
+	if !ok || !cc.ValidWord(f, w) {
 		t.Fatal("fill failed")
 	}
-	if line.TT[0] != 5 {
-		t.Fatalf("accessed word tt = %d, want 5", line.TT[0])
+	if cc.TT(f, 0) != 5 {
+		t.Fatalf("accessed word tt = %d, want 5", cc.TT(f, 0))
 	}
 	for i := 1; i < 4; i++ {
-		if line.TT[i] != 4 {
-			t.Fatalf("neighbour word %d tt = %d, want E-1 = 4", i, line.TT[i])
+		if cc.TT(f, i) != 4 {
+			t.Fatalf("neighbour word %d tt = %d, want E-1 = 4", i, cc.TT(f, i))
 		}
 	}
 	// Consequence: a window-0 Time-Read of a neighbour must MISS even
@@ -116,13 +116,13 @@ func TestWriteValidateAllocation(t *testing.T) {
 	s.EpochBoundary(1)
 	s.Write(0, 20, 1.25, false)
 	cc := s.Caches()[0]
-	line, w, ok := cc.Lookup(20)
-	if !ok || !line.ValidWord(w) {
+	f, w, ok := cc.Lookup(20)
+	if !ok || !cc.ValidWord(f, w) {
 		t.Fatal("write must allocate the written word")
 	}
 	// neighbours must NOT be validated (no fetch-on-write)
 	for i := 0; i < 4; i++ {
-		if i != w && line.TT[i] != cache.TTInvalid {
+		if i != w && cc.TT(f, i) != cache.TTInvalid {
 			t.Fatalf("write-validate must not validate neighbour %d", i)
 		}
 	}
@@ -166,8 +166,8 @@ func TestCriticalWriteSelfInvalidates(t *testing.T) {
 	s.Write(0, 40, 1.0, false) // cached copy
 	s.Write(0, 40, 2.0, true)  // critical store
 	cc := s.Caches()[0]
-	line, w, ok := cc.Lookup(40)
-	if ok && line.ValidWord(w) {
+	f, w, ok := cc.Lookup(40)
+	if ok && cc.ValidWord(f, w) {
 		t.Fatal("critical store must invalidate the writer's own copy")
 	}
 	if v := s.Memory.Read(40); v != 2.0 {
@@ -193,8 +193,8 @@ func TestBypassReadRefreshesCachedCopy(t *testing.T) {
 		t.Fatalf("bypass must fetch memory value, got %v", v)
 	}
 	cc := s.Caches()[0]
-	line, w, _ := cc.Lookup(50)
-	if line.Vals[w] != 9.0 {
+	f, w, _ := cc.Lookup(50)
+	if cc.Val(f, w) != 9.0 {
 		t.Fatal("bypass read must refresh the cached value in place")
 	}
 }
@@ -224,10 +224,10 @@ func TestTwoPhaseResetDropsOnlyOutOfPhase(t *testing.T) {
 		t.Fatalf("reset invalidations = %d, want 2", s.St.ResetInvalidations)
 	}
 	cc := s.Caches()[0]
-	if l, w, ok := cc.Lookup(16); !ok || !l.ValidWord(w) {
+	if f, w, ok := cc.Lookup(16); !ok || !cc.ValidWord(f, w) {
 		t.Fatal("in-phase word must survive the reset")
 	}
-	if l, w, ok := cc.Lookup(0); ok && l.ValidWord(w) {
+	if f, w, ok := cc.Lookup(0); ok && cc.ValidWord(f, w) {
 		t.Fatal("out-of-phase word must be invalidated")
 	}
 	// the reset stall is reported to the caller

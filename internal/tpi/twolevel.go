@@ -60,6 +60,10 @@ func (t *TwoLevel) l1For(p int) *cache.Cache {
 	return l1
 }
 
+// L1Of returns p's L1 without building it: nil when p has not
+// referenced anything yet.
+func (t *TwoLevel) L1Of(p int) *cache.Cache { return t.l1[p] }
+
 // Name implements memsys.System.
 func (t *TwoLevel) Name() string { return "TPI2L" }
 
@@ -79,14 +83,15 @@ func (t *TwoLevel) Read(p int, addr prog.Word, kind memsys.ReadKind, window int)
 	l1 := t.l1For(p)
 
 	if kind == memsys.ReadRegular {
-		if line, w, ok := l1.Lookup(addr); ok && line.ValidWord(w) {
+		if f, w, ok := l1.Lookup(addr); ok && l1.ValidWord(f, w) {
 			ln := t.LaneFor(p)
 			ln.St.L1Hits++
 			ln.St.Reads++
 			ln.St.ReadHits++
-			l1.Touch(line)
-			ln.CheckFresh(addr, line.Vals[w], p, "tpi2l L1 hit")
-			return line.Vals[w], t.Cfg.L1HitCycles
+			l1.Touch(f)
+			v := l1.Val(f, w)
+			ln.CheckFresh(addr, v, p, "tpi2l L1 hit")
+			return v, t.Cfg.L1HitCycles
 		}
 		t.LaneFor(p).St.L1Misses++
 		v, lat := t.System.Read(p, addr, kind, window)
@@ -99,8 +104,8 @@ func (t *TwoLevel) Read(p int, addr prog.Word, kind memsys.ReadKind, window int)
 
 	// Time-Read / bypass: the on-chip copy cannot be validated; the
 	// compiled sequence invalidates it and re-reads through the L2.
-	if line, w, ok := l1.Lookup(addr); ok && line.ValidWord(w) {
-		line.InvalidateWord(w)
+	if f, w, ok := l1.Lookup(addr); ok && l1.ValidWord(f, w) {
+		l1.InvalidateWord(f, w)
 		t.LaneFor(p).St.TimeReadL1Invalidations++
 	}
 	v, lat := t.System.Read(p, addr, kind, window)
@@ -116,11 +121,11 @@ func (t *TwoLevel) Read(p int, addr prog.Word, kind memsys.ReadKind, window int)
 // Write implements memsys.System: write-through both levels.
 func (t *TwoLevel) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 	l1 := t.l1For(p)
-	if line, w, ok := l1.Lookup(addr); ok && line.ValidWord(w) {
+	if f, w, ok := l1.Lookup(addr); ok && l1.ValidWord(f, w) {
 		if crit {
-			line.InvalidateWord(w)
+			l1.InvalidateWord(f, w)
 		} else {
-			line.Vals[w] = val
+			l1.SetVal(f, w, val)
 		}
 	}
 	return t.System.Write(p, addr, val, crit)

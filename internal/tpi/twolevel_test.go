@@ -92,7 +92,7 @@ func TestCriticalWriteInvalidatesL1Word(t *testing.T) {
 	s.Write(0, 32, 1.0, false)
 	s.Read(0, 32, memsys.ReadRegular, 0) // into L1
 	s.Write(0, 32, 2.0, true)            // critical store
-	if line, w, ok := s.l1[0].Lookup(32); ok && line.ValidWord(w) {
+	if f, w, ok := s.l1[0].Lookup(32); ok && s.l1[0].ValidWord(f, w) {
 		t.Fatal("critical store must drop the L1 word")
 	}
 	if v, _ := s.Read(0, 32, memsys.ReadBypass, 0); v != 2.0 {

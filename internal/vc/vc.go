@@ -126,57 +126,58 @@ func (s *System) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (
 	}
 	cc, tr := s.ProcState(p)
 
-	line, w, present := cc.Lookup(addr)
-	if present && line.ValidWord(w) {
-		if line.TT[w] >= s.cvnAt(addr) {
+	f, w, present := cc.Lookup(addr)
+	if present && cc.ValidWord(f, w) {
+		if cc.TT(f, w) >= s.cvnAt(addr) {
 			ln.St.ReadHits++
-			line.Used[w] = true
-			cc.Touch(line)
-			ln.CheckFresh(addr, line.Vals[w], p, "vc hit")
-			return line.Vals[w], s.Cfg.HitCycles
+			cc.MarkUsed(f, w)
+			cc.Touch(f)
+			v := cc.Val(f, w)
+			ln.CheckFresh(addr, v, p, "vc hit")
+			return v, s.Cfg.HitCycles
 		}
 		// Version failure: did the data actually change?
-		if line.Vals[w] != ln.Value(addr) {
+		if cc.Val(f, w) != ln.Value(addr) {
 			ln.St.ReadMisses[stats.MissTrueSharing]++
 		} else {
 			ln.St.ReadMisses[stats.MissConservative]++
 		}
-		s.refreshLine(ln, line, w, addr, cc, tr)
-		return line.Vals[w], s.ChargeLineMiss(ln, p, addr)
+		s.refreshLine(ln, f, w, addr, cc, tr)
+		return cc.Val(f, w), s.ChargeLineMiss(ln, p, addr)
 	}
 
 	ln.St.ReadMisses[s.ClassifyMissLane(ln, tr, addr)]++
 	if present {
-		s.refreshLine(ln, line, w, addr, cc, tr)
-		return line.Vals[w], s.ChargeLineMiss(ln, p, addr)
+		s.refreshLine(ln, f, w, addr, cc, tr)
+		return cc.Val(f, w), s.ChargeLineMiss(ln, p, addr)
 	}
-	nl, nw := s.fillLine(ln, cc, tr, addr)
-	return nl.Vals[nw], s.ChargeLineMiss(ln, p, addr)
+	nf, nw := s.fillLine(ln, cc, tr, addr)
+	return cc.Val(nf, nw), s.ChargeLineMiss(ln, p, addr)
 }
 
 // fillLine installs the line with per-word BVN = CVN(var of word).
-func (s *System) fillLine(ln *memsys.Lane, cc *cache.Cache, tr *cache.Tracker, addr prog.Word) (*cache.Line, int) {
-	nl, nw := s.FillLane(ln, cc, tr, addr, 0, 0)
+func (s *System) fillLine(ln *memsys.Lane, cc *cache.Cache, tr *cache.Tracker, addr prog.Word) (cache.Frame, int) {
+	nf, nw := s.FillLane(ln, cc, tr, addr, 0, 0)
 	base := cc.LineBase(addr)
 	for i := 0; i < cc.LineWords(); i++ {
-		nl.TT[i] = s.cvnAt(base + prog.Word(i))
+		cc.SetTT(nf, i, s.cvnAt(base+prog.Word(i)))
 	}
-	return nl, nw
+	return nf, nw
 }
 
 // refreshLine refetches a present line; every word's BVN becomes the
 // current version of its variable. Fill data comes through the lane so
 // the processor sees its own buffered same-epoch stores.
-func (s *System) refreshLine(ln *memsys.Lane, line *cache.Line, w int, addr prog.Word, cc *cache.Cache, tr *cache.Tracker) {
+func (s *System) refreshLine(ln *memsys.Lane, f cache.Frame, w int, addr prog.Word, cc *cache.Cache, tr *cache.Tracker) {
 	base := cc.LineBase(addr)
 	for i := 0; i < cc.LineWords(); i++ {
 		a := base + prog.Word(i)
-		line.Vals[i] = ln.Value(a)
-		line.TT[i] = s.cvnAt(a)
+		cc.SetVal(f, i, ln.Value(a))
+		cc.SetTT(f, i, s.cvnAt(a))
 		tr.NoteCached(a)
 	}
-	line.Used[w] = true
-	cc.Touch(line)
+	cc.MarkUsed(f, w)
+	cc.Touch(f)
 }
 
 // Write implements memsys.System: write-through; the written word's BVN
