@@ -73,6 +73,7 @@ const dirtyBit = 1 << 8
 // allOnes is -1 (an empty tag, TTInvalid) as a chunk word.
 const allOnes = ^uint64(0)
 
+// newLayout lays out a chunk of the given line size and associativity.
 func newLayout(lineWords, assoc int) layout {
 	frames := chunkSets * assoc
 	words := frames * lineWords
@@ -376,16 +377,10 @@ func (c *Cache) Victim(addr prog.Word) Frame {
 
 // Tag returns the line address (word address / line size) f holds, -1
 // when empty.
-func (c *Cache) Tag(f Frame) int64 {
-	ch, i := f.ch, f.i
-	return int64(ch[i])
-}
+func (c *Cache) Tag(f Frame) int64 { return int64(f.ch[f.i]) }
 
 // State returns f's line state.
-func (c *Cache) State(f Frame) State {
-	ch, i := f.ch, f.i
-	return State(ch[c.meta+i])
-}
+func (c *Cache) State(f Frame) State { return State(f.ch[c.meta+f.i]) }
 
 // SetState moves a valid line between Shared and Exclusive: only
 // InvalidateLine makes a frame Invalid, because it also empties the tag,
@@ -396,10 +391,7 @@ func (c *Cache) SetState(f Frame, st State) {
 }
 
 // Dirty reports the line-grain dirty bit (write-back caches).
-func (c *Cache) Dirty(f Frame) bool {
-	ch, i := f.ch, f.i
-	return ch[c.meta+i]&dirtyBit != 0
-}
+func (c *Cache) Dirty(f Frame) bool { return f.ch[c.meta+f.i]&dirtyBit != 0 }
 
 // SetDirty sets or clears the line-grain dirty bit.
 func (c *Cache) SetDirty(f Frame, dirty bool) {

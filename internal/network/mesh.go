@@ -21,7 +21,7 @@ type Mesh struct {
 	Wrap       bool
 
 	loadEstimator
-	lat *Latency // nil until Latencies
+	lat Latency // empty until Latencies
 }
 
 var _ Net = (*Mesh)(nil)
@@ -89,7 +89,7 @@ func (m *Mesh) AvgHops() float64 {
 
 // AdvanceTo implements Net.
 func (m *Mesh) AdvanceTo(cycle int64) {
-	if m.advance(cycle) && m.lat != nil {
+	if m.advance(cycle) && m.lat.word != nil {
 		m.fill()
 	}
 }
@@ -97,9 +97,9 @@ func (m *Mesh) AdvanceTo(cycle int64) {
 // Latencies implements Net: one entry per hop count up to the grid
 // diameter.
 func (m *Mesh) Latencies(lineWords int) *Latency {
-	m.lat = newLatency(m, m.maxDist(m.DimX)+m.maxDist(m.DimY), lineWords)
+	m.lat.init(m, m.maxDist(m.DimX)+m.maxDist(m.DimY), lineWords)
 	m.fill()
-	return m.lat
+	return &m.lat
 }
 
 // maxDist is the largest distance along a dimension of n nodes.

@@ -53,9 +53,11 @@ type Latency struct {
 	word, line []int64 // one-way delay by hop count
 }
 
-func newLatency(mesh *Mesh, maxHops, lineWords int) *Latency {
-	return &Latency{mesh: mesh, lineWords: lineWords,
-		word: make([]int64, maxHops+1), line: make([]int64, maxHops+1)}
+// init sizes the table for hop counts 0..maxHops, in one allocation.
+func (t *Latency) init(mesh *Mesh, maxHops, lineWords int) {
+	n := maxHops + 1
+	buf := make([]int64, 2*n)
+	*t = Latency{mesh: mesh, lineWords: lineWords, word: buf[:n:n], line: buf[n:]}
 }
 
 // hops is the table index of the path src->dst.
@@ -134,7 +136,7 @@ type Model struct {
 	Stages int // ceil(log_k Procs)
 
 	loadEstimator
-	lat *Latency // nil until Latencies
+	lat Latency // empty until Latencies
 }
 
 var _ Net = (*Model)(nil)
@@ -156,16 +158,16 @@ func New(procs, arity int) *Model {
 
 // AdvanceTo implements Net.
 func (m *Model) AdvanceTo(cycle int64) {
-	if m.advance(cycle) && m.lat != nil {
+	if m.advance(cycle) && m.lat.word != nil {
 		m.fill()
 	}
 }
 
 // Latencies implements Net.
 func (m *Model) Latencies(lineWords int) *Latency {
-	m.lat = newLatency(nil, 0, lineWords)
+	m.lat.init(nil, 0, lineWords)
 	m.fill()
-	return m.lat
+	return &m.lat
 }
 
 // fill rebuilds the latency table at the current load.
