@@ -9,8 +9,8 @@
 // computation. That is intentional: it is what makes the staleness oracle
 // and the sequential-equivalence property tests meaningful.
 //
-// Line state lives in pointer-free chunks of chunkSets consecutive sets
-// (see chunk), allocated the first time a fill claims a set in them.
+// Line state lives in pointer-free chunks of up to chunkSets consecutive
+// sets (see chunk), allocated the first time a fill claims a set in them.
 // Schemes name a line by its Frame and read or write its per-line and
 // per-word state only through Cache methods.
 package cache
@@ -19,6 +19,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/prog"
 )
@@ -49,13 +50,25 @@ type Frame struct {
 	i  int
 }
 
-// chunkSets is the number of consecutive sets one chunk stores: one
-// word of the touched-set bitset.
+// chunkSets is the most consecutive sets one chunk stores: one word of
+// the touched-set bitset.
 const chunkSets = 64
 
-// chunk is the storage of chunkSets consecutive sets: one allocation of
-// 64-bit words, carved into the regions a layout names. It holds no
-// pointers, so the garbage collector never scans it.
+// setsPerChunk is the chunk size of a cache with the given set count:
+// every set when there are at most chunkSets, else the largest power of
+// two up to chunkSets that divides the set count. Either way the chunks
+// tile the sets exactly, so no chunk stores a set the cache lacks and a
+// cache that fills every set holds no more than its own line state.
+func setsPerChunk(sets int) int {
+	if sets <= chunkSets {
+		return sets
+	}
+	return min(sets&-sets, chunkSets)
+}
+
+// chunk is the storage of one chunk's sets: one allocation of 64-bit
+// words, carved into the regions a layout names. It holds no pointers,
+// so the garbage collector never scans it.
 type chunk []uint64
 
 // layout gives the word offsets of a chunk's regions for one (line size,
@@ -73,9 +86,10 @@ const dirtyBit = 1 << 8
 // allOnes is -1 (an empty tag, TTInvalid) as a chunk word.
 const allOnes = ^uint64(0)
 
-// newLayout lays out a chunk of the given line size and associativity.
-func newLayout(lineWords, assoc int) layout {
-	frames := chunkSets * assoc
+// newLayout lays out a chunk of sets sets of the given line size and
+// associativity.
+func newLayout(lineWords, assoc, sets int) layout {
+	frames := sets * assoc
 	words := frames * lineWords
 	bitWords := (words + 63) / 64
 	l := layout{meta: frames, lru: 2 * frames, tt: 3 * frames}
@@ -115,17 +129,20 @@ type Cache struct {
 	setMask int64
 	assoc   int
 	layout
-	// chunks holds one chunk per chunkSets sets, nil until Victim first
-	// claims a set in it.
-	chunks []chunk
-	free   *chunkList
-	clock  int64
+	// chunks holds one chunk per setsPerChunk sets, nil until Victim
+	// first claims a set in it. Set s lives in chunk s>>chunkShift, at
+	// set slot s&chunkMask (shift 6 and mask 63 for a single chunk).
+	chunks     []chunk
+	chunkShift uint
+	chunkMask  int
+	free       *chunkList
+	clock      int64
 	// touched has one bit per set, set by Victim: every fill goes through
 	// Victim first, so a set whose bit is clear still holds only the
 	// fresh-construction state. Release, InvalidateAll and
 	// ForEachValidLine walk the touched sets alone, in ascending order —
 	// the order of a full scan over the lines. Only Release clears it.
-	// chunkSets is 64, so word ci of the bitset is chunk ci's sets.
+	// A chunk's sets lie within one word of it.
 	touched       []uint64
 	capacityWords int64
 }
@@ -134,53 +151,90 @@ type Cache struct {
 // sets of most of them, so storage is paid per touched chunk, and both
 // the chunks and the small Cache headers are recycled. Release returns
 // every chunk, restored to the fresh state, to the free list of its
-// (line size, associativity), and the header to the free list of its
-// geometry.
+// layout, and the header to a per-geometry sync.Pool.
 type geometry struct {
 	capacityWords int64
 	lineWords     int
 	assoc         int
 }
 
-var headers sync.Map // geometry -> *FreeList[*Cache]
+var headers sync.Map // geometry -> *sync.Pool of *Cache
 
-type chunkKey struct{ lineWords, assoc int }
+// chunkKey names a chunk layout: line size, associativity and sets per
+// chunk.
+type chunkKey struct{ lineWords, assoc, sets int }
 
 var chunkLists sync.Map // chunkKey -> *chunkList
 
-// chunkList holds released chunks of one layout, all in the fresh state.
+// chunkList holds released chunks of one layout, all in the fresh
+// state.
 type chunkList struct {
 	layout
 	FreeList[chunk]
+}
+
+// get takes a fresh chunk from the list, or allocates one.
+func (cl *chunkList) get() chunk {
+	if ch, ok := cl.Get(); ok {
+		return ch
+	}
+	return cl.newChunk()
 }
 
 // FreeList is a stack of released values kept for reuse. Unlike a
 // sync.Pool, the garbage collector never drains it: a run's structures
 // survive however many collections pass before the next run, so a
 // smaller heap (more frequent collections) does not mean more
-// reallocation. It holds at most the values that were in use at once.
+// reallocation. All free lists share one budget: together they keep at
+// most retainLimit bytes, and a value released past it is left to the
+// collector. So a long-lived process (the job server) holds a bounded
+// amount between runs however many geometries pass through it.
 type FreeList[T any] struct {
 	mu    sync.Mutex
 	items []T
+	sizes []int64 // bytes each item keeps alive, as Put was told
 }
+
+// retainLimit is the shared budget of the free lists, in bytes: about
+// four times what a 16-point sweep through two job servers keeps
+// (17 MB), and a small fraction of what the largest run the service
+// admits needs while it runs.
+var retainLimit int64 = 64 << 20
+
+// retained is the bytes all free lists hold.
+var retained atomic.Int64
+
+// Retained reports the bytes all free lists hold.
+func Retained() int64 { return retained.Load() }
 
 // Get pops a released value; ok is false when the list is empty.
 func (l *FreeList[T]) Get() (v T, ok bool) {
 	l.mu.Lock()
-	if n := len(l.items); n > 0 {
-		v, ok = l.items[n-1], true
-		var zero T
-		l.items[n-1] = zero
-		l.items = l.items[:n-1]
+	n := len(l.items)
+	if n == 0 {
+		l.mu.Unlock()
+		return v, false
 	}
+	v, size := l.items[n-1], l.sizes[n-1]
+	var zero T
+	l.items[n-1] = zero
+	l.items, l.sizes = l.items[:n-1], l.sizes[:n-1]
 	l.mu.Unlock()
-	return v, ok
+	retained.Add(-size)
+	return v, true
 }
 
-// Put pushes a value; the caller must not use it afterwards.
-func (l *FreeList[T]) Put(v T) {
+// Put keeps a value that holds size bytes for reuse, unless that would
+// take the free lists past their budget; either way the caller must not
+// use it afterwards.
+func (l *FreeList[T]) Put(v T, size int64) {
+	if retained.Add(size) > retainLimit {
+		retained.Add(-size)
+		return
+	}
 	l.mu.Lock()
 	l.items = append(l.items, v)
+	l.sizes = append(l.sizes, size)
 	l.mu.Unlock()
 }
 
@@ -194,21 +248,13 @@ func loadOrStore[K comparable, V any](m *sync.Map, key K, mk func() *V) *V {
 	return v.(*V)
 }
 
-// get takes a fresh chunk from the list, or allocates one.
-func (cl *chunkList) get() chunk {
-	if ch, ok := cl.Get(); ok {
-		return ch
-	}
-	return cl.newChunk()
-}
-
 // Release returns a cache for reuse: its touched sets are restored to
 // the fresh state, every chunk goes back to its free list, and the
-// header to the free list of its geometry. The caller must not use it
+// header to the pool of its geometry. The caller must not use it
 // afterwards (core releases a run's system only after the last snapshot
 // has been taken).
 func Release(c *Cache) {
-	c.forTouchedSets(func(ch chunk, _, lo, hi int) {
+	c.forTouchedSets(func(ch chunk, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ch[i] = allOnes
 		}
@@ -226,31 +272,36 @@ func Release(c *Cache) {
 	c.clock = 0
 	for i, ch := range c.chunks {
 		if ch != nil {
-			c.free.Put(ch)
+			c.free.Put(ch, int64(8*len(ch)))
 			c.chunks[i] = nil
 		}
 	}
-	headerList(c.capacityWords, c.lineWords, c.assoc).Put(c)
+	headerPool(c.capacityWords, c.lineWords, c.assoc).Put(c)
 }
 
-// headerList returns the free list of released Cache headers of one
+// headerPool returns the pool of released Cache headers of one
 // geometry.
-func headerList(capacityWords int64, lineWords, assoc int) *FreeList[*Cache] {
-	return loadOrStore(&headers, geometry{capacityWords, lineWords, assoc}, func() *FreeList[*Cache] {
-		return &FreeList[*Cache]{}
+func headerPool(capacityWords int64, lineWords, assoc int) *sync.Pool {
+	return loadOrStore(&headers, geometry{capacityWords, lineWords, assoc}, func() *sync.Pool {
+		return &sync.Pool{}
 	})
 }
 
-// forTouchedSets calls fn with the chunk, chunk index and slot range
-// [lo, hi) of every run of consecutive touched sets, in ascending set
-// order. One word of the touched bitset covers exactly one chunk.
-func (c *Cache) forTouchedSets(fn func(ch chunk, ci, lo, hi int)) {
-	for ci, left := range c.touched {
+// forTouchedSets calls fn with the chunk and slot range [lo, hi) of
+// every run of consecutive touched sets within one chunk, in ascending
+// set order.
+func (c *Cache) forTouchedSets(fn func(ch chunk, lo, hi int)) {
+	for wi, left := range c.touched {
 		for left != 0 {
 			s := bits.TrailingZeros64(left)
 			run := bits.TrailingZeros64(^(left >> uint(s)))
 			left &^= (uint64(1)<<uint(run) - 1) << uint(s)
-			fn(c.chunks[ci], ci, s*c.assoc, (s+run)*c.assoc)
+			for set, end := wi*64+s, wi*64+s+run; set < end; {
+				slot := set & c.chunkMask
+				n := min(end-set, c.chunkMask+1-slot)
+				fn(c.chunks[set>>c.chunkShift], slot*c.assoc, (slot+n)*c.assoc)
+				set += n
+			}
 		}
 	}
 }
@@ -261,7 +312,7 @@ func (c *Cache) forTouchedSets(fn func(ch chunk, ci, lo, hi int)) {
 // (systems are built per simulated run); either way the cache holds no
 // line storage until its first fill.
 func New(capacityWords int64, lineWords, assoc int) *Cache {
-	if c, ok := headerList(capacityWords, lineWords, assoc).Get(); ok {
+	if c, ok := headerPool(capacityWords, lineWords, assoc).Get().(*Cache); ok {
 		return c
 	}
 	return build(capacityWords, lineWords, assoc)
@@ -270,8 +321,9 @@ func New(capacityWords int64, lineWords, assoc int) *Cache {
 // build allocates a fresh cache (New without reuse).
 func build(capacityWords int64, lineWords, assoc int) *Cache {
 	sets := int(capacityWords) / lineWords / assoc
-	fl := loadOrStore(&chunkLists, chunkKey{lineWords, assoc}, func() *chunkList {
-		return &chunkList{layout: newLayout(lineWords, assoc)}
+	spc := setsPerChunk(sets)
+	fl := loadOrStore(&chunkLists, chunkKey{lineWords, assoc, spc}, func() *chunkList {
+		return &chunkList{layout: newLayout(lineWords, assoc, spc)}
 	})
 	c := &Cache{
 		lineWords:     lineWords,
@@ -279,10 +331,16 @@ func build(capacityWords int64, lineWords, assoc int) *Cache {
 		setMask:       -1,
 		assoc:         assoc,
 		layout:        fl.layout,
-		chunks:        make([]chunk, (sets+chunkSets-1)/chunkSets),
+		chunks:        make([]chunk, sets/spc),
+		chunkShift:    6,
+		chunkMask:     chunkSets - 1,
 		free:          fl,
-		touched:       make([]uint64, (sets+chunkSets-1)/chunkSets),
+		touched:       make([]uint64, (sets+63)/64),
 		capacityWords: capacityWords,
+	}
+	if sets > chunkSets {
+		c.chunkShift = uint(bits.TrailingZeros(uint(spc)))
+		c.chunkMask = spc - 1
 	}
 	if sets&(sets-1) == 0 {
 		c.setMask = int64(sets - 1)
@@ -330,8 +388,8 @@ func (c *Cache) setIndex(tag int64) int {
 func (c *Cache) Lookup(addr prog.Word) (Frame, int, bool) {
 	tag, w := c.Split(addr)
 	s := uint(c.setIndex(tag))
-	if ch := c.chunks[s/chunkSets]; ch != nil {
-		lo := int(s%chunkSets) * c.assoc
+	if ch := c.chunks[s>>c.chunkShift]; ch != nil {
+		lo := int(s&uint(c.chunkMask)) * c.assoc
 		for i := lo; i < lo+c.assoc; i++ {
 			if int64(ch[i]) == tag { // an empty frame's tag is -1
 				return Frame{ch, i}, w, true
@@ -356,13 +414,13 @@ func (c *Cache) Holds(f *Frame, tag int64) bool {
 func (c *Cache) Victim(addr prog.Word) Frame {
 	tag, _ := c.Split(addr)
 	s := uint(c.setIndex(tag))
-	c.touched[s/chunkSets] |= 1 << (s % chunkSets)
-	ch := c.chunks[s/chunkSets]
+	c.touched[s/64] |= 1 << (s % 64)
+	ch := c.chunks[s>>c.chunkShift]
 	if ch == nil {
 		ch = c.free.get()
-		c.chunks[s/chunkSets] = ch
+		c.chunks[s>>c.chunkShift] = ch
 	}
-	lo := int(s%chunkSets) * c.assoc
+	lo := int(s&uint(c.chunkMask)) * c.assoc
 	victim := -1
 	for i := lo; i < lo+c.assoc; i++ {
 		if State(ch[c.meta+i]) == Invalid {
@@ -556,7 +614,7 @@ func (c *Cache) InvalidateAll() int64 {
 // ForEachValidLine visits every non-invalid line, in ascending line
 // order.
 func (c *Cache) ForEachValidLine(fn func(f Frame)) {
-	c.forTouchedSets(func(ch chunk, ci, lo, hi int) {
+	c.forTouchedSets(func(ch chunk, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if State(ch[c.meta+i]) != Invalid {
 				fn(Frame{ch, i})
@@ -568,11 +626,13 @@ func (c *Cache) ForEachValidLine(fn func(f Frame)) {
 // Footprint reports the chunks the cache holds, the distinct chunks its
 // touched sets span, and the chunks a cache holding every set would.
 func (c *Cache) Footprint() (held, touched, total int) {
+	bitsOf := uint64(1)<<uint(c.chunkMask+1) - 1 // one chunk's sets in a touched word
 	for ci, ch := range c.chunks {
 		if ch != nil {
 			held++
 		}
-		if c.touched[ci] != 0 {
+		lo := ci << c.chunkShift
+		if c.touched[lo/64]>>uint(lo%64)&bitsOf != 0 {
 			touched++
 		}
 	}
@@ -638,9 +698,11 @@ func NewTracker(memWords int64) *Tracker {
 	}
 }
 
-// ReleaseTracker returns a tracker to its free list; the caller
-// must not use it afterwards.
-func ReleaseTracker(t *Tracker) { trackers.Put(t) }
+// ReleaseTracker returns a tracker to its free list; the caller must not
+// use it afterwards.
+func ReleaseTracker(t *Tracker) {
+	trackers.Put(t, int64(8*cap(t.seen)+cap(t.reason)+8*cap(t.lostTT)))
+}
 
 // NoteCached records that the processor now caches addr.
 func (t *Tracker) NoteCached(addr prog.Word) {

@@ -56,7 +56,7 @@ func NewWriteBuffer(coalesce bool) *WriteBuffer {
 // caller must not use it afterwards.
 func ReleaseWriteBuffer(wb *WriteBuffer) {
 	if wb.coalesce {
-		wbPool.Put(wb)
+		wbPool.Put(wb, int64(8*cap(wb.keys)+4*cap(wb.gens)))
 	}
 }
 

@@ -59,6 +59,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/machine"
@@ -129,7 +130,9 @@ type System struct {
 // logsPool recycles the per-processor action-log slices across runs so
 // their grown capacity is reused instead of reallocated (systems are
 // built per simulated run; see memsys.Releaser).
-var logsPool memsys.TablePool[[]action]
+var logsPool = memsys.NewTablePool(func(log []action) int64 {
+	return int64(cap(log)) * int64(unsafe.Sizeof(action{}))
+})
 
 // New builds an HW directory system.
 func New(cfg machine.Config, memWords int64) *System {

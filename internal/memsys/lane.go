@@ -54,6 +54,7 @@ package memsys
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/memory"
@@ -300,7 +301,16 @@ func (c *Core) FlushEpoch() { c.FlushEpochLanes() }
 // cache.FreeList). A table goes back at its full capacity, so one grown
 // by a large-P run also serves every smaller run after it, and a table
 // too small for a run is grown in place, keeping the entries it has.
-type TablePool[T any] struct{ list cache.FreeList[[]T] }
+type TablePool[T any] struct {
+	list  cache.FreeList[[]T]
+	bytes func(T) int64 // what one entry keeps alive beyond its slot
+}
+
+// NewTablePool returns a pool of tables whose entries each keep
+// bytes(entry) bytes alive, for the free lists' shared budget.
+func NewTablePool[T any](bytes func(T) int64) *TablePool[T] {
+	return &TablePool[T]{bytes: bytes}
+}
 
 // Get returns a table of length procs. Entries come back as the last run
 // that used them left them; callers scrub what they reuse.
@@ -313,12 +323,26 @@ func (tp *TablePool[T]) Get(procs int) []T {
 }
 
 // Put returns a table to the pool; the caller must not use it afterwards.
-func (tp *TablePool[T]) Put(t []T) { tp.list.Put(t[:cap(t)]) }
+func (tp *TablePool[T]) Put(t []T) {
+	t = t[:cap(t)]
+	var zero T
+	size := int64(len(t)) * int64(unsafe.Sizeof(zero))
+	for _, e := range t {
+		size += tp.bytes(e)
+	}
+	tp.list.Put(t, size)
+}
 
 // lanesPool recycles lane sets across runs: the write logs and overlay
 // tables grow to an epoch's working set once and are then reused
 // instead of reallocated per run.
-var lanesPool TablePool[*Lane]
+var lanesPool = NewTablePool(func(l *Lane) int64 {
+	if l == nil {
+		return 0
+	}
+	return int64(unsafe.Sizeof(*l)) + int64(cap(l.writes))*int64(unsafe.Sizeof(laneWrite{})) +
+		int64(cap(l.overlay.slots))*int64(unsafe.Sizeof(overlaySlot{}))
+})
 
 // ensureLanes installs the per-processor lane table. Individual lanes
 // are built lazily by LaneFor on a processor's first reference, so a

@@ -70,23 +70,6 @@ func (m *Mesh) dist(a, b, n int) int {
 	return d
 }
 
-// AvgHops is the expected routing distance under uniform traffic. On a
-// ring of n nodes it is taken as n/4 per dimension; on a line the mean
-// distance between two uniform points is (n²-1)/(3n).
-func (m *Mesh) AvgHops() float64 {
-	if m.Wrap {
-		return (float64(m.DimX) + float64(m.DimY)) / 4
-	}
-	lineAvg := func(n int) float64 {
-		if n <= 1 {
-			return 0
-		}
-		nf := float64(n)
-		return (nf*nf - 1) / (3 * nf)
-	}
-	return lineAvg(m.DimX) + lineAvg(m.DimY)
-}
-
 // AdvanceTo implements Net.
 func (m *Mesh) AdvanceTo(cycle int64) {
 	if m.advance(cycle) && m.lat.word != nil {
@@ -128,22 +111,14 @@ func (m *Mesh) delayHops(hops float64, payloadWords int) int64 {
 	return int64(math.Ceil(d))
 }
 
-// Delay implements Net (average distance).
-func (m *Mesh) Delay(payloadWords int) int64 {
-	return m.delayHops(m.AvgHops(), payloadWords)
-}
-
-// DelayBetween implements Net.
+// DelayBetween is the one-way delay between two processors' clusters:
+// the reference expression for the latency table.
 func (m *Mesh) DelayBetween(src, dst, payloadWords int) int64 {
 	return m.delayHops(float64(m.Hops(src, dst)), payloadWords)
 }
 
-// RoundTrip implements Net.
-func (m *Mesh) RoundTrip(payloadWords int) int64 {
-	return m.Delay(1) + m.Delay(payloadWords)
-}
-
-// RoundTripBetween implements Net.
+// RoundTripBetween is a one-word request out and a payload reply back:
+// the reference expression for the latency table's round trips.
 func (m *Mesh) RoundTripBetween(src, dst, payloadWords int) int64 {
 	return m.DelayBetween(src, dst, 1) + m.DelayBetween(dst, src, payloadWords)
 }

@@ -185,8 +185,9 @@ func (m *Model) Delay(payloadWords int) int64 {
 	return int64(math.Ceil(d))
 }
 
-// DelayBetween implements Net: a multistage network's path length does
-// not depend on the endpoints.
+// DelayBetween is the one-way delay between two processors, the
+// reference expression for the latency table: a multistage network's
+// path length does not depend on the endpoints.
 func (m *Model) DelayBetween(src, dst, payloadWords int) int64 {
 	return m.Delay(payloadWords)
 }
@@ -197,7 +198,8 @@ func (m *Model) RoundTrip(payloadWords int) int64 {
 	return m.Delay(1) + m.Delay(payloadWords)
 }
 
-// RoundTripBetween implements Net.
+// RoundTripBetween is RoundTrip between two processors, the reference
+// expression for the latency table's round trips.
 func (m *Model) RoundTripBetween(src, dst, payloadWords int) int64 {
 	return m.RoundTrip(payloadWords)
 }

@@ -176,9 +176,6 @@ func TestTorusHops(t *testing.T) {
 	if d := gridDiameter(t, tr); d != 4 {
 		t.Errorf("diameter = %d, want 4", d)
 	}
-	if got := tr.AvgHops(); got != 2 {
-		t.Errorf("torus AvgHops = %v, want (4+4)/4", got)
-	}
 }
 
 func TestMeshHops(t *testing.T) {
@@ -199,9 +196,6 @@ func TestMeshHops(t *testing.T) {
 	if got := c.Hops(0, 4); got != 1 {
 		t.Errorf("neighbor-cluster hops = %d, want 1", got)
 	}
-	if got, want := m.AvgHops(), 2*(16.0-1)/12; got != want {
-		t.Errorf("mesh AvgHops = %v, want %v", got, want)
-	}
 }
 
 func TestTorusDistanceDependence(t *testing.T) {
@@ -211,11 +205,6 @@ func TestTorusDistanceDependence(t *testing.T) {
 		far := tr.DelayBetween(0, 10, 4)
 		if !(far > near) {
 			t.Errorf("wrap=%v: far delay %d should exceed near %d", wrap, far, near)
-		}
-		// average-distance Delay sits between the extremes
-		avg := tr.Delay(4)
-		if avg < near || avg > far+1 {
-			t.Errorf("wrap=%v: avg %d outside [%d, %d]", wrap, avg, near, far)
 		}
 	}
 }

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/exper"
 	"repro/internal/machine"
@@ -375,6 +378,45 @@ func TestLargePMeshRun(t *testing.T) {
 	}
 	if _, err := exper.ValidateRunResult(st.Result); err != nil {
 		t.Fatalf("result fails validation: %v", err)
+	}
+}
+
+// TestManyGeometriesKeepBoundedMemory: a server that runs many distinct
+// cache geometries keeps nothing between runs but the cache free lists,
+// which cache.Retained counts and caps. After a collection the live heap
+// exceeds what it was after the first geometry by no more than the
+// bytes the lists gained plus a 2 MB margin (the result
+// cache's entries take about half a megabyte) — a quarter of what the
+// cache headers alone of the later geometries would pin if they were
+// kept per geometry.
+func TestManyGeometriesKeepBoundedMemory(t *testing.T) {
+	_, hs := newTestServer(t, Options{Workers: 1})
+	run := func(cacheWords int64, assoc int) {
+		t.Helper()
+		code, st := postRun(t, hs, RunRequest{Kernel: "ocean", N: 32, Steps: 1, Scheme: "HW",
+			Config: json.RawMessage(fmt.Sprintf(`{"Procs": 256, "LineWords": 1, "CacheWords": %d, "Assoc": %d}`, cacheWords, assoc))})
+		if code != http.StatusOK || st.State != StateDone {
+			t.Fatalf("%d words, assoc %d: HTTP %d state %s error %q", cacheWords, assoc, code, st.State, st.Error)
+		}
+	}
+	live := func() (heap, retained int64) {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc), cache.Retained()
+	}
+	run(262144, 1)
+	heap0, retained0 := live()
+	for _, cacheWords := range []int64{262144, 131072, 65536, 32768} {
+		for _, assoc := range []int{2, 4, 8} {
+			run(cacheWords, assoc)
+		}
+	}
+	heap1, retained1 := live()
+	t.Logf("live heap %d -> %d bytes, free lists %d -> %d bytes", heap0, heap1, retained0, retained1)
+	if grew := (heap1 - heap0) - (retained1 - retained0); grew > 2<<20 {
+		t.Fatalf("live heap grew %d bytes beyond the free lists over 12 geometries", grew)
 	}
 }
 

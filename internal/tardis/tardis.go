@@ -51,6 +51,7 @@ package tardis
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/machine"
@@ -106,7 +107,9 @@ type act struct {
 // actsPool recycles the per-processor action logs across runs; ReleaseOwn
 // hands them back, just before Core.ReleaseCaches returns the caches and
 // lanes.
-var actsPool memsys.TablePool[[]act]
+var actsPool = memsys.NewTablePool(func(log []act) int64 {
+	return int64(cap(log)) * int64(unsafe.Sizeof(act{}))
+})
 
 // System is the Tardis timestamp-coherence memory system.
 type System struct {
