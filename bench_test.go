@@ -480,7 +480,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("counters", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.RunObserved(c, cfg, obs.LevelCounters, nil); err != nil {
+			if _, err := core.RunWithOptions(c, cfg, core.RunOptions{Obs: obs.LevelCounters}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -488,7 +488,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("trace", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.RunObserved(c, cfg, obs.LevelTrace, io.Discard); err != nil {
+			if _, err := core.RunWithOptions(c, cfg, core.RunOptions{Trace: io.Discard}); err != nil {
 				b.Fatal(err)
 			}
 		}

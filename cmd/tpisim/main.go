@@ -189,54 +189,41 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		switch {
-		case *requireFP:
-			st, fps, err := core.RunFastPathAudit(c, cfg)
-			if err != nil {
+		opts := core.RunOptions{Obs: level, AuditFastPath: *requireFP, Verify: *verify}
+		var btf *os.File
+		if *btraceFile != "" {
+			if btf, err = os.Create(*btraceFile); err != nil {
 				fatal(err)
 			}
-			fmt.Println(st)
-			fpFallbacks += reportFastPathStatus(s, fps)
-		case level != obs.LevelOff || *btraceFile != "" || *jsonOut:
-			var btw io.Writer
-			var btf *os.File
-			if *btraceFile != "" {
-				btf, err = os.Create(*btraceFile)
-				if err != nil {
-					fatal(err)
-				}
-				btw = btf
+			opts.Trace = btf
+		}
+		res, err := core.RunWithOptions(c, cfg, opts)
+		if btf != nil {
+			if cerr := btf.Close(); err == nil {
+				err = cerr
 			}
-			st, rep, err := core.RunObserved(c, cfg, level, btw)
+		}
+		if err != nil {
+			fatal(err)
+		}
+		if *jsonOut {
+			results = append(results, core.NewRunResult(program, cfg, res.Stats, res.Report))
+		} else {
+			fmt.Println(res.Stats)
 			if btf != nil {
-				if cerr := btf.Close(); err == nil {
-					err = cerr
-				}
+				fmt.Printf("      binary trace written to %s (analyze with tpitrace)\n", *btraceFile)
 			}
-			if err != nil {
-				fatal(err)
+			if *verify {
+				fmt.Println("      result verified against sequential oracle")
 			}
+		}
+		if *requireFP {
+			// stdout carries only the JSON array under -json
+			report := os.Stdout
 			if *jsonOut {
-				results = append(results, core.NewRunResult(program, cfg, st, rep))
-			} else {
-				fmt.Println(st)
-				if btf != nil {
-					fmt.Printf("      binary trace written to %s (analyze with tpitrace)\n", *btraceFile)
-				}
+				report = os.Stderr
 			}
-		case *verify:
-			st, err := core.VerifyAgainstOracle(c, cfg)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(st)
-			fmt.Println("      result verified against sequential oracle")
-		default:
-			st, err := core.Run(c, cfg)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(st)
+			fpFallbacks += reportFastPathStatus(report, s, res.FastPath)
 		}
 	}
 	if *jsonOut {
@@ -257,7 +244,7 @@ func main() {
 // Structural non-candidates (unrecognized loops, seqOnly doalls) are
 // listed as notes but don't count: they can never take the fast paths
 // under any configuration (-explain-fastpath has the full detail).
-func reportFastPathStatus(s machine.Scheme, fps *core.FastPathStatus) int {
+func reportFastPathStatus(w io.Writer, s machine.Scheme, fps *core.FastPathStatus) int {
 	streamed := 0
 	for _, d := range fps.StreamDiags {
 		switch {
@@ -266,19 +253,19 @@ func reportFastPathStatus(s machine.Scheme, fps *core.FastPathStatus) int {
 		case d.Outer:
 			// outer loops never stream; their innermost loops have their own diags
 		default:
-			fmt.Printf("      [%s] note: %s: for %s at %s is not a stream candidate — %s (at %s)\n",
+			fmt.Fprintf(w, "      [%s] note: %s: for %s at %s is not a stream candidate — %s (at %s)\n",
 				s, d.Proc, d.Var, d.Pos, d.Reason, d.ReasonPos)
 		}
 	}
 	for _, m := range fps.Misses {
 		if m.Kind == "stream-loop" {
-			fmt.Printf("      [%s] %s: for %s at %s: ran scalar — %s\n", s, m.Proc, m.Var, m.Pos, m.Reason)
+			fmt.Fprintf(w, "      [%s] %s: for %s at %s: ran scalar — %s\n", s, m.Proc, m.Var, m.Pos, m.Reason)
 		} else {
-			fmt.Printf("      [%s] doall %s at %s: ran sequentially — %s\n", s, m.Var, m.Pos, m.Reason)
+			fmt.Fprintf(w, "      [%s] doall %s at %s: ran sequentially — %s\n", s, m.Var, m.Pos, m.Reason)
 		}
 	}
 	if len(fps.Misses) == 0 {
-		fmt.Printf("      fast-path coverage: complete (%d stream loops)\n", streamed)
+		fmt.Fprintf(w, "      fast-path coverage: complete (%d stream loops)\n", streamed)
 	}
 	return len(fps.Misses)
 }

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/machine"
 )
 
 // TestMain re-execs the test binary as tpisim when the marker variable
@@ -20,19 +24,27 @@ func TestMain(m *testing.M) {
 
 func runTpisim(t *testing.T, args ...string) (exit int, stderr string) {
 	t.Helper()
+	exit, _, stderr = runTpisimOut(t, args...)
+	return exit, stderr
+}
+
+// runTpisimOut is runTpisim that also returns stdout.
+func runTpisimOut(t *testing.T, args ...string) (exit int, stdout, stderr string) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "TPISIM_BE_TPISIM=1")
-	var errBuf strings.Builder
+	var outBuf, errBuf strings.Builder
+	cmd.Stdout = &outBuf
 	cmd.Stderr = &errBuf
 	err := cmd.Run()
 	if err == nil {
-		return 0, errBuf.String()
+		return 0, outBuf.String(), errBuf.String()
 	}
 	ee, ok := err.(*exec.ExitError)
 	if !ok {
 		t.Fatalf("run: %v", err)
 	}
-	return ee.ExitCode(), errBuf.String()
+	return ee.ExitCode(), outBuf.String(), errBuf.String()
 }
 
 // TestExitCodes: malformed flags and unreadable input produce a one-line
@@ -80,5 +92,40 @@ func TestGoodRunExitsZero(t *testing.T) {
 	exit, stderr := runTpisim(t, "-bench", "trfd", "-scheme", "BASE", "-n", "8", "-steps", "1", "-verify=false")
 	if exit != 0 {
 		t.Fatalf("exit %d\nstderr: %s", exit, stderr)
+	}
+}
+
+// TestModesCombine: mode flags no longer drop one another. Under
+// -require-fastpath -json, stdout is exactly the JSON array of verified
+// run results (the fast-path report goes to stderr), and a text run
+// with -obs still checks the result against the oracle.
+func TestModesCombine(t *testing.T) {
+	exit, stdout, stderr := runTpisimOut(t, "-bench", "trfd", "-scheme", "all", "-n", "8", "-steps", "1",
+		"-hostpar", "4", "-require-fastpath", "-json")
+	if exit != 0 {
+		t.Fatalf("exit %d\nstderr: %s", exit, stderr)
+	}
+	var results []core.RunResult
+	if err := json.Unmarshal([]byte(stdout), &results); err != nil {
+		t.Fatalf("stdout is not a JSON array of run results: %v\n%s", err, stdout)
+	}
+	if len(results) != len(machine.AllSchemes) {
+		t.Fatalf("%d results, want one per scheme (%d)", len(results), len(machine.AllSchemes))
+	}
+	for _, r := range results {
+		if r.Stats.Reads == 0 {
+			t.Errorf("%s: empty stats", r.Scheme)
+		}
+	}
+	if !strings.Contains(stderr, "fast-path coverage: complete") {
+		t.Errorf("fast-path report missing from stderr:\n%s", stderr)
+	}
+
+	exit, stdout, stderr = runTpisimOut(t, "-bench", "trfd", "-scheme", "HW", "-n", "8", "-steps", "1", "-obs", "counters")
+	if exit != 0 {
+		t.Fatalf("exit %d\nstderr: %s", exit, stderr)
+	}
+	if !strings.Contains(stdout, "result verified against sequential oracle") {
+		t.Errorf("-obs counters run was not verified:\n%s", stdout)
 	}
 }

@@ -1,9 +1,10 @@
 // Command tpitrace analyzes a binary event trace produced by
-// `tpisim -btrace` (or core.RunObserved): it replays the trace into the
-// attributed report and prints epoch timelines, per-array miss heatmaps,
-// and the top conservative-miss source references — the drill-down that
-// explains *why* a scheme's misses happen, not just how many. With -text
-// it renders the trace as one line per epoch barrier and per reference.
+// `tpisim -btrace` (or core.RunWithOptions with a Trace writer): it
+// replays the trace into the attributed report and prints epoch
+// timelines, per-array miss heatmaps, and the top conservative-miss
+// source references — the drill-down that explains *why* a scheme's
+// misses happen, not just how many. With -text it renders the trace as
+// one line per epoch barrier and per reference.
 //
 // Usage:
 //

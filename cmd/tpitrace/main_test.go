@@ -10,7 +10,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/obs"
 )
 
 // TestTextMatchesGolden renders binary traces as text and compares them
@@ -51,7 +50,7 @@ func TestTextMatchesGolden(t *testing.T) {
 						t.Fatal(err)
 					}
 					var bin, text bytes.Buffer
-					if _, _, err := core.RunObserved(c, cfg, obs.LevelTrace, &bin); err != nil {
+					if _, err := core.RunWithOptions(c, cfg, core.RunOptions{Trace: &bin}); err != nil {
 						t.Fatal(err)
 					}
 					if err := writeText(&text, &bin); err != nil {

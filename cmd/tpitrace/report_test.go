@@ -10,7 +10,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/obs"
 )
 
 // TestMain re-execs the test binary as tpitrace when the marker variable
@@ -54,7 +53,7 @@ func recordTrace(t *testing.T, kernel string, scheme machine.Scheme) string {
 		t.Fatal(err)
 	}
 	var bin bytes.Buffer
-	if _, _, err := core.RunObserved(c, cfg, obs.LevelTrace, &bin); err != nil {
+	if _, err := core.RunWithOptions(c, cfg, core.RunOptions{Trace: &bin}); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "run.btrace")

@@ -81,14 +81,8 @@ func TestAutoParallelizePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMem, err := RunOracle(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotMem, err := RunOracle(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantMem := oracleMemory(t, orig)
+	gotMem := oracleMemory(t, c)
 	if len(wantMem) != len(gotMem) {
 		t.Fatalf("layout changed: %d vs %d words", len(wantMem), len(gotMem))
 	}
@@ -192,10 +186,7 @@ func TestAutoParallelizeRandomProgramsPreserveSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, src)
 		}
-		want, err := RunOracle(orig)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		want := oracleMemory(t, orig)
 
 		ast, err := pfl.Parse(src)
 		if err != nil {
@@ -212,10 +203,7 @@ func TestAutoParallelizeRandomProgramsPreserveSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: parallelized does not compile: %v\n%s", seed, err, pfl.Format(ast))
 		}
-		got, err := RunOracle(par)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		got := oracleMemory(t, par)
 		for i := range want {
 			if want[i] != got[i] {
 				t.Fatalf("seed %d: semantics changed at word %d (%v vs %v); %d loops parallelized\n%s",

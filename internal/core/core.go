@@ -23,6 +23,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/marking"
 	"repro/internal/memsys"
+	"repro/internal/obs"
 	"repro/internal/pfl"
 	"repro/internal/prog"
 	"repro/internal/sections"
@@ -60,9 +61,8 @@ func DefaultCompileOptions() CompileOptions {
 // A Compiled is immutable after Compile returns: every field is written
 // once by the pipeline and only read afterwards, and the lazily-lowered
 // closure IR is guarded by a sync.Once. One Compiled may therefore be
-// shared freely across concurrent Run*/RunObserved* calls — the contract
-// the exper sweep executor and the svc compile cache depend on (see
-// TestConcurrentRun).
+// shared freely across concurrent runs — the contract the exper sweep
+// executor and the svc compile cache depend on (see TestConcurrentRun).
 type Compiled struct {
 	Source   string
 	AST      *pfl.Program
@@ -187,8 +187,8 @@ var (
 	_ memsys.Versioned = (*vc.System)(nil)
 )
 
-// RunOptions carries the optional per-run controls shared by the Run*
-// variants. The zero value reproduces the plain Run behavior.
+// RunOptions carries the optional per-run controls of RunWithOptions.
+// The zero value is a plain Run: statistics only.
 type RunOptions struct {
 	// Ctx, when non-nil, aborts the run at the next epoch barrier once
 	// the context is cancelled or past its deadline: the run returns an
@@ -209,92 +209,145 @@ type RunOptions struct {
 	// ProgressEvery is the epoch stride between Progress samples
 	// (minimum and default 1).
 	ProgressEvery int64
+
+	// Obs attaches the instrumentation layer at this level and returns
+	// its attributed report in Result.Report.
+	Obs obs.Level
+	// Trace, when non-nil, receives the binary event trace (see package
+	// obs for the format and decoder); it implies Obs = obs.LevelTrace.
+	Trace io.Writer
+
+	// AuditFastPath tracks every site that left the stream or
+	// host-parallel fast path and reports it in Result.FastPath. Tracking
+	// costs one predictable branch per fallback, so the statistics are
+	// identical to an untracked run's.
+	AuditFastPath bool
+	// Memory returns the final memory image in Result.Memory.
+	Memory bool
+	// Verify compares the final memory image bit-for-bit with the
+	// sequential oracle's; a mismatch is an error naming the first
+	// differing word.
+	Verify bool
+}
+
+// Result is what one run returns; fields beyond Stats are set only when
+// the matching RunOptions field asks for them.
+type Result struct {
+	Stats    *stats.Stats
+	Report   *obs.Report
+	Memory   []float64
+	FastPath *FastPathStatus
 }
 
 // Run simulates the compiled program on a fresh memory system for cfg and
-// returns the run statistics. Unlike RunWithMemory, no memory snapshot is
-// taken (the sweep executors and benchmarks discard it).
+// returns the run statistics.
 func Run(c *Compiled, cfg machine.Config) (*stats.Stats, error) {
-	return RunWithOptions(c, cfg, RunOptions{})
+	res, err := RunWithOptions(c, cfg, RunOptions{})
+	return res.Stats, err
 }
 
-// RunWithOptions is Run with per-run controls (cancellation).
-func RunWithOptions(c *Compiled, cfg machine.Config, opts RunOptions) (*stats.Stats, error) {
-	st, sys, err := runSystem(c, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	releaseSystem(sys)
-	return st, nil
+// VerifyAgainstOracle is Run checked against the sequential oracle (see
+// RunOptions.Verify).
+func VerifyAgainstOracle(c *Compiled, cfg machine.Config) (*stats.Stats, error) {
+	res, err := RunWithOptions(c, cfg, RunOptions{Verify: true})
+	return res.Stats, err
 }
 
-// RunWithMemory is Run plus the final memory image (for result checks).
-func RunWithMemory(c *Compiled, cfg machine.Config) (*stats.Stats, []float64, error) {
-	st, sys, err := runSystem(c, cfg, RunOptions{})
-	if err != nil {
-		return nil, nil, err
-	}
-	mem := sys.Mem().Snapshot()
-	releaseSystem(sys)
-	return st, mem, nil
-}
-
-// runSystem builds the memory system, runs the simulation, and checks
-// the directory invariants. The caller extracts what it needs from the
-// returned system and then releases it. On error the system has already
-// been released: every failure path — lowering, a runtime fault inside
-// the simulation, a cancelled context, a failed invariant check —
-// returns its pooled caches, so an aborted run never leaks pool
-// capacity (and never poisons it: pooled structures are reset to the
-// fresh-construction state on reacquire).
-func runSystem(c *Compiled, cfg machine.Config, opts RunOptions) (*stats.Stats, memsys.System, error) {
-	lp, err := c.Lowered()
-	if err != nil {
-		return nil, nil, err
-	}
+// RunWithOptions simulates the compiled program on a fresh memory system
+// for cfg, with the per-run controls and outputs opts selects.
+func RunWithOptions(c *Compiled, cfg machine.Config, opts RunOptions) (Result, error) {
 	sys, err := NewSystem(cfg, c.Prog)
 	if err != nil {
-		return nil, nil, err
+		return Result{}, err
+	}
+	return execute(c, sys, cfg, opts)
+}
+
+// execute is the one run body: it runs c on sys, checks the scheme's
+// protocol invariants, and extracts what opts asks for. It releases sys
+// on every path — lowering, a runtime fault inside the simulation, a
+// cancelled context, a failed invariant check or oracle compare — so an
+// aborted run never leaks pool capacity (and never poisons it: pooled
+// structures are reset to the fresh-construction state on reacquire).
+func execute(c *Compiled, sys memsys.System, cfg machine.Config, opts RunOptions) (Result, error) {
+	defer sys.ReleaseCaches()
+	lp, err := c.Lowered()
+	if err != nil {
+		return Result{}, err
 	}
 	r := sim.NewLowered(lp, sys, cfg)
+	var rec *obs.Recorder
+	if opts.Obs != obs.LevelOff || opts.Trace != nil {
+		if rec, err = obs.NewRecorder(opts.Obs, BuildObsMeta(c, cfg), opts.Trace); err != nil {
+			return Result{}, err
+		}
+		r.SetObserver(rec)
+		sys.SetProbe(rec)
+	}
 	if opts.Ctx != nil {
 		r.SetContext(opts.Ctx)
 	}
 	if opts.Progress != nil {
 		r.SetProgress(opts.Progress, opts.ProgressEvery)
 	}
+	if opts.AuditFastPath {
+		r.EnableFastPathTracking()
+	}
 	st, err := r.Run()
 	if err != nil {
-		releaseSystem(sys)
-		return nil, nil, err
+		return Result{}, err
 	}
-	if err := checkInvariants(sys); err != nil {
-		releaseSystem(sys)
-		return nil, nil, err
+	if err := sys.CheckInvariants(); err != nil {
+		return Result{}, err
 	}
-	return st, sys, nil
+	if opts.Verify {
+		if err := verify(opts.Ctx, c, sys, cfg); err != nil {
+			return Result{}, err
+		}
+	}
+	res := Result{Stats: st}
+	if opts.AuditFastPath {
+		res.FastPath = &FastPathStatus{StreamDiags: lp.StreamDiags(), Misses: r.FastPathMisses()}
+	}
+	if opts.Memory {
+		res.Memory = sys.Mem().Snapshot()
+	}
+	if rec != nil {
+		res.Report, err = rec.Finish(st)
+	}
+	return res, err
 }
 
-// invariantChecked is implemented by schemes with end-of-run protocol
-// invariants (the HW directory's sharer-set consistency, the Tardis home
-// timestamp ordering).
-type invariantChecked interface {
-	CheckInvariants() error
+// oracle builds the sequential reference system for c and the
+// configuration it runs under: one processor, pinned to the sequential
+// scalar path — no stream cursors, no host parallelism — so
+// verification checks the fast paths against an execution that uses
+// neither.
+func oracle(c *Compiled) (memsys.System, machine.Config) {
+	cfg := machine.Default(machine.SchemeBase)
+	cfg.Procs = 1
+	cfg.FastPath = false
+	cfg.HostParallel = 0
+	return memsys.NewOracle(cfg, c.Prog.MemWords), cfg
 }
 
-// checkInvariants runs a scheme's protocol invariant check, if it has one.
-func checkInvariants(sys memsys.System) error {
-	if c, ok := sys.(invariantChecked); ok {
-		return c.CheckInvariants()
+// verify runs the oracle, under ctx when it is non-nil, and compares its
+// final memory with sys's.
+func verify(ctx context.Context, c *Compiled, sys memsys.System, cfg machine.Config) error {
+	osys, ocfg := oracle(c)
+	want, err := execute(c, osys, ocfg, RunOptions{Ctx: ctx, Memory: true})
+	if err != nil {
+		return fmt.Errorf("core: oracle run failed: %w", err)
+	}
+	got := sys.Mem().Words()
+	for i := int64(0); i < c.Prog.MemWords; i++ {
+		if got[i] != want.Memory[i] {
+			return fmt.Errorf("core: %s result diverges from sequential oracle at word %d: got %v, want %v",
+				cfg.Scheme, i, got[i], want.Memory[i])
+		}
 	}
 	return nil
 }
-
-// releaseSystem returns a run's per-processor structures (caches, logs,
-// lanes) to their construction pools. Call only after everything the
-// caller needs — stats, memory snapshot, invariant checks — has been
-// extracted.
-func releaseSystem(sys memsys.System) { sys.ReleaseCaches() }
 
 // FastPathStatus reports, for one run, every site that left the fast
 // paths: the static per-loop stream recognition verdicts (scheme- and
@@ -314,84 +367,3 @@ type FastPathStatus struct {
 // and seqOnly doalls — don't count against cleanliness; they can never
 // take the fast paths under any configuration.
 func (f *FastPathStatus) Clean() bool { return len(f.Misses) == 0 }
-
-// RunFastPathAudit is Run with fast-path fallback tracking enabled: it
-// returns the statistics plus a FastPathStatus describing every site
-// that left the stream or host-parallel fast path and why. Tracking
-// costs one predictable branch per fallback, so the statistics are
-// identical to a plain Run's.
-func RunFastPathAudit(c *Compiled, cfg machine.Config) (*stats.Stats, *FastPathStatus, error) {
-	lp, err := c.Lowered()
-	if err != nil {
-		return nil, nil, err
-	}
-	sys, err := NewSystem(cfg, c.Prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	r := sim.NewLowered(lp, sys, cfg)
-	r.EnableFastPathTracking()
-	st, err := r.Run()
-	if err != nil {
-		releaseSystem(sys)
-		return nil, nil, err
-	}
-	if err := checkInvariants(sys); err != nil {
-		releaseSystem(sys)
-		return nil, nil, err
-	}
-	releaseSystem(sys)
-	return st, &FastPathStatus{StreamDiags: lp.StreamDiags(), Misses: r.FastPathMisses()}, nil
-}
-
-// RunOracle executes the program with the sequential reference semantics
-// (no caches, direct memory) and returns the authoritative final memory.
-// It pins the sequential scalar path — no stream cursors, no host
-// parallelism — so VerifyAgainstOracle checks the fast paths against an
-// execution that uses neither.
-func RunOracle(c *Compiled) ([]float64, error) {
-	return runOracle(c, nil)
-}
-
-// runOracle is RunOracle with an optional progress callback, which lets
-// tests see which execution paths the reference run took.
-func runOracle(c *Compiled, progress sim.ProgressFunc) ([]float64, error) {
-	lp, err := c.Lowered()
-	if err != nil {
-		return nil, err
-	}
-	cfg := machine.Default(machine.SchemeBase)
-	cfg.Procs = 1
-	cfg.FastPath = false
-	cfg.HostParallel = 0
-	sys := memsys.NewOracle(cfg, c.Prog.MemWords)
-	r := sim.NewLowered(lp, sys, cfg)
-	if progress != nil {
-		r.SetProgress(progress, 1)
-	}
-	if _, err := r.Run(); err != nil {
-		return nil, err
-	}
-	return sys.Mem().Snapshot(), nil
-}
-
-// VerifyAgainstOracle runs the program under cfg and compares the final
-// memory image with the sequential oracle bit-for-bit. It returns the run
-// statistics; a mismatch is an error naming the first differing word.
-func VerifyAgainstOracle(c *Compiled, cfg machine.Config) (*stats.Stats, error) {
-	want, err := RunOracle(c)
-	if err != nil {
-		return nil, fmt.Errorf("core: oracle run failed: %w", err)
-	}
-	st, got, err := RunWithMemory(c, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for i := int64(0); i < c.Prog.MemWords; i++ {
-		if got[i] != want[i] {
-			return nil, fmt.Errorf("core: %s result diverges from sequential oracle at word %d: got %v, want %v",
-				cfg.Scheme, i, got[i], want[i])
-		}
-	}
-	return st, nil
-}

@@ -255,14 +255,26 @@ func TestExecutionTimeOrdering(t *testing.T) {
 	}
 }
 
-// TestRunOracleTakesNoFastPath: the Oracle supports both fast paths like
+// oracleMemory returns the sequential oracle's final memory for c.
+func oracleMemory(t *testing.T, c *Compiled) []float64 {
+	t.Helper()
+	sys, cfg := oracle(c)
+	res, err := execute(c, sys, cfg, RunOptions{Memory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Memory
+}
+
+// TestOracleTakesNoFastPath: the Oracle supports both fast paths like
 // every system, but the reference run must stay on the sequential scalar
 // path, or VerifyAgainstOracle would check the fast paths against
 // themselves.
-func TestRunOracleTakesNoFastPath(t *testing.T) {
+func TestOracleTakesNoFastPath(t *testing.T) {
 	c := compileT(t, stencilSrc)
 	var last sim.Progress
-	if _, err := runOracle(c, func(p sim.Progress) { last = p }); err != nil {
+	sys, cfg := oracle(c)
+	if _, err := execute(c, sys, cfg, RunOptions{Progress: func(p sim.Progress) { last = p }}); err != nil {
 		t.Fatal(err)
 	}
 	if !last.Done {

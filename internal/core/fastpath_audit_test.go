@@ -7,6 +7,16 @@ import (
 	"repro/internal/machine"
 )
 
+// auditFastPath runs c under cfg with fast-path tracking.
+func auditFastPath(t *testing.T, c *Compiled, cfg machine.Config) *FastPathStatus {
+	t.Helper()
+	res, err := RunWithOptions(c, cfg, RunOptions{AuditFastPath: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.FastPath
+}
+
 // TestRunFastPathAudit pins the -require-fastpath contract at the
 // library level: a fully-affine program stays on both fast paths under
 // every scheme (including two-level TPI) with host parallelism and the
@@ -40,10 +50,11 @@ func TestRunFastPathAudit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, fps, err := RunFastPathAudit(c, cfg)
+			res, err := RunWithOptions(c, cfg, RunOptions{AuditFastPath: true})
 			if err != nil {
 				t.Fatal(err)
 			}
+			st, fps := res.Stats, res.FastPath
 			if !fps.Clean() {
 				t.Fatalf("misses on a fully-affine program: %+v", fps.Misses)
 			}
@@ -66,10 +77,7 @@ func TestRunFastPathAudit(t *testing.T) {
 		cfg := machine.Default(machine.SchemeTPI)
 		cfg.Procs = 8
 		cfg.FastPath = false
-		_, fps, err := RunFastPathAudit(c, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fps := auditFastPath(t, c, cfg)
 		if fps.Clean() {
 			t.Fatal("kill switch must surface stream-loop misses")
 		}
@@ -88,10 +96,7 @@ func TestRunFastPathAudit(t *testing.T) {
 		cfg.Procs = 8
 		cfg.HostParallel = 4
 		cfg.DynamicSched = true
-		_, fps, err := RunFastPathAudit(c, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fps := auditFastPath(t, c, cfg)
 		found := false
 		for _, m := range fps.Misses {
 			if m.Kind == "doall-epoch" {
@@ -111,10 +116,7 @@ func TestRunFastPathAudit(t *testing.T) {
 		// not a fallback; only stream coverage is audited.
 		cfg := machine.Default(machine.SchemeTPI)
 		cfg.Procs = 8
-		_, fps, err := RunFastPathAudit(c, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fps := auditFastPath(t, c, cfg)
 		if !fps.Clean() {
 			t.Fatalf("misses at hostpar=1: %+v", fps.Misses)
 		}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/cache"
 	"repro/internal/machine"
+	"repro/internal/memsys"
 	"repro/internal/tpi"
 )
 
@@ -43,35 +45,24 @@ func TestLargePCacheFootprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, sys, err := runSystem(c, cfg, RunOptions{})
+		sys, err := NewSystem(cfg, c.Prog)
 		if err != nil {
+			t.Fatal(err)
+		}
+		// Measure the caches as the run hands the system back, before
+		// they return to their pools.
+		var heldBytes, eagerBytes int64
+		var built int
+		var ferr error
+		hooked := &hookedSystem{System: sys, beforeRelease: func(sys memsys.System) {
+			heldBytes, eagerBytes, built, ferr = cacheFootprint(sys, cfg.Procs)
+		}}
+		if _, err := execute(c, hooked, cfg, RunOptions{}); err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
-		var heldBytes, eagerBytes int64
-		built := 0
-		for p := 0; p < cfg.Procs; p++ {
-			if tl, ok := sys.(*tpi.TwoLevel); ok {
-				if l1 := tl.L1Of(p); l1 != nil {
-					if held, touched, _ := l1.Footprint(); held != touched {
-						t.Fatalf("%s: P%d's L1 holds %d chunks for %d touched", v.name, p, held, touched)
-					}
-				}
-			}
-			cc, _ := sys.(interface {
-				CacheOf(int) (*cache.Cache, *cache.Tracker)
-			}).CacheOf(p)
-			if cc == nil {
-				continue
-			}
-			built++
-			held, touched, total := cc.Footprint()
-			if held != touched {
-				t.Fatalf("%s: P%d's cache holds %d chunks for %d touched", v.name, p, held, touched)
-			}
-			heldBytes += int64(held * cc.ChunkBytes())
-			eagerBytes += int64(total * cc.ChunkBytes())
+		if ferr != nil {
+			t.Fatalf("%s: %v", v.name, ferr)
 		}
-		releaseSystem(sys)
 		if built == 0 {
 			t.Fatalf("%s: the run built no caches", v.name)
 		}
@@ -80,4 +71,34 @@ func TestLargePCacheFootprint(t *testing.T) {
 		}
 		t.Logf("%s: %d caches hold %d KB of cache storage, eager allocation %d KB", v.name, built, heldBytes>>10, eagerBytes>>10)
 	}
+}
+
+// cacheFootprint sums, over sys's built caches, the bytes the touched
+// chunks hold and the bytes allocating every set would. Every cache,
+// two-level TPI's L1s included, must hold exactly the chunks its sets
+// touched.
+func cacheFootprint(sys memsys.System, procs int) (heldBytes, eagerBytes int64, built int, err error) {
+	for p := 0; p < procs; p++ {
+		if tl, ok := sys.(*tpi.TwoLevel); ok {
+			if l1 := tl.L1Of(p); l1 != nil {
+				if held, touched, _ := l1.Footprint(); held != touched {
+					return 0, 0, 0, fmt.Errorf("P%d's L1 holds %d chunks for %d touched", p, held, touched)
+				}
+			}
+		}
+		cc, _ := sys.(interface {
+			CacheOf(int) (*cache.Cache, *cache.Tracker)
+		}).CacheOf(p)
+		if cc == nil {
+			continue
+		}
+		built++
+		held, touched, total := cc.Footprint()
+		if held != touched {
+			return 0, 0, 0, fmt.Errorf("P%d's cache holds %d chunks for %d touched", p, held, touched)
+		}
+		heldBytes += int64(held * cc.ChunkBytes())
+		eagerBytes += int64(total * cc.ChunkBytes())
+	}
+	return heldBytes, eagerBytes, built, nil
 }

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"io"
 	"sort"
 
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -52,58 +50,6 @@ func BuildObsMeta(c *Compiled, cfg machine.Config) obs.Meta {
 		}
 	}
 	return m
-}
-
-// RunObserved is Run with the instrumentation layer attached at the
-// given level; traceW, when non-nil, receives the binary event trace
-// (see package obs for the format and decoder). It returns the run
-// statistics and the attributed report. With level off and no trace
-// writer it degrades to a plain Run and a nil report.
-func RunObserved(c *Compiled, cfg machine.Config, level obs.Level, traceW io.Writer) (*stats.Stats, *obs.Report, error) {
-	return RunObservedWithOptions(c, cfg, level, traceW, RunOptions{})
-}
-
-// RunObservedWithOptions is RunObserved with per-run controls
-// (cancellation). Like runSystem, every error path releases the
-// system's pooled caches.
-func RunObservedWithOptions(c *Compiled, cfg machine.Config, level obs.Level, traceW io.Writer, opts RunOptions) (*stats.Stats, *obs.Report, error) {
-	if level == obs.LevelOff && traceW == nil {
-		st, err := RunWithOptions(c, cfg, opts)
-		return st, nil, err
-	}
-	lp, err := c.Lowered()
-	if err != nil {
-		return nil, nil, err
-	}
-	sys, err := NewSystem(cfg, c.Prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	rec, err := obs.NewRecorder(level, BuildObsMeta(c, cfg), traceW)
-	if err != nil {
-		releaseSystem(sys)
-		return nil, nil, err
-	}
-	r := sim.NewLowered(lp, sys, cfg)
-	r.SetObserver(rec)
-	if opts.Ctx != nil {
-		r.SetContext(opts.Ctx)
-	}
-	if opts.Progress != nil {
-		r.SetProgress(opts.Progress, opts.ProgressEvery)
-	}
-	sys.SetProbe(rec)
-	st, err := r.Run()
-	if err != nil {
-		releaseSystem(sys)
-		return nil, nil, err
-	}
-	rep, err := rec.Finish(st)
-	releaseSystem(sys) // stats and report are extracted; error or not, sys is done
-	if err != nil {
-		return st, rep, err
-	}
-	return st, rep, nil
 }
 
 // RunResult is the machine-readable run output serialized by

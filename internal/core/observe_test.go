@@ -54,10 +54,11 @@ func TestObservedCrossCheck(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			c := oceanCompiled(t, cfg)
 			var buf bytes.Buffer
-			st, rep, err := RunObserved(c, cfg, obs.LevelTrace, &buf)
+			res, err := RunWithOptions(c, cfg, RunOptions{Trace: &buf})
 			if err != nil {
 				t.Fatal(err)
 			}
+			st, rep := res.Stats, res.Report
 			if rep == nil {
 				t.Fatal("no report")
 			}
@@ -138,10 +139,11 @@ func TestObservedDoesNotPerturb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, _, err := RunObserved(c, cfg, obs.LevelCounters, nil)
+	res, err := RunWithOptions(c, cfg, RunOptions{Obs: obs.LevelCounters})
 	if err != nil {
 		t.Fatal(err)
 	}
+	observed := res.Stats
 	if !reflect.DeepEqual(plain.Snapshot(), observed.Snapshot()) {
 		t.Errorf("observed run diverges from plain run:\nplain    %+v\nobserved %+v",
 			plain.Snapshot(), observed.Snapshot())
@@ -153,11 +155,12 @@ func TestObservedDoesNotPerturb(t *testing.T) {
 func TestRunResultJSONSchema(t *testing.T) {
 	for _, cfg := range observedConfigs() {
 		c := oceanCompiled(t, cfg)
-		st, rep, err := RunObserved(c, cfg, obs.LevelCounters, nil)
+		run, err := RunWithOptions(c, cfg, RunOptions{Obs: obs.LevelCounters})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := NewRunResult("ocean", cfg, st, rep)
+		st := run.Stats
+		res := NewRunResult("ocean", cfg, st, run.Report)
 		data, err := json.Marshal(res)
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", cfg.Scheme, err)

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"repro/internal/machine"
-	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -37,8 +37,8 @@ proc main() {
 // not a panic, and (b) pooled cache structures handed back by the failed
 // run come back fresh: a subsequent good run over the same cache
 // geometry is bit-identical to the same run before the fault ever
-// happened. This covers the release-on-error paths of Run and
-// RunObserved, with and without a binary trace.
+// happened. This covers the run body's release-on-error path under
+// every combination of run options.
 func TestMidRunFaultReleasesPooledState(t *testing.T) {
 	good := compileT(t, stencilSrc)
 	bad := compileT(t, faultySrc)
@@ -60,11 +60,10 @@ func TestMidRunFaultReleasesPooledState(t *testing.T) {
 			} else if !strings.Contains(err.Error(), "subscript") && !strings.Contains(err.Error(), "out of range") {
 				t.Fatalf("unexpected fault: %v", err)
 			}
-			if _, _, err := RunObservedWithOptions(bad, cfg, obs.LevelCounters, nil, RunOptions{}); err == nil {
-				t.Fatal("faulty program ran to completion under observation")
-			}
-			if _, _, err := RunObserved(bad, cfg, obs.LevelTrace, discard{}); err == nil {
-				t.Fatal("faulty program ran to completion under tracing")
+			for _, opts := range optionCombos() {
+				if _, err := RunWithOptions(bad, cfg, opts); err == nil {
+					t.Fatalf("%s: faulty program ran to completion", comboName(opts))
+				}
 			}
 
 			after, err := Run(good, cfg)
@@ -187,7 +186,7 @@ func TestLanePoolReuse(t *testing.T) {
 					}
 					sys.EndParallelEpoch()
 				}
-				releaseSystem(sys)
+				sys.ReleaseCaches()
 			}
 		}
 		base := testing.AllocsPerRun(20, cycle(false))
@@ -198,10 +197,6 @@ func TestLanePoolReuse(t *testing.T) {
 		}
 	}
 }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // snapshotKey is a snapshot's bit-exact identity for equality checks.
 func snapshotKey(t *testing.T, s stats.Snapshot) string {
@@ -216,7 +211,9 @@ func snapshotKey(t *testing.T, s stats.Snapshot) string {
 // TestRunContextCancellation: an already-cancelled context aborts before
 // the first epoch; a deadline mid-run aborts at the next epoch barrier,
 // promptly, with a context-classifiable error, and without poisoning the
-// pools for the next run.
+// pools for the next run. Both hold under every combination of run
+// options, and the progress callback sees the aborted run's final
+// snapshot.
 func TestRunContextCancellation(t *testing.T) {
 	c := compileT(t, stencilSrc)
 	cfg := machine.Default(machine.SchemeTPI)
@@ -229,8 +226,16 @@ func TestRunContextCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunWithOptions(c, cfg, RunOptions{Ctx: ctx}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
+	for _, opts := range optionCombos() {
+		var last sim.Progress
+		opts.Ctx = ctx
+		opts.Progress = func(p sim.Progress) { last = p }
+		if _, err := RunWithOptions(c, cfg, opts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: want context.Canceled, got %v", comboName(opts), err)
+		}
+		if !last.Done {
+			t.Fatalf("%s: no final progress snapshot", comboName(opts))
+		}
 	}
 
 	// A long run (many epochs) against a short deadline: the abort must
@@ -247,16 +252,22 @@ proc main() {
 }
 `)
 	const deadline = 50 * time.Millisecond
-	dctx, dcancel := context.WithTimeout(context.Background(), deadline)
-	defer dcancel()
-	start := time.Now()
-	_, err = RunWithOptions(long, cfg, RunOptions{Ctx: dctx})
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want context.DeadlineExceeded, got %v (after %v)", err, elapsed)
-	}
-	if elapsed > deadline+100*time.Millisecond {
-		t.Fatalf("deadline abort took %v (deadline %v + 100ms grace)", elapsed, deadline)
+	for _, opts := range optionCombos() {
+		if opts.Memory || opts.Verify {
+			continue // they act only after the run: the abort precedes them
+		}
+		dctx, dcancel := context.WithTimeout(context.Background(), deadline)
+		opts.Ctx = dctx
+		start := time.Now()
+		_, err = RunWithOptions(long, cfg, opts)
+		elapsed := time.Since(start)
+		dcancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: want context.DeadlineExceeded, got %v (after %v)", comboName(opts), err, elapsed)
+		}
+		if elapsed > deadline+100*time.Millisecond {
+			t.Fatalf("%s: deadline abort took %v (deadline %v + 100ms grace)", comboName(opts), elapsed, deadline)
+		}
 	}
 
 	// The aborted runs released their systems; the pools still serve

@@ -116,15 +116,15 @@ func storeKnobRuns(t *testing.T, b *strings.Builder, kern string, c *Compiled) {
 			cfg.CacheWords = 256 // small enough that the kernels' arrays evict
 			cfg.FastPath = false
 			knob.mut(&cfg)
-			st, mem, err := RunWithMemory(c, cfg)
+			res, err := RunWithOptions(c, cfg, RunOptions{Memory: true})
 			if err != nil {
 				t.Fatalf("%s/%s/%s: %v", kern, v.name, knob.name, err)
 			}
-			js, err := json.Marshal(st.Snapshot())
+			js, err := json.Marshal(res.Stats.Snapshot())
 			if err != nil {
 				t.Fatal(err)
 			}
-			fmt.Fprintf(b, "%s/%s/%s mem=%s\n%s\n", kern, v.name, knob.name, memHash(mem), js)
+			fmt.Fprintf(b, "%s/%s/%s mem=%s\n%s\n", kern, v.name, knob.name, memHash(res.Memory), js)
 		}
 	}
 }

@@ -648,12 +648,14 @@ func (s *System) InitWriteCursor(c *memsys.WriteCursor, p int, addr0 prog.Word) 
 // CheckInvariants verifies the protocol's global invariants: at most one
 // exclusive owner per line, presence bits consistent with cache contents,
 // and no dirty copy without exclusive state. Valid only at epoch
-// barriers (after FlushEpoch); tests call it after runs.
+// barriers (after FlushEpoch); every run calls it after its final one.
 func (s *System) CheckInvariants() error {
-	// Two passes keep the check O(cached lines + presence bits) instead of
-	// O(lines × P), which matters at P in the thousands. The first pass
-	// walks every cache and accumulates per-line holder counts; the second
-	// walks the directory and reconciles them against the presence sets.
+	// Two passes avoid probing every (line, processor) pair. The first
+	// walks every cache and accumulates per-line holder counts, O(cached
+	// lines). The second walks every directory line, touched or not, and
+	// counts its presence set against them: O(memory lines × ⌈P/64⌉)
+	// words, so the check grows with memory rather than with what the run
+	// cached.
 	holders := make([]int32, len(s.dir))
 	excl := make([]int32, len(s.dir))
 	for i := range excl {

@@ -56,15 +56,17 @@ func TestFastPathEquivalence(t *testing.T) {
 			return nil, fmt.Errorf("%s: %w", label, err)
 		}
 		cfg.FastPath = true
-		onSt, onMem, err := core.RunWithMemory(c, cfg)
+		onRun, err := core.RunWithOptions(c, cfg, core.RunOptions{Memory: true})
 		if err != nil {
 			return nil, fmt.Errorf("%s: fastpath: %w", label, err)
 		}
+		onSt, onMem := onRun.Stats, onRun.Memory
 		cfg.FastPath = false
-		offSt, offMem, err := core.RunWithMemory(c, cfg)
+		offRun, err := core.RunWithOptions(c, cfg, core.RunOptions{Memory: true})
 		if err != nil {
 			return nil, fmt.Errorf("%s: scalar: %w", label, err)
 		}
+		offSt, offMem := offRun.Stats, offRun.Memory
 		onJSON, err := json.Marshal(onSt.Snapshot())
 		if err != nil {
 			return nil, err
@@ -108,15 +110,17 @@ func TestFastPathObservedEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg.FastPath = false
-				offSt, offRep, err := core.RunObserved(c, cfg, obs.LevelCounters, nil)
+				offRun, err := core.RunWithOptions(c, cfg, core.RunOptions{Obs: obs.LevelCounters})
 				if err != nil {
 					t.Fatal(err)
 				}
+				offSt, offRep := offRun.Stats, offRun.Report
 				cfg.FastPath = true
-				onSt, onRep, err := core.RunObserved(c, cfg, obs.LevelCounters, nil)
+				onRun, err := core.RunWithOptions(c, cfg, core.RunOptions{Obs: obs.LevelCounters})
 				if err != nil {
 					t.Fatal(err)
 				}
+				onSt, onRep := onRun.Stats, onRun.Report
 				if !reflect.DeepEqual(offSt.Snapshot(), onSt.Snapshot()) {
 					t.Errorf("stats diverge:\nscalar %+v\nfast   %+v", offSt.Snapshot(), onSt.Snapshot())
 				}
@@ -126,11 +130,11 @@ func TestFastPathObservedEquivalence(t *testing.T) {
 
 				var offBuf, onBuf bytes.Buffer
 				cfg.FastPath = false
-				if _, _, err := core.RunObserved(c, cfg, obs.LevelTrace, &offBuf); err != nil {
+				if _, err := core.RunWithOptions(c, cfg, core.RunOptions{Trace: &offBuf}); err != nil {
 					t.Fatal(err)
 				}
 				cfg.FastPath = true
-				if _, _, err := core.RunObserved(c, cfg, obs.LevelTrace, &onBuf); err != nil {
+				if _, err := core.RunWithOptions(c, cfg, core.RunOptions{Trace: &onBuf}); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(offBuf.Bytes(), onBuf.Bytes()) {

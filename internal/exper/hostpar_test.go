@@ -72,15 +72,17 @@ func TestHostParallelEquivalence(t *testing.T) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", label, err)
 		}
-		seqSt, seqMem, err := core.RunWithMemory(c, cfg)
+		seqRun, err := core.RunWithOptions(c, cfg, core.RunOptions{Memory: true})
 		if err != nil {
 			return nil, fmt.Errorf("%s: sequential: %w", label, err)
 		}
+		seqSt, seqMem := seqRun.Stats, seqRun.Memory
 		cfg.HostParallel = 4
-		parSt, parMem, err := core.RunWithMemory(c, cfg)
+		parRun, err := core.RunWithOptions(c, cfg, core.RunOptions{Memory: true})
 		if err != nil {
 			return nil, fmt.Errorf("%s: hostpar: %w", label, err)
 		}
+		parSt, parMem := parRun.Stats, parRun.Memory
 		seqJSON, err := json.Marshal(seqSt.Snapshot())
 		if err != nil {
 			return nil, err
@@ -125,16 +127,18 @@ func TestHostParallelObservedEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					seqSt, seqRep, err := core.RunObserved(c, cfg, obs.LevelCounters, nil)
+					seqRun, err := core.RunWithOptions(c, cfg, core.RunOptions{Obs: obs.LevelCounters})
 					if err != nil {
 						t.Fatal(err)
 					}
+					seqSt, seqRep := seqRun.Stats, seqRun.Report
 					cfg.HostParallel = 4
 					var buf bytes.Buffer
-					parSt, parRep, err := core.RunObserved(c, cfg, obs.LevelTrace, &buf)
+					parRun, err := core.RunWithOptions(c, cfg, core.RunOptions{Trace: &buf})
 					if err != nil {
 						t.Fatal(err)
 					}
+					parSt, parRep := parRun.Stats, parRun.Report
 					if !reflect.DeepEqual(seqSt.Snapshot(), parSt.Snapshot()) {
 						t.Errorf("stats diverge:\nseq %+v\npar %+v", seqSt.Snapshot(), parSt.Snapshot())
 					}
@@ -174,7 +178,7 @@ func TestHostParallelTraceDeterminism(t *testing.T) {
 	trace := func(cfg machine.Config) []byte {
 		t.Helper()
 		var buf bytes.Buffer
-		if _, _, err := core.RunObserved(c, cfg, obs.LevelTrace, &buf); err != nil {
+		if _, err := core.RunWithOptions(c, cfg, core.RunOptions{Trace: &buf}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

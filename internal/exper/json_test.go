@@ -26,10 +26,11 @@ func TestValidateRunResultAcceptsRealRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, rep, err := core.RunObserved(c, cfg, obs.LevelCounters, nil)
+		run, err := core.RunWithOptions(c, cfg, core.RunOptions{Obs: obs.LevelCounters})
 		if err != nil {
 			t.Fatalf("%s: %v", sc, err)
 		}
+		st, rep := run.Stats, run.Report
 		b, err := json.Marshal(core.NewRunResult(k.Name, cfg, st, rep))
 		if err != nil {
 			t.Fatal(err)

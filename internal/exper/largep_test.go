@@ -49,10 +49,11 @@ func TestWidePresenceBitIdentical(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			st, mem, err := core.RunWithMemory(c, cfg)
+			run, err := core.RunWithOptions(c, cfg, core.RunOptions{Memory: true})
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", pt.kernel, pt.variant.name, err)
 			}
+			st, mem := run.Stats, run.Memory
 			j, err := json.Marshal(st.Snapshot())
 			if err != nil {
 				return nil, err
@@ -121,10 +122,11 @@ func TestWideTimestampsBitIdentical(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			st, mem, err := core.RunWithMemory(c, cfg)
+			run, err := core.RunWithOptions(c, cfg, core.RunOptions{Memory: true})
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", pt.kernel, pt.variant.name, err)
 			}
+			st, mem := run.Stats, run.Memory
 			j, err := json.Marshal(st.Snapshot())
 			if err != nil {
 				return nil, err
@@ -230,10 +232,11 @@ func TestLargePMeshEquivalence(t *testing.T) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", label, err)
 		}
-		seqSt, seqMem, err := core.RunWithMemory(c, cfg)
+		seqRun, err := core.RunWithOptions(c, cfg, core.RunOptions{Memory: true})
 		if err != nil {
 			return nil, fmt.Errorf("%s: sequential: %w", label, err)
 		}
+		seqSt, seqMem := seqRun.Stats, seqRun.Memory
 		seqJSON, err := json.Marshal(seqSt.Snapshot())
 		if err != nil {
 			return nil, err
@@ -241,10 +244,11 @@ func TestLargePMeshEquivalence(t *testing.T) {
 		check := func(mode string, mutate func(*machine.Config)) error {
 			mcfg := cfg
 			mutate(&mcfg)
-			st, mem, err := core.RunWithMemory(c, mcfg)
+			run, err := core.RunWithOptions(c, mcfg, core.RunOptions{Memory: true})
 			if err != nil {
 				return fmt.Errorf("%s: %s: %w", label, mode, err)
 			}
+			st, mem := run.Stats, run.Memory
 			j, err := json.Marshal(st.Snapshot())
 			if err != nil {
 				return err

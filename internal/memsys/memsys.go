@@ -133,6 +133,11 @@ type System interface {
 	// ClusterHomeWords returns the cumulative words fetched from each mesh
 	// cluster's home slice, nil outside the clustered mesh topology.
 	ClusterHomeWords() []int64
+	// CheckInvariants verifies the scheme's end-of-run protocol
+	// invariants; valid only at an epoch barrier. *Core gives the nil
+	// default; the HW directory (sharer-set consistency) and Tardis (home
+	// timestamp ordering) override it.
+	CheckInvariants() error
 
 	Releaser
 }
@@ -140,8 +145,8 @@ type System interface {
 // Releaser is part of every System, implemented once by *Core (see
 // Core.ReleaseCaches): a run's per-processor structures go back to their
 // construction pools once its results have been fully extracted (stats,
-// memory snapshot, invariant checks). core calls it at the end of each
-// Run*; a released system must not be used again.
+// memory snapshot, invariant checks). core's run body calls it on every
+// path, error or not; a released system must not be used again.
 type Releaser interface {
 	// ReleaseCaches returns the caches, trackers, logs and lanes to
 	// their pools.
@@ -225,6 +230,10 @@ type Core struct {
 
 // SetProbe implements System.
 func (c *Core) SetProbe(p Probe) { c.Probe = p }
+
+// CheckInvariants implements System for schemes without end-of-run
+// protocol invariants.
+func (c *Core) CheckInvariants() error { return nil }
 
 // NewCore builds the shared state for a scheme. The memory extent is
 // rounded up to a whole number of cache lines so line fills at the end of

@@ -12,8 +12,9 @@ import (
 // scheme must reproduce bit-for-bit. Every reference goes to memory, so
 // it counts as a bypass miss, as under BASE. Like every system it routes its
 // references through lanes and streams through delegating cursors, so it
-// runs on every execution path; core.RunOracle pins the sequential
-// scalar one, keeping the reference independent of the fast paths.
+// runs on every execution path; core's oracle verification pins the
+// sequential scalar one, keeping the reference independent of the fast
+// paths.
 type Oracle struct {
 	*Core
 }

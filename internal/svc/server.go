@@ -452,16 +452,17 @@ func (s *Server) runJob(jb *job) {
 	jb.hub.publishPhase(jb.id, PhaseRunning, msSince(jb.submitted, time.Now()))
 	exp := s.tel.newRunExporter(jb.id, jb.res.cfg.Scheme.String(), jb.hub)
 	t0 := time.Now()
-	st, rep, err := core.RunObservedWithOptions(c, jb.res.cfg, jb.res.level, nil, core.RunOptions{
+	res, err := core.RunWithOptions(c, jb.res.cfg, core.RunOptions{
 		Ctx:      jb.ctx,
 		Progress: exp.sample,
+		Obs:      jb.res.level,
 	})
 	s.tel.phaseSeconds.With(phaseRun).Observe(time.Since(t0).Seconds())
 	if err != nil {
 		s.finishJob(jb, nil, err)
 		return
 	}
-	b, err := json.Marshal(core.NewRunResult(jb.res.program, jb.res.cfg, st, rep))
+	b, err := json.Marshal(core.NewRunResult(jb.res.program, jb.res.cfg, res.Stats, res.Report))
 	if err != nil {
 		s.finishJob(jb, nil, fmt.Errorf("svc: marshal result: %w", err))
 		return

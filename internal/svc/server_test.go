@@ -95,11 +95,11 @@ func TestServerResultMatchesDirectRun(t *testing.T) {
 			if level == "counters" {
 				lv = obs.LevelCounters
 			}
-			stats, rep, err := core.RunObserved(c, cfg, lv, nil)
+			res, err := core.RunWithOptions(c, cfg, core.RunOptions{Obs: lv})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := json.Marshal(core.NewRunResult("ocean", cfg, stats, rep))
+			want, err := json.Marshal(core.NewRunResult("ocean", cfg, res.Stats, res.Report))
 			if err != nil {
 				t.Fatal(err)
 			}
