@@ -50,7 +50,7 @@ func main() {
 	explainFP := flag.Bool("explain-fastpath", false, "print the per-loop stream fast-path recognition report and exit (no simulation)")
 	requireFP := flag.Bool("require-fastpath", false, "exit non-zero unless every innermost loop streamed and (with -hostpar > 1) every DOALL epoch sharded; prints the per-loop, per-scheme reason for each fallback")
 	verify := flag.Bool("verify", true, "check results against the sequential oracle")
-	obsLevel := flag.String("obs", "off", "instrumentation level: off, counters, or trace")
+	obsLevel := flag.String("obs", "off", "instrumentation level: off, counters, or trace (trace needs -btrace)")
 	btraceFile := flag.String("btrace", "", "write a binary event trace to this file (implies -obs trace; analyze or render as text with tpitrace)")
 	jsonOut := flag.Bool("json", false, "emit a JSON array of per-scheme run results (stats schema + attributed report when -obs is on)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -99,6 +99,8 @@ func main() {
 		fatal(fmt.Errorf("benchmark size out of range: -n %d -steps %d (want n >= 2, steps >= 1)", *n, *steps))
 	case *hostpar < 0:
 		fatal(fmt.Errorf("-hostpar must be >= 0, got %d", *hostpar))
+	case *obsLevel == "trace" && *btraceFile == "":
+		fatal(fmt.Errorf("-obs trace needs -btrace FILE to write the binary trace to"))
 	}
 
 	var src, program string

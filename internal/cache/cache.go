@@ -20,6 +20,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/prog"
 )
@@ -663,13 +664,31 @@ const (
 
 // Tracker records per-word history for one processor: whether the word
 // was ever cached, and how it was last lost, for miss classification.
-// The seen set is a bitset over the memory extent (one bit per word,
-// allocated once), an eighth of the []bool it replaces per processor.
+// Two bits per word are flat, set and cleared on every fill and store:
+// seen, and lost (a loss is recorded since the word was last cached).
+// The loss records themselves, the reason and the timetag the word had,
+// are written only when a cached word is lost, so they are kept per
+// touched chunk of trackWords words in an arena, as the caches keep
+// their line state: a run pays for them by what each processor lost,
+// not by the memory extent.
 type Tracker struct {
-	seen   []uint64
-	reason []LostReason
-	lostTT []int64
+	bits  []uint64    // per chunk: its seen bits, then its lost bits
+	index []int32     // per chunk: 1 + its arena position, 0 if nothing lost
+	arena []lossChunk // loss records, in first-loss order
 }
+
+// lossChunk holds the loss records of trackWords consecutive words; a
+// record is read only while the word's lost bit is set.
+type lossChunk struct {
+	reason [trackWords]LostReason
+	lostTT [trackWords]int64
+}
+
+// trackWords is the words one tracker chunk covers: one word of bits.
+const (
+	trackWords = 1 << trackShift
+	trackShift = 6
+)
 
 // trackers recycles released trackers across memory extents: a tracker
 // serves any extent up to its capacity, so the list holds about as many
@@ -677,45 +696,65 @@ type Tracker struct {
 // through it.
 var trackers FreeList[*Tracker]
 
-// NewTracker sizes the tracker for the memory extent, reusing a released
-// tracker when the latest one has room for it (a smaller one is
-// dropped). Reset is just clearing the seen bitset: reason and lostTT
-// are only ever read for words whose seen bit is set (ClassifyMissLane
-// checks Seen first), and NoteCached rewrites reason before setting the
-// bit.
+// NewTracker sizes the tracker for the memory extent, reusing the latest
+// released tracker: its bits and index when they have room for the
+// extent, its arena capacity always. Reset is clearing the bits and the
+// index; an arena chunk's stale records are never read (see lossChunk).
 func NewTracker(memWords int64) *Tracker {
-	if t, ok := trackers.Get(); ok && int64(cap(t.reason)) >= memWords {
-		t.seen = t.seen[:(memWords+63)/64]
-		t.reason = t.reason[:memWords]
-		t.lostTT = t.lostTT[:memWords]
-		clear(t.seen)
-		return t
+	n := (memWords + trackWords - 1) / trackWords
+	t, ok := trackers.Get()
+	if !ok {
+		t = new(Tracker)
 	}
-	return &Tracker{
-		seen:   make([]uint64, (memWords+63)/64),
-		reason: make([]LostReason, memWords),
-		lostTT: make([]int64, memWords),
+	if int64(cap(t.index)) >= n {
+		t.bits, t.index = t.bits[:2*n], t.index[:n]
+		clear(t.bits)
+		clear(t.index)
+	} else {
+		t.bits, t.index = make([]uint64, 2*n), make([]int32, n)
 	}
+	t.arena = t.arena[:0]
+	return t
 }
 
 // ReleaseTracker returns a tracker to its free list; the caller must not
 // use it afterwards.
 func ReleaseTracker(t *Tracker) {
-	trackers.Put(t, int64(8*cap(t.seen)+cap(t.reason)+8*cap(t.lostTT)))
+	trackers.Put(t, int64(8*cap(t.bits)+4*cap(t.index))+int64(unsafe.Sizeof(lossChunk{}))*int64(cap(t.arena)))
 }
 
 // NoteCached records that the processor now caches addr.
 func (t *Tracker) NoteCached(addr prog.Word) {
-	t.seen[addr>>6] |= 1 << (uint(addr) & 63)
-	t.reason[addr] = LostNone
+	i, b := 2*(addr>>trackShift), uint64(1)<<(uint(addr)&(trackWords-1))
+	t.bits[i] |= b
+	t.bits[i+1] &^= b
 }
 
 // NoteLost records losing a word with a reason and the timetag it had.
 func (t *Tracker) NoteLost(addr prog.Word, r LostReason, tt int64) {
-	if t.Seen(addr) {
-		t.reason[addr] = r
-		t.lostTT[addr] = tt
+	i, b := 2*(addr>>trackShift), uint64(1)<<(uint(addr)&(trackWords-1))
+	if t.bits[i]&b == 0 {
+		return
 	}
+	t.bits[i+1] |= b
+	c, w := t.records(addr), uint(addr)&(trackWords-1)
+	c.reason[w], c.lostTT[w] = r, tt
+}
+
+// records returns the loss records of addr's chunk, taking the next
+// arena slot on the chunk's first loss.
+func (t *Tracker) records(addr prog.Word) *lossChunk {
+	k := t.index[addr>>trackShift]
+	if k == 0 {
+		if n := len(t.arena); n < cap(t.arena) {
+			t.arena = t.arena[:n+1]
+		} else {
+			t.arena = append(t.arena, lossChunk{})
+		}
+		k = int32(len(t.arena))
+		t.index[addr>>trackShift] = k
+	}
+	return &t.arena[k-1]
 }
 
 // NoteLineLost records losing every valid word of frame f of c with one
@@ -734,10 +773,15 @@ func (t *Tracker) NoteLineLost(c *Cache, f Frame, r LostReason) int64 {
 
 // Seen reports whether the processor ever cached addr.
 func (t *Tracker) Seen(addr prog.Word) bool {
-	return t.seen[addr>>6]&(1<<(uint(addr)&63)) != 0
+	return t.bits[2*(addr>>trackShift)]&(1<<(uint(addr)&(trackWords-1))) != 0
 }
 
-// Lost returns how addr was last lost and the timetag it had then.
+// Lost returns how addr was last lost and the timetag it had then:
+// LostNone if the word was not lost since it was last cached.
 func (t *Tracker) Lost(addr prog.Word) (LostReason, int64) {
-	return t.reason[addr], t.lostTT[addr]
+	if t.bits[2*(addr>>trackShift)+1]&(1<<(uint(addr)&(trackWords-1))) == 0 {
+		return LostNone, 0
+	}
+	c, w := &t.arena[t.index[addr>>trackShift]-1], uint(addr)&(trackWords-1)
+	return c.reason[w], c.lostTT[w]
 }

@@ -390,13 +390,13 @@ func TestSplitCrossCheck(t *testing.T) {
 	}
 }
 
-// TestTrackerBitset exercises the bitset-backed seen set across word
-// boundaries and against a reference map implementation.
+// TestTrackerBitset exercises the seen bits across word boundaries and
+// against a reference map implementation.
 func TestTrackerBitset(t *testing.T) {
 	const memWords = 200 // deliberately not a multiple of 64
 	tr := NewTracker(memWords)
-	if got, want := len(tr.seen), (memWords+63)/64; got != want {
-		t.Fatalf("bitset words = %d, want %d", got, want)
+	if got, want := len(tr.bits), 2*((memWords+63)/64); got != want {
+		t.Fatalf("bit words = %d, want %d", got, want)
 	}
 	ref := map[prog.Word]bool{}
 	for _, addr := range []prog.Word{0, 1, 62, 63, 64, 65, 127, 128, memWords - 1} {
@@ -819,8 +819,8 @@ func TestSetIndex(t *testing.T) {
 }
 
 // TestPooledTrackerIsFresh: a released tracker re-obtained for the same
-// memory extent, or for a smaller one, must report no word as seen and
-// span exactly the new extent.
+// memory extent, or for a smaller one, must report no word as seen or
+// lost and span exactly the new extent.
 func TestPooledTrackerIsFresh(t *testing.T) {
 	for _, extent := range []int64{512, 300} {
 		tr := NewTracker(512)
@@ -837,9 +837,13 @@ func TestPooledTrackerIsFresh(t *testing.T) {
 			if r.Seen(a) {
 				t.Fatalf("extent %d: pooled tracker has word %d seen", extent, a)
 			}
+			if reason, _ := r.Lost(a); reason != LostNone {
+				t.Fatalf("extent %d: pooled tracker has word %d lost (%v)", extent, a, reason)
+			}
 		}
-		if len(r.reason) != int(extent) || len(r.lostTT) != int(extent) || len(r.seen) != int(extent+63)/64 {
-			t.Fatalf("extent %d: pooled tracker spans %d words (%d seen words)", extent, len(r.reason), len(r.seen))
+		if len(r.bits) != 2*(int(extent+63)/64) || len(r.index) != int(extent+63)/64 || len(r.arena) != 0 {
+			t.Fatalf("extent %d: pooled tracker has %d bit words, %d index slots and %d chunks",
+				extent, len(r.bits), len(r.index), len(r.arena))
 		}
 	}
 }

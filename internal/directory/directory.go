@@ -53,6 +53,14 @@
 // always execute sequentially in every mode, so the crit store applies
 // eagerly: memory via Lane.WriteThrough and an immediate sweep that
 // invalidates every cached copy of the line, including the writer's own.
+//
+// # Storage
+//
+// The directory is one row of ⌈P/64⌉-word sharer sets per line in a
+// memsys.LineTable, allocated per touched chunk of 64 lines, so its
+// storage grows with the lines a run touches, not with memory × P.
+// Replay claims sweep the sharer sets rather than all P caches, and
+// CheckInvariants costs O(cached lines + touched lines × ⌈P/64⌉).
 package directory
 
 import (
@@ -76,16 +84,6 @@ const (
 	dirShared
 	dirExclusive
 )
-
-// entry is one full-map directory entry. For machines with P <= 64 the
-// sharer list is the inline presence word; larger machines keep presence
-// in the System's flat multi-word backing (see presence.go) and leave
-// the inline word zero.
-type entry struct {
-	state    dirState
-	presence uint64 // bit per processor (narrow path, P <= 64)
-	owner    int16
-}
 
 // actKind is a deferred directory mutation's type.
 type actKind uint8
@@ -115,16 +113,11 @@ type action struct {
 // System is the full-map directory memory system.
 type System struct {
 	*memsys.Core
-	dir []entry // one per memory line; frozen mid-epoch
-	// Multi-word presence backing for P > 64 (nil on the narrow path):
-	// wps words per line, sliced per entry by pres(). pend/pendMark/
-	// touched carry the replay prepass (see buildPend).
-	wide     []uint64
-	wps      int
-	pend     []uint64
-	pendMark []bool
-	touched  []int64
-	logs     [][]action // per-processor deferred mutations
+	dir *memsys.LineTable // one line row per memory line; frozen mid-epoch
+	// touched lists the lines whose pend set the replay prepass filled
+	// this epoch (see buildPend).
+	touched []int64
+	logs    [][]action // per-processor deferred mutations
 }
 
 // logsPool recycles the per-processor action-log slices across runs so
@@ -140,14 +133,7 @@ func New(cfg machine.Config, memWords int64) *System {
 		Core: memsys.NewCore(cfg, memWords),
 	}
 	s.EnableAlwaysBuffered()
-	s.dir = make([]entry, s.Memory.Size()/int64(cfg.LineWords))
-	if cfg.Procs > 64 || forceWide {
-		lines := int64(len(s.dir))
-		s.wps = setWords(cfg.Procs)
-		s.wide = make([]uint64, lines*int64(s.wps))
-		s.pend = make([]uint64, lines*int64(s.wps))
-		s.pendMark = make([]bool, lines)
-	}
+	s.dir = s.EnableHome(lineWords(cfg.Procs))
 	s.EnableCaches(false) // write-back caches: no write buffers
 	s.logs = logsPool.Get(cfg.Procs)
 	for p := range s.logs {
@@ -196,15 +182,15 @@ func (s *System) Read(p int, addr prog.Word, kind memsys.ReadKind, window int) (
 
 	ln.St.ReadMisses[s.ClassifyMissLane(ln, tr, addr)]++
 	tag, _ := cc.Split(addr)
-	e := &s.dir[tag] // frozen: read-only until the barrier replay
+	e := line(s.dir.Row(tag)) // frozen: read-only until the barrier replay
 
 	var extra int64
 	act := actFill
-	if e.state == dirExclusive && int(e.owner) != p {
+	if e.state() == dirExclusive && e.owner() != p {
 		// Remote possibly-dirty copy: the request is forwarded from the
 		// home node to the owner, and the data comes back from the owner.
 		// The downgrade itself replays at the barrier.
-		owner := int(e.owner)
+		owner := e.owner()
 		home := s.HomeOf(addr)
 		extra = s.Lat.Word(home, owner) + s.Lat.Line(owner, p)
 		ln.St.CoherenceTrafficWords += int64(s.Cfg.LineWords) + 2
@@ -226,10 +212,8 @@ func (s *System) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 	ln := s.LaneFor(p)
 	cc, tr := s.ProcState(p)
 	tag, _ := cc.Split(addr)
-	e := &s.dir[tag]
-
 	if crit {
-		return s.writeCritical(p, ln, e, tag, addr, val)
+		return s.writeCritical(p, ln, tag, addr, val)
 	}
 	ln.St.Writes++
 
@@ -262,7 +246,7 @@ func (s *System) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 	// history before the fill below records the new residency (sharer
 	// invalidations only touch other processors' trackers).
 	ln.St.WriteMisses[s.ClassifyMissLane(ln, tr, addr)]++
-	if e.state == dirExclusive && int(e.owner) != p {
+	if e := line(s.dir.Row(tag)); e.state() == dirExclusive && e.owner() != p {
 		// The frozen directory shows a remote owner: charge the ownership
 		// transfer; the owner's invalidation replays at the barrier.
 		ln.St.CoherenceTrafficWords += int64(s.Cfg.LineWords) + 2
@@ -291,7 +275,7 @@ func (s *System) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 // entry) and every cached copy of the line — the writer's own included —
 // is invalidated on the spot. Same-epoch bypass readers then miss and
 // fetch the fresh value from memory.
-func (s *System) writeCritical(p int, ln *memsys.Lane, e *entry, tag int64, addr prog.Word, val float64) int64 {
+func (s *System) writeCritical(p int, ln *memsys.Lane, tag int64, addr prog.Word, val float64) int64 {
 	ln.St.Writes++
 	ln.St.WriteMisses[stats.MissBypass]++
 	ln.WriteThrough(addr, val, p, s.Epoch)
@@ -334,8 +318,9 @@ func (s *System) writeCritical(p int, ln *memsys.Lane, e *entry, tag int64, addr
 		ln.St.CoherenceTrafficWords += 2
 		ln.Inject(2)
 	}
-	e.state, e.owner = dirUncached, 0
-	s.presReset(e, tag)
+	e := line(s.dir.Mut(tag))
+	e.set(dirUncached, 0)
+	e.pres().Reset()
 	ln.St.WriteTrafficWords++
 	ln.Inject(1)
 	return 0
@@ -367,38 +352,34 @@ func (s *System) fillLocal(p int, ln *memsys.Lane, addr prog.Word, exclusive boo
 // lanes drained, so stats and traffic go straight to the shared sinks
 // and value refreshes read barrier-final memory.
 func (s *System) replayEpoch() {
-	if s.wide != nil {
-		s.buildPend()
-	}
+	s.buildPend()
 	for p := range s.logs {
 		log := s.logs[p]
 		for i := range log {
 			a := &log[i]
-			e := &s.dir[a.tag]
+			e := line(s.dir.Mut(a.tag))
 			switch a.kind {
 			case actFill, actFillFromOwner:
 				s.replayFill(p, e, a, a.kind == actFillFromOwner)
 			case actClaim:
 				s.replayClaim(p, e, a)
 			case actEvict:
-				s.clearPresence(e, a.tag, p)
+				s.clearPresence(e, p)
 			}
 		}
 		s.logs[p] = log[:0]
 	}
-	if s.wide != nil {
-		s.clearPend()
-	}
+	s.clearPend()
 }
 
 // buildPend marks, for every line a fill or claim touched this epoch,
 // the processors that logged one. A processor can hold a copy of a line
 // at the barrier only if its presence bit was set when the directory
 // froze or it filled the line this epoch — and every fill is logged —
-// so replayClaim's sweep on the wide path visits presence ∪ pend
-// instead of all P processors. Visiting a candidate without a copy is
-// harmless (the sweep re-checks the cache), so the prepass may safely
-// over-approximate across the whole epoch's logs.
+// so replayClaim's sweep visits presence ∪ pend instead of all P
+// processors. Visiting a candidate without a copy is harmless (the sweep
+// re-checks the cache), so the prepass may safely over-approximate
+// across the whole epoch's logs.
 func (s *System) buildPend() {
 	for p := range s.logs {
 		log := s.logs[p]
@@ -407,21 +388,20 @@ func (s *System) buildPend() {
 			if a.kind == actEvict {
 				continue
 			}
-			if !s.pendMark[a.tag] {
-				s.pendMark[a.tag] = true
+			pend := line(s.dir.Mut(a.tag)).pend()
+			if pend.Empty() {
 				s.touched = append(s.touched, a.tag)
 			}
-			s.pendSet(a.tag).Add(p)
+			pend.Add(p)
 		}
 	}
 }
 
-// clearPend resets the candidate sets the prepass marked, touching only
+// clearPend resets the candidate sets the prepass filled, touching only
 // the lines this epoch used.
 func (s *System) clearPend() {
 	for _, tag := range s.touched {
-		s.pendSet(tag).Reset()
-		s.pendMark[tag] = false
+		line(s.dir.Mut(tag)).pend().Reset()
 	}
 	s.touched = s.touched[:0]
 }
@@ -430,17 +410,16 @@ func (s *System) clearPend() {
 // fill was forwarded) downgrades to shared, and the filler's presence bit
 // is set only if its copy still exists at the barrier — a copy filled and
 // evicted within the epoch leaves no trace.
-func (s *System) replayFill(p int, e *entry, a *action, fromOwner bool) {
-	if fromOwner && e.state == dirExclusive {
-		s.downgradeOwner(int(e.owner), a.tag)
-		e.state = dirShared
-		e.owner = 0
+func (s *System) replayFill(p int, e line, a *action, fromOwner bool) {
+	if fromOwner && e.state() == dirExclusive {
+		s.downgradeOwner(e.owner(), a.tag)
+		e.set(dirShared, 0)
 	}
 	cc, _ := s.CacheOf(p)
 	base := prog.Word(a.tag * int64(cc.LineWords()))
 	f, _, ok := cc.Lookup(base)
 	if !ok || cc.Tag(f) != a.tag {
-		s.clearPresence(e, a.tag, p)
+		s.clearPresence(e, p)
 		return
 	}
 	if fromOwner {
@@ -449,41 +428,34 @@ func (s *System) replayFill(p int, e *entry, a *action, fromOwner bool) {
 		s.refreshFromMemory(cc, f)
 	}
 	s.reservePointer(e, p, a.tag, a.addr)
-	s.presAdd(e, a.tag, p)
-	if e.state == dirUncached {
-		e.state = dirShared
+	e.pres().Add(p)
+	if e.state() == dirUncached {
+		e.set(dirShared, e.owner())
 	}
 }
 
 // replayClaim performs the deferred ownership transfer: sweep every other
-// processor's cache for surviving copies of the line (presence bits may
-// lag same-epoch fills, so the caches are authoritative), then register
-// the claimant against its own barrier-time cache state.
-func (s *System) replayClaim(p int, e *entry, a *action) {
+// processor that can hold a copy of the line for surviving copies
+// (presence bits may lag same-epoch fills, so the caches are
+// authoritative), then register the claimant against its own
+// barrier-time cache state.
+func (s *System) replayClaim(p int, e line, a *action) {
 	lw := s.Cfg.LineWords
 	base := prog.Word(a.tag * int64(lw))
 	woff := int(int64(a.addr) % int64(lw))
-	if s.wide == nil {
-		for q := 0; q < s.Cfg.Procs; q++ {
-			if q != p {
-				s.claimVictim(p, q, e, a, base, lw, woff)
-			}
+	// Only presence members and this epoch's fill/claim candidates (see
+	// buildPend) can hold a copy; sweep the union in ascending processor
+	// order.
+	pres, pend := e.pres(), e.pend()
+	for i := range pres {
+		w := pres[i] | pend[i]
+		if i == p>>6 {
+			w &^= 1 << uint(p&63)
 		}
-	} else {
-		// Wide path: only presence members and this epoch's fill/claim
-		// candidates (see buildPend) can hold a copy; sweep the union in
-		// the same ascending processor order as the narrow loop.
-		pres, pend := s.pres(a.tag), s.pendSet(a.tag)
-		for i := range pres {
-			w := pres[i] | pend[i]
-			if i == p>>6 {
-				w &^= 1 << uint(p&63)
-			}
-			for w != 0 {
-				q := i<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				s.claimVictim(p, q, e, a, base, lw, woff)
-			}
+		for w != 0 {
+			q := i<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			s.claimVictim(p, q, e, a, base, lw, woff)
 		}
 	}
 	// After the sweep only the claimant can hold a copy. Register by what
@@ -494,15 +466,17 @@ func (s *System) replayClaim(p int, e *entry, a *action) {
 	switch {
 	case ok && cc.Tag(f) == a.tag && cc.State(f) == cache.Exclusive:
 		s.refreshFromMemory(cc, f)
-		e.state, e.owner = dirExclusive, int16(p)
-		s.presSetOnly(e, a.tag, p)
+		e.set(dirExclusive, p)
+		e.pres().Reset()
+		e.pres().Add(p)
 	case ok && cc.Tag(f) == a.tag:
 		s.refreshFromMemory(cc, f)
-		e.state, e.owner = dirShared, 0
-		s.presSetOnly(e, a.tag, p)
+		e.set(dirShared, 0)
+		e.pres().Reset()
+		e.pres().Add(p)
 	default:
-		e.state, e.owner = dirUncached, 0
-		s.presReset(e, a.tag)
+		e.set(dirUncached, 0)
+		e.pres().Reset()
 	}
 }
 
@@ -510,14 +484,14 @@ func (s *System) replayClaim(p int, e *entry, a *action) {
 // still holds a copy of the line, it is classified (true/false sharing
 // by the written word's used bit), invalidated, and charged; either way
 // q's presence bit ends clear.
-func (s *System) claimVictim(p, q int, e *entry, a *action, base prog.Word, lw, woff int) {
+func (s *System) claimVictim(p, q int, e line, a *action, base prog.Word, lw, woff int) {
 	cc, tr := s.CacheOf(q)
 	if cc == nil { // never referenced anything: no copy, no bit
 		return
 	}
 	f, w, ok := cc.Lookup(base + prog.Word(woff))
 	if !ok || cc.Tag(f) != a.tag {
-		s.presRemove(e, a.tag, q)
+		e.pres().Remove(q)
 		return
 	}
 	reason := cache.LostInvalFalse
@@ -537,19 +511,18 @@ func (s *System) claimVictim(p, q int, e *entry, a *action, base prog.Word, lw, 
 		s.Netw.Inject(int64(lw))
 	}
 	cc.InvalidateLine(f)
-	s.presRemove(e, a.tag, q)
+	e.pres().Remove(q)
 	s.St.Invalidations++
 	s.St.CoherenceMsgs++
 	s.St.CoherenceTrafficWords += 2 // invalidate + ack
 	s.Netw.Inject(2)
 }
 
-// clearPresence drops p's presence bit and normalizes an emptied entry.
-func (s *System) clearPresence(e *entry, tag int64, p int) {
-	s.presRemove(e, tag, p)
-	if s.presEmpty(e, tag) {
-		e.state = dirUncached
-		e.owner = 0
+// clearPresence drops p's presence bit and normalizes an emptied line.
+func (s *System) clearPresence(e line, p int) {
+	e.pres().Remove(p)
+	if e.pres().Empty() {
+		e.set(dirUncached, 0)
 	}
 }
 
@@ -571,13 +544,13 @@ func (s *System) refreshFromMemory(cc *cache.Cache, f cache.Frame) {
 // are a directory-capacity artifact and are recorded as replacements at
 // the victim. Runs at barrier replay (registration time), so its charges
 // go to the shared sinks.
-func (s *System) reservePointer(e *entry, p int, tag int64, addr prog.Word) {
+func (s *System) reservePointer(e line, p int, tag int64, addr prog.Word) {
 	limit := s.Cfg.DirPointers
-	if limit <= 0 || s.presHas(e, tag, p) {
+	if limit <= 0 || e.pres().Has(p) {
 		return
 	}
-	for s.presCount(e, tag) >= limit {
-		victim := s.presFirstOther(e, tag, p)
+	for e.pres().Count() >= limit {
+		victim := e.pres().FirstOther(p)
 		if victim < 0 {
 			return
 		}
@@ -596,7 +569,7 @@ func (s *System) reservePointer(e *entry, p int, tag int64, addr prog.Word) {
 		if s.Probe != nil {
 			s.Probe.Invalidation(p, victim, addr, stats.MissReplace)
 		}
-		s.presRemove(e, tag, victim)
+		e.pres().Remove(victim)
 		s.St.PointerEvictions++
 		s.St.Invalidations++
 		s.St.CoherenceMsgs++
@@ -649,18 +622,11 @@ func (s *System) InitWriteCursor(c *memsys.WriteCursor, p int, addr0 prog.Word) 
 // exclusive owner per line, presence bits consistent with cache contents,
 // and no dirty copy without exclusive state. Valid only at epoch
 // barriers (after FlushEpoch); every run calls it after its final one.
+// It costs O(cached lines + touched lines × ⌈P/64⌉) and allocates
+// nothing per memory line.
 func (s *System) CheckInvariants() error {
-	// Two passes avoid probing every (line, processor) pair. The first
-	// walks every cache and accumulates per-line holder counts, O(cached
-	// lines). The second walks every directory line, touched or not, and
-	// counts its presence set against them: O(memory lines × ⌈P/64⌉)
-	// words, so the check grows with memory rather than with what the run
-	// cached.
-	holders := make([]int32, len(s.dir))
-	excl := make([]int32, len(s.dir))
-	for i := range excl {
-		excl[i] = -1
-	}
+	// Pass 1 walks every cache: each copy has its presence bit, so the
+	// holders of a line are a subset of its presence set.
 	for p := 0; p < s.Cfg.Procs; p++ {
 		cc, _ := s.CacheOf(p)
 		if cc == nil {
@@ -672,14 +638,9 @@ func (s *System) CheckInvariants() error {
 				return
 			}
 			tag := cc.Tag(f)
-			e := &s.dir[tag]
-			if !s.presHas(e, tag, p) {
+			if !line(s.dir.Row(tag)).pres().Has(p) {
 				err = fmt.Errorf("directory: line %d: P%d holds a copy without a presence bit", tag, p)
 				return
-			}
-			holders[tag]++
-			if cc.State(f) == cache.Exclusive {
-				excl[tag] = int32(p)
 			}
 			if cc.Dirty(f) && cc.State(f) != cache.Exclusive {
 				err = fmt.Errorf("directory: line %d: dirty non-exclusive copy at P%d", tag, p)
@@ -689,51 +650,46 @@ func (s *System) CheckInvariants() error {
 			return err
 		}
 	}
-	for tag := range s.dir {
-		e := &s.dir[tag]
-		// Every holder has its bit (pass 1), so a count mismatch means a
-		// presence bit without a copy; find the member to name it.
-		if n := s.presCount(e, int64(tag)); n != int(holders[tag]) {
-			bad := s.findStalePresence(e, int64(tag))
-			return fmt.Errorf("directory: line %d: presence bit set for P%d without a copy", tag, bad)
+	// Pass 2 walks the touched lines (the rest are uncached with no
+	// sharers) and looks each presence member up in its cache.
+	return s.dir.Each(func(tag int64, row []uint64) error {
+		e := line(row)
+		holders, excl, stale := s.holders(e, tag)
+		if stale >= 0 {
+			return fmt.Errorf("directory: line %d: presence bit set for P%d without a copy", tag, stale)
 		}
-		if excl[tag] >= 0 && holders[tag] > 1 {
+		if excl >= 0 && holders > 1 {
 			return fmt.Errorf("directory: line %d: exclusive copy at P%d alongside %d holders",
-				tag, excl[tag], holders[tag])
+				tag, excl, holders)
 		}
-		if e.state == dirExclusive && excl[tag] != int32(e.owner) {
-			return fmt.Errorf("directory: line %d: owner %d has no exclusive copy", tag, e.owner)
+		if e.state() == dirExclusive && excl != e.owner() {
+			return fmt.Errorf("directory: line %d: owner %d has no exclusive copy", tag, e.owner())
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
-// findStalePresence returns the lowest presence member that holds no
-// copy of the line, or -1 if all members check out.
-func (s *System) findStalePresence(e *entry, tag int64) int {
-	bad := -1
-	check := func(q int) {
-		if bad >= 0 {
-			return
-		}
+// holders looks up line tag in the cache of every member of its
+// presence set. It returns how many hold a copy, the highest that holds
+// it exclusive (-1 if none), and the lowest that holds no copy (-1 if
+// none).
+func (s *System) holders(e line, tag int64) (n, excl, stale int) {
+	excl, stale = -1, -1
+	e.pres().ForEach(func(q int) {
 		cc, _ := s.CacheOf(q)
-		if cc == nil {
-			bad = q
-			return
-		}
-		base := prog.Word(tag * int64(cc.LineWords()))
-		if f, _, ok := cc.Lookup(base); !ok || cc.Tag(f) != tag {
-			bad = q
-		}
-	}
-	if s.wide == nil {
-		for q := 0; q < s.Cfg.Procs; q++ {
-			if e.presence&(1<<uint(q)) != 0 {
-				check(q)
+		if cc != nil {
+			base := prog.Word(tag * int64(cc.LineWords()))
+			if f, _, ok := cc.Lookup(base); ok && cc.Tag(f) == tag {
+				n++
+				if cc.State(f) == cache.Exclusive {
+					excl = q
+				}
+				return
 			}
 		}
-		return bad
-	}
-	s.pres(tag).ForEach(check)
-	return bad
+		if stale < 0 {
+			stale = q
+		}
+	})
+	return n, excl, stale
 }

@@ -2,37 +2,36 @@ package directory
 
 import "math/bits"
 
-// The full-map presence representation is two-tier. Machines with P <= 64
-// keep the historical inline uint64 in each directory entry: the hot
-// paths are branch-for-branch the ones the bit-identical equivalence
-// suites were written against, and a directory entry stays a single
-// cache-line-friendly struct. Above 64 processors the entries' inline
-// words go unused and presence lives in one flat []uint64 backing array,
-// setWords(P) words per line, sliced per entry on demand. All protocol
-// code goes through the System pres* helpers, which branch on the mode
-// once; Set carries the multi-word operations.
-
-// forceWide makes New take the multi-word presence path even at P <= 64.
-// Tests flip it to prove the two representations produce bit-identical
-// statistics on the same configuration.
-var forceWide bool
-
-// ForceWidePresence is a test hook: it turns the multi-word presence
-// path on or off for subsequently constructed Systems and returns the
-// previous setting. Not safe to flip while systems are being built
-// concurrently; tests that use it must not run in parallel with other
-// system constructions.
-func ForceWidePresence(on bool) (prev bool) {
-	prev, forceWide = forceWide, on
-	return prev
-}
+// line is one directory entry: a row of the home table (see
+// memsys.LineTable). Word 0 holds the state in its low byte and the
+// exclusive owner above it; then come the presence set and the replay
+// prepass's candidate set (see buildPend), setWords(P) words each, so
+// P <= 64 is the one-word case of the same code. The all-zero row is an
+// uncached line without sharers.
+type line []uint64
 
 // setWords returns the number of 64-bit words a presence set over procs
 // processors occupies.
 func setWords(procs int) int { return (procs + 63) / 64 }
 
+// lineWords is the row width of a directory over procs processors.
+func lineWords(procs int) int { return 1 + 2*setWords(procs) }
+
+func (l line) state() dirState { return dirState(l[0] & 0xff) }
+
+func (l line) owner() int { return int(l[0] >> 8) }
+
+func (l line) set(st dirState, owner int) { l[0] = uint64(st) | uint64(owner)<<8 }
+
+// pres is the line's presence set: the processors the directory
+// registered as holding a copy.
+func (l line) pres() Set { return Set(l[1 : 1+len(l)/2]) }
+
+// pend is the line's replay candidates this epoch (see buildPend).
+func (l line) pend() Set { return Set(l[1+len(l)/2:]) }
+
 // Set is a multi-word presence bitset over processor IDs. It is a view
-// into the System's flat backing array, not an owning allocation.
+// into a directory row, not an owning allocation.
 type Set []uint64
 
 // Add sets p's bit.
@@ -64,14 +63,10 @@ func (s Set) Empty() bool {
 }
 
 // Reset clears every member.
-func (s Set) Reset() {
-	for i := range s {
-		s[i] = 0
-	}
-}
+func (s Set) Reset() { clear(s) }
 
 // FirstOther returns the lowest member other than p, or -1 if none. The
-// limited-pointer eviction scan uses it to pick the same victim the
+// limited-pointer eviction scan uses it to pick the same victim an
 // ascending 0..P-1 sweep would.
 func (s Set) FirstOther(p int) int {
 	for i, w := range s {
@@ -94,95 +89,4 @@ func (s Set) ForEach(fn func(p int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// wideOn reports whether this System uses the multi-word presence path.
-func (s *System) wideOn() bool { return s.wide != nil }
-
-// pres returns the wide presence set for a line. Valid only when wideOn.
-func (s *System) pres(tag int64) Set {
-	w := int64(s.wps)
-	return Set(s.wide[tag*w : (tag+1)*w])
-}
-
-// pendSet returns the per-epoch replay-candidate set for a line (procs
-// that logged a fill or claim against it this epoch). Valid only when
-// wideOn; maintained by replayEpoch's prepass.
-func (s *System) pendSet(tag int64) Set {
-	w := int64(s.wps)
-	return Set(s.pend[tag*w : (tag+1)*w])
-}
-
-// The pres* helpers below are the only presence accessors the protocol
-// code uses. On the narrow path they compile to the original single-word
-// bit operations against entry.presence.
-
-func (s *System) presAdd(e *entry, tag int64, p int) {
-	if s.wide == nil {
-		e.presence |= 1 << uint(p)
-		return
-	}
-	s.pres(tag).Add(p)
-}
-
-func (s *System) presRemove(e *entry, tag int64, p int) {
-	if s.wide == nil {
-		e.presence &^= 1 << uint(p)
-		return
-	}
-	s.pres(tag).Remove(p)
-}
-
-func (s *System) presHas(e *entry, tag int64, p int) bool {
-	if s.wide == nil {
-		return e.presence&(1<<uint(p)) != 0
-	}
-	return s.pres(tag).Has(p)
-}
-
-func (s *System) presCount(e *entry, tag int64) int {
-	if s.wide == nil {
-		return bits.OnesCount64(e.presence)
-	}
-	return s.pres(tag).Count()
-}
-
-func (s *System) presEmpty(e *entry, tag int64) bool {
-	if s.wide == nil {
-		return e.presence == 0
-	}
-	return s.pres(tag).Empty()
-}
-
-// presSetOnly makes p the sole member.
-func (s *System) presSetOnly(e *entry, tag int64, p int) {
-	if s.wide == nil {
-		e.presence = 1 << uint(p)
-		return
-	}
-	set := s.pres(tag)
-	set.Reset()
-	set.Add(p)
-}
-
-// presReset empties the set.
-func (s *System) presReset(e *entry, tag int64) {
-	if s.wide == nil {
-		e.presence = 0
-		return
-	}
-	s.pres(tag).Reset()
-}
-
-// presFirstOther returns the lowest member other than p, or -1.
-func (s *System) presFirstOther(e *entry, tag int64, p int) int {
-	if s.wide == nil {
-		for q := 0; q < s.Cfg.Procs; q++ {
-			if q != p && e.presence&(1<<uint(q)) != 0 {
-				return q
-			}
-		}
-		return -1
-	}
-	return s.pres(tag).FirstOther(p)
 }

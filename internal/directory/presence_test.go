@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -21,18 +22,26 @@ func (r refSet) firstOther(p, procs int) int {
 	return -1
 }
 
-// TestSetAgainstReference drives the multi-word presence set and a
-// map-based reference model through the same randomized operation
-// stream at widths spanning the narrow/wide boundary, checking every
-// observable (membership, popcount, emptiness, ascending iteration,
-// and the limited-pointer eviction scan) after each step.
+// TestSetAgainstReference drives the presence set of a directory row
+// and a map-based reference model through the same randomized operation
+// stream at widths on both sides of one word, checking every observable
+// (membership, popcount, emptiness, ascending iteration, and the
+// limited-pointer eviction scan) after each step, and that the row's
+// other words stay untouched.
 func TestSetAgainstReference(t *testing.T) {
 	for _, procs := range []int{16, 64, 65, 1024} {
 		procs := procs
 		t.Run(fmtProcs(procs), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(procs)))
-			s := make(Set, setWords(procs))
+			sys := New(cfgForTest(procs), 1024)
+			defer sys.ReleaseCaches()
+			row := line(sys.dir.Mut(100))
+			row.set(dirExclusive, procs-1)
+			s := row.pres()
+			if len(s) != setWords(procs) {
+				t.Fatalf("presence set has %d words, want %d", len(s), setWords(procs))
+			}
 			ref := refSet{}
 			for step := 0; step < 4000; step++ {
 				p := rng.Intn(procs)
@@ -71,6 +80,9 @@ func TestSetAgainstReference(t *testing.T) {
 				}
 				if got, want := s.FirstOther(p), ref.firstOther(p, procs); got != want {
 					t.Fatalf("step %d: FirstOther(%d) = %d, want %d", step, p, got, want)
+				}
+				if row.state() != dirExclusive || row.owner() != procs-1 || !row.pend().Empty() {
+					t.Fatalf("step %d: presence update leaked into the row's other words", step)
 				}
 				if step%97 == 0 { // iteration order: ascending, complete
 					var got []int
@@ -115,26 +127,36 @@ func cfgForTest(procs int) machine.Config {
 	return c
 }
 
-// TestForceWidePresenceHook exercises the test hook itself: flipping it
-// makes New build the wide backing even at small P, and restoring it
-// returns to the inline word.
-func TestForceWidePresenceHook(t *testing.T) {
-	prev := ForceWidePresence(true)
-	defer ForceWidePresence(prev)
-	s := New(cfgForTest(8), 1024)
-	defer s.ReleaseCaches()
-	if s.wide == nil {
-		t.Fatal("forceWide on: New built the narrow path")
-	}
-	ForceWidePresence(false)
-	s2 := New(cfgForTest(8), 1024)
-	defer s2.ReleaseCaches()
-	if s2.wide != nil {
-		t.Fatal("forceWide off: New built the wide path at P=8")
-	}
-	if s3 := New(cfgForTest(65), 1024); s3.wide == nil {
-		t.Fatal("P=65: New must take the wide path")
-	} else {
-		s3.ReleaseCaches()
+// TestReleasedChunkReadsFresh fills every line of a directory chunk,
+// releases the system, and checks that a chunk the next system of the
+// same width takes from the free list reads as fresh: the release must
+// zero what it recycles.
+func TestReleasedChunkReadsFresh(t *testing.T) {
+	for _, procs := range []int{16, 65} {
+		s := New(cfgForTest(procs), 1024)
+		for tag := int64(0); tag < 64; tag++ {
+			e := line(s.dir.Mut(tag))
+			e.set(dirExclusive, procs-1)
+			e.pres().Add(procs - 1)
+			e.pend().Add(0)
+		}
+		s.ReleaseCaches()
+		s = New(cfgForTest(procs), 1024)
+		s.dir.Mut(5)
+		if got := s.dir.Chunks(); got != 1 {
+			t.Fatalf("P=%d: table holds %d chunks after one write, want 1", procs, got)
+		}
+		err := s.dir.Each(func(tag int64, row []uint64) error {
+			for _, w := range row {
+				if w != 0 {
+					return fmt.Errorf("P=%d: line %d of a reused chunk reads %x", procs, tag, row)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.ReleaseCaches()
 	}
 }

@@ -83,8 +83,8 @@ type Suite struct {
 	// table bytes identical either way. The few points that compile
 	// custom inline sources (E21's auto-parallelized variants, E23's
 	// ping-pong probe) always run locally.
-	Exec func(kernel string, cfg machine.Config) (*stats.Stats, error)
-	mu   sync.Mutex
+	Exec    func(kernel string, cfg machine.Config) (*stats.Stats, error)
+	mu      sync.Mutex
 	kernels map[string]*core.Compiled // cache, keyed by name+options
 }
 

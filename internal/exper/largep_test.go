@@ -4,160 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/directory"
 	"repro/internal/machine"
-	"repro/internal/tardis"
+	"repro/internal/memsys"
+	"repro/internal/prog"
+	"repro/internal/sim"
 )
-
-// TestWidePresenceBitIdentical proves the two presence-set
-// representations are observationally identical at P <= 64: every kernel
-// x scheme variant is run twice, once on the inline-word path and once
-// with directory.ForceWidePresence steering the HW directory onto the
-// multi-word path, and the stats snapshots and final memory images must
-// match byte for byte. Only SchemeHW owns a directory, but running all
-// six variants keeps the sweep a regression net for the hook itself.
-func TestWidePresenceBitIdentical(t *testing.T) {
-	type point struct {
-		idx     int
-		kernel  string
-		variant schemeVariant
-	}
-	var points []point
-	for _, name := range bench.Names {
-		for _, v := range allVariants {
-			points = append(points, point{len(points), name, v})
-		}
-	}
-	s := smallSuite()
-	runAll := func() ([][]byte, [][]float64, error) {
-		jsons := make([][]byte, len(points))
-		mems := make([][]float64, len(points))
-		_, err := forEach(points, func(pt point) ([][]string, error) {
-			cfg := s.cfg(pt.variant.scheme)
-			cfg.L1Words = pt.variant.l1Words
-			cfg.Procs = 16
-			c, err := s.compile(pt.kernel, core.CompileOptions{
-				Interproc:      cfg.Interproc,
-				FirstReadReuse: cfg.FirstReadReuse,
-				AlignWords:     int64(cfg.LineWords),
-			})
-			if err != nil {
-				return nil, err
-			}
-			run, err := core.RunWithOptions(c, cfg, core.RunOptions{Memory: true})
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", pt.kernel, pt.variant.name, err)
-			}
-			st, mem := run.Stats, run.Memory
-			j, err := json.Marshal(st.Snapshot())
-			if err != nil {
-				return nil, err
-			}
-			jsons[pt.idx], mems[pt.idx] = j, mem
-			return nil, nil
-		})
-		return jsons, mems, err
-	}
-
-	narrowJSON, narrowMem, err := runAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := directory.ForceWidePresence(true)
-	wideJSON, wideMem, err := runAll()
-	directory.ForceWidePresence(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pt := range points {
-		label := fmt.Sprintf("%s/%s", pt.kernel, pt.variant.name)
-		if !bytes.Equal(narrowJSON[pt.idx], wideJSON[pt.idx]) {
-			t.Errorf("%s: snapshots diverge:\nnarrow %s\nwide   %s",
-				label, narrowJSON[pt.idx], wideJSON[pt.idx])
-		}
-		if !reflect.DeepEqual(narrowMem[pt.idx], wideMem[pt.idx]) {
-			t.Errorf("%s: final memory images diverge", label)
-		}
-	}
-}
-
-// TestWideTimestampsBitIdentical is the Tardis analog of the presence
-// test above: the packed and wide home timestamp tables must be
-// observationally identical. P = 96 puts the run past the P > 64 cliff
-// where the HW presence sets also go multi-word, so the sweep exercises
-// both two-tier representations at once on the Tardis variants.
-func TestWideTimestampsBitIdentical(t *testing.T) {
-	variants := []schemeVariant{
-		{"TARDIS", machine.SchemeTardis, 0},
-		{"TARDIS2", machine.SchemeTardis2, 0},
-	}
-	type point struct {
-		idx     int
-		kernel  string
-		variant schemeVariant
-	}
-	var points []point
-	for _, name := range bench.Names {
-		for _, v := range variants {
-			points = append(points, point{len(points), name, v})
-		}
-	}
-	s := smallSuite()
-	runAll := func() ([][]byte, [][]float64, error) {
-		jsons := make([][]byte, len(points))
-		mems := make([][]float64, len(points))
-		_, err := forEach(points, func(pt point) ([][]string, error) {
-			cfg := s.cfg(pt.variant.scheme)
-			cfg.Procs = 96
-			c, err := s.compile(pt.kernel, core.CompileOptions{
-				Interproc:      cfg.Interproc,
-				FirstReadReuse: cfg.FirstReadReuse,
-				AlignWords:     int64(cfg.LineWords),
-			})
-			if err != nil {
-				return nil, err
-			}
-			run, err := core.RunWithOptions(c, cfg, core.RunOptions{Memory: true})
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", pt.kernel, pt.variant.name, err)
-			}
-			st, mem := run.Stats, run.Memory
-			j, err := json.Marshal(st.Snapshot())
-			if err != nil {
-				return nil, err
-			}
-			jsons[pt.idx], mems[pt.idx] = j, mem
-			return nil, nil
-		})
-		return jsons, mems, err
-	}
-
-	narrowJSON, narrowMem, err := runAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tardis.ForceWideTimestamps = true
-	wideJSON, wideMem, err := runAll()
-	tardis.ForceWideTimestamps = false
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pt := range points {
-		label := fmt.Sprintf("%s/%s", pt.kernel, pt.variant.name)
-		if !bytes.Equal(narrowJSON[pt.idx], wideJSON[pt.idx]) {
-			t.Errorf("%s: snapshots diverge:\nnarrow %s\nwide   %s",
-				label, narrowJSON[pt.idx], wideJSON[pt.idx])
-		}
-		if !reflect.DeepEqual(narrowMem[pt.idx], wideMem[pt.idx]) {
-			t.Errorf("%s: final memory images diverge", label)
-		}
-	}
-}
 
 // TestFourThousandProcOcean is the scale acceptance criterion as a test:
 // a 4096-processor ocean run on the clustered mesh completes under the
@@ -190,6 +47,78 @@ func TestFourThousandProcOcean(t *testing.T) {
 			t.Errorf("%s: result fails validation: %v", v.name, err)
 		}
 	}
+}
+
+// TestSparseHomeStorage is the storage bound of the home tables: a
+// program with a 16M-word data segment that touches 64 words, run at
+// P=4096 on the mesh with one-word lines. The HW directory and the
+// Tardis home must complete, match the sequential oracle, and hold no
+// more home-table chunks than the touched lines span: their storage
+// follows what the run touched, not memory × P.
+func TestSparseHomeStorage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("P=4096 runs skipped in -short mode")
+	}
+	src, err := os.ReadFile("testdata/sparse16m.pfl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range []machine.Scheme{machine.SchemeHW, machine.SchemeTardis2} {
+		cfg := machine.Default(scheme)
+		cfg.Procs = 4096
+		cfg.LineWords = 1
+		cfg.Topology = "mesh"
+		c, err := core.CompileForConfig(string(src), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.VerifyAgainstOracle(c, cfg); err != nil {
+			t.Fatalf("%v: %v", scheme, err)
+		}
+		held, spanned, lines, err := homeFootprint(c, cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", scheme, err)
+		}
+		if held == 0 || held > spanned {
+			t.Errorf("%v: home table holds %d chunks; the %d touched lines span %d", scheme, held, lines, spanned)
+		}
+		t.Logf("%v: home table holds %d chunks for %d touched lines", scheme, held, lines)
+	}
+}
+
+// homeFootprint runs c on a fresh system and reports, before the system
+// is released, the chunks its home table holds, the distinct table
+// chunks the lines the run wrote span, and how many lines those are.
+// (The programs it is used with read only words they wrote.)
+func homeFootprint(c *core.Compiled, cfg machine.Config) (held, spanned, lines int, err error) {
+	sys, err := core.NewSystem(cfg, c.Prog)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	defer sys.ReleaseCaches()
+	lp, err := c.Lowered()
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	if _, err := sim.NewLowered(lp, sys, cfg).Run(); err != nil {
+		return 0, 0, 0, err
+	}
+	mem := sys.Mem()
+	lw := int64(cfg.LineWords)
+	lastLine, lastChunk := int64(-1), int64(-1)
+	for a := int64(0); a < mem.Size(); a++ {
+		if mem.LastWriter(prog.Word(a)) < 0 || a/lw == lastLine {
+			continue
+		}
+		lastLine = a / lw
+		lines++
+		if lastLine/64 != lastChunk {
+			lastChunk = lastLine / 64
+			spanned++
+		}
+	}
+	home := sys.(interface{ HomeTable() *memsys.LineTable }).HomeTable()
+	return home.Chunks(), spanned, lines, nil
 }
 
 // TestLargePMeshEquivalence extends the host-parallel and fast-path

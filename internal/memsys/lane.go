@@ -393,13 +393,18 @@ type OwnReleaser interface {
 func (c *Core) OnRelease(r OwnReleaser) { c.release = r }
 
 // ReleaseCaches implements Releaser for every scheme: the scheme's
-// OnRelease step, then the cache set, then the lanes. Schemes do not
-// override it, so no scheme can forget to return its caches or lanes.
+// OnRelease step, then the cache set, the home table and the lanes.
+// Schemes do not override it, so no scheme can forget to return its
+// caches, home state or lanes.
 func (c *Core) ReleaseCaches() {
 	if c.release != nil {
 		c.release.ReleaseOwn()
 	}
 	c.releaseCaches()
+	if c.home != nil {
+		c.home.release()
+		c.home = nil
+	}
 	c.releaseLanes()
 }
 

@@ -217,6 +217,10 @@ type Core struct {
 	caches       []procCaches
 	writeBuffers bool
 
+	// home is the scheme's per-line home state (EnableHome; see
+	// linetable.go): nil for the schemes that keep none.
+	home *LineTable
+
 	// Mesh home mapping: homeClusters > 0 interleaves memory lines
 	// across per-cluster home slices instead of individual processors,
 	// and clusterWords tallies the fetch traffic each home slice served

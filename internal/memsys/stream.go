@@ -60,7 +60,7 @@ const (
 	// else invalidates the L1 word and takes the inner (L2) path.
 	StreamTwoLevel
 	// StreamTardis inlines the Tardis 2.0 exclusive-hit silent store —
-	// valid only while the frozen home owner table still names this
+	// valid only while the frozen home table still names this
 	// processor — and falls back to the scalar Write for everything else
 	// (shared hits need a lease grant and a home action-log entry).
 	// Tardis reads use StreamCached: the hit predicate is the uniform
@@ -300,12 +300,13 @@ type WriteCursor struct {
 	Inner StreamMode
 	L1    *cache.Cache
 
-	// Tardis (StreamTardis): the home directory's frozen per-line owner
-	// table, indexed by global line number (the cache tag). A silent
-	// store is sound only while the home still names this processor the
-	// owner; the table is frozen mid-epoch (replay happens at the
-	// barrier), so the check is deterministic.
-	Owners []int16
+	// Tardis (StreamTardis): the home table, indexed by global line
+	// number (the cache tag); word 0 of a line holds its exclusive owner
+	// + 1 in the low 32 bits, 0 for none. A silent store is sound only
+	// while the home still names this processor the owner; the table is
+	// frozen mid-epoch (replay happens at the barrier), so the check is
+	// deterministic.
+	Home *LineTable
 
 	line   cache.Frame
 	l1line cache.Frame
@@ -385,7 +386,7 @@ func (c *WriteCursor) Write(addr prog.Word, val float64) (int64, int8) {
 		// the lease grant and the home action log — scalar path.
 		tag, w := c.CC.Split(addr)
 		if cc, f := c.CC, &c.line; (cc.Holds(f, tag) || relookup(cc, f, addr)) && c.exclusiveValid(*f, w) &&
-			int(tag) < len(c.Owners) && c.Owners[tag] == int16(c.Proc) {
+			uint32(c.Home.Row(tag)[0]) == uint32(c.Proc+1) {
 			c.silentStore(*f, w, addr, val)
 			return 0, -1
 		}

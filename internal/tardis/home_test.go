@@ -1,94 +1,43 @@
 package tardis
 
-import "testing"
+import (
+	"testing"
 
-// TestHomeNarrowRoundTrip checks the packed representation stores and
-// returns every boundary value of the three fields exactly.
-func TestHomeNarrowRoundTrip(t *testing.T) {
-	h := newHome(4)
-	if h.wide {
-		t.Fatal("new home should start narrow")
+	"repro/internal/machine"
+)
+
+// TestHomeRoundTrip checks that a home row stores and returns every
+// field exactly, values far past any packed range included, and that an
+// untouched line reads as the fresh state.
+func TestHomeRoundTrip(t *testing.T) {
+	cfg := machine.Default(machine.SchemeTardis2)
+	cfg.Procs = 4
+	s := New(cfg, 1024)
+	defer s.ReleaseCaches()
+	if h := decode(s.home.Row(200)); h != (homeLine{owner: -1}) {
+		t.Fatalf("untouched line reads %+v, want wts 0, rts 0, hist 0, no owner", h)
 	}
-	cases := []struct {
-		wts, rts int64
-		hist     int8
-	}{
-		{0, 0, 0},
-		{1, 1, 0},
-		{5, 12, 3},
-		{narrowWtsMax, narrowWtsMax, 0},
-		{narrowWtsMax, narrowWtsMax + narrowDeltaMax, 0},
-		{7, 7 + narrowDeltaMax, maxPredict},
-		{42, 99, minHist}, // negative hist must survive the uint8 packing
-		{42, 99, -1},
+	cases := []homeLine{
+		{0, 0, 0, -1},
+		{1, 1, 0, 0},
+		{5, 12, 3, 2},
+		{1<<40 + 1, 1<<40 + 1, 0, -1},     // wts past 2^40
+		{3, 3 + 1<<16 + 1, maxPredict, 1}, // rts - wts past 2^16
+		{1 << 62, 1<<62 + 1<<20, minHist, machine.MaxProcs - 1},
+		{42, 99, -1, machine.MaxProcs - 1}, // negative hist beside a high owner
 	}
 	for i, c := range cases {
 		l := int64(i % 4)
-		h.set(l, c.wts, c.rts, c.hist)
-		if h.wide {
-			t.Fatalf("case %d: boundary value forced wide migration", i)
+		c.encode(s.home.Mut(l))
+		if got := decode(s.home.Row(l)); got != c {
+			t.Fatalf("case %d: got %+v, want %+v", i, got, c)
 		}
-		wts, rts, hist := h.get(l)
-		if wts != c.wts || rts != c.rts || hist != c.hist {
-			t.Fatalf("case %d: got (%d,%d,%d), want (%d,%d,%d)",
-				i, wts, rts, hist, c.wts, c.rts, c.hist)
+		if wts, rts := s.LineTimestamps(l); wts != c.wts || rts != c.rts || s.OwnerOf(l) != c.owner {
+			t.Fatalf("case %d: accessors read (%d, %d, owner %d), want (%d, %d, owner %d)",
+				i, wts, rts, s.OwnerOf(l), c.wts, c.rts, c.owner)
 		}
 	}
-}
-
-// TestHomeMigration checks both overflow triggers (a write timestamp past
-// 2^40, a lease delta past 2^16) migrate to the wide tier exactly once,
-// preserving every previously stored line.
-func TestHomeMigration(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		wts, rts int64
-	}{
-		{"wts-overflow", narrowWtsMax + 1, narrowWtsMax + 1},
-		{"delta-overflow", 3, 3 + narrowDeltaMax + 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			h := newHome(8)
-			for l := int64(0); l < 8; l++ {
-				h.set(l, l*10, l*10+l, int8(l-4))
-			}
-			h.set(5, tc.wts, tc.rts, 2)
-			if !h.wide {
-				t.Fatal("overflow value did not migrate")
-			}
-			if h.lines() != 8 {
-				t.Fatalf("lines() = %d after migration", h.lines())
-			}
-			for l := int64(0); l < 8; l++ {
-				wts, rts, hist := h.get(l)
-				if l == 5 {
-					if wts != tc.wts || rts != tc.rts || hist != 2 {
-						t.Fatalf("line 5: got (%d,%d,%d)", wts, rts, hist)
-					}
-					continue
-				}
-				if wts != l*10 || rts != l*10+l || hist != int8(l-4) {
-					t.Fatalf("line %d lost in migration: (%d,%d,%d)", l, wts, rts, hist)
-				}
-			}
-		})
-	}
-}
-
-// TestHomeForceWide checks the testing hook pins new tables to the wide
-// tier from construction.
-func TestHomeForceWide(t *testing.T) {
-	ForceWideTimestamps = true
-	defer func() { ForceWideTimestamps = false }()
-	h := newHome(3)
-	if !h.wide || h.packed != nil {
-		t.Fatal("ForceWideTimestamps did not pin the wide tier")
-	}
-	h.set(2, 7, 9, -3)
-	if wts, rts, hist := h.get(2); wts != 7 || rts != 9 || hist != -3 {
-		t.Fatalf("wide round-trip: (%d,%d,%d)", wts, rts, hist)
-	}
-	if h.lines() != 3 {
-		t.Fatalf("lines() = %d", h.lines())
+	if h := decode(s.home.Row(200)); h != (homeLine{owner: -1}) {
+		t.Fatalf("untouched line reads %+v after writes to other lines", h)
 	}
 }

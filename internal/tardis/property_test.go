@@ -185,13 +185,3 @@ func TestPropertyLongLease(t *testing.T) {
 	cfg.LeaseMax = 1 << 13
 	propHarness(t, cfg, 11, 96)
 }
-
-// TestPropertyWideTimestamps runs the harness on the wide home tier,
-// proving the invariants are representation-independent.
-func TestPropertyWideTimestamps(t *testing.T) {
-	ForceWideTimestamps = true
-	defer func() { ForceWideTimestamps = false }()
-	cfg := machine.Default(machine.SchemeTardis2)
-	cfg.Procs = 8
-	propHarness(t, cfg, 13, 64)
-}

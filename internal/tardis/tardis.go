@@ -111,13 +111,47 @@ var actsPool = memsys.NewTablePool(func(log []act) int64 {
 	return int64(cap(log)) * int64(unsafe.Sizeof(act{}))
 })
 
+// The home state of a line is one row of the Core's home table
+// (memsys.LineTable), frozen mid-epoch: word rowMeta holds the exclusive
+// owner + 1 in its low 32 bits (0: no owner; the StreamTardis write
+// cursor reads it there) and the lease history hist above them; words
+// rowWts and rowRts hold the write timestamp and the read lease bound.
+// The all-zero row is an untouched line: wts = rts = 0, hist 0, no
+// owner.
+const (
+	rowMeta = iota
+	rowWts
+	rowRts
+	rowWords
+)
+
+// homeLine is one line's decoded home state.
+type homeLine struct {
+	wts, rts int64
+	hist     int8
+	owner    int // -1: none
+}
+
+func decode(row []uint64) homeLine {
+	return homeLine{
+		wts:   int64(row[rowWts]),
+		rts:   int64(row[rowRts]),
+		hist:  int8(row[rowMeta] >> 32),
+		owner: int(uint32(row[rowMeta])) - 1,
+	}
+}
+
+func (h homeLine) encode(row []uint64) {
+	row[rowWts], row[rowRts] = uint64(h.wts), uint64(h.rts)
+	row[rowMeta] = uint64(uint8(h.hist))<<32 | uint64(uint32(h.owner+1))
+}
+
 // System is the Tardis timestamp-coherence memory system.
 type System struct {
 	*memsys.Core
 
-	home  *home   // frozen-mid-epoch per-line (wts, rts, hist)
-	owner []int16 // frozen-mid-epoch per-line exclusive owner; nil unless TardisExclusive
-	gts   int64   // global logical clock; advances only at FlushEpoch
+	home *memsys.LineTable // per-line home state, frozen mid-epoch
+	gts  int64             // global logical clock; advances only at FlushEpoch
 
 	// ptsLocal[p] is the transient excess of processor p's logical clock
 	// over gts (the timestamp of its latest write grant); the effective
@@ -140,8 +174,7 @@ type System struct {
 // New builds a Tardis system. memWords is the program's data extent.
 func New(cfg machine.Config, memWords int64) *System {
 	s := &System{Core: memsys.NewCore(cfg, memWords)}
-	lines := s.Memory.Size() / int64(cfg.LineWords)
-	s.home = newHome(lines)
+	s.home = s.EnableHome(rowWords)
 	s.lease = cfg.LeaseEpochs
 	if s.lease <= 0 {
 		s.lease = machine.DefaultLeaseEpochs
@@ -158,12 +191,6 @@ func New(cfg machine.Config, memWords int64) *System {
 	s.backoff = cfg.RenewBackoff
 	for s.maxHist < maxPredict && s.lease<<uint(s.maxHist+1) <= s.leaseMax {
 		s.maxHist++
-	}
-	if s.excl {
-		s.owner = make([]int16, lines)
-		for i := range s.owner {
-			s.owner[i] = -1
-		}
 	}
 	s.ptsLocal = make([]int64, cfg.Procs)
 	s.acts = actsPool.Get(cfg.Procs)
@@ -211,10 +238,10 @@ func (s *System) leaseFor(hist int8) int64 {
 // same E (same frozen inputs), which is what makes the writer's E+1
 // strictly dominate them all.
 func (s *System) grantEnd(l int64) int64 {
-	_, rts, hist := s.home.get(l)
-	end := s.gts + s.leaseFor(hist)
-	if rts > end {
-		end = rts
+	h := decode(s.home.Row(l))
+	end := s.gts + s.leaseFor(h.hist)
+	if h.rts > end {
+		end = h.rts
 	}
 	return end
 }
@@ -224,11 +251,12 @@ func (s *System) grantEnd(l int64) int64 {
 func (s *System) writeEnd(l int64) int64 { return s.grantEnd(l) + 1 }
 
 // ownerHeld reports whether line l is exclusively owned by a processor
-// other than p in the frozen owner table. Such a line may be receiving
+// other than p in the frozen home table. Such a line may be receiving
 // unlogged silent stores this very epoch, so any fill or renewal by p
 // must validate only the word p is accessing (see recall handling).
 func (s *System) ownerHeld(l int64, p int) bool {
-	return s.excl && s.owner[l] >= 0 && s.owner[l] != int16(p)
+	o := decode(s.home.Row(l)).owner
+	return o >= 0 && o != p
 }
 
 // notePts records that p's logical clock reached t (its write grant).
@@ -428,7 +456,7 @@ func (s *System) fillLine(ln *memsys.Lane, cc *cache.Cache, tr *cache.Tracker, p
 		cc.SetDirty(v, false)
 	}
 	lid := int64(addr) / int64(s.Cfg.LineWords)
-	wts, rts, _ := s.home.get(lid)
+	h := decode(s.home.Row(lid))
 	end := s.grantEnd(lid)
 	nf, nw := s.FillLane(ln, cc, tr, addr, end, end)
 	if s.ownerHeld(lid, p) {
@@ -439,7 +467,7 @@ func (s *System) fillLine(ln *memsys.Lane, cc *cache.Cache, tr *cache.Tracker, p
 		s.log(p, actGrant, lid, end)
 		return nf, nw
 	}
-	if s.excl && rts <= wts && (s.owner[lid] < 0 || s.owner[lid] == int16(p)) {
+	if s.excl && h.rts <= h.wts && (h.owner < 0 || h.owner == p) {
 		cc.SetState(nf, cache.Exclusive)
 		ln.St.ExclusiveGrants++
 		s.log(p, actOwnGrant, lid, end)
@@ -503,9 +531,9 @@ func (s *System) Write(p int, addr prog.Word, val float64, crit bool) int64 {
 	cc, _ := s.ProcState(p)
 	f, w, ok := cc.Lookup(addr)
 	switch {
-	case ok && cc.State(f) == cache.Exclusive && s.excl && s.owner[cc.Tag(f)] == int16(p):
+	case ok && cc.State(f) == cache.Exclusive && decode(s.home.Row(cc.Tag(f))).owner == p:
 		if cc.TT(f, w) != cache.TTInvalid {
-			// Tardis 2.0 silent store: the frozen home owner table still
+			// Tardis 2.0 silent store: the frozen home table still
 			// names this processor, so no lease can be granted to anyone
 			// else this epoch and the store needs no home interaction at
 			// all. Mirrored exactly by the StreamTardis write cursor.
@@ -563,67 +591,68 @@ func (s *System) replay() {
 			continue
 		}
 		for _, a := range l {
-			wts, rts, hist := s.home.get(a.line)
+			row := s.home.Mut(a.line)
+			h := decode(row)
+			foreign := h.owner >= 0 && h.owner != p
 			switch a.kind {
 			case actGrant, actRenewFresh, actRenewStale:
-				if s.excl && s.owner[a.line] >= 0 && s.owner[a.line] != int16(p) {
-					s.owner[a.line] = -1 // recall: a foreign lease revokes exclusivity
+				if foreign {
+					h.owner = -1 // recall: a foreign lease revokes exclusivity
 				}
-				if a.end > rts {
-					rts = a.end
+				if a.end > h.rts {
+					h.rts = a.end
 				}
 				switch a.kind {
 				case actRenewFresh:
-					if s.predict && hist < s.maxHist {
-						hist++
-					} else if hist < 0 {
-						hist++ // recover from backoff
+					if s.predict && h.hist < s.maxHist {
+						h.hist++
+					} else if h.hist < 0 {
+						h.hist++ // recover from backoff
 					}
 				case actRenewStale:
 					if s.backoff {
-						if hist > 0 {
-							hist = 0
+						if h.hist > 0 {
+							h.hist = 0
 						}
-						if hist > minHist {
-							hist--
+						if h.hist > minHist {
+							h.hist--
 						}
-					} else if hist != 0 {
-						hist = 0
+					} else if h.hist != 0 {
+						h.hist = 0
 					}
 				}
 			case actOwnGrant:
 				// Recheck the unshared condition against live replay
 				// state: a same-epoch foreign grant kills the claim.
-				claim := rts <= wts && (s.owner[a.line] < 0 || s.owner[a.line] == int16(p))
-				if a.end > rts {
-					rts = a.end
+				claim := h.rts <= h.wts && !foreign
+				if a.end > h.rts {
+					h.rts = a.end
 				}
 				if claim {
-					s.owner[a.line] = int16(p)
-				} else if s.owner[a.line] >= 0 && s.owner[a.line] != int16(p) {
-					s.owner[a.line] = -1
+					h.owner = p
+				} else if foreign {
+					h.owner = -1
 				}
 			case actWrite:
-				w2 := rts + 1
+				w2 := h.rts + 1
 				if a.end > w2 {
 					w2 = a.end
 				}
 				w2 += int64(a.more)
-				wts = w2
-				rts = w2
-				if s.excl && s.owner[a.line] >= 0 && s.owner[a.line] != int16(p) {
+				h.wts, h.rts = w2, w2
+				if foreign {
 					// A foreign write breaks exclusivity; ownership is
 					// only ever claimed by the exclusive read grant.
-					s.owner[a.line] = -1
+					h.owner = -1
 				}
-				if hist > 0 {
-					hist = 0 // a write ends a renewal-success streak
+				if h.hist > 0 {
+					h.hist = 0 // a write ends a renewal-success streak
 				}
 				if w2 > maxW {
 					maxW = w2
 				}
 			}
-			s.home.set(a.line, wts, rts, hist)
+			h.encode(row)
 		}
 		s.acts[p] = l[:0]
 	}
@@ -644,7 +673,7 @@ func (s *System) InitReadCursor(c *memsys.ReadCursor, p int, kind memsys.ReadKin
 // InitWriteCursor implements memsys.System. Write timestamps depend on
 // per-line frozen home state, so there is no stream-constant WTT: under
 // TardisExclusive the cursor inlines the silent store against the frozen
-// owner table and delegates the rest to the scalar Write; otherwise
+// home table and delegates the rest to the scalar Write; otherwise
 // every store delegates.
 func (s *System) InitWriteCursor(c *memsys.WriteCursor, p int, addr0 prog.Word) {
 	cc, _ := s.ProcState(p)
@@ -653,7 +682,7 @@ func (s *System) InitWriteCursor(c *memsys.WriteCursor, p int, addr0 prog.Word) 
 			Mode: memsys.StreamTardis,
 			Sys:  s, Core: s.Core, Ln: s.LaneFor(p),
 			CC: cc, Proc: p, Epoch: s.Epoch,
-			Owners: s.owner,
+			Home: s.home,
 		}
 		return
 	}
@@ -678,24 +707,12 @@ func (s *System) PTS(p int) int64 {
 
 // LineTimestamps exposes line l's home (wts, rts) image (tests).
 func (s *System) LineTimestamps(l int64) (wts, rts int64) {
-	wts, rts, _ = s.home.get(l)
-	return wts, rts
+	h := decode(s.home.Row(l))
+	return h.wts, h.rts
 }
 
 // OwnerOf exposes line l's exclusive owner, -1 if none (tests).
-func (s *System) OwnerOf(l int64) int {
-	if s.owner == nil {
-		return -1
-	}
-	return int(s.owner[l])
-}
-
-// Lines exposes the home table extent (tests).
-func (s *System) Lines() int64 { return s.home.lines() }
-
-// WideTimestamps reports whether the home table migrated to (or was
-// forced into) the wide representation (tests).
-func (s *System) WideTimestamps() bool { return s.home.wide }
+func (s *System) OwnerOf(l int64) int { return decode(s.home.Row(l)).owner }
 
 // CheckInvariants verifies the proof-paper home invariants at a barrier:
 // wts <= rts on every line, and no processor clock ahead of the merged
@@ -703,14 +720,19 @@ func (s *System) WideTimestamps() bool { return s.home.wide }
 // advance subsumed). The simulator checks it after the final barrier;
 // the property tests check it at every barrier.
 func (s *System) CheckInvariants() error {
-	for l := int64(0); l < s.home.lines(); l++ {
-		wts, rts, _ := s.home.get(l)
-		if wts > rts {
-			return fmt.Errorf("tardis: line %d: wts %d > rts %d", l, wts, rts)
+	// Untouched lines hold wts = rts = 0 <= gts.
+	err := s.home.Each(func(l int64, row []uint64) error {
+		h := decode(row)
+		if h.wts > h.rts {
+			return fmt.Errorf("tardis: line %d: wts %d > rts %d", l, h.wts, h.rts)
 		}
-		if wts > s.gts {
-			return fmt.Errorf("tardis: line %d: wts %d ahead of gts %d", l, wts, s.gts)
+		if h.wts > s.gts {
+			return fmt.Errorf("tardis: line %d: wts %d ahead of gts %d", l, h.wts, s.gts)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	for p, pl := range s.ptsLocal {
 		if pl > s.gts {
