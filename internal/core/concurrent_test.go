@@ -11,10 +11,11 @@ import (
 // TestConcurrentRun is the safety contract the svc compile cache depends
 // on: one Compiled shared by many goroutines (each running its own
 // simulation, across every scheme) must produce bit-identical statistics
-// — Compiled is immutable after Compile, and all mutable run state is
-// per-Run. Every other goroutine runs with four host workers, so the
-// shared lane, log, cache and tracker pools serve sequential and
-// host-parallel runs at once. Run under -race in CI.
+// and final memory — Compiled is immutable after Compile (VC's variable
+// table is built once, by whichever run asks first), and all mutable run
+// state is per-Run. Every other goroutine runs with four host workers, so
+// the shared lane, log, cache, tracker and memory-image pools serve
+// sequential and host-parallel runs at once. Run under -race in CI.
 func TestConcurrentRun(t *testing.T) {
 	c := compileT(t, stencilSrc)
 	const goroutines = 8
@@ -34,12 +35,13 @@ func TestConcurrentRun(t *testing.T) {
 					defer wg.Done()
 					cfg := cfg
 					cfg.HostParallel = 4 * (g % 2)
-					st, err := Run(c, cfg)
+					res, err := RunWithOptions(c, cfg, RunOptions{Memory: true})
 					if err != nil {
 						errs[g] = err
 						return
 					}
-					snaps[g], errs[g] = json.Marshal(st.Snapshot())
+					snaps[g], errs[g] = json.Marshal(res.Stats.Snapshot())
+					snaps[g] = append(snaps[g], memHash(res.Memory)...)
 				}(g)
 			}
 			wg.Wait()

@@ -393,10 +393,15 @@ type OwnReleaser interface {
 func (c *Core) OnRelease(r OwnReleaser) { c.release = r }
 
 // ReleaseCaches implements Releaser for every scheme: the scheme's
-// OnRelease step, then the cache set, the home table and the lanes.
-// Schemes do not override it, so no scheme can forget to return its
-// caches, home state or lanes.
+// OnRelease step, then the cache set, the home table, the lanes and the
+// memory image. Schemes do not override it, so no scheme can forget to
+// return its caches, home state, lanes or memory. Memory goes nil, so a
+// released system fails loudly instead of sharing its image with the
+// next run, and a second release is a no-op.
 func (c *Core) ReleaseCaches() {
+	if c.Memory == nil {
+		return
+	}
 	if c.release != nil {
 		c.release.ReleaseOwn()
 	}
@@ -406,6 +411,8 @@ func (c *Core) ReleaseCaches() {
 		c.home = nil
 	}
 	c.releaseLanes()
+	memory.Release(c.Memory)
+	c.Memory, c.seqLane.mem = nil, nil
 }
 
 // releaseLanes returns the per-processor lanes to the shared pool for

@@ -148,8 +148,8 @@ type System interface {
 // memory snapshot, invariant checks). core's run body calls it on every
 // path, error or not; a released system must not be used again.
 type Releaser interface {
-	// ReleaseCaches returns the caches, trackers, logs and lanes to
-	// their pools.
+	// ReleaseCaches returns the caches, trackers, logs, lanes and the
+	// memory image to their pools; a second call does nothing.
 	ReleaseCaches()
 }
 
