@@ -64,6 +64,41 @@ func TestLayoutAlignment(t *testing.T) {
 	}
 }
 
+// TestVarAt: every word of a global maps to its position in Vars; the
+// line padding before A and every word past the data segment map to -1.
+func TestVarAt(t *testing.T) {
+	p := build(t, src, 4)
+	want := make(map[Word]string)
+	for _, name := range []string{"s1", "s2"} {
+		want[p.Scalars[name].Addr] = name
+	}
+	for _, name := range []string{"A", "B"} {
+		a := p.Arrays[name]
+		for w := a.Base; w < a.Base+Word(a.Size); w++ {
+			want[w] = name
+		}
+	}
+	if len(p.Vars) != 4 || len(p.VarIndex) != 4 {
+		t.Fatalf("Vars %+v, VarIndex %v: want the 4 globals", p.Vars, p.VarIndex)
+	}
+	padding := 0
+	for w := Word(-1); w < Word(p.MemWords)+8; w++ {
+		i := p.VarAt(w)
+		name, ok := want[w]
+		switch {
+		case !ok && i != -1:
+			t.Fatalf("VarAt(%d) = %d (%s), want -1", w, i, p.Vars[i].Name)
+		case ok && (i < 0 || p.Vars[i].Name != name || p.VarIndex[name] != i):
+			t.Fatalf("VarAt(%d) = %d, want %s at VarIndex %d", w, i, name, p.VarIndex[name])
+		case !ok && w >= 0 && w < Word(p.MemWords):
+			padding++
+		}
+	}
+	if padding != 2 {
+		t.Fatalf("%d padding words inside the segment, want 2 (s1, s2, then A aligned to 4)", padding)
+	}
+}
+
 func TestParamEvaluation(t *testing.T) {
 	p := build(t, src, 4)
 	if p.Params["n"] != 8 || p.Params["half"] != 4 {
