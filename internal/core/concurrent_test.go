@@ -11,13 +11,17 @@ import (
 // TestConcurrentRun is the safety contract the svc compile cache depends
 // on: one Compiled shared by many goroutines (each running its own
 // simulation, across every scheme) must produce bit-identical statistics
-// and final memory — Compiled is immutable after Compile (VC's variable
-// table is built once, by whichever run asks first), and all mutable run
-// state is per-Run. Every other goroutine runs with four host workers, so
-// the shared lane, log, cache, tracker and memory-image pools serve
-// sequential and host-parallel runs at once. Run under -race in CI.
+// and final memory — Compiled is immutable after Compile, and all
+// mutable run state is per-Run. Every other goroutine runs with four host
+// workers, so the shared lane, log, cache, tracker, memory-image and run
+// storage pools serve sequential and host-parallel runs at once. Two
+// programs of different call depth and frame size alternate, so pooled
+// call frames pass between them. Run under -race in CI.
 func TestConcurrentRun(t *testing.T) {
-	c := compileT(t, stencilSrc)
+	progs := []*Compiled{
+		compileT(t, stencilSrc),
+		compileT(t, deepCallSrc("P[i] = P[i] / (Q[i] + 0.5)")), // never zero: a good run
+	}
 	const goroutines = 8
 	for _, s := range machine.AllSchemes {
 		s := s
@@ -35,7 +39,7 @@ func TestConcurrentRun(t *testing.T) {
 					defer wg.Done()
 					cfg := cfg
 					cfg.HostParallel = 4 * (g % 2)
-					res, err := RunWithOptions(c, cfg, RunOptions{Memory: true})
+					res, err := RunWithOptions(progs[g/2%2], cfg, RunOptions{Memory: true})
 					if err != nil {
 						errs[g] = err
 						return
@@ -49,8 +53,9 @@ func TestConcurrentRun(t *testing.T) {
 				if errs[g] != nil {
 					t.Fatalf("goroutine %d: %v", g, errs[g])
 				}
-				if string(snaps[g]) != string(snaps[0]) {
-					t.Fatalf("goroutine %d snapshot diverges:\n%s\nvs\n%s", g, snaps[g], snaps[0])
+				// Goroutines 0 and 2 run the first run of each program.
+				if first := g / 2 % 2 * 2; string(snaps[g]) != string(snaps[first]) {
+					t.Fatalf("goroutine %d snapshot diverges:\n%s\nvs\n%s", g, snaps[g], snaps[first])
 				}
 			}
 		})

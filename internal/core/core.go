@@ -263,14 +263,21 @@ func RunWithOptions(c *Compiled, cfg machine.Config, opts RunOptions) (Result, e
 	return execute(c, sys, cfg, opts)
 }
 
-// execute is the one run body: it runs c on sys, checks the scheme's
-// protocol invariants, and extracts what opts asks for. It releases sys
-// on every path — lowering, a runtime fault inside the simulation, a
-// cancelled context, a failed invariant check or oracle compare — so an
-// aborted run never leaks pool capacity (and never poisons it: pooled
-// structures are reset to the fresh-construction state on reacquire).
+// execute is the one run body: it runs c on sys (see simulate) and
+// releases sys on every path — lowering, a runtime fault inside the
+// simulation, a cancelled context, a failed invariant check or oracle
+// compare — so an aborted run never leaks pool capacity (and never
+// poisons it: pooled structures are reset to the fresh-construction
+// state on reacquire).
 func execute(c *Compiled, sys memsys.System, cfg machine.Config, opts RunOptions) (Result, error) {
 	defer sys.ReleaseCaches()
+	return simulate(c, sys, cfg, opts)
+}
+
+// simulate runs c on sys, checks the scheme's protocol invariants, and
+// extracts what opts asks for. It leaves sys unreleased, so the caller
+// can still read its final memory.
+func simulate(c *Compiled, sys memsys.System, cfg machine.Config, opts RunOptions) (Result, error) {
 	lp, err := c.Lowered()
 	if err != nil {
 		return Result{}, err
@@ -332,18 +339,18 @@ func oracle(c *Compiled) (memsys.System, machine.Config) {
 }
 
 // verify runs the oracle, under ctx when it is non-nil, and compares its
-// final memory with sys's.
+// final memory with sys's in place.
 func verify(ctx context.Context, c *Compiled, sys memsys.System, cfg machine.Config) error {
 	osys, ocfg := oracle(c)
-	want, err := execute(c, osys, ocfg, RunOptions{Ctx: ctx, Memory: true})
-	if err != nil {
+	defer osys.ReleaseCaches()
+	if _, err := simulate(c, osys, ocfg, RunOptions{Ctx: ctx}); err != nil {
 		return fmt.Errorf("core: oracle run failed: %w", err)
 	}
-	got := sys.Mem().Words()
+	got, want := sys.Mem().Words(), osys.Mem().Words()
 	for i := int64(0); i < c.Prog.MemWords; i++ {
-		if got[i] != want.Memory[i] {
+		if got[i] != want[i] {
 			return fmt.Errorf("core: %s result diverges from sequential oracle at word %d: got %v, want %v",
-				cfg.Scheme, i, got[i], want.Memory[i])
+				cfg.Scheme, i, got[i], want[i])
 		}
 	}
 	return nil

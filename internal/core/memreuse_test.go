@@ -8,6 +8,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cache"
 	"repro/internal/machine"
+	"repro/internal/stats"
 )
 
 // kernelT compiles a built-in kernel at the given size.
@@ -105,13 +106,42 @@ func TestSteadyStateRunReusesMemory(t *testing.T) {
 	}
 }
 
-// TestVCRunRetainsNothingPerWord: a compiled program outlives its runs
-// (the job server caches it), so what a run leaves on it must be sized
-// by the program text, not by its data segment. After VC runs of a
-// program with a 256K-word array, every slice and map reachable from
-// the Compiled holds far fewer elements than the segment has words.
-func TestVCRunRetainsNothingPerWord(t *testing.T) {
-	c := compileT(t, `
+// TestOracleCompareInPlace: verification compares the oracle's final
+// memory where it lies, so a warm verified run of a 256K-word program
+// allocates less than one value image (2 MB) beyond a plain run.
+func TestOracleCompareInPlace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	c := compileT(t, wideSrc)
+	cfg := machine.Default(machine.SchemeTPI)
+	cfg.Procs = 8
+	bytesPerRun := func(run func(*Compiled, machine.Config) (*stats.Stats, error)) uint64 {
+		if _, err := run(c, cfg); err != nil {
+			t.Fatal(err)
+		}
+		const runs = 4
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			if _, err := run(c, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		return (m1.TotalAlloc - m0.TotalAlloc) / runs
+	}
+	plain, verified := bytesPerRun(Run), bytesPerRun(VerifyAgainstOracle)
+	image := uint64(c.Prog.MemWords) * 8
+	t.Logf("%d bytes per plain run, %d per verified run; value image %d bytes", plain, verified, image)
+	if verified >= plain+image {
+		t.Fatalf("a warm verified run allocates %d bytes beyond a plain run, not less than the %d-byte value image",
+			verified-plain, image)
+	}
+}
+
+// wideSrc has a 256K-word array of which its DOALL touches eight words.
+const wideSrc = `
 program wide
 array A[262144]
 array B[4]
@@ -122,7 +152,15 @@ proc main() {
     B[i / 2] = i
   }
 }
-`)
+`
+
+// TestVCRunRetainsNothingPerWord: a compiled program outlives its runs
+// (the job server caches it), so what a run leaves on it must be sized
+// by the program text, not by its data segment. After VC runs of a
+// program with a 256K-word array, every slice and map reachable from
+// the Compiled holds far fewer elements than the segment has words.
+func TestVCRunRetainsNothingPerWord(t *testing.T) {
+	c := compileT(t, wideSrc)
 	cfg := machine.Default(machine.SchemeVC)
 	cfg.Procs = 8
 	for i := 0; i < 2; i++ {

@@ -127,6 +127,10 @@ var logsPool = memsys.NewTablePool(func(log []action) int64 {
 	return int64(cap(log)) * int64(unsafe.Sizeof(action{}))
 })
 
+// touchedPool recycles the replay prepass's touched-line lists the same
+// way.
+var touchedPool cache.FreeList[[]int64]
+
 // New builds an HW directory system.
 func New(cfg machine.Config, memWords int64) *System {
 	s := &System{
@@ -139,6 +143,7 @@ func New(cfg machine.Config, memWords int64) *System {
 	for p := range s.logs {
 		s.logs[p] = s.logs[p][:0]
 	}
+	s.touched, _ = touchedPool.Get()
 	s.OnRelease(s)
 	return s
 }
@@ -154,14 +159,18 @@ func (s *System) FlushEpoch() {
 	s.replayEpoch()
 }
 
-// ReleaseOwn implements memsys.OwnReleaser: the action logs go back to
-// their pool. The field is nilled so any use after release fails loudly.
+// ReleaseOwn implements memsys.OwnReleaser: the action logs and the
+// touched-line list go back to their pools. The fields are nilled so any
+// use after release fails loudly.
 func (s *System) ReleaseOwn() {
 	for p := range s.logs {
 		s.logs[p] = s.logs[p][:0]
 	}
 	logsPool.Put(s.logs)
-	s.logs = nil
+	if cap(s.touched) > 0 {
+		touchedPool.Put(s.touched[:0], int64(cap(s.touched))*8)
+	}
+	s.logs, s.touched = nil, nil
 }
 
 // Read implements memsys.System. The compiler marking is ignored: the

@@ -158,10 +158,10 @@ type Releaser interface {
 // reports, at each epoch boundary, which variables the finished epoch may
 // have modified.
 type Versioned interface {
-	// EpochMods announces the (global) array/scalar names the epoch that
-	// just finished may have written; the scheme advances their current
-	// version numbers.
-	EpochMods(names []string)
+	// EpochMods announces the globals the epoch that just finished may
+	// have written, by position in the program's prog.Prog.Vars; the
+	// scheme advances their current version numbers.
+	EpochMods(vars []int)
 }
 
 // Probe receives coherence-protocol events that happen outside the

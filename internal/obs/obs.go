@@ -145,7 +145,7 @@ type refAcc struct {
 // offline trace Replay.
 type agg struct {
 	meta    Meta
-	arrayOf []int32 // addr -> index into meta.Arrays, -1 = padding
+	spans   []span // the non-empty spans of meta.Arrays, by base
 	epochs  []epochAcc
 	cur     *epochAcc
 	procs   []procAcc
@@ -154,7 +154,16 @@ type agg struct {
 	latHist [numLatBuckets]int64
 }
 
-func newAgg(meta Meta) *agg {
+// span is one non-empty entry of Meta.Arrays, with its index there.
+type span struct {
+	base, size int64
+	array      int32
+}
+
+// newAgg builds the accumulator for meta. Attribution searches the
+// array spans by base, so they may come in any order, but two that
+// overlap are an error: no word can belong to two variables.
+func newAgg(meta Meta) (*agg, error) {
 	a := &agg{
 		meta:   meta,
 		procs:  make([]procAcc, meta.Procs),
@@ -163,16 +172,42 @@ func newAgg(meta Meta) *agg {
 		epochs: make([]epochAcc, 1), // epoch 0: references before the first barrier
 	}
 	a.cur = &a.epochs[0]
-	a.arrayOf = make([]int32, meta.MemWords)
-	for i := range a.arrayOf {
-		a.arrayOf[i] = -1
-	}
 	for i, sp := range meta.Arrays {
-		for w := sp.Base; w < sp.Base+sp.Size && w < meta.MemWords; w++ {
-			a.arrayOf[w] = int32(i)
+		if sp.Size > 0 {
+			a.spans = append(a.spans, span{sp.Base, sp.Size, int32(i)})
 		}
 	}
-	return a
+	sort.Slice(a.spans, func(i, j int) bool { return a.spans[i].base < a.spans[j].base })
+	for i := 1; i < len(a.spans); i++ {
+		if prev, sp := a.spans[i-1], a.spans[i]; sp.base-prev.base < prev.size {
+			return nil, fmt.Errorf("obs: array %q [%d, +%d) overlaps array %q [%d, +%d)",
+				meta.Arrays[sp.array].Name, sp.base, sp.size, meta.Arrays[prev.array].Name, prev.base, prev.size)
+		}
+	}
+	return a, nil
+}
+
+// arrayAt returns the index into meta.Arrays of the span holding addr,
+// or -1 for padding and for addresses outside the data segment.
+func (a *agg) arrayAt(addr int64) int32 {
+	if addr < 0 || addr >= a.meta.MemWords {
+		return -1
+	}
+	lo, hi := 0, len(a.spans) // the answer is the last span with base <= addr
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if a.spans[m].base <= addr {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo > 0 {
+		if sp := &a.spans[lo-1]; addr-sp.base < sp.size {
+			return sp.array
+		}
+	}
+	return -1
 }
 
 func (a *agg) epochStart(epoch, cycle int64) {
@@ -208,10 +243,8 @@ func (a *agg) read(proc int, addr int64, ref int32, class int8, stall int64) {
 	e.readMisses[class]++
 	e.readStall += stall
 	a.latHist[latBucket(stall)]++
-	if addr >= 0 && addr < int64(len(a.arrayOf)) {
-		if ai := a.arrayOf[addr]; ai >= 0 {
-			a.arrays[ai].readMisses[class]++
-		}
+	if ai := a.arrayAt(addr); ai >= 0 {
+		a.arrays[ai].readMisses[class]++
 	}
 	if ref >= 0 && int(ref) < len(a.refs) {
 		a.refs[ref].misses[class]++
@@ -229,10 +262,7 @@ func (a *agg) write(proc int, addr int64, ref int32, class int8) {
 			p.writeHits++
 		}
 	}
-	var ai int32 = -1
-	if addr >= 0 && addr < int64(len(a.arrayOf)) {
-		ai = a.arrayOf[addr]
-	}
+	ai := a.arrayAt(addr)
 	if ai >= 0 {
 		a.arrays[ai].writes++
 	}
@@ -256,10 +286,8 @@ func (a *agg) refCount(ref int32) {
 }
 
 func (a *agg) arrayRead(addr int64) {
-	if addr >= 0 && addr < int64(len(a.arrayOf)) {
-		if ai := a.arrayOf[addr]; ai >= 0 {
-			a.arrays[ai].reads++
-		}
+	if ai := a.arrayAt(addr); ai >= 0 {
+		a.arrays[ai].reads++
 	}
 }
 
@@ -475,7 +503,8 @@ type Recorder struct {
 }
 
 // NewRecorder builds a recorder at the given level. traceW, when non-nil,
-// receives the binary event trace (implying at least LevelTrace).
+// receives the binary event trace (implying at least LevelTrace). Array
+// spans may come in any order; overlapping ones are an error.
 func NewRecorder(level Level, meta Meta, traceW io.Writer) (*Recorder, error) {
 	if traceW != nil {
 		level = LevelTrace
@@ -486,7 +515,11 @@ func NewRecorder(level Level, meta Meta, traceW io.Writer) (*Recorder, error) {
 	if level == LevelTrace && traceW == nil {
 		return nil, fmt.Errorf("obs: %s needs a trace writer", LevelTrace)
 	}
-	r := &Recorder{level: level, a: newAgg(meta)}
+	a, err := newAgg(meta)
+	if err != nil {
+		return nil, err
+	}
+	r := &Recorder{level: level, a: a}
 	if traceW != nil {
 		tw, err := NewTraceWriter(traceW, &meta)
 		if err != nil {

@@ -478,7 +478,10 @@ func Replay(r io.Reader) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := newAgg(*tr.Meta())
+	a, err := newAgg(*tr.Meta())
+	if err != nil {
+		return nil, err
+	}
 	var reads, writes int64
 	var end *Event
 	for {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/prog"
 	"repro/internal/stats"
 )
 
@@ -206,5 +207,44 @@ func TestLatencyBuckets(t *testing.T) {
 			t.Fatalf("bounds not increasing: %v", LatencyBucketBounds)
 		}
 		prev = b
+	}
+}
+
+// TestArrayAttribution: a reference is attributed to the array span
+// holding its address, found by search over spans given in any order;
+// padding, addresses outside the segment and empty spans attribute to
+// none, and overlapping spans are an error, not a panic.
+func TestArrayAttribution(t *testing.T) {
+	meta := Meta{
+		Scheme: "TPI", Procs: 1, LineWords: 4, MemWords: 64,
+		Arrays: []ArraySpan{
+			{Name: "B", Base: 32, Size: 16},
+			{Name: "x", Base: 48, Size: 1},
+			{Name: "empty", Base: 50, Size: 0},
+			{Name: "A", Base: 4, Size: 24},
+		},
+	}
+	rec, err := NewRecorder(LevelCounters, meta, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []int64{-1, 0, 3, 4, 27, 28, 31, 32, 47, 48, 49, 50, 63, 64, 1 << 40} {
+		rec.Read(0, prog.Word(addr), -1, 0, -1, 0)
+		rec.Write(0, prog.Word(addr), -1, false, -1, 0)
+	}
+	rep, err := rec.Finish(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{"A": 2, "B": 2, "x": 1, "empty": 0}
+	for _, row := range rep.Arrays {
+		if row.Reads != want[row.Name] || row.Writes != want[row.Name] {
+			t.Errorf("array %s: %d reads, %d writes, want %d of each", row.Name, row.Reads, row.Writes, want[row.Name])
+		}
+	}
+
+	meta.Arrays = append(meta.Arrays, ArraySpan{Name: "C", Base: 40, Size: 4})
+	if _, err := NewRecorder(LevelCounters, meta, nil); err == nil || !strings.Contains(err.Error(), "overlaps") {
+		t.Fatalf("overlapping spans: err = %v, want an overlap error", err)
 	}
 }

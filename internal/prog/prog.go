@@ -26,6 +26,7 @@ type ArrayInfo struct {
 	Strides []int64 // row-major word strides: Strides[d] = product of Dims[d+1:]
 	Base    Word    // word address of element [0][0]...
 	Size    int64   // total words
+	Var     int     // position in the program's Vars
 }
 
 // SubscriptErr is the canonical out-of-range error for subscript i in
@@ -160,6 +161,7 @@ func BuildPadded(info *pfl.Info, align int64, padScalars bool) (*Prog, error) {
 			stride *= ai.Dims[d]
 		}
 		p.Arrays[d.Name] = ai
+		ai.Var = len(p.Vars)
 		p.addVar(d.Name, ai.Base, size)
 		next += Word(size)
 	}

@@ -18,6 +18,11 @@
 // Every system shards (HW, VC, and Tardis via always-buffered lanes with
 // barrier-deferred coherence replay).
 //
+// The workers are goroutines started on a run's first sharded epoch and
+// parked between epochs on their wake channels; Run stops them on every
+// exit, so none outlives it. Their tasks and channels belong to the
+// run's pooled storage and serve later runs.
+//
 // Fallbacks (the sequential path runs instead, transparently):
 //   - DynamicSched: the least-loaded argmin serializes scheduling;
 //   - doalls whose body contains critical/ordered sections (seqOnly):
@@ -25,12 +30,14 @@
 package sim
 
 import (
-	"sync"
+	"unsafe"
 
 	"repro/internal/obs"
 )
 
-// hostPar is the per-run host-parallel execution state.
+// hostPar is the per-run host-parallel execution state. Its tasks,
+// panic slots and channels keep their capacity across runs in the run
+// storage; the rest is set per run.
 type hostPar struct {
 	r       *Runner
 	workers int
@@ -39,6 +46,15 @@ type hostPar struct {
 	obsShards []*obs.ShardRecorder // per simulated processor; nil when no recorder
 
 	panics []panicked // one slot per worker
+
+	// The epoch the workers run when woken: its DOALL, bounds and block
+	// size.
+	ld            *loweredDoall
+	lo, hi, chunk int64
+
+	wake    []chan bool   // per worker: true runs the epoch above, false stops
+	done    chan struct{} // one send per worker per wake
+	running bool          // the workers are started (parked between epochs)
 }
 
 // panicked records a worker goroutine's recovered panic.
@@ -48,7 +64,7 @@ type panicked struct {
 }
 
 // setupHostParallel decides once per Run whether DOALL epochs may shard,
-// and builds the worker state if so.
+// and readies the worker state if so.
 func (r *Runner) setupHostParallel() {
 	r.hostpar, r.hostparOff = nil, ""
 	if r.cfg.HostParallel <= 1 || r.cfg.Procs <= 1 || r.cfg.DynamicSched {
@@ -66,10 +82,18 @@ func (r *Runner) setupHostParallel() {
 	if w > r.cfg.Procs {
 		w = r.cfg.Procs
 	}
-	hp := &hostPar{r: r, workers: w, panics: make([]panicked, w)}
-	hp.tasks = make([]*task, w)
-	for i := range hp.tasks {
-		hp.tasks[i] = &task{r: r}
+	hp := &r.hp
+	hp.r, hp.workers = r, w
+	for len(hp.tasks) < w {
+		hp.tasks = append(hp.tasks, &task{})
+		hp.wake = append(hp.wake, make(chan bool, 1))
+	}
+	for _, wt := range hp.tasks[:w] {
+		wt.r = r
+	}
+	hp.panics = zeroed(hp.panics, w)
+	if cap(hp.done) < w {
+		hp.done = make(chan struct{}, w)
 	}
 	if r.rec != nil {
 		hp.obsShards = make([]*obs.ShardRecorder, r.cfg.Procs)
@@ -86,52 +110,28 @@ func (r *Runner) setupHostParallel() {
 func (hp *hostPar) run(ld *loweredDoall, t *task, lo, hi int64) {
 	r := hp.r
 	procs := int64(r.cfg.Procs)
-	chunk := (hi - lo + 1 + procs - 1) / procs
-	cyclic := r.cfg.CyclicSched
+	hp.ld, hp.lo, hp.hi, hp.chunk = ld, lo, hi, (hi-lo+1+procs-1)/procs
 
 	r.sys.BeginParallelEpoch(r.epoch)
-	var wg sync.WaitGroup
-	for w := 0; w < hp.workers; w++ {
-		wt := hp.tasks[w]
+	for _, wt := range hp.tasks[:hp.workers] {
 		// Fresh frame per epoch: the workers read enclosing loop-variable
 		// slots, so each needs its own copy of the scheduler's frame.
 		wt.slots = append(wt.slots[:0], t.slots...)
 		wt.arrays = t.arrays
 		wt.inCrit = false
-		wg.Add(1)
-		go func(w int, wt *task) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					hp.panics[w] = panicked{proc: wt.proc, val: v}
-				}
-			}()
-			// Worker w simulates processors w, w+W, w+2W, ... Each
-			// processor's slice of the iteration space matches the
-			// sequential scheduler exactly.
-			for p := int64(w); p < procs; p += int64(hp.workers) {
-				wt.proc = int(p)
-				wt.st = r.sys.LaneStats(int(p))
-				if hp.obsShards != nil {
-					wt.rec = hp.obsShards[p]
-				}
-				it, step, last := lo+p*chunk, int64(1), lo+(p+1)*chunk-1
-				if cyclic {
-					it, step, last = lo+p, procs, hi
-				} else if last > hi {
-					last = hi
-				}
-				for ; it <= last; it += step {
-					wt.slots[ld.varSlot] = it
-					wt.charge(2) // per-task scheduling overhead
-					for _, s := range ld.body {
-						s(wt)
-					}
-				}
-			}
-		}(w, wt)
 	}
-	wg.Wait()
+	if !hp.running {
+		hp.running = true
+		for w := 0; w < hp.workers; w++ {
+			go hp.work(w)
+		}
+	}
+	for w := 0; w < hp.workers; w++ {
+		hp.wake[w] <- true
+	}
+	for w := 0; w < hp.workers; w++ {
+		<-hp.done
+	}
 
 	// Re-raise one panic deterministically: the lowest simulated
 	// processor wins, so a failing run fails identically at any worker
@@ -156,9 +156,81 @@ func (hp *hostPar) run(ld *loweredDoall, t *task, lo, hi int64) {
 	}
 	if pk != nil {
 		val := pk.val
-		for i := range hp.panics {
-			hp.panics[i] = panicked{}
-		}
+		clear(hp.panics)
 		panic(val)
 	}
+}
+
+// work is worker w's goroutine: it runs its shard of every epoch it is
+// woken for and exits when woken to stop, acknowledging each on done.
+func (hp *hostPar) work(w int) {
+	for <-hp.wake[w] {
+		hp.shard(w)
+		hp.done <- struct{}{}
+	}
+	hp.done <- struct{}{}
+}
+
+// shard simulates worker w's processors w, w+W, w+2W, ... through the
+// current epoch. Each processor's slice of the iteration space matches
+// the sequential scheduler exactly.
+func (hp *hostPar) shard(w int) {
+	r, ld, wt := hp.r, hp.ld, hp.tasks[w]
+	defer func() {
+		if v := recover(); v != nil {
+			hp.panics[w] = panicked{proc: wt.proc, val: v}
+		}
+	}()
+	procs, lo, hi, chunk := int64(r.cfg.Procs), hp.lo, hp.hi, hp.chunk
+	for p := int64(w); p < procs; p += int64(hp.workers) {
+		wt.proc = int(p)
+		wt.st = r.sys.LaneStats(int(p))
+		if hp.obsShards != nil {
+			wt.rec = hp.obsShards[p]
+		}
+		it, step, last := lo+p*chunk, int64(1), lo+(p+1)*chunk-1
+		if r.cfg.CyclicSched {
+			it, step, last = lo+p, procs, hi
+		} else if last > hi {
+			last = hi
+		}
+		for ; it <= last; it += step {
+			wt.slots[ld.varSlot] = it
+			wt.charge(2) // per-task scheduling overhead
+			for _, s := range ld.body {
+				s(wt)
+			}
+		}
+	}
+}
+
+// stop ends the run's workers, if it started any, and waits until each
+// has acknowledged.
+func (hp *hostPar) stop() {
+	if !hp.running {
+		return
+	}
+	for w := 0; w < hp.workers; w++ {
+		hp.wake[w] <- false
+	}
+	for w := 0; w < hp.workers; w++ {
+		<-hp.done
+	}
+	hp.running = false
+}
+
+// chanBytes is about what one small channel keeps alive (the runtime's
+// channel header and its buffer).
+const chanBytes = 128
+
+// scrub drops the state's references into the finished run, keeping the
+// worker tasks and channels, and reports the bytes it keeps.
+func (hp *hostPar) scrub() int64 {
+	hp.r, hp.obsShards, hp.ld = nil, nil, nil
+	size := int64(cap(hp.tasks))*ptrSize + int64(cap(hp.wake))*(ptrSize+chanBytes) + chanBytes +
+		int64(cap(hp.panics))*int64(unsafe.Sizeof(panicked{}))
+	for _, wt := range hp.tasks {
+		size += wt.scrub()
+	}
+	return size
 }

@@ -83,10 +83,10 @@ type loweredProc struct {
 
 // modRef names one may-written variable of an epoch node: either a
 // formal array binding (resolved through the frame at runtime) or a
-// global name.
+// global, by its position in prog.Prog.Vars.
 type modRef struct {
 	formal int // binding index, or -1 for a global
-	name   string
+	v      int // the global's position in Vars
 }
 
 // arraySrc resolves an array name: fixed at lower time for globals,
@@ -360,7 +360,8 @@ func (pl *procLowerer) node(n *epochg.Node, ln *loweredNode, summary *sections.N
 }
 
 // modRefs pre-translates a node's may-written variable names: formal
-// array names become binding indices resolved at runtime.
+// array names become binding indices resolved at runtime, globals their
+// position in the program's Vars.
 func (pl *procLowerer) modRefs(summary *sections.NodeSummary) []modRef {
 	if summary == nil {
 		return nil
@@ -369,8 +370,8 @@ func (pl *procLowerer) modRefs(summary *sections.NodeSummary) []modRef {
 	for _, name := range summary.Mod.Names() {
 		if fi, ok := pl.formals[name]; ok {
 			mods = append(mods, modRef{formal: fi})
-		} else {
-			mods = append(mods, modRef{formal: -1, name: name})
+		} else if v, ok := pl.l.p.VarIndex[name]; ok {
+			mods = append(mods, modRef{formal: -1, v: v})
 		}
 	}
 	return mods

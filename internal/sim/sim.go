@@ -26,7 +26,9 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
+	"repro/internal/cache"
 	"repro/internal/epochg"
 	"repro/internal/machine"
 	"repro/internal/memsys"
@@ -75,9 +77,7 @@ type Runner struct {
 
 	epoch      int64
 	cycles     int64
-	procWork   []int64 // cycles consumed by each processor in the current epoch
-	procBusy   []int64 // lifetime busy cycles per processor
-	serialNext int     // rotation state for MigrateSerial
+	serialNext int // rotation state for MigrateSerial
 	maxEpochs  int64
 
 	// Progress sampling (see progress.go). The stream tallies are
@@ -92,14 +92,91 @@ type Runner struct {
 	seqDoallEpochs  int64
 
 	// hostpar, when non-nil, executes eligible DOALL epochs across host
-	// goroutines (see hostpar.go). Set up once per Run; hostparOff names
-	// the run-wide reason when it stays nil.
+	// goroutines (see hostpar.go); it points at the storage's hp. Set up
+	// once per Run; hostparOff names the run-wide reason when it stays
+	// nil.
 	hostpar    *hostPar
 	hostparOff string
 
-	// dynHeap is the DynamicSched least-loaded heap, reused across
-	// doalls (see runDoallDynamic).
-	dynHeap []int32
+	runStorage
+}
+
+// runStorage is the working storage of a run's walk: call frames,
+// per-processor cycle counters, scheduling and epoch buffers, and the
+// host-parallel workers. Run takes it from storages at entry and scrubs
+// and returns it on every exit, the fault path included, so a warm run
+// allocates none of it. Everything in it is reset where it is used.
+type runStorage struct {
+	frames   []*frame // indexed by call depth
+	procWork []int64  // cycles consumed by each processor in the current epoch
+	procBusy []int64  // lifetime busy cycles per processor
+	dynHeap  []int32  // the DynamicSched least-loaded heap (see runDoallDynamic)
+	mods     []int    // the finishing epoch's may-written variables (see noteEpochMods)
+	hp       hostPar
+}
+
+// storages keeps released run storage for the next Run, under the free
+// lists' shared budget.
+var storages cache.FreeList[runStorage]
+
+// takeStorage gives the runner pooled storage sized for its machine.
+func (r *Runner) takeStorage() {
+	r.runStorage, _ = storages.Get()
+	r.procWork = zeroed(r.procWork, r.cfg.Procs)
+	r.procBusy = zeroed(r.procBusy, r.cfg.Procs)
+}
+
+// releaseStorage stops the host-parallel workers, drops every reference
+// the storage holds into this run (system, recorder, program), and
+// returns it for reuse.
+func (r *Runner) releaseStorage() {
+	r.hp.stop()
+	s := &r.runStorage
+	size := int64(unsafe.Sizeof(*s)) + int64(cap(s.frames))*ptrSize +
+		int64(cap(s.procWork)+cap(s.procBusy)+cap(s.mods))*8 + int64(cap(s.dynHeap))*4
+	for _, f := range s.frames {
+		size += f.scrub()
+	}
+	size += s.hp.scrub()
+	storages.Put(*s, size)
+	*s = runStorage{}
+}
+
+// frame returns the frame at call depth d, adding it on first use.
+func (r *Runner) frame(d int) *frame {
+	if d == len(r.frames) {
+		r.frames = append(r.frames, &frame{})
+	}
+	return r.frames[d]
+}
+
+// frame is the state of one procedure invocation, kept per call depth
+// and reused by every invocation at that depth.
+type frame struct {
+	t      task
+	loops  []loopState       // per EFG node: header iteration state
+	arrays []*prog.ArrayInfo // the invocation's formal-array bindings
+}
+
+// scrub drops the frame's references into the finished run and reports
+// the bytes it keeps.
+func (f *frame) scrub() int64 {
+	clear(f.arrays[:cap(f.arrays)])
+	f.arrays = f.arrays[:0]
+	return int64(unsafe.Sizeof(*f)) + int64(cap(f.loops))*int64(unsafe.Sizeof(loopState{})) +
+		int64(cap(f.arrays))*ptrSize + f.t.scrub()
+}
+
+const ptrSize = int64(unsafe.Sizeof(uintptr(0)))
+
+// zeroed returns s resized to n zero elements, reusing its capacity.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // NewLowered builds a runner over an already-lowered program, so the
@@ -109,25 +186,17 @@ func NewLowered(lp *Program, sys memsys.System, cfg machine.Config) *Runner {
 	if maxE == 0 {
 		maxE = machine.DefaultMaxEpochs
 	}
-	return &Runner{
-		lp:        lp,
-		sys:       sys,
-		cfg:       cfg,
-		procWork:  make([]int64, cfg.Procs),
-		procBusy:  make([]int64, cfg.Procs),
-		maxEpochs: maxE,
-	}
+	return &Runner{lp: lp, sys: sys, cfg: cfg, maxEpochs: maxE}
 }
 
 // Run initializes memory from declarations, executes proc main, and
 // returns the accumulated statistics.
 func (r *Runner) Run() (st *stats.Stats, err error) {
+	r.takeStorage()
 	defer func() {
-		if p := recover(); p != nil {
-			re, ok := p.(runError)
-			if !ok {
-				panic(p)
-			}
+		p := recover()
+		re, fault := p.(runError)
+		if fault {
 			st, err = nil, re.err
 			if r.progress != nil {
 				// Final snapshot for an aborted run: the unwind happens
@@ -135,6 +204,10 @@ func (r *Runner) Run() (st *stats.Stats, err error) {
 				// readable (possibly mid-epoch for non-barrier faults).
 				r.emitProgress(true, true)
 			}
+		}
+		r.releaseStorage()
+		if p != nil && !fault {
+			panic(p)
 		}
 	}()
 	r.st = r.sys.Stats()
@@ -148,7 +221,7 @@ func (r *Runner) Run() (st *stats.Stats, err error) {
 	for _, sc := range r.lp.prog.Scalars {
 		r.sys.Mem().InitWord(sc.Addr, sc.Init)
 	}
-	r.runProc(r.lp.procs["main"], nil)
+	r.runProc(r.lp.procs["main"], 0)
 	r.endEpoch() // flush trailing structural-node work into the total
 	st = r.sys.Stats()
 	st.Cycles = r.cycles
@@ -162,8 +235,8 @@ func (r *Runner) Run() (st *stats.Stats, err error) {
 
 // task is the execution context of one running task: the frame of loop
 // variable slots plus the formal-array bindings of the enclosing
-// procedure invocation. One task value is reused across the tasks of a
-// procedure walk; only proc (and transiently inCrit) change.
+// procedure invocation. A frame's task serves every task of a procedure
+// walk; only proc (and transiently inCrit) change.
 type task struct {
 	r      *Runner
 	proc   int
@@ -178,9 +251,28 @@ type task struct {
 	st  *stats.Stats
 	rec obs.Sink
 
-	// ss is the task's lazily-allocated stream-execution scratch
-	// (cursors, address walkers, value stack); see stream.go.
-	ss *streamScratch
+	// ss is the task's stream-execution scratch (cursors, address
+	// walkers, value stack); see stream.go.
+	ss streamScratch
+}
+
+// enter readies a frame's task for a walk of a procedure with numSlots
+// loop-variable slots over the given formal-array bindings.
+func (t *task) enter(r *Runner, numSlots int, arrays []*prog.ArrayInfo) {
+	t.r, t.proc, t.inCrit = r, 0, false
+	t.slots = zeroed(t.slots, numSlots)
+	t.arrays = arrays
+	t.st, t.rec = r.st, nil
+	if r.rec != nil {
+		t.rec = r.rec
+	}
+}
+
+// scrub drops the task's references into the finished run and reports
+// the bytes it keeps.
+func (t *task) scrub() int64 {
+	t.r, t.arrays, t.st, t.rec = nil, nil, nil, nil
+	return int64(unsafe.Sizeof(*t)) + int64(cap(t.slots))*8 + t.ss.scrub()
 }
 
 // charge adds processor cycles to the task's processor.
@@ -192,13 +284,13 @@ type loopState struct {
 	v, hi, step int64
 }
 
-// runProc walks a procedure's epoch flow graph over its lowered nodes.
-func (r *Runner) runProc(lp *loweredProc, arrays []*prog.ArrayInfo) {
-	loops := make([]loopState, len(lp.nodes))
-	t := task{r: r, slots: make([]int64, lp.numSlots), arrays: arrays, st: r.st}
-	if r.rec != nil {
-		t.rec = r.rec
-	}
+// runProc walks a procedure's epoch flow graph over its lowered nodes,
+// in the frame at call depth depth (whose arrays the caller has bound).
+func (r *Runner) runProc(lp *loweredProc, depth int) {
+	f := r.frame(depth)
+	f.loops = zeroed(f.loops, len(lp.nodes))
+	loops, arrays, t := f.loops, f.arrays, &f.t
+	t.enter(r, lp.numSlots, arrays)
 
 	n := lp.graph.Entry
 	for n != nil {
@@ -220,7 +312,7 @@ func (r *Runner) runProc(lp *loweredProc, arrays []*prog.ArrayInfo) {
 		case epochg.KindSerial:
 			t.proc = r.serialProc()
 			for _, s := range ln.serial {
-				s(&t)
+				s(t)
 			}
 			if counts {
 				r.noteEpochMods(ln, arrays)
@@ -232,11 +324,11 @@ func (r *Runner) runProc(lp *loweredProc, arrays []*prog.ArrayInfo) {
 			t.proc = r.serialProc()
 			ls := &loops[n.ID]
 			if !ls.active {
-				lo := int64(ln.lo(&t))
-				hi := int64(ln.hi(&t))
+				lo := int64(ln.lo(t))
+				hi := int64(ln.hi(t))
 				step := int64(1)
 				if ln.step != nil {
-					step = int64(ln.step(&t))
+					step = int64(ln.step(t))
 					if step == 0 {
 						fail("sim: %s: loop step is zero", ln.stepPos)
 					}
@@ -256,14 +348,14 @@ func (r *Runner) runProc(lp *loweredProc, arrays []*prog.ArrayInfo) {
 
 		case epochg.KindBranch:
 			t.proc = r.serialProc()
-			if ln.cond(&t) != 0 {
+			if ln.cond(t) != 0 {
 				n = n.Branch.Then
 			} else {
 				n = n.Branch.Else
 			}
 
 		case epochg.KindDoall:
-			r.runDoall(ln.doall, &t)
+			r.runDoall(ln.doall, t)
 			r.noteEpochMods(ln, arrays)
 			r.endEpoch()
 			n = onlySucc(n)
@@ -272,15 +364,16 @@ func (r *Runner) runProc(lp *loweredProc, arrays []*prog.ArrayInfo) {
 			// The call node's own epoch is the call prologue; the callee's
 			// epochs follow inside it.
 			r.endEpoch()
-			calleeArrays := make([]*prog.ArrayInfo, len(ln.callArgs))
-			for i, src := range ln.callArgs {
-				if src.fixed != nil {
-					calleeArrays[i] = src.fixed
-				} else {
-					calleeArrays[i] = arrays[src.formal]
+			callee := r.frame(depth + 1)
+			callee.arrays = callee.arrays[:0]
+			for _, src := range ln.callArgs {
+				ai := src.fixed
+				if ai == nil {
+					ai = arrays[src.formal]
 				}
+				callee.arrays = append(callee.arrays, ai)
 			}
-			r.runProc(ln.callee, calleeArrays)
+			r.runProc(ln.callee, depth+1)
 			n = onlySucc(n)
 
 		default:
@@ -361,15 +454,15 @@ func (r *Runner) noteEpochMods(ln *loweredNode, arrays []*prog.ArrayInfo) {
 	if !ok {
 		return
 	}
-	names := make([]string, len(ln.mods))
-	for i, m := range ln.mods {
+	r.mods = r.mods[:0]
+	for _, m := range ln.mods {
 		if m.formal >= 0 {
-			names[i] = arrays[m.formal].Name
+			r.mods = append(r.mods, arrays[m.formal].Var)
 		} else {
-			names[i] = m.name
+			r.mods = append(r.mods, m.v)
 		}
 	}
-	vs.EpochMods(names)
+	vs.EpochMods(r.mods)
 }
 
 // endEpoch closes the current epoch: global time advances by the slowest

@@ -54,6 +54,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/memsys"
 	"repro/internal/pfl"
@@ -513,13 +514,9 @@ type streamScratch struct {
 	stall int64
 }
 
-// streamScratch sizes (lazily allocating) the task's scratch.
+// streamScratch sizes the task's scratch, growing it on first need.
 func (t *task) streamScratch(nr, nw, stackN int) *streamScratch {
-	sc := t.ss
-	if sc == nil {
-		sc = &streamScratch{}
-		t.ss = sc
-	}
+	sc := &t.ss
 	if cap(sc.rc) < nr {
 		sc.rc = make([]memsys.ReadCursor, nr)
 		sc.raddr = make([]prog.Word, nr)
@@ -537,6 +534,16 @@ func (t *task) streamScratch(nr, nw, stackN int) *streamScratch {
 	}
 	sc.stack = sc.stack[:cap(sc.stack)]
 	return sc
+}
+
+// scrub drops the cursors' references into the finished run's memory
+// system and reports the bytes the scratch keeps.
+func (sc *streamScratch) scrub() int64 {
+	clear(sc.rc[:cap(sc.rc)])
+	clear(sc.wc[:cap(sc.wc)])
+	return int64(cap(sc.rc))*int64(unsafe.Sizeof(memsys.ReadCursor{})) +
+		int64(cap(sc.wc))*int64(unsafe.Sizeof(memsys.WriteCursor{})) +
+		int64(cap(sc.raddr)+cap(sc.rstep)+cap(sc.waddr)+cap(sc.wstep)+cap(sc.stack))*8
 }
 
 // streamRefInit resolves one stream's base address and word stride at

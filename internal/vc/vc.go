@@ -74,11 +74,9 @@ func (s *System) cvnAt(addr prog.Word) int64 {
 }
 
 // EpochMods implements memsys.Versioned.
-func (s *System) EpochMods(names []string) {
-	for _, n := range names {
-		if i, ok := s.prog.VarIndex[n]; ok {
-			s.cvn[i]++
-		}
+func (s *System) EpochMods(vars []int) {
+	for _, v := range vars {
+		s.cvn[v]++
 	}
 }
 

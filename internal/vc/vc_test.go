@@ -49,7 +49,11 @@ func newSys(t *testing.T) (*System, *prog.Prog) {
 // values in memory are only current after a barrier.
 func barrier(s *System, mods []string, next int64) {
 	if mods != nil {
-		s.EpochMods(mods)
+		vars := make([]int, len(mods))
+		for i, n := range mods {
+			vars[i] = s.prog.VarIndex[n]
+		}
+		s.EpochMods(vars)
 	}
 	s.FlushEpoch()
 	s.EpochBoundary(next)
