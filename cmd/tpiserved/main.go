@@ -45,7 +45,7 @@ func main() {
 	addr := flag.String("addr", ":8177", "listen address")
 	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 256, "submission queue depth (full queue rejects with 429)")
-	compileCache := flag.Int("compile-cache", 128, "compile cache entries")
+	compileCache := flag.Int("compile-cache", 128, "compile cache entries, and analysis cache entries")
 	resultCache := flag.Int("result-cache", 4096, "result cache entries")
 	jobTimeout := flag.Duration("job-timeout", 5*time.Minute, "default per-job deadline for requests without timeoutMs")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits before cancelling in-flight jobs")

@@ -165,6 +165,7 @@ func main() {
 
 	var results []core.RunResult
 	fpFallbacks := 0
+	compiled := map[core.CompileOptions]*core.Compiled{} // schemes sharing options share a compile
 	for _, s := range schemes {
 		cfg := machine.Default(s)
 		cfg.FastPath = *fastpath
@@ -182,14 +183,18 @@ func main() {
 		cfg.Topology = *topology
 		cfg.ClusterSize = *clusters
 		cfg.Prefetch = *prefetch
-		c, err := core.Compile(src, core.CompileOptions{
+		copts := core.CompileOptions{
 			Interproc:      cfg.Interproc,
 			FirstReadReuse: cfg.FirstReadReuse,
 			AlignWords:     int64(cfg.LineWords),
 			PadScalars:     *padScalars,
-		})
-		if err != nil {
-			fatal(err)
+		}
+		c := compiled[copts]
+		if c == nil {
+			if c, err = core.Compile(src, copts); err != nil {
+				fatal(err)
+			}
+			compiled[copts] = c
 		}
 		opts := core.RunOptions{Obs: level, AuditFastPath: *requireFP, Verify: *verify}
 		var btf *os.File

@@ -58,11 +58,21 @@ func DefaultCompileOptions() CompileOptions {
 
 // Compiled is a fully analyzed, executable program.
 //
-// A Compiled is immutable after Compile returns: every field is written
-// once by the pipeline and only read afterwards, and the lazily-lowered
+// It has two parts. The front end — AST, Info, Analysis and Marks — comes
+// from parsing, checking, section analysis and marking, and does not
+// depend on where globals sit in memory: the analysis reads only the
+// program's parameters, names and shapes. The layout — Prog, built for
+// one AlignWords and PadScalars — fixes every address, and the lowered
+// closure IR is built from it. Relayout gives the same front end another
+// layout without analysing again.
+//
+// A Compiled is immutable after Compile or Relayout returns: every field
+// is written once and only read afterwards, and the lazily-lowered
 // closure IR is guarded by a sync.Once. One Compiled may therefore be
 // shared freely across concurrent runs — the contract the exper sweep
-// executor and the svc compile cache depend on (see TestConcurrentRun).
+// executor and the svc compile cache depend on (see TestConcurrentRun) —
+// and one front end may be relayouted and lowered at several layouts at
+// once.
 type Compiled struct {
 	Source   string
 	AST      *pfl.Program
@@ -77,9 +87,19 @@ type Compiled struct {
 	// Key is a safe cache/dedup identity for the compile artifact.
 	Key string
 
+	opts CompileOptions // canonical: AlignWords > 0
+
 	lowerOnce sync.Once
 	lowered   *sim.Program
 	lowerErr  error
+}
+
+// canonical applies Compile's defaults: AlignWords <= 0 means 4.
+func (o CompileOptions) canonical() CompileOptions {
+	if o.AlignWords <= 0 {
+		o.AlignWords = 4
+	}
+	return o
 }
 
 // CompileKey is the content address Compile assigns to (src, opts)
@@ -87,12 +107,24 @@ type Compiled struct {
 // only on miss. Options are canonicalized (AlignWords <= 0 means 4, as
 // Compile applies) so equivalent spellings collide.
 func CompileKey(src string, opts CompileOptions) string {
-	if opts.AlignWords <= 0 {
-		opts.AlignWords = 4
-	}
+	opts = opts.canonical()
+	return contentKey(src, fmt.Sprintf("interproc=%t firstread=%t align=%d pad=%t",
+		opts.Interproc, opts.FirstReadReuse, opts.AlignWords, opts.PadScalars))
+}
+
+// AnalysisKey is the content address of Compile's front end for (src,
+// opts): CompileKey without the layout options AlignWords and
+// PadScalars, which the analysis and the marks do not depend on. Every
+// layout of one AnalysisKey may be built by Relayout from any other.
+func AnalysisKey(src string, opts CompileOptions) string {
+	return contentKey(src, fmt.Sprintf("interproc=%t firstread=%t",
+		opts.Interproc, opts.FirstReadReuse))
+}
+
+// contentKey hashes an options header and the source it applies to.
+func contentKey(src, header string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "interproc=%t firstread=%t align=%d pad=%t\n%d\n",
-		opts.Interproc, opts.FirstReadReuse, opts.AlignWords, opts.PadScalars, len(src))
+	fmt.Fprintf(h, "%s\n%d\n", header, len(src))
 	io.WriteString(h, src)
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -107,8 +139,12 @@ func (c *Compiled) Lowered() (*sim.Program, error) {
 	return c.lowered, c.lowerErr
 }
 
-// Compile runs the whole compiler pipeline on PFL source.
+// Compile runs the whole compiler pipeline on PFL source: the front end
+// (parse, check, section analysis, marking) over the layout that
+// opts.AlignWords and opts.PadScalars select. Lowering waits for the
+// first run (see Lowered).
 func Compile(src string, opts CompileOptions) (*Compiled, error) {
+	opts = opts.canonical()
 	ast, err := pfl.Parse(src)
 	if err != nil {
 		return nil, err
@@ -117,21 +153,46 @@ func Compile(src string, opts CompileOptions) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	align := opts.AlignWords
-	if align <= 0 {
-		align = 4
+	p, err := layout(info, opts)
+	if err != nil {
+		return nil, err
 	}
-	p, err := prog.BuildPadded(info, align, opts.PadScalars)
+	a := sections.Analyze(p, sections.Options{Interproc: opts.Interproc})
+	m := marking.Compute(a, marking.Options{FirstReadReuse: opts.FirstReadReuse})
+	return &Compiled{Source: src, AST: ast, Info: info, Prog: p, Analysis: a, Marks: m,
+		Key: CompileKey(src, opts), opts: opts}, nil
+}
+
+// Relayout returns c's program at the layout opts selects, sharing c's
+// front end (AST, Info, Analysis, Marks) instead of analysing again; the
+// result has its own Prog, Key and lowering. The analysis options must
+// match c's — marks computed under one Interproc or FirstReadReuse
+// setting are not the marks of another — or Relayout returns an error.
+func (c *Compiled) Relayout(opts CompileOptions) (*Compiled, error) {
+	opts = opts.canonical()
+	if opts.Interproc != c.opts.Interproc || opts.FirstReadReuse != c.opts.FirstReadReuse {
+		return nil, fmt.Errorf("core: relayout from interproc=%t firstread=%t to interproc=%t firstread=%t needs a new analysis",
+			c.opts.Interproc, c.opts.FirstReadReuse, opts.Interproc, opts.FirstReadReuse)
+	}
+	p, err := layout(c.Info, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Compiled{Source: c.Source, AST: c.AST, Info: c.Info, Prog: p, Analysis: c.Analysis, Marks: c.Marks,
+		Key: CompileKey(c.Source, opts), opts: opts}, nil
+}
+
+// layout places the checked program's globals for opts and bounds the
+// data segment.
+func layout(info *pfl.Info, opts CompileOptions) (*prog.Prog, error) {
+	p, err := prog.BuildPadded(info, opts.AlignWords, opts.PadScalars)
 	if err != nil {
 		return nil, err
 	}
 	if p.MemWords > machine.MaxMemWords {
 		return nil, fmt.Errorf("core: data segment of %d words exceeds the supported maximum %d", p.MemWords, machine.MaxMemWords)
 	}
-	a := sections.Analyze(p, sections.Options{Interproc: opts.Interproc})
-	m := marking.Compute(a, marking.Options{FirstReadReuse: opts.FirstReadReuse})
-	return &Compiled{Source: src, AST: ast, Info: info, Prog: p, Analysis: a, Marks: m,
-		Key: CompileKey(src, opts)}, nil
+	return p, nil
 }
 
 // CompileForConfig compiles with the analysis toggles and alignment that

@@ -9,14 +9,17 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // TestSteadyStateRunAllocs: once warm, the simulation walk allocates
 // nothing that grows with the program or the machine. Call frames,
-// stream scratch, cycle counters and host-parallel workers come from
-// the run storage free list, so a run allocates what building and
-// releasing its system does, plus the Runner, the returned ProcBusy and
-// one goroutine per host worker. A slack of two, and one more per
+// stream scratch, cycle counters, host-parallel workers and their
+// per-processor event shards come from the run storage free list, so a
+// run allocates what building and releasing its system does, plus the
+// Runner, the returned ProcBusy and one goroutine per host worker; an
+// observed host-parallel run allocates what the same run on one host
+// goroutine does, plus the workers. A slack of two, and one more per
 // worker, covers the runtime's occasional channel-wait bookkeeping.
 func TestSteadyStateRunAllocs(t *testing.T) {
 	if raceEnabled {
@@ -26,32 +29,40 @@ func TestSteadyStateRunAllocs(t *testing.T) {
 		name string
 		c    *Compiled
 		cfg  machine.Config
+		opts RunOptions
 	}
 	var cells []cell
 	p := bench.Params{N: 16, Steps: 2}
-	base := machine.Default(machine.SchemeBase)
-	base.Procs = 8
-	variants := append(laneVariants(), struct {
-		name string
-		cfg  machine.Config
-	}{"BASE", base})
 	for _, k := range []string{"ocean", "trfd"} {
 		c := kernelT(t, k, p)
-		for _, v := range variants {
-			cells = append(cells, cell{k + "/" + v.name, c, v.cfg})
+		for _, v := range schemeVariants() {
+			cells = append(cells, cell{k + "/" + v.name, c, v.cfg, RunOptions{}})
 		}
 	}
 	mesh := machine.Default(machine.SchemeHW)
 	mesh.Procs, mesh.Topology, mesh.ClusterSize, mesh.HostParallel = 1024, "mesh", 16, 2
-	cells = append(cells, cell{"ocean/HW/mesh1024/hostpar2", kernelT(t, "ocean", p), mesh})
+	ocean := kernelT(t, "ocean", p)
+	cells = append(cells, cell{"ocean/HW/mesh1024/hostpar2", ocean, mesh, RunOptions{}},
+		cell{"ocean/HW/mesh1024/hostpar2/obs", ocean, mesh, RunOptions{Obs: obs.LevelCounters}})
 
 	for _, cl := range cells {
 		run := testing.AllocsPerRun(5, func() {
-			if _, err := Run(cl.c, cl.cfg); err != nil {
+			if _, err := RunWithOptions(cl.c, cl.cfg, cl.opts); err != nil {
 				t.Fatal(err)
 			}
 		})
-		build := testing.AllocsPerRun(5, func() {
+		// The floor is building and releasing the system; on an
+		// observed run, the whole run on one host goroutine, which also
+		// builds the recorder and its report.
+		floor := testing.AllocsPerRun(5, func() {
+			if cl.opts.Obs != obs.LevelOff {
+				seq := cl.cfg
+				seq.HostParallel = 0
+				if _, err := RunWithOptions(cl.c, seq, cl.opts); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
 			sys, err := NewSystem(cl.cfg, cl.c.Prog)
 			if err != nil {
 				t.Fatal(err)
@@ -62,10 +73,10 @@ func TestSteadyStateRunAllocs(t *testing.T) {
 		if cl.cfg.HostParallel > 1 {
 			workers = cl.cfg.HostParallel
 		}
-		t.Logf("%s: %v allocations per run, %v of them building the system", cl.name, run, build)
-		if limit := build + 4 + 2*float64(workers); run > limit {
-			t.Errorf("%s: a warm run allocates %v objects, want at most %v (%v to build the system, %d host workers)",
-				cl.name, run, limit, build, workers)
+		t.Logf("%s: %v allocations per run, floor %v", cl.name, run, floor)
+		if limit := floor + 4 + 2*float64(workers); run > limit {
+			t.Errorf("%s: a warm run allocates %v objects, want at most %v (floor %v, %d host workers)",
+				cl.name, run, limit, floor, workers)
 		}
 	}
 }

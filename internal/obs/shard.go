@@ -1,6 +1,10 @@
 package obs
 
-import "repro/internal/prog"
+import (
+	"unsafe"
+
+	"repro/internal/prog"
+)
 
 // Sink receives per-reference instrumentation events. The live Recorder
 // implements it for sequential execution; inside a host-parallel epoch
@@ -52,6 +56,13 @@ func (s *ShardRecorder) Write(proc int, addr prog.Word, ref int32, crit bool, cl
 
 // Len reports the number of buffered events.
 func (s *ShardRecorder) Len() int { return len(s.events) }
+
+// Reset empties the shard without draining it, keeping its buffer for
+// reuse, and reports the bytes that buffer holds.
+func (s *ShardRecorder) Reset() int64 {
+	s.events = s.events[:0]
+	return int64(cap(s.events)) * int64(unsafe.Sizeof(shardEvent{}))
+}
 
 // Drain replays a shard's buffered events into the recorder in recording
 // order and resets the shard for reuse. All accumulator updates are

@@ -157,6 +157,12 @@ type ProcSummary struct {
 
 // Analysis holds the whole-program result.
 type Analysis struct {
+	// Prog is the program the analysis ran over. The analysis reads only
+	// its parameters, global names and array shapes (through Affine, the
+	// Arrays and Scalars maps, and Info.NumRefs), never an address, so
+	// its result holds for every layout of the same checked program: a
+	// run's addresses come from the layout it runs at (core.Compiled.Prog),
+	// which need not be this one.
 	Prog  *prog.Prog
 	Procs map[string]*ProcSummary
 	// Interproc records whether interprocedural propagation was enabled;

@@ -20,8 +20,9 @@
 //
 // The workers are goroutines started on a run's first sharded epoch and
 // parked between epochs on their wake channels; Run stops them on every
-// exit, so none outlives it. Their tasks and channels belong to the
-// run's pooled storage and serve later runs.
+// exit, so none outlives it. Their tasks and channels, and the observed
+// runs' per-processor event shards, belong to the run's pooled storage
+// and serve later runs.
 //
 // Fallbacks (the sequential path runs instead, transparently):
 //   - DynamicSched: the least-loaded argmin serializes scheduling;
@@ -30,20 +31,24 @@
 package sim
 
 import (
+	"slices"
 	"unsafe"
 
 	"repro/internal/obs"
 )
 
 // hostPar is the per-run host-parallel execution state. Its tasks,
-// panic slots and channels keep their capacity across runs in the run
-// storage; the rest is set per run.
+// event shards, panic slots and channels keep their capacity across runs
+// in the run storage; the rest is set per run.
 type hostPar struct {
 	r       *Runner
 	workers int
 
-	tasks     []*task              // one reusable task per worker
-	obsShards []*obs.ShardRecorder // per simulated processor; nil when no recorder
+	tasks []*task // one reusable task per worker
+	// obsShards holds one event shard per simulated processor on an
+	// observed run and is empty otherwise. Its capacity, and each
+	// shard's event buffer, outlive the run.
+	obsShards []obs.ShardRecorder
 
 	panics []panicked // one slot per worker
 
@@ -96,10 +101,7 @@ func (r *Runner) setupHostParallel() {
 		hp.done = make(chan struct{}, w)
 	}
 	if r.rec != nil {
-		hp.obsShards = make([]*obs.ShardRecorder, r.cfg.Procs)
-		for p := range hp.obsShards {
-			hp.obsShards[p] = &obs.ShardRecorder{}
-		}
+		hp.obsShards = slices.Grow(hp.obsShards[:0], r.cfg.Procs)[:r.cfg.Procs]
 	}
 	r.hostpar = hp
 }
@@ -138,11 +140,8 @@ func (hp *hostPar) run(ld *loweredDoall, t *task, lo, hi int64) {
 	// count. Merge first — runError recovery in Run still reports stats
 	// consistent with the work that completed.
 	r.sys.EndParallelEpoch()
-	if hp.obsShards != nil {
-		rec := r.rec
-		for _, sh := range hp.obsShards {
-			rec.Drain(sh)
-		}
+	for i := range hp.obsShards {
+		r.rec.Drain(&hp.obsShards[i])
 	}
 	var pk *panicked
 	for i := range hp.panics {
@@ -185,8 +184,8 @@ func (hp *hostPar) shard(w int) {
 	for p := int64(w); p < procs; p += int64(hp.workers) {
 		wt.proc = int(p)
 		wt.st = r.sys.LaneStats(int(p))
-		if hp.obsShards != nil {
-			wt.rec = hp.obsShards[p]
+		if len(hp.obsShards) > 0 {
+			wt.rec = &hp.obsShards[p]
 		}
 		it, step, last := lo+p*chunk, int64(1), lo+(p+1)*chunk-1
 		if r.cfg.CyclicSched {
@@ -224,11 +223,19 @@ func (hp *hostPar) stop() {
 const chanBytes = 128
 
 // scrub drops the state's references into the finished run, keeping the
-// worker tasks and channels, and reports the bytes it keeps.
+// worker tasks, channels and event shards, and reports the bytes it
+// keeps: a shard's buffer is as large as the most events one processor
+// made in one epoch of any run it served.
 func (hp *hostPar) scrub() int64 {
-	hp.r, hp.obsShards, hp.ld = nil, nil, nil
+	hp.r, hp.ld = nil, nil
 	size := int64(cap(hp.tasks))*ptrSize + int64(cap(hp.wake))*(ptrSize+chanBytes) + chanBytes +
-		int64(cap(hp.panics))*int64(unsafe.Sizeof(panicked{}))
+		int64(cap(hp.panics))*int64(unsafe.Sizeof(panicked{})) +
+		int64(cap(hp.obsShards))*int64(unsafe.Sizeof(obs.ShardRecorder{}))
+	shards := hp.obsShards[:cap(hp.obsShards)]
+	for i := range shards {
+		size += shards[i].Reset()
+	}
+	hp.obsShards = hp.obsShards[:0]
 	for _, wt := range hp.tasks {
 		size += wt.scrub()
 	}

@@ -3,11 +3,11 @@ package svc
 import "sync"
 
 // lruCache is a bounded, thread-safe LRU keyed by content-address
-// strings. Both cache tiers use it: the compile tier holds *core.Compiled
-// and the result tier holds marshaled core.RunResult bytes. Entries are
-// immutable once inserted (the content address guarantees a key never
-// maps to two different values), so Get can hand out the stored value
-// without copying.
+// strings. Every cache tier uses it: the analysis and compile tiers hold
+// *core.Compiled and the result tier holds marshaled core.RunResult
+// bytes. Entries are immutable once inserted (the content address
+// guarantees a key never maps to two different values), so Get can hand
+// out the stored value without copying.
 type lruCache[V any] struct {
 	mu       sync.Mutex
 	capacity int

@@ -25,7 +25,8 @@ type Options struct {
 	// QueueDepth bounds the submission queue; a full queue rejects with
 	// 429 rather than buffering unboundedly (default 256).
 	QueueDepth int
-	// CompileCacheEntries bounds the compile tier (default 128).
+	// CompileCacheEntries bounds the compile tier, and the analysis tier
+	// in front of it, each to this many entries (default 128).
 	CompileCacheEntries int
 	// ResultCacheEntries bounds the result tier (default 4096).
 	ResultCacheEntries int
@@ -105,9 +106,10 @@ type Server struct {
 	workerWG  sync.WaitGroup
 	jobWG     sync.WaitGroup // one count per accepted (non-cached) submission
 
-	compiles     flightGroup[*core.Compiled]
-	compileCache *lruCache[*core.Compiled]
-	resultCache  *lruCache[[]byte]
+	compiles      flightGroup[*core.Compiled]
+	analysisCache *lruCache[*core.Compiled] // front ends, never lowered
+	compileCache  *lruCache[*core.Compiled]
+	resultCache   *lruCache[[]byte]
 
 	mu       sync.Mutex
 	draining bool
@@ -132,12 +134,13 @@ type counters struct {
 	Rejected    int64
 }
 
-// Metrics is a point-in-time copy of the job counters and both cache
-// tiers, for in-process callers; /metrics serves the same state.
+// Metrics is a point-in-time copy of the job counters and the three
+// cache tiers, for in-process callers; /metrics serves the same state.
 type Metrics struct {
-	Jobs         counters
-	CompileCache CacheStats
-	ResultCache  CacheStats
+	Jobs          counters
+	AnalysisCache CacheStats
+	CompileCache  CacheStats
+	ResultCache   CacheStats
 }
 
 // New builds a server and starts its worker pool.
@@ -145,18 +148,19 @@ func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		opts:         opts,
-		started:      time.Now(),
-		log:          opts.Logger,
-		reg:          opts.Registry,
-		clock:        time.Now,
-		baseCtx:      ctx,
-		baseCancel:   cancel,
-		queue:        make(chan *job, opts.QueueDepth),
-		compileCache: newLRU[*core.Compiled](opts.CompileCacheEntries),
-		resultCache:  newLRU[[]byte](opts.ResultCacheEntries),
-		jobs:         make(map[string]*job),
-		inflight:     make(map[string]*job),
+		opts:          opts,
+		started:       time.Now(),
+		log:           opts.Logger,
+		reg:           opts.Registry,
+		clock:         time.Now,
+		baseCtx:       ctx,
+		baseCancel:    cancel,
+		queue:         make(chan *job, opts.QueueDepth),
+		analysisCache: newLRU[*core.Compiled](opts.CompileCacheEntries),
+		compileCache:  newLRU[*core.Compiled](opts.CompileCacheEntries),
+		resultCache:   newLRU[[]byte](opts.ResultCacheEntries),
+		jobs:          make(map[string]*job),
+		inflight:      make(map[string]*job),
 	}
 	s.tel = newSvcTelemetry(s.reg, s)
 	for i := 0; i < opts.Workers; i++ {
@@ -477,13 +481,25 @@ func (s *Server) runJob(jb *job) {
 }
 
 // compile returns the job's compiled program, from the cache when
-// present; concurrent misses on the same key compile once.
+// present; concurrent misses on the same key compile once. A miss
+// relayouts the program's front end from the analysis tier, analysing
+// only when that misses too. Runs only ever get a Relayout, never the
+// analysis tier's entry itself, so that entry is never lowered and
+// evicting a program from the compile tier frees its lowered IR.
 func (s *Server) compile(res *resolved) (*core.Compiled, error) {
 	if c, ok := s.compileCache.Get(res.compileKey); ok {
 		return c, nil
 	}
 	c, err, shared := s.compiles.Do(res.compileKey, func() (*core.Compiled, error) {
-		c, err := core.Compile(res.src, res.copts)
+		fe, ok := s.analysisCache.Get(res.analysisKey)
+		if !ok {
+			var err error
+			if fe, err = core.Compile(res.src, res.copts); err != nil {
+				return nil, err
+			}
+			s.analysisCache.Put(res.analysisKey, fe)
+		}
+		c, err := fe.Relayout(res.copts)
 		if err != nil {
 			return nil, err
 		}
@@ -546,6 +562,7 @@ func (s *Server) clearInflight(jb *job) {
 // MetricsSnapshot copies the job counters and cache-tier statistics.
 func (s *Server) MetricsSnapshot() Metrics {
 	m := Metrics{Jobs: s.countersSnapshot()}
+	m.AnalysisCache = s.analysisCache.Stats()
 	m.CompileCache = s.compileCache.Stats()
 	m.ResultCache = s.resultCache.Stats()
 	return m

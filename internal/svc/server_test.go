@@ -462,6 +462,34 @@ func TestCompileCacheSharedAcrossSchemes(t *testing.T) {
 	}
 }
 
+// TestAnalysisCacheSharedAcrossLineSizes: the analysis tier is keyed
+// without the layout, so ocean at four line sizes analyses once and
+// relayouts three times, and every result is byte-equal to a cold
+// server's.
+func TestAnalysisCacheSharedAcrossLineSizes(t *testing.T) {
+	s, hs := newTestServer(t, Options{Workers: 1})
+	for _, line := range []int{1, 2, 4, 8} {
+		req := RunRequest{Kernel: "ocean", Config: json.RawMessage(fmt.Sprintf(`{"LineWords":%d}`, line))}
+		_, warm := postRun(t, hs, req)
+		_, coldHS := newTestServer(t, Options{Workers: 1})
+		_, cold := postRun(t, coldHS, req)
+		if warm.State != StateDone || cold.State != StateDone {
+			t.Fatalf("line %d: states %s %s, errors %q %q", line, warm.State, cold.State, warm.Error, cold.Error)
+		}
+		if !bytes.Equal(warm.Result, cold.Result) {
+			t.Fatalf("line %d: relayouted result differs from a cold server's:\n%s\nwant\n%s", line, warm.Result, cold.Result)
+		}
+	}
+	m := s.MetricsSnapshot()
+	if m.AnalysisCache.Misses != 1 || m.AnalysisCache.Hits != 3 {
+		t.Fatalf("analysis cache hits %d misses %d, want 3 hits and 1 miss",
+			m.AnalysisCache.Hits, m.AnalysisCache.Misses)
+	}
+	if m.CompileCache.Misses != 4 {
+		t.Fatalf("compile cache misses %d, want 4 (one per line size)", m.CompileCache.Misses)
+	}
+}
+
 func postRunCode(t *testing.T, hs *httptest.Server, req RunRequest) (int, JobStatus) {
 	t.Helper()
 	return postRun(t, hs, req)

@@ -5,10 +5,15 @@
 // GET /v1/healthz) and a Prometheus GET /metrics, backed by
 //
 //   - a bounded worker pool over a bounded submission queue,
-//   - a content-addressed two-tier cache — a compile cache keyed by
-//     sha256(source, CompileOptions) holding *core.Compiled, and a result
-//     cache keyed by sha256(compile key, canonical machine.Config,
-//     obs.Level, program label) holding core.RunResult JSON,
+//   - a content-addressed three-tier cache — an analysis cache keyed by
+//     sha256(source, Interproc, FirstReadReuse) holding each program's
+//     front end (parse, check, sections, marks), a compile cache keyed by
+//     sha256(source, CompileOptions) holding *core.Compiled at one layout
+//     (each a Relayout of its analysis entry, so a new line size or
+//     scalar padding costs a layout and a lowering, not a new analysis),
+//     and a result cache keyed by sha256(compile key, canonical
+//     machine.Config, obs.Level, program label) holding core.RunResult
+//     JSON,
 //   - singleflight collapsing of concurrent identical submissions, so a
 //     thundering herd of equal requests costs one simulation, and
 //   - cancellable, deadline-carrying runs: the simulator checks the job
@@ -74,7 +79,7 @@ type RunRequest struct {
 }
 
 // resolved is a validated request bound to concrete simulation inputs
-// and its two cache identities.
+// and its three cache identities.
 type resolved struct {
 	program string // label stored in the RunResult ("ocean", "pfl")
 	src     string
@@ -83,8 +88,9 @@ type resolved struct {
 	level   obs.Level
 	timeout time.Duration
 
-	compileKey string
-	resultKey  string
+	analysisKey string
+	compileKey  string
+	resultKey   string
 }
 
 // resolve validates a request and computes its cache keys.
@@ -159,6 +165,7 @@ func resolve(req *RunRequest) (*resolved, error) {
 		AlignWords:     int64(r.cfg.LineWords),
 		PadScalars:     req.PadScalars,
 	}
+	r.analysisKey = core.AnalysisKey(r.src, r.copts)
 	r.compileKey = core.CompileKey(r.src, r.copts)
 	cfgHash, err := r.cfg.Hash()
 	if err != nil {

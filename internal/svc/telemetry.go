@@ -130,8 +130,9 @@ func (t *svcTelemetry) register(reg *telemetry.Registry, s *Server) {
 	}
 
 	tiers := map[string]func() CacheStats{
-		"compile": func() CacheStats { return s.compileCache.Stats() },
-		"result":  func() CacheStats { return s.resultCache.Stats() },
+		"analysis": func() CacheStats { return s.analysisCache.Stats() },
+		"compile":  func() CacheStats { return s.compileCache.Stats() },
+		"result":   func() CacheStats { return s.resultCache.Stats() },
 	}
 	for tier, stats := range tiers {
 		stats := stats

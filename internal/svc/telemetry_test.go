@@ -78,6 +78,9 @@ func TestPrometheusScrape(t *testing.T) {
 	if got := intVal("tpiserved_cache_misses_total", map[string]string{"tier": "compile"}); got != m.CompileCache.Misses {
 		t.Errorf("compile cache misses %d, JSON says %d", got, m.CompileCache.Misses)
 	}
+	if got := intVal("tpiserved_cache_misses_total", map[string]string{"tier": "analysis"}); got != m.AnalysisCache.Misses {
+		t.Errorf("analysis cache misses %d, JSON says %d", got, m.AnalysisCache.Misses)
+	}
 	if got := intVal("tpiserved_queue_depth", nil); got != 0 {
 		t.Errorf("queue depth %d with no inflight work", got)
 	}
