@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/core/modetest"
 	"repro/internal/exper"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -307,20 +308,6 @@ func BenchmarkSimHotLoop(b *testing.B) {
 // bit-identical statistics (guarded by the exper equivalence tests);
 // only ns/op may change. CHANGES.md records the measured deltas.
 func BenchmarkStreamFastPath(b *testing.B) {
-	variants := []struct {
-		name    string
-		scheme  machine.Scheme
-		l1Words int64
-	}{
-		{"BASE", machine.SchemeBase, 0},
-		{"SC", machine.SchemeSC, 0},
-		{"TPI", machine.SchemeTPI, 0},
-		{"TPI2L", machine.SchemeTPI, 1024},
-		{"HW", machine.SchemeHW, 0},
-		{"VC", machine.SchemeVC, 0},
-		{"TARDIS", machine.SchemeTardis, 0},
-		{"TARDIS2", machine.SchemeTardis2, 0},
-	}
 	for _, kn := range []string{"ocean", "trfd"} {
 		k, err := bench.Get(kn, bench.Params{N: 48, Steps: 2})
 		if err != nil {
@@ -330,17 +317,15 @@ func BenchmarkStreamFastPath(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, v := range variants {
+		for _, v := range modetest.Variants {
 			for _, procs := range []int{16, 64} {
 				for _, fast := range []bool{false, true} {
 					mode := "scalar"
 					if fast {
 						mode = "stream"
 					}
-					b.Run(fmt.Sprintf("%s/%s/procs=%d/%s", kn, v.name, procs, mode), func(b *testing.B) {
-						cfg := machine.Default(v.scheme)
-						cfg.L1Words = v.l1Words
-						cfg.Procs = procs
+					b.Run(fmt.Sprintf("%s/%s/procs=%d/%s", kn, v.Name, procs, mode), func(b *testing.B) {
+						cfg := v.Config(procs, 1024)
 						cfg.FastPath = fast
 						var refs int64
 						b.ReportAllocs()

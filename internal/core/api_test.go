@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -24,17 +25,43 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// overflowSrc's A has 2^64 words: laid out with wrapping arithmetic it
+// took no room at all, so B aliased it and the run indexed past B.
+const overflowSrc = `program p
+param n = 4294967296
+array A[n][n]
+array B[4]
+proc main() { A[1][2] = 1  B[0] = A[1][2] }
+`
+
 // TestCompileRejectsOversizedSegment: ocean at n=20000 lays out about
 // 1.2G words. Compile must refuse it before any scheme allocates the
-// segment, so one outside request cannot exhaust host memory.
+// segment, so one outside request cannot exhaust host memory. Extents
+// whose word counts overflow int64 are refused the same way, naming the
+// array, instead of wrapping to a small or negative segment.
 func TestCompileRejectsOversizedSegment(t *testing.T) {
-	k, err := bench.Get("ocean", bench.Params{N: 20000, Steps: 1})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, src, want string
+	}{
+		{"overflowing dimensions", overflowSrc, "array A exceeds the supported maximum"},
+		{"square past int64", strings.Replace(overflowSrc, "4294967296", "3037000500", 1), "array A exceeds the supported maximum"},
 	}
-	_, err = CompileForConfig(k.Source, machine.Default(machine.SchemeTPI))
-	if err == nil || !strings.Contains(err.Error(), "exceeds the supported maximum") {
-		t.Fatalf("CompileForConfig(ocean n=20000) error = %v, want the data-segment bound", err)
+	for _, k := range []struct {
+		name string
+		n    int
+	}{{"ocean", 20000}, {"ocean", 1 << 31}, {"spec77", 1 << 31}, {"flo52", 1 << 31}, {"trfd", 1 << 31}, {"arc2d", 1 << 31}} {
+		kern, err := bench.Get(k.name, bench.Params{N: k.n, Steps: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, struct{ name, src, want string }{
+			fmt.Sprintf("%s n=%d", k.name, k.n), kern.Source, "exceeds the supported maximum"})
+	}
+	for _, tc := range cases {
+		_, err := CompileForConfig(tc.src, machine.Default(machine.SchemeTPI))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CompileForConfig error = %v, want the data-segment bound (%q)", tc.name, err, tc.want)
+		}
 	}
 }
 

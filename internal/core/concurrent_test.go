@@ -1,10 +1,12 @@
-package core
+package core_test
 
 import (
 	"encoding/json"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/core/modetest"
 	"repro/internal/machine"
 )
 
@@ -18,9 +20,9 @@ import (
 // programs of different call depth and frame size alternate, so pooled
 // call frames pass between them. Run under -race in CI.
 func TestConcurrentRun(t *testing.T) {
-	progs := []*Compiled{
-		compileT(t, stencilSrc),
-		compileT(t, deepCallSrc("P[i] = P[i] / (Q[i] + 0.5)")), // never zero: a good run
+	progs := []*core.Compiled{
+		core.CompileT(t, core.StencilSrc),
+		core.CompileT(t, deepCallSrc("P[i] = P[i] / (Q[i] + 0.5)")), // never zero: a good run
 	}
 	const goroutines = 8
 	for _, s := range machine.AllSchemes {
@@ -39,13 +41,13 @@ func TestConcurrentRun(t *testing.T) {
 					defer wg.Done()
 					cfg := cfg
 					cfg.HostParallel = 4 * (g % 2)
-					res, err := RunWithOptions(progs[g/2%2], cfg, RunOptions{Memory: true})
+					res, err := core.RunWithOptions(progs[g/2%2], cfg, core.RunOptions{Memory: true})
 					if err != nil {
 						errs[g] = err
 						return
 					}
 					snaps[g], errs[g] = json.Marshal(res.Stats.Snapshot())
-					snaps[g] = append(snaps[g], memHash(res.Memory)...)
+					snaps[g] = append(snaps[g], modetest.MemHash(res.Memory)...)
 				}(g)
 			}
 			wg.Wait()

@@ -153,7 +153,7 @@ func Compile(src string, opts CompileOptions) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := layout(info, opts)
+	p, err := prog.BuildPadded(info, opts.AlignWords, opts.PadScalars)
 	if err != nil {
 		return nil, err
 	}
@@ -174,25 +174,12 @@ func (c *Compiled) Relayout(opts CompileOptions) (*Compiled, error) {
 		return nil, fmt.Errorf("core: relayout from interproc=%t firstread=%t to interproc=%t firstread=%t needs a new analysis",
 			c.opts.Interproc, c.opts.FirstReadReuse, opts.Interproc, opts.FirstReadReuse)
 	}
-	p, err := layout(c.Info, opts)
+	p, err := prog.BuildPadded(c.Info, opts.AlignWords, opts.PadScalars)
 	if err != nil {
 		return nil, err
 	}
 	return &Compiled{Source: c.Source, AST: c.AST, Info: c.Info, Prog: p, Analysis: c.Analysis, Marks: c.Marks,
 		Key: CompileKey(c.Source, opts), opts: opts}, nil
-}
-
-// layout places the checked program's globals for opts and bounds the
-// data segment.
-func layout(info *pfl.Info, opts CompileOptions) (*prog.Prog, error) {
-	p, err := prog.BuildPadded(info, opts.AlignWords, opts.PadScalars)
-	if err != nil {
-		return nil, err
-	}
-	if p.MemWords > machine.MaxMemWords {
-		return nil, fmt.Errorf("core: data segment of %d words exceeds the supported maximum %d", p.MemWords, machine.MaxMemWords)
-	}
-	return p, nil
 }
 
 // CompileForConfig compiles with the analysis toggles and alignment that

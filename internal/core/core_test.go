@@ -1,10 +1,12 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // stencilSrc exercises producer/consumer flow, stencils with false
@@ -57,6 +59,16 @@ func compileT(t *testing.T, src string) *Compiled {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// snapshotKey is a snapshot's bit-exact identity for equality checks.
+func snapshotKey(t *testing.T, s stats.Snapshot) string {
+	t.Helper()
+	b, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 func TestAllSchemesMatchOracle(t *testing.T) {

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"reflect"
@@ -7,72 +7,70 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/core/modetest"
 	"repro/internal/machine"
 	"repro/internal/stats"
 )
 
 // kernelT compiles a built-in kernel at the given size.
-func kernelT(t *testing.T, name string, p bench.Params) *Compiled {
+func kernelT(t *testing.T, name string, p bench.Params) *core.Compiled {
 	t.Helper()
 	k, err := bench.Get(name, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return compileT(t, k.Source)
+	return core.CompileT(t, k.Source)
 }
 
 // TestAlternatingExtentsIdentical: runs reuse the last run's memory
 // image at whatever extent the next program asks for. Alternating two
 // programs of different extents (ocean, trfd, ocean, trfd) under every
-// scheme gives each program the stats and final memory of its first
-// run.
+// scheme variant, each time in every execution mode, gives each program
+// the stats and final memory of its first pass.
 func TestAlternatingExtentsIdentical(t *testing.T) {
 	p := bench.Params{N: 16, Steps: 2}
-	progs := []*Compiled{kernelT(t, "ocean", p), kernelT(t, "trfd", p)}
+	progs := []*core.Compiled{kernelT(t, "ocean", p), kernelT(t, "trfd", p)}
 	if progs[0].Prog.MemWords == progs[1].Prog.MemWords {
 		t.Fatal("the two programs must differ in extent")
 	}
-	base := machine.Default(machine.SchemeBase)
-	base.Procs = 8
-	variants := append(laneVariants(), struct {
-		name string
-		cfg  machine.Config
-	}{"BASE", base})
-	for _, v := range variants {
-		var want [2]string
-		for i := 0; i < 4; i++ {
-			res, err := RunWithOptions(progs[i%2], v.cfg, RunOptions{Memory: true})
-			if err != nil {
-				t.Fatalf("%s run %d: %v", v.name, i, err)
+	for _, v := range modetest.Variants {
+		t.Run(v.Name, func(t *testing.T) {
+			t.Parallel()
+			var want [2]string
+			for i := 0; i < 4; i++ {
+				got, err := modetest.Check(progs[i%2], v.Config(8, 1024))
+				if err != nil {
+					t.Fatalf("pass %d: %v", i, err)
+				}
+				if i < 2 {
+					want[i] = got
+				} else if got != want[i%2] {
+					t.Fatalf("pass %d on a reused image differs from the first pass:\nfirst %s\nnow   %s",
+						i, want[i%2], got)
+				}
 			}
-			got := snapshotKey(t, res.Stats.Snapshot()) + " " + memHash(res.Memory)
-			if i < 2 {
-				want[i] = got
-			} else if got != want[i%2] {
-				t.Fatalf("%s: run %d on a reused image differs from the first run:\nfirst %s\nnow   %s",
-					v.name, i, want[i%2], got)
-			}
-		}
+		})
 	}
 }
 
 // TestSecondReleaseIsNoop: releasing a system twice returns nothing to
 // the free lists the second time, and leaves its memory unreachable.
 func TestSecondReleaseIsNoop(t *testing.T) {
-	c := compileT(t, stencilSrc)
-	for _, v := range laneVariants() {
-		sys, err := NewSystem(v.cfg, c.Prog)
+	c := core.CompileT(t, core.StencilSrc)
+	for _, v := range modetest.Variants {
+		sys, err := core.NewSystem(v.Config(8, 1024), c.Prog)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sys.ReleaseCaches()
 		if sys.Mem() != nil {
-			t.Fatalf("%s: a released system still holds its memory image", v.name)
+			t.Fatalf("%s: a released system still holds its memory image", v.Name)
 		}
 		base := cache.Retained()
 		sys.ReleaseCaches()
 		if got := cache.Retained(); got != base {
-			t.Fatalf("%s: a second release moved Retained from %d to %d", v.name, base, got)
+			t.Fatalf("%s: a second release moved Retained from %d to %d", v.Name, base, got)
 		}
 	}
 }
@@ -81,13 +79,13 @@ func TestSecondReleaseIsNoop(t *testing.T) {
 // than its memory's value image alone (MemWords × 8), so the image, its
 // provenance and the caches all come from the free lists.
 func TestSteadyStateRunReusesMemory(t *testing.T) {
-	if raceEnabled {
+	if core.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	c := kernelT(t, "trfd", bench.Params{N: 56, Steps: 2})
 	cfg := machine.Default(machine.SchemeTPI)
 	run := func() {
-		if _, err := Run(c, cfg); err != nil {
+		if _, err := core.Run(c, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,13 +108,13 @@ func TestSteadyStateRunReusesMemory(t *testing.T) {
 // memory where it lies, so a warm verified run of a 256K-word program
 // allocates less than one value image (2 MB) beyond a plain run.
 func TestOracleCompareInPlace(t *testing.T) {
-	if raceEnabled {
+	if core.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	c := compileT(t, wideSrc)
+	c := core.CompileT(t, wideSrc)
 	cfg := machine.Default(machine.SchemeTPI)
 	cfg.Procs = 8
-	bytesPerRun := func(run func(*Compiled, machine.Config) (*stats.Stats, error)) uint64 {
+	bytesPerRun := func(run func(*core.Compiled, machine.Config) (*stats.Stats, error)) uint64 {
 		if _, err := run(c, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +129,7 @@ func TestOracleCompareInPlace(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		return (m1.TotalAlloc - m0.TotalAlloc) / runs
 	}
-	plain, verified := bytesPerRun(Run), bytesPerRun(VerifyAgainstOracle)
+	plain, verified := bytesPerRun(core.Run), bytesPerRun(core.VerifyAgainstOracle)
 	image := uint64(c.Prog.MemWords) * 8
 	t.Logf("%d bytes per plain run, %d per verified run; value image %d bytes", plain, verified, image)
 	if verified >= plain+image {
@@ -160,17 +158,17 @@ proc main() {
 // program with a 256K-word array, every slice and map reachable from
 // the Compiled holds far fewer elements than the segment has words.
 func TestVCRunRetainsNothingPerWord(t *testing.T) {
-	c := compileT(t, wideSrc)
+	c := core.CompileT(t, wideSrc)
 	cfg := machine.Default(machine.SchemeVC)
 	cfg.Procs = 8
 	for i := 0; i < 2; i++ {
-		if _, err := Run(c, cfg); err != nil {
+		if _, err := core.Run(c, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got := reachableElems(reflect.ValueOf(c), map[uintptr]bool{})
 	if limit := c.Prog.MemWords / 16; got >= limit {
-		t.Fatalf("the Compiled holds %d slice and map elements after VC runs; want fewer than %d (MemWords %d / 16)",
+		t.Fatalf("the core.Compiled holds %d slice and map elements after VC runs; want fewer than %d (MemWords %d / 16)",
 			got, limit, c.Prog.MemWords)
 	}
 }

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"encoding/json"
@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/core/modetest"
 	"repro/internal/machine"
 )
 
@@ -23,14 +25,14 @@ func TestAnalysisLayoutIndependent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := Compile(k.Source, DefaultCompileOptions())
+			ref, err := core.Compile(k.Source, core.DefaultCompileOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, align := range []int64{1, 2, 4, 8, 16} {
 				for _, pad := range []bool{false, true} {
-					opts := CompileOptions{Interproc: true, FirstReadReuse: true, AlignWords: align, PadScalars: pad}
-					c, err := Compile(k.Source, opts)
+					opts := core.CompileOptions{Interproc: true, FirstReadReuse: true, AlignWords: align, PadScalars: pad}
+					c, err := core.Compile(k.Source, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -47,28 +49,14 @@ func TestAnalysisLayoutIndependent(t *testing.T) {
 	}
 }
 
-// schemeVariants is every scheme variant at 8 processors: the lane
-// variants plus BASE.
-func schemeVariants() []struct {
-	name string
-	cfg  machine.Config
-} {
-	base := machine.Default(machine.SchemeBase)
-	base.Procs = 8
-	return append(laneVariants(), struct {
-		name string
-		cfg  machine.Config
-	}{"BASE", base})
-}
-
 // runKey is a run's stats snapshot JSON and final memory hash.
-func runKey(t *testing.T, c *Compiled, cfg machine.Config) string {
+func runKey(t *testing.T, c *core.Compiled, cfg machine.Config) string {
 	t.Helper()
-	res, err := RunWithOptions(c, cfg, RunOptions{Memory: true, Verify: true})
+	res, err := core.RunWithOptions(c, cfg, core.RunOptions{Memory: true, Verify: true})
 	if err != nil {
 		t.Fatalf("%s: %v", cfg.Scheme, err)
 	}
-	return snapshotKey(t, res.Stats.Snapshot()) + " " + memHash(res.Memory)
+	return core.SnapshotKey(t, res.Stats.Snapshot()) + " " + modetest.MemHash(res.Memory)
 }
 
 // TestRelayoutMatchesCompile: a program relayouted from another line
@@ -78,24 +66,32 @@ func TestRelayoutMatchesCompile(t *testing.T) {
 	p := bench.Params{N: 16, Steps: 2}
 	mesh := machine.Default(machine.SchemeHW)
 	mesh.Procs, mesh.Topology, mesh.ClusterSize = 64, "mesh", 16
+	type cell struct {
+		name string
+		cfg  machine.Config
+	}
+	cells := []cell{{"HW/mesh64", mesh}}
+	for _, v := range modetest.Variants {
+		cells = append(cells, cell{v.Name, v.Config(8, 1024)})
+	}
 	for _, name := range []string{"ocean", "trfd"} {
 		k, err := bench.Get(name, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fe, err := Compile(k.Source, DefaultCompileOptions())
+		fe, err := core.Compile(k.Source, core.DefaultCompileOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, line := range []int{1, 2, 8, 16} {
 			for _, pad := range []bool{false, true} {
-				opts := DefaultCompileOptions()
+				opts := core.DefaultCompileOptions()
 				opts.AlignWords, opts.PadScalars = int64(line), pad
 				rc, err := fe.Relayout(opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fresh, err := Compile(k.Source, opts)
+				fresh, err := core.Compile(k.Source, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -106,16 +102,12 @@ func TestRelayoutMatchesCompile(t *testing.T) {
 				if rc.Analysis != fe.Analysis || rc.Marks != fe.Marks {
 					t.Fatalf("%s line=%d pad=%t: relayout analysed again", name, line, pad)
 				}
-				cells := append(schemeVariants(), struct {
-					name string
-					cfg  machine.Config
-				}{"HW/mesh64", mesh})
-				for _, v := range cells {
-					cfg := v.cfg
+				for _, cl := range cells {
+					cfg := cl.cfg
 					cfg.LineWords = line
 					if got, want := runKey(t, rc, cfg), runKey(t, fresh, cfg); got != want {
 						t.Errorf("%s line=%d pad=%t %s: relayouted run differs from a fresh compile's:\n%s\nwant\n%s",
-							name, line, pad, v.name, got, want)
+							name, line, pad, cl.name, got, want)
 					}
 				}
 			}
@@ -126,22 +118,22 @@ func TestRelayoutMatchesCompile(t *testing.T) {
 // TestRelayoutNeedsSameAnalysis: marks computed under one analysis
 // setting are never reused under another.
 func TestRelayoutNeedsSameAnalysis(t *testing.T) {
-	fe := compileT(t, stencilSrc)
-	for _, opts := range []CompileOptions{
+	fe := core.CompileT(t, core.StencilSrc)
+	for _, opts := range []core.CompileOptions{
 		{Interproc: false, FirstReadReuse: true, AlignWords: 8},
 		{Interproc: true, FirstReadReuse: false, AlignWords: 4},
 	} {
 		if _, err := fe.Relayout(opts); err == nil || !strings.Contains(err.Error(), "needs a new analysis") {
 			t.Errorf("Relayout(%+v) = %v, want a needs-a-new-analysis error", opts, err)
 		}
-		if AnalysisKey(stencilSrc, opts) == AnalysisKey(stencilSrc, DefaultCompileOptions()) {
-			t.Errorf("AnalysisKey(%+v) collides with the default options'", opts)
+		if core.AnalysisKey(core.StencilSrc, opts) == core.AnalysisKey(core.StencilSrc, core.DefaultCompileOptions()) {
+			t.Errorf("core.AnalysisKey(%+v) collides with the default options'", opts)
 		}
 	}
-	opts := DefaultCompileOptions()
+	opts := core.DefaultCompileOptions()
 	opts.AlignWords, opts.PadScalars = 16, true
-	if AnalysisKey(stencilSrc, opts) != AnalysisKey(stencilSrc, DefaultCompileOptions()) {
-		t.Error("AnalysisKey depends on the layout options")
+	if core.AnalysisKey(core.StencilSrc, opts) != core.AnalysisKey(core.StencilSrc, core.DefaultCompileOptions()) {
+		t.Error("core.AnalysisKey depends on the layout options")
 	}
 }
 
@@ -150,16 +142,16 @@ func TestRelayoutNeedsSameAnalysis(t *testing.T) {
 // compile. Run under -race in CI: lowering only reads the shared
 // analysis and marks.
 func TestRelayoutConcurrentLowering(t *testing.T) {
-	fe := compileT(t, deepCallSrc("P[i] = P[i] / (Q[i] + 0.5)"))
+	fe := core.CompileT(t, deepCallSrc("P[i] = P[i] / (Q[i] + 0.5)"))
 	lines := []int{1, 2, 8, 16}
 	cfgs := make([]machine.Config, len(lines))
 	want := make([]string, len(lines))
 	for i, line := range lines {
 		cfgs[i] = machine.Default(machine.SchemeTPI)
 		cfgs[i].Procs, cfgs[i].LineWords, cfgs[i].HostParallel = 8, line, 2*(i%2)
-		opts := DefaultCompileOptions()
+		opts := core.DefaultCompileOptions()
 		opts.AlignWords = int64(line)
-		fresh, err := Compile(fe.Source, opts)
+		fresh, err := core.Compile(fe.Source, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,20 +164,20 @@ func TestRelayoutConcurrentLowering(t *testing.T) {
 		wg.Add(1)
 		go func(i, line int) {
 			defer wg.Done()
-			opts := DefaultCompileOptions()
+			opts := core.DefaultCompileOptions()
 			opts.AlignWords = int64(line)
 			c, err := fe.Relayout(opts)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			res, err := RunWithOptions(c, cfgs[i], RunOptions{Memory: true, Verify: true})
+			res, err := core.RunWithOptions(c, cfgs[i], core.RunOptions{Memory: true, Verify: true})
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			b, err := json.Marshal(res.Stats.Snapshot())
-			got[i], errs[i] = string(b)+" "+memHash(res.Memory), err
+			got[i], errs[i] = string(b)+" "+modetest.MemHash(res.Memory), err
 		}(i, line)
 	}
 	wg.Wait()

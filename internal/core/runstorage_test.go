@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/core/modetest"
 	"repro/internal/machine"
 	"repro/internal/obs"
 )
@@ -22,32 +24,32 @@ import (
 // goroutine does, plus the workers. A slack of two, and one more per
 // worker, covers the runtime's occasional channel-wait bookkeeping.
 func TestSteadyStateRunAllocs(t *testing.T) {
-	if raceEnabled {
+	if core.RaceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	type cell struct {
 		name string
-		c    *Compiled
+		c    *core.Compiled
 		cfg  machine.Config
-		opts RunOptions
+		opts core.RunOptions
 	}
 	var cells []cell
 	p := bench.Params{N: 16, Steps: 2}
 	for _, k := range []string{"ocean", "trfd"} {
 		c := kernelT(t, k, p)
-		for _, v := range schemeVariants() {
-			cells = append(cells, cell{k + "/" + v.name, c, v.cfg, RunOptions{}})
+		for _, v := range modetest.Variants {
+			cells = append(cells, cell{k + "/" + v.Name, c, v.Config(8, 1024), core.RunOptions{}})
 		}
 	}
 	mesh := machine.Default(machine.SchemeHW)
 	mesh.Procs, mesh.Topology, mesh.ClusterSize, mesh.HostParallel = 1024, "mesh", 16, 2
 	ocean := kernelT(t, "ocean", p)
-	cells = append(cells, cell{"ocean/HW/mesh1024/hostpar2", ocean, mesh, RunOptions{}},
-		cell{"ocean/HW/mesh1024/hostpar2/obs", ocean, mesh, RunOptions{Obs: obs.LevelCounters}})
+	cells = append(cells, cell{"ocean/HW/mesh1024/hostpar2", ocean, mesh, core.RunOptions{}},
+		cell{"ocean/HW/mesh1024/hostpar2/obs", ocean, mesh, core.RunOptions{Obs: obs.LevelCounters}})
 
 	for _, cl := range cells {
 		run := testing.AllocsPerRun(5, func() {
-			if _, err := RunWithOptions(cl.c, cl.cfg, cl.opts); err != nil {
+			if _, err := core.RunWithOptions(cl.c, cl.cfg, cl.opts); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -58,12 +60,12 @@ func TestSteadyStateRunAllocs(t *testing.T) {
 			if cl.opts.Obs != obs.LevelOff {
 				seq := cl.cfg
 				seq.HostParallel = 0
-				if _, err := RunWithOptions(cl.c, seq, cl.opts); err != nil {
+				if _, err := core.RunWithOptions(cl.c, seq, cl.opts); err != nil {
 					t.Fatal(err)
 				}
 				return
 			}
-			sys, err := NewSystem(cl.cfg, cl.c.Prog)
+			sys, err := core.NewSystem(cl.cfg, cl.c.Prog)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,33 +141,27 @@ func waitGoroutines(t *testing.T, base int, after string) {
 // first runs byte for byte, sequentially and with four host workers, and
 // no worker goroutine may outlive any run.
 func TestFaultInCalleeLeavesNoState(t *testing.T) {
-	goods := []*Compiled{compileT(t, stencilSrc), compileT(t, deepCallSrc("P[i] = P[i] / (Q[i] + 0.5)"))}
+	goods := []*core.Compiled{core.CompileT(t, core.StencilSrc), core.CompileT(t, deepCallSrc("P[i] = P[i] / (Q[i] + 0.5)"))}
 	faults := []struct {
-		c    *Compiled
+		c    *core.Compiled
 		want string
 	}{
-		{compileT(t, deepCallSrc("P[i] = P[i] / Q[i]")), "division by zero"},
-		{compileT(t, deepCallSrc("P[i] = P[i + 100 / (Q[i] + 0.5)]")), "out of range"},
+		{core.CompileT(t, deepCallSrc("P[i] = P[i] / Q[i]")), "division by zero"},
+		{core.CompileT(t, deepCallSrc("P[i] = P[i + 100 / (Q[i] + 0.5)]")), "out of range"},
 	}
-	base := machine.Default(machine.SchemeBase)
-	base.Procs = 8
-	variants := append(laneVariants(), struct {
-		name string
-		cfg  machine.Config
-	}{"BASE", base})
-	for _, v := range variants {
+	for _, v := range modetest.Variants {
 		for _, hp := range []int{1, 4} {
-			cfg := v.cfg
+			cfg := v.Config(8, 1024)
 			cfg.HostParallel = hp
-			name := fmt.Sprintf("%s/hostpar%d", v.name, hp)
+			name := fmt.Sprintf("%s/hostpar%d", v.Name, hp)
 			g0 := runtime.NumGoroutine()
-			key := func(c *Compiled) string {
-				res, err := RunWithOptions(c, cfg, RunOptions{Memory: true})
+			key := func(c *core.Compiled) string {
+				res, err := core.RunWithOptions(c, cfg, core.RunOptions{Memory: true})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				waitGoroutines(t, g0, name+" good run")
-				return snapshotKey(t, res.Stats.Snapshot()) + " " + memHash(res.Memory)
+				return core.SnapshotKey(t, res.Stats.Snapshot()) + " " + modetest.MemHash(res.Memory)
 			}
 			var want []string
 			for _, c := range goods {
@@ -173,7 +169,7 @@ func TestFaultInCalleeLeavesNoState(t *testing.T) {
 			}
 			for _, f := range faults {
 				for i, c := range goods {
-					_, err := Run(f.c, cfg)
+					_, err := core.Run(f.c, cfg)
 					if err == nil || !strings.Contains(err.Error(), f.want) {
 						t.Fatalf("%s: faulting run returned %v, want an error containing %q", name, err, f.want)
 					}

@@ -1,38 +1,18 @@
-package core
+package core_test
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/core/modetest"
 	"repro/internal/machine"
 )
-
-// storeKnobVariants are the eight scheme variants NewSystem builds.
-var storeKnobVariants = []struct {
-	name string
-	cfg  func() machine.Config
-}{
-	{"BASE", func() machine.Config { return machine.Default(machine.SchemeBase) }},
-	{"SC", func() machine.Config { return machine.Default(machine.SchemeSC) }},
-	{"TPI", func() machine.Config { return machine.Default(machine.SchemeTPI) }},
-	{"TPI2L", func() machine.Config {
-		c := machine.Default(machine.SchemeTPI)
-		c.L1Words = 64
-		return c
-	}},
-	{"HW", func() machine.Config { return machine.Default(machine.SchemeHW) }},
-	{"VC", func() machine.Config { return machine.Default(machine.SchemeVC) }},
-	{"TARDIS", func() machine.Config { return machine.Default(machine.SchemeTardis) }},
-	{"TARDIS2", func() machine.Config { return machine.Default(machine.SchemeTardis2) }},
-}
 
 // storeKnobs are the store-path knobs every variant runs under; the
 // tpiOnly ones shape TPI's write path alone (TPI and TPI2L).
@@ -47,17 +27,6 @@ var storeKnobs = []struct {
 	{"writeback", true, func(c *machine.Config) { c.TPIWriteBack = true }},
 	{"linett", true, func(c *machine.Config) { c.LineTimetags = true }},
 	{"prefetch", true, func(c *machine.Config) { c.Prefetch = true }},
-}
-
-// memHash is a SHA-256 over the final memory image's float64 bits.
-func memHash(mem []float64) string {
-	h := sha256.New()
-	var b [8]byte
-	for _, v := range mem {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		h.Write(b[:])
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // TestSchemeStoreKnobGolden pins, for every scheme variant under every
@@ -76,12 +45,12 @@ func TestSchemeStoreKnobGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		storeKnobRuns(t, &b, kern, compileT(t, k.Source))
+		storeKnobRuns(t, &b, kern, core.CompileT(t, k.Source))
 	}
 	got := b.String()
 
 	golden := filepath.Join("testdata", "storeknobs.golden")
-	if *update {
+	if *core.Update {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -104,27 +73,26 @@ func TestSchemeStoreKnobGolden(t *testing.T) {
 
 // storeKnobRuns appends kernel kern's golden lines to b: one header
 // (case name and memory hash) and one snapshot line per run.
-func storeKnobRuns(t *testing.T, b *strings.Builder, kern string, c *Compiled) {
+func storeKnobRuns(t *testing.T, b *strings.Builder, kern string, c *core.Compiled) {
 	t.Helper()
-	for _, v := range storeKnobVariants {
+	for _, v := range modetest.Variants {
 		for _, knob := range storeKnobs {
-			if knob.tpiOnly && !strings.HasPrefix(v.name, "TPI") {
+			if knob.tpiOnly && v.Scheme != machine.SchemeTPI {
 				continue
 			}
-			cfg := v.cfg()
-			cfg.Procs = 8
+			cfg := v.Config(8, 64)
 			cfg.CacheWords = 256 // small enough that the kernels' arrays evict
 			cfg.FastPath = false
 			knob.mut(&cfg)
-			res, err := RunWithOptions(c, cfg, RunOptions{Memory: true})
+			res, err := core.RunWithOptions(c, cfg, core.RunOptions{Memory: true})
 			if err != nil {
-				t.Fatalf("%s/%s/%s: %v", kern, v.name, knob.name, err)
+				t.Fatalf("%s/%s/%s: %v", kern, v.Name, knob.name, err)
 			}
 			js, err := json.Marshal(res.Stats.Snapshot())
 			if err != nil {
 				t.Fatal(err)
 			}
-			fmt.Fprintf(b, "%s/%s/%s mem=%s\n%s\n", kern, v.name, knob.name, memHash(res.Memory), js)
+			fmt.Fprintf(b, "%s/%s/%s mem=%s\n%s\n", kern, v.Name, knob.name, modetest.MemHash(res.Memory), js)
 		}
 	}
 }

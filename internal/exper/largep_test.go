@@ -1,11 +1,8 @@
 package exper
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
 	"os"
-	"reflect"
 	"testing"
 
 	"repro/internal/bench"
@@ -25,26 +22,21 @@ func TestFourThousandProcOcean(t *testing.T) {
 		t.Skip("P=4096 runs skipped in -short mode")
 	}
 	s := NewSuite(bench.Params{N: 48, Steps: 2}, 4096)
-	for _, v := range []schemeVariant{
-		{"HW", machine.SchemeHW, 0},
-		{"TPI2L", machine.SchemeTPI, 64},
-		{"TARDIS2", machine.SchemeTardis2, 0},
-	} {
-		cfg := s.cfg(v.scheme)
-		cfg.L1Words = v.l1Words
+	for _, v := range variantsNamed("HW", "TPI2L", "TARDIS2") {
+		cfg := v.Config(s.Procs, 64)
 		cfg.Topology = "mesh"
 		cfg.ClusterSize = 16
 		cfg.HostParallel = 8
 		st, err := s.run("ocean", cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
+			t.Fatalf("%s: %v", v.Name, err)
 		}
 		b, err := json.Marshal(core.NewRunResult("ocean", cfg, st, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ValidateRunResult(b); err != nil {
-			t.Errorf("%s: result fails validation: %v", v.name, err)
+			t.Errorf("%s: result fails validation: %v", v.Name, err)
 		}
 	}
 }
@@ -119,86 +111,4 @@ func homeFootprint(c *core.Compiled, cfg machine.Config) (held, spanned, lines i
 	}
 	home := sys.(interface{ HomeTable() *memsys.LineTable }).HomeTable()
 	return home.Chunks(), spanned, lines, nil
-}
-
-// TestLargePMeshEquivalence extends the host-parallel and fast-path
-// oracles to a configuration point past both scale cliffs at once: 256
-// simulated processors (multi-word presence sets) on the clustered mesh
-// topology (per-cluster home directories). For every kernel under HW and
-// two-level TPI, a -hostpar 4 run and a fast-path-off run must both be
-// bit-identical to the sequential fast-path-on baseline.
-func TestLargePMeshEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("P=256 sweep skipped in -short mode")
-	}
-	variants := []schemeVariant{
-		{"HW", machine.SchemeHW, 0},
-		{"TPI2L", machine.SchemeTPI, 64},
-	}
-	type point struct {
-		kernel  string
-		variant schemeVariant
-	}
-	var points []point
-	for _, name := range bench.Names {
-		for _, v := range variants {
-			points = append(points, point{name, v})
-		}
-	}
-	s := smallSuite()
-	_, err := forEach(points, func(pt point) ([][]string, error) {
-		label := fmt.Sprintf("%s/%s/p256/mesh", pt.kernel, pt.variant.name)
-		cfg := s.cfg(pt.variant.scheme)
-		cfg.L1Words = pt.variant.l1Words
-		cfg.Procs = 256
-		cfg.Topology = "mesh"
-		cfg.ClusterSize = 8
-		c, err := s.compile(pt.kernel, core.CompileOptions{
-			Interproc:      cfg.Interproc,
-			FirstReadReuse: cfg.FirstReadReuse,
-			AlignWords:     int64(cfg.LineWords),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", label, err)
-		}
-		seqRun, err := core.RunWithOptions(c, cfg, core.RunOptions{Memory: true})
-		if err != nil {
-			return nil, fmt.Errorf("%s: sequential: %w", label, err)
-		}
-		seqSt, seqMem := seqRun.Stats, seqRun.Memory
-		seqJSON, err := json.Marshal(seqSt.Snapshot())
-		if err != nil {
-			return nil, err
-		}
-		check := func(mode string, mutate func(*machine.Config)) error {
-			mcfg := cfg
-			mutate(&mcfg)
-			run, err := core.RunWithOptions(c, mcfg, core.RunOptions{Memory: true})
-			if err != nil {
-				return fmt.Errorf("%s: %s: %w", label, mode, err)
-			}
-			st, mem := run.Stats, run.Memory
-			j, err := json.Marshal(st.Snapshot())
-			if err != nil {
-				return err
-			}
-			if !bytes.Equal(seqJSON, j) {
-				return fmt.Errorf("%s: %s snapshot diverges:\nseq %s\ngot %s", label, mode, seqJSON, j)
-			}
-			if !reflect.DeepEqual(seqMem, mem) {
-				return fmt.Errorf("%s: %s final memory diverges", label, mode)
-			}
-			return nil
-		}
-		if err := check("hostpar", func(c *machine.Config) { c.HostParallel = 4 }); err != nil {
-			return nil, err
-		}
-		if err := check("nofastpath", func(c *machine.Config) { c.FastPath = false }); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }

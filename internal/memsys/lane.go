@@ -28,7 +28,7 @@ package memsys
 //   - stores append to a private write log and are applied to memory at
 //     the barrier in (processor, sequence) order. DOALL independence
 //     guarantees per-epoch write-sets are pairwise disjoint across
-//     processors (asserted by TestDoallWriteSetsDisjoint), so the final
+//     processors (asserted by sim.TestEpochWriteSetsDisjoint), so the final
 //     memory image is the sequential one. Reads forward from the lane's
 //     own log first (store-buffer forwarding), so a processor always sees
 //     its own same-epoch writes even after a conflict eviction. The

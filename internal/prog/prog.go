@@ -12,6 +12,7 @@ package prog
 import (
 	"fmt"
 
+	"repro/internal/machine"
 	"repro/internal/pfl"
 	"repro/internal/symexpr"
 )
@@ -91,6 +92,7 @@ func (p *Prog) VarAt(addr Word) int {
 
 // Build evaluates parameters and lays out globals. align is the line
 // alignment in words (pass the machine's line size; 0 means no alignment).
+// A layout larger than machine.MaxMemWords is an error.
 func Build(info *pfl.Info, align int64) (*Prog, error) {
 	return BuildPadded(info, align, false)
 }
@@ -150,6 +152,12 @@ func BuildPadded(info *pfl.Info, align int64, padScalars bool) (*Prog, error) {
 			if v <= 0 {
 				return nil, fmt.Errorf("prog: array %s has non-positive dimension %d", d.Name, v)
 			}
+			// Bound the extent by the room left in the segment before
+			// the product or the next offset can wrap.
+			if v > (machine.MaxMemWords-int64(next))/size {
+				return nil, fmt.Errorf("prog: array %s exceeds the supported maximum data segment of %d words",
+					d.Name, machine.MaxMemWords)
+			}
 			ai.Dims = append(ai.Dims, v)
 			size *= v
 		}
@@ -164,6 +172,9 @@ func BuildPadded(info *pfl.Info, align int64, padScalars bool) (*Prog, error) {
 		ai.Var = len(p.Vars)
 		p.addVar(d.Name, ai.Base, size)
 		next += Word(size)
+	}
+	if next > machine.MaxMemWords {
+		return nil, fmt.Errorf("prog: data segment of %d words exceeds the supported maximum %d", next, machine.MaxMemWords)
 	}
 	p.MemWords = int64(next)
 	return p, nil

@@ -89,10 +89,10 @@ proc main() {
 	}
 }
 
-// TestLoweredMatchesInterpreterSemantics pins the behaviors the closure
-// IR must not change: parameter folding keeps operator charges, runtime
-// division by zero still aborts with the interpreter's message, and
-// intrinsic folding refuses erroring applications.
+// TestLoweredRuntimeErrors: faults the closure IR must leave to run time
+// abort the run with the interpreter's message — division by zero, a
+// constant intrinsic application that errs (folding refuses it), and a
+// loop step that is zero at run time.
 func TestLoweredRuntimeErrors(t *testing.T) {
 	cases := []struct {
 		name, src, want string

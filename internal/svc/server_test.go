@@ -317,6 +317,10 @@ func TestBadRequests(t *testing.T) {
 		{"obs trace", RunRequest{Kernel: "ocean", Obs: "trace"}, http.StatusBadRequest},
 		{"bad source", RunRequest{Source: "this is not PFL"}, http.StatusOK}, // compile errors are job failures
 		{"segment too large", RunRequest{Kernel: "ocean", N: 20000}, http.StatusOK},
+		// A[n][n] is 2^64 words: an extent that wraps must fail the job,
+		// not crash the server.
+		{"segment overflows", RunRequest{Source: "program p\nparam n = 4294967296\narray A[n][n]\narray B[4]\n" +
+			"proc main() { A[1][2] = 1  B[0] = A[1][2] }"}, http.StatusOK},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
