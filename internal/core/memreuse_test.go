@@ -26,8 +26,11 @@ func kernelT(t *testing.T, name string, p bench.Params) *core.Compiled {
 // TestAlternatingExtentsIdentical: runs reuse the last run's memory
 // image at whatever extent the next program asks for. Alternating two
 // programs of different extents (ocean, trfd, ocean, trfd) under every
-// scheme variant, each time in every execution mode, gives each program
-// the stats and final memory of its first pass.
+// scheme variant gives each program the stats and final memory of its
+// first pass. The first passes run in every execution mode, each mode
+// reusing the image of the mode before; the later passes, each on an
+// image of the other extent, in the default mode, verified against the
+// sequential oracle.
 func TestAlternatingExtentsIdentical(t *testing.T) {
 	p := bench.Params{N: 16, Steps: 2}
 	progs := []*core.Compiled{kernelT(t, "ocean", p), kernelT(t, "trfd", p)}
@@ -37,15 +40,21 @@ func TestAlternatingExtentsIdentical(t *testing.T) {
 	for _, v := range modetest.Variants {
 		t.Run(v.Name, func(t *testing.T) {
 			t.Parallel()
+			cfg := v.Config(8, 1024)
 			var want [2]string
-			for i := 0; i < 4; i++ {
-				got, err := modetest.Check(progs[i%2], v.Config(8, 1024))
+			for i := range want {
+				key, err := modetest.Check(progs[i], cfg)
 				if err != nil {
 					t.Fatalf("pass %d: %v", i, err)
 				}
-				if i < 2 {
-					want[i] = got
-				} else if got != want[i%2] {
+				want[i] = key
+			}
+			for i := 2; i < 4; i++ {
+				res, err := core.RunWithOptions(progs[i%2], cfg, core.RunOptions{Memory: true, Verify: true})
+				if err != nil {
+					t.Fatalf("pass %d: %v", i, err)
+				}
+				if got := core.SnapshotKey(t, res.Stats.Snapshot()) + " " + modetest.MemHash(res.Memory); got != want[i%2] {
 					t.Fatalf("pass %d on a reused image differs from the first pass:\nfirst %s\nnow   %s",
 						i, want[i%2], got)
 				}

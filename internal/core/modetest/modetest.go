@@ -154,27 +154,53 @@ func CheckRuns(run RunFunc, cfg machine.Config) (string, error) {
 
 // CheckTrace runs c under cfg with the binary event trace on, in each
 // unobserved mode, each verified against the sequential oracle. Every
-// live report must equal the sequential-scalar run's, and every trace
-// must replay to its run's live report; a trace byte-equal to the
-// sequential-scalar one replays as that one did. The sequential modes
-// must write byte-equal traces; a host-parallel trace may differ, since
-// under cyclic scheduling it is reordered processor-major.
+// trace run must match the sequential-scalar run at obs counters in
+// stats snapshot JSON, final memory hash and obs report, so the trace
+// level reports what the counters level does; and every trace must
+// replay to its run's live report. The sequential modes must write
+// byte-equal traces, so only the first of them is replayed; a
+// host-parallel trace may differ, since under cyclic scheduling it is
+// reordered processor-major.
 func CheckTrace(c *core.Compiled, cfg machine.Config) error {
+	return checkTrace(func(cfg machine.Config, opts core.RunOptions) (core.Result, error) {
+		return core.RunWithOptions(c, cfg, opts)
+	}, cfg)
+}
+
+func checkTrace(run RunFunc, cfg machine.Config) error {
+	refMode := mode{level: obs.LevelCounters}
+	res, err := run(refMode.config(cfg), core.RunOptions{Obs: refMode.level, Memory: true, Verify: true})
+	if err != nil {
+		return fmt.Errorf("%s: %w", refMode, err)
+	}
+	ref, err := outcomeOf(res)
+	if err != nil {
+		return fmt.Errorf("%s: %w", refMode, err)
+	}
 	var refTrace []byte
-	var refReport *obs.Report
 	for i, m := range modes {
 		if m.level != obs.LevelOff {
 			continue
 		}
 		var buf bytes.Buffer
-		res, err := core.RunWithOptions(c, m.config(cfg), core.RunOptions{Trace: &buf, Verify: true})
+		res, err := run(m.config(cfg), core.RunOptions{Trace: &buf, Memory: true, Verify: true})
 		if err != nil {
 			return fmt.Errorf("%s/trace: %w", m, err)
 		}
+		got, err := outcomeOf(res)
+		if err != nil {
+			return fmt.Errorf("%s/trace: %w", m, err)
+		}
+		if d := firstDiff(ref.snap, got.snap); d != "" {
+			return fmt.Errorf("%s and %s/trace: stats snapshots differ %s", refMode, m, d)
+		}
+		if ref.mem != got.mem {
+			return fmt.Errorf("%s and %s/trace: final memory hashes differ: %s and %s", refMode, m, ref.mem, got.mem)
+		}
+		if d := reportDiff(ref.report, got.report); d != "" {
+			return fmt.Errorf("%s and %s/trace: obs reports differ %s", refMode, m, d)
+		}
 		if i > 0 {
-			if d := reportDiff(refReport, res.Report); d != "" {
-				return fmt.Errorf("%s/trace and %s/trace: obs reports differ %s", modes[0], m, d)
-			}
 			if bytes.Equal(refTrace, buf.Bytes()) {
 				continue
 			}
@@ -187,11 +213,11 @@ func CheckTrace(c *core.Compiled, cfg machine.Config) error {
 		if err != nil {
 			return fmt.Errorf("%s/trace: replay: %w", m, err)
 		}
-		if d := reportDiff(res.Report, replayed); d != "" {
+		if d := reportDiff(got.report, replayed); d != "" {
 			return fmt.Errorf("%s/trace: the replayed report differs from the live one %s", m, d)
 		}
 		if i == 0 {
-			refTrace, refReport = buf.Bytes(), res.Report
+			refTrace = buf.Bytes()
 		}
 	}
 	return nil

@@ -10,8 +10,8 @@ import (
 )
 
 // TestCheckNamesBothModes: a run that differs from the reference in one
-// mode only fails the check, and the error names that mode and the one
-// it was compared with.
+// mode only fails Check or CheckTrace, and the error names that mode and
+// the one it was compared with.
 func TestCheckNamesBothModes(t *testing.T) {
 	c, err := core.Compile(Program(1), core.DefaultCompileOptions())
 	if err != nil {
@@ -21,34 +21,45 @@ func TestCheckNamesBothModes(t *testing.T) {
 	cfg.Procs = 4
 	cases := []struct {
 		name    string
-		perturb func(m mode, res *core.Result)
+		check   func(RunFunc, machine.Config) error
+		perturb func(m mode, traced bool, res *core.Result)
 		want    []string
 	}{
-		{"snapshot", func(m mode, res *core.Result) {
+		{"snapshot", checkRuns, func(m mode, _ bool, res *core.Result) {
 			if m.stream && m.hostPar > 1 && m.level == obs.LevelOff {
 				res.Stats.Cycles++
 			}
 		}, []string{"sequential-scalar and stream+hostpar4:", "stats snapshots differ"}},
-		{"memory", func(m mode, res *core.Result) {
+		{"memory", checkRuns, func(m mode, _ bool, res *core.Result) {
 			if m.stream && m.hostPar <= 1 && m.level == obs.LevelOff {
 				res.Memory[len(res.Memory)-1]++
 			}
 		}, []string{"sequential-scalar and stream:", "final memory hashes differ"}},
-		{"report", func(m mode, res *core.Result) {
+		{"report", checkRuns, func(m mode, _ bool, res *core.Result) {
 			if !m.stream && m.hostPar > 1 && m.level == obs.LevelCounters {
 				res.Report.TotalCycles++
 			}
 		}, []string{"sequential-scalar/counters and hostpar4/counters:", "obs reports differ"}},
+		{"trace snapshot", checkTrace, func(m mode, traced bool, res *core.Result) {
+			if traced && m.stream && m.hostPar > 1 {
+				res.Stats.Invalidations++
+			}
+		}, []string{"sequential-scalar/counters and stream+hostpar4/trace:", "stats snapshots differ"}},
+		{"trace report", checkTrace, func(m mode, traced bool, res *core.Result) {
+			if traced && !m.stream && m.hostPar > 1 {
+				res.Report.TotalCycles++
+			}
+		}, []string{"sequential-scalar/counters and hostpar4/trace:", "obs reports differ"}},
 	}
 	for _, tc := range cases {
 		run := func(cfg machine.Config, opts core.RunOptions) (core.Result, error) {
 			res, err := core.RunWithOptions(c, cfg, opts)
 			if err == nil {
-				tc.perturb(mode{cfg.FastPath, cfg.HostParallel, opts.Obs}, &res)
+				tc.perturb(mode{cfg.FastPath, cfg.HostParallel, opts.Obs}, opts.Trace != nil, &res)
 			}
 			return res, err
 		}
-		_, err := CheckRuns(run, cfg)
+		err := tc.check(run, cfg)
 		if err == nil {
 			t.Fatalf("%s: a perturbed run passed the check", tc.name)
 		}
@@ -61,4 +72,12 @@ func TestCheckNamesBothModes(t *testing.T) {
 	if _, err := Check(c, cfg); err != nil {
 		t.Fatalf("unperturbed runs: %v", err)
 	}
+	if err := CheckTrace(c, cfg); err != nil {
+		t.Fatalf("unperturbed trace runs: %v", err)
+	}
+}
+
+func checkRuns(run RunFunc, cfg machine.Config) error {
+	_, err := CheckRuns(run, cfg)
+	return err
 }

@@ -88,18 +88,21 @@ func TestRandomProgramsAblatedCompilerStillSound(t *testing.T) {
 		seeds = 4
 	}
 	for seed := int64(100); seed < int64(100+seeds); seed++ {
-		src := modetest.Program(seed)
-		c, err := core.Compile(src, core.CompileOptions{Interproc: false, FirstReadReuse: false, AlignWords: 4})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for _, v := range modetest.Variants {
-			cfg := v.Config(8, randomL1Words)
-			cfg.Interproc = false
-			cfg.FirstReadReuse = false
-			if _, err := modetest.Check(c, cfg); err != nil {
-				t.Fatalf("seed %d %s: %v\nprogram:\n%s", seed, v.Name, err, src)
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			src := modetest.Program(seed)
+			c, err := core.Compile(src, core.CompileOptions{Interproc: false, FirstReadReuse: false, AlignWords: 4})
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
 			}
-		}
+			for _, v := range modetest.Variants {
+				cfg := v.Config(8, randomL1Words)
+				cfg.Interproc = false
+				cfg.FirstReadReuse = false
+				if _, err := modetest.Check(c, cfg); err != nil {
+					t.Fatalf("seed %d %s: %v\nprogram:\n%s", seed, v.Name, err, src)
+				}
+			}
+		})
 	}
 }

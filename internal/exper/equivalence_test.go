@@ -13,9 +13,14 @@ import (
 	"repro/internal/machine"
 )
 
-// equivRow is one row of the cross-mode table: the kernels, scheme
-// variants, schedules and processor counts whose every combination a
-// suite runs through the harness, on one network.
+// equivRow is one suite's row of the cross-mode table: the kernels,
+// scheme variants, schedules and processor counts whose every
+// combination it runs through the harness, on one network. No two rows
+// share a cell. modetest.Check runs every cell in all eight execution
+// modes, so the static and cyclic halves of the kernel grid go to the
+// two suites that once compared the stream path and host-parallel
+// epochs each against the sequential run, and the trace rows split by
+// processor count.
 type equivRow struct {
 	kernels  []string
 	variants []modetest.Variant
@@ -23,24 +28,6 @@ type equivRow struct {
 	procs    []int
 	mesh     bool // the clustered mesh, 8 processors a cluster
 	trace    bool // modetest.CheckTrace in place of modetest.Check
-}
-
-// equivalence maps each suite to its row; no two rows share a cell.
-// modetest.Check runs every cell in all eight execution modes, so the
-// static and cyclic halves of the kernel grid go to the two suites that
-// once compared the stream path and host-parallel epochs each against
-// the sequential run, and the trace rows split by processor count.
-var equivalence = map[string]equivRow{
-	"TestFastPathEquivalence": {kernels: bench.Names, variants: modetest.Variants,
-		cyclic: []bool{false}, procs: []int{16, 64}},
-	"TestHostParallelEquivalence": {kernels: bench.Names, variants: modetest.Variants,
-		cyclic: []bool{true}, procs: []int{16, 64}},
-	"TestFastPathObservedEquivalence": {kernels: []string{"ocean", "trfd"}, variants: modetest.Variants,
-		cyclic: []bool{false}, procs: []int{8}, trace: true},
-	"TestHostParallelObservedEquivalence": {kernels: []string{"ocean", "trfd"}, variants: modetest.Variants,
-		cyclic: []bool{false, true}, procs: []int{16}, trace: true},
-	"TestLargePMeshEquivalence": {kernels: bench.Names, variants: variantsNamed("HW", "TPI2L"),
-		cyclic: []bool{false}, procs: []int{256}, mesh: true},
 }
 
 // variantsNamed is the harness's variants of the given names.
@@ -54,13 +41,9 @@ func variantsNamed(names ...string) []modetest.Variant {
 	return vs
 }
 
-// checkEquivalence runs the calling suite's row of the table, one
-// parallel subtest per cell, named kernel/variant/cyclic=…/p….
-func checkEquivalence(t *testing.T) {
-	row, ok := equivalence[t.Name()]
-	if !ok {
-		t.Fatalf("no equivalence row for %s", t.Name())
-	}
+// checkEquivalence runs row, one parallel subtest per cell, named
+// kernel/variant/cyclic=…/p….
+func checkEquivalence(t *testing.T, row equivRow) {
 	s := smallSuite()
 	for _, kernel := range row.kernels {
 		t.Run(kernel, func(t *testing.T) {
@@ -110,25 +93,38 @@ func checkCell(t *testing.T, s *Suite, kernel string, cfg machine.Config, trace 
 // TestFastPathEquivalence: every kernel under every scheme variant, at
 // 16 and 64 processors with static scheduling, gives a byte-identical
 // stats snapshot, final memory and obs report in every execution mode.
-func TestFastPathEquivalence(t *testing.T) { checkEquivalence(t) }
+func TestFastPathEquivalence(t *testing.T) {
+	checkEquivalence(t, equivRow{kernels: bench.Names, variants: modetest.Variants,
+		cyclic: []bool{false}, procs: []int{16, 64}})
+}
 
 // TestHostParallelEquivalence is TestFastPathEquivalence under cyclic
 // scheduling.
-func TestHostParallelEquivalence(t *testing.T) { checkEquivalence(t) }
+func TestHostParallelEquivalence(t *testing.T) {
+	checkEquivalence(t, equivRow{kernels: bench.Names, variants: modetest.Variants,
+		cyclic: []bool{true}, procs: []int{16, 64}})
+}
 
 // TestFastPathObservedEquivalence: the stream driver emits
 // per-reference observer events in exact scalar order, so the binary
-// trace is byte-identical in the sequential modes, and every mode's
-// trace replays to its live report; here at 8 processors, with static
-// scheduling.
-func TestFastPathObservedEquivalence(t *testing.T) { checkEquivalence(t) }
+// trace is byte-identical in the sequential modes; every mode's traced
+// run matches the sequential run at obs counters in stats snapshot,
+// final memory and report, and its trace replays to its live report;
+// here at 8 processors, with static scheduling.
+func TestFastPathObservedEquivalence(t *testing.T) {
+	checkEquivalence(t, equivRow{kernels: []string{"ocean", "trfd"}, variants: modetest.Variants,
+		cyclic: []bool{false}, procs: []int{8}, trace: true})
+}
 
 // TestHostParallelObservedEquivalence is TestFastPathObservedEquivalence
 // at 16 processors, with static and cyclic scheduling. Under cyclic
 // scheduling a host-parallel trace is reordered processor-major, yet
 // must still replay to the live report: the shard merge preserves the
 // trace contract.
-func TestHostParallelObservedEquivalence(t *testing.T) { checkEquivalence(t) }
+func TestHostParallelObservedEquivalence(t *testing.T) {
+	checkEquivalence(t, equivRow{kernels: []string{"ocean", "trfd"}, variants: modetest.Variants,
+		cyclic: []bool{false, true}, procs: []int{16}, trace: true})
+}
 
 // TestLargePMeshEquivalence runs the harness past both scale cliffs at
 // once: 256 simulated processors (multi-word presence sets) on the
@@ -138,7 +134,8 @@ func TestLargePMeshEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("P=256 sweep skipped in -short mode")
 	}
-	checkEquivalence(t)
+	checkEquivalence(t, equivRow{kernels: bench.Names, variants: variantsNamed("HW", "TPI2L"),
+		cyclic: []bool{false}, procs: []int{256}, mesh: true})
 }
 
 // TestFastPathExperimentsJSON: a whole experiment table rendered by the
