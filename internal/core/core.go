@@ -18,7 +18,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
+	"unsafe"
 
 	"repro/internal/machine"
 	"repro/internal/marking"
@@ -62,17 +64,22 @@ func DefaultCompileOptions() CompileOptions {
 // from parsing, checking, section analysis and marking, and does not
 // depend on where globals sit in memory: the analysis reads only the
 // program's parameters, names and shapes. The layout — Prog, built for
-// one AlignWords and PadScalars — fixes every address, and the lowered
-// closure IR is built from it. Relayout gives the same front end another
-// layout without analysing again.
+// one AlignWords and PadScalars — fixes every address. Relayout gives the
+// same front end another layout without analysing again.
+//
+// The closure IR (sim.IR) belongs to the front end too: its closures
+// read each global's address from the layout a run is bound to. Compile
+// makes one lowering holder, every Relayout of that front end shares
+// it, and the first Lowered call among them lowers, once. Lowered binds
+// the shared IR to this Compiled's own Prog, which costs O(#globals).
 //
 // A Compiled is immutable after Compile or Relayout returns: every field
-// is written once and only read afterwards, and the lazily-lowered
-// closure IR is guarded by a sync.Once. One Compiled may therefore be
-// shared freely across concurrent runs — the contract the exper sweep
-// executor and the svc compile cache depend on (see TestConcurrentRun) —
-// and one front end may be relayouted and lowered at several layouts at
-// once.
+// is written once and only read afterwards, and the lazily-lowered IR
+// and its binding are each guarded by a sync.Once. One Compiled may
+// therefore be shared freely across concurrent runs — the contract the
+// exper sweep executor and the svc compile cache depend on (see
+// TestConcurrentRun) — and one front end may be relayouted, lowered and
+// bound at several layouts at once.
 type Compiled struct {
 	Source   string
 	AST      *pfl.Program
@@ -89,9 +96,18 @@ type Compiled struct {
 
 	opts CompileOptions // canonical: AlignWords > 0
 
-	lowerOnce sync.Once
-	lowered   *sim.Program
-	lowerErr  error
+	ir *lowering // shared by every Relayout of this front end
+
+	bindOnce sync.Once
+	lowered  *sim.Program
+	lowerErr error
+}
+
+// lowering is a front end's closure IR, lowered on first use.
+type lowering struct {
+	once sync.Once
+	ir   *sim.IR
+	err  error
 }
 
 // canonical applies Compile's defaults: AlignWords <= 0 means 4.
@@ -108,8 +124,11 @@ func (o CompileOptions) canonical() CompileOptions {
 // Compile applies) so equivalent spellings collide.
 func CompileKey(src string, opts CompileOptions) string {
 	opts = opts.canonical()
-	return contentKey(src, fmt.Sprintf("interproc=%t firstread=%t align=%d pad=%t",
-		opts.Interproc, opts.FirstReadReuse, opts.AlignWords, opts.PadScalars))
+	var buf [keyHeaderMax]byte
+	h := analysisHeader(buf[:0], opts)
+	h = strconv.AppendInt(append(h, " align="...), opts.AlignWords, 10)
+	h = strconv.AppendBool(append(h, " pad="...), opts.PadScalars)
+	return contentKey(src, h)
 }
 
 // AnalysisKey is the content address of Compile's front end for (src,
@@ -117,24 +136,50 @@ func CompileKey(src string, opts CompileOptions) string {
 // PadScalars, which the analysis and the marks do not depend on. Every
 // layout of one AnalysisKey may be built by Relayout from any other.
 func AnalysisKey(src string, opts CompileOptions) string {
-	return contentKey(src, fmt.Sprintf("interproc=%t firstread=%t",
-		opts.Interproc, opts.FirstReadReuse))
+	var buf [keyHeaderMax]byte
+	return contentKey(src, analysisHeader(buf[:0], opts))
 }
 
-// contentKey hashes an options header and the source it applies to.
-func contentKey(src, header string) string {
+// keyHeaderMax bounds a key's header with the source length line: the
+// options (at most 66 bytes) and two decimal int64s.
+const keyHeaderMax = 128
+
+// analysisHeader appends the analysis options' part of a key header.
+func analysisHeader(b []byte, opts CompileOptions) []byte {
+	b = strconv.AppendBool(append(b, "interproc="...), opts.Interproc)
+	return strconv.AppendBool(append(b, " firstread="...), opts.FirstReadReuse)
+}
+
+// contentKey hashes an options header and the source it applies to:
+// sha256 of header, "\n", len(src) in decimal, "\n", then src. The
+// source is hashed in place, never copied.
+func contentKey(src string, header []byte) string {
+	header = strconv.AppendInt(append(header, '\n'), int64(len(src)), 10)
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%d\n", header, len(src))
-	io.WriteString(h, src)
-	return hex.EncodeToString(h.Sum(nil))
+	h.Write(append(header, '\n'))
+	h.Write(unsafe.Slice(unsafe.StringData(src), len(src)))
+	var sum [sha256.Size]byte
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], h.Sum(sum[:0]))
+	return string(key[:])
 }
 
-// Lowered returns the program's slot-addressed closure IR, lowering on
-// first use and caching the result (safe for concurrent runs, e.g. the
+// Lowered returns the program's slot-addressed closure IR bound to its
+// layout. The front end's IR is lowered on the first call among all its
+// relayouts and shared by every one; each Compiled binds it to its own
+// Prog once and caches the result (safe for concurrent runs, e.g. the
 // exper sweep executor sharing one Compiled across goroutines).
 func (c *Compiled) Lowered() (*sim.Program, error) {
-	c.lowerOnce.Do(func() {
-		c.lowered, c.lowerErr = sim.Lower(c.Prog, c.Marks)
+	c.bindOnce.Do(func() {
+		c.ir.once.Do(func() {
+			var lp *sim.Program
+			if lp, c.ir.err = sim.Lower(c.Prog, c.Marks); c.ir.err == nil {
+				c.ir.ir = lp.IR()
+			}
+		})
+		if c.lowerErr = c.ir.err; c.lowerErr == nil {
+			c.lowered, c.lowerErr = c.ir.ir.Bind(c.Prog)
+		}
 	})
 	return c.lowered, c.lowerErr
 }
@@ -142,7 +187,7 @@ func (c *Compiled) Lowered() (*sim.Program, error) {
 // Compile runs the whole compiler pipeline on PFL source: the front end
 // (parse, check, section analysis, marking) over the layout that
 // opts.AlignWords and opts.PadScalars select. Lowering waits for the
-// first run (see Lowered).
+// first run of this or any Relayout of it (see Lowered).
 func Compile(src string, opts CompileOptions) (*Compiled, error) {
 	opts = opts.canonical()
 	ast, err := pfl.Parse(src)
@@ -160,12 +205,13 @@ func Compile(src string, opts CompileOptions) (*Compiled, error) {
 	a := sections.Analyze(p, sections.Options{Interproc: opts.Interproc})
 	m := marking.Compute(a, marking.Options{FirstReadReuse: opts.FirstReadReuse})
 	return &Compiled{Source: src, AST: ast, Info: info, Prog: p, Analysis: a, Marks: m,
-		Key: CompileKey(src, opts), opts: opts}, nil
+		Key: CompileKey(src, opts), opts: opts, ir: &lowering{}}, nil
 }
 
 // Relayout returns c's program at the layout opts selects, sharing c's
-// front end (AST, Info, Analysis, Marks) instead of analysing again; the
-// result has its own Prog, Key and lowering. The analysis options must
+// front end (AST, Info, Analysis, Marks) and its closure IR instead of
+// analysing and lowering again; the result has its own Prog and Key,
+// and binds the shared IR to that Prog. The analysis options must
 // match c's — marks computed under one Interproc or FirstReadReuse
 // setting are not the marks of another — or Relayout returns an error.
 func (c *Compiled) Relayout(opts CompileOptions) (*Compiled, error) {
@@ -179,7 +225,7 @@ func (c *Compiled) Relayout(opts CompileOptions) (*Compiled, error) {
 		return nil, err
 	}
 	return &Compiled{Source: c.Source, AST: c.AST, Info: c.Info, Prog: p, Analysis: c.Analysis, Marks: c.Marks,
-		Key: CompileKey(c.Source, opts), opts: opts}, nil
+		Key: CompileKey(c.Source, opts), opts: opts, ir: c.ir}, nil
 }
 
 // CompileForConfig compiles with the analysis toggles and alignment that

@@ -50,6 +50,39 @@ func TestParseConfigRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestParseConfigLeaseDefaults: the lease bound holds between the
+// values a Tardis run applies, so a zero field that takes its default
+// cannot slip a config past Validate whose canonical form it rejects.
+func TestParseConfigLeaseDefaults(t *testing.T) {
+	for _, c := range []struct {
+		json string
+		ok   bool
+	}{
+		{`{"LeaseEpochs": 0, "LeaseMax": 3}`, false},   // default 8 exceeds 3
+		{`{"LeaseEpochs": 300, "LeaseMax": 0}`, false}, // 300 exceeds the default 256
+		{`{"LeaseEpochs": 0, "LeaseMax": 8}`, true},
+		{`{"LeaseEpochs": 256, "LeaseMax": 0}`, true},
+		{`{"LeaseEpochs": 0, "LeaseMax": 0}`, true},
+	} {
+		for _, scheme := range []Scheme{SchemeTardis, SchemeTardis2} {
+			cfg, err := ParseConfig([]byte(c.json), Default(scheme))
+			if (err == nil) != c.ok {
+				t.Errorf("%v: ParseConfig(%s) error %v, want ok=%t", scheme, c.json, err, c.ok)
+				continue
+			}
+			if err == nil {
+				if err := cfg.Canonical().Validate(); err != nil {
+					t.Errorf("%v: canonical form of %s: %v", scheme, c.json, err)
+				}
+			}
+		}
+	}
+	// Other schemes ignore the lease fields, and Canonical leaves them.
+	if _, err := ParseConfig([]byte(`{"LeaseEpochs": 0, "LeaseMax": 3}`), Default(SchemeTPI)); err != nil {
+		t.Errorf("TPI: %v", err)
+	}
+}
+
 func TestSchemeJSONRoundTrip(t *testing.T) {
 	for _, s := range AllSchemes {
 		b, err := json.Marshal(s)

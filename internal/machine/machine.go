@@ -403,8 +403,11 @@ func (c Config) Clusters() int {
 	return (c.Procs + cs - 1) / cs
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. The lease bound holds between
+// the values a run applies: under a Tardis scheme a zero LeaseEpochs or
+// LeaseMax takes its default, as in Canonical.
 func (c Config) Validate() error {
+	leaseEpochs, leaseMax := c.EffectiveLeases()
 	switch {
 	case c.Procs <= 0:
 		return fmt.Errorf("machine: Procs must be positive, got %d", c.Procs)
@@ -432,8 +435,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("machine: LeaseEpochs must be >= 0, got %d", c.LeaseEpochs)
 	case c.LeaseMax < 0:
 		return fmt.Errorf("machine: LeaseMax must be >= 0, got %d", c.LeaseMax)
-	case c.LeaseMax > 0 && c.LeaseEpochs > c.LeaseMax:
-		return fmt.Errorf("machine: LeaseEpochs %d exceeds LeaseMax %d", c.LeaseEpochs, c.LeaseMax)
+	case leaseMax > 0 && leaseEpochs > leaseMax:
+		return fmt.Errorf("machine: LeaseEpochs %d exceeds LeaseMax %d", leaseEpochs, leaseMax)
 	}
 	l1 := max(c.L1Words, 0) // L1Words <= 0 means no L1
 	if c.CacheWords > MaxTotalCacheWords || l1 > MaxTotalCacheWords || int64(c.Procs)*(c.CacheWords+l1) > MaxTotalCacheWords {
@@ -509,15 +512,24 @@ func (c Config) Canonical() Config {
 	if c.HostParallel == 0 {
 		c.HostParallel = 1
 	}
+	c.LeaseEpochs, c.LeaseMax = c.EffectiveLeases()
+	return c
+}
+
+// EffectiveLeases returns the lease length and cap a run applies: under
+// a Tardis scheme a zero takes its default; other schemes ignore both,
+// and they are returned as set.
+func (c Config) EffectiveLeases() (epochs, leaseMax int64) {
+	epochs, leaseMax = c.LeaseEpochs, c.LeaseMax
 	if c.IsTardis() {
-		if c.LeaseEpochs == 0 {
-			c.LeaseEpochs = DefaultLeaseEpochs
+		if epochs == 0 {
+			epochs = DefaultLeaseEpochs
 		}
-		if c.LeaseMax == 0 {
-			c.LeaseMax = DefaultLeaseMax
+		if leaseMax == 0 {
+			leaseMax = DefaultLeaseMax
 		}
 	}
-	return c
+	return epochs, leaseMax
 }
 
 // CanonicalJSON is the deterministic serialization used for cache keys:

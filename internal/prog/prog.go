@@ -11,6 +11,8 @@ package prog
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 
 	"repro/internal/machine"
 	"repro/internal/pfl"
@@ -186,11 +188,16 @@ func (p *Prog) addVar(name string, base Word, size int64) {
 }
 
 // EvalParamExpr evaluates a compile-time integer expression over params.
+// Integer literals past int64 and results that overflow it are errors at
+// the offending position, never wrapped values.
 func (p *Prog) EvalParamExpr(e pfl.Expr) (int64, error) {
 	switch ex := e.(type) {
 	case *pfl.NumLit:
 		if !ex.IsInt {
 			return 0, fmt.Errorf("prog: %s: expected integer constant", ex.Pos)
+		}
+		if ex.Val >= 1<<63 {
+			return 0, fmt.Errorf("prog: %s: integer constant %s overflows int64", ex.Pos, strconv.FormatFloat(ex.Val, 'f', 0, 64))
 		}
 		return int64(ex.Val), nil
 	case *pfl.VarRef:
@@ -206,6 +213,9 @@ func (p *Prog) EvalParamExpr(e pfl.Expr) (int64, error) {
 		if ex.Op != "-" {
 			return 0, fmt.Errorf("prog: %s: invalid constant op %q", ex.Pos, ex.Op)
 		}
+		if v == math.MinInt64 {
+			return 0, overflowErr(ex.Pos, "-")
+		}
 		return -v, nil
 	case *pfl.BinExpr:
 		x, err := p.EvalParamExpr(ex.X)
@@ -218,14 +228,26 @@ func (p *Prog) EvalParamExpr(e pfl.Expr) (int64, error) {
 		}
 		switch ex.Op {
 		case "+":
+			if (y > 0 && x > math.MaxInt64-y) || (y < 0 && x < math.MinInt64-y) {
+				return 0, overflowErr(ex.Pos, ex.Op)
+			}
 			return x + y, nil
 		case "-":
+			if (y < 0 && x > math.MaxInt64+y) || (y > 0 && x < math.MinInt64+y) {
+				return 0, overflowErr(ex.Pos, ex.Op)
+			}
 			return x - y, nil
 		case "*":
+			if x != 0 && ((x*y)/x != y || (x == -1 && y == math.MinInt64)) {
+				return 0, overflowErr(ex.Pos, ex.Op)
+			}
 			return x * y, nil
 		case "/":
 			if y == 0 {
 				return 0, fmt.Errorf("prog: %s: division by zero", ex.Pos)
+			}
+			if x == math.MinInt64 && y == -1 {
+				return 0, overflowErr(ex.Pos, ex.Op)
 			}
 			return x / y, nil
 		case "%":
@@ -239,6 +261,11 @@ func (p *Prog) EvalParamExpr(e pfl.Expr) (int64, error) {
 	default:
 		return 0, fmt.Errorf("prog: %s: invalid constant expression", e.Position())
 	}
+}
+
+// overflowErr reports a constant operation whose result leaves int64.
+func overflowErr(pos pfl.Pos, op string) error {
+	return fmt.Errorf("prog: %s: constant %q overflows int64", pos, op)
 }
 
 // Address linearizes an element reference. Subscripts out of range are an

@@ -196,3 +196,34 @@ func TestAffineConversion(t *testing.T) {
 		t.Fatal("-i")
 	}
 }
+
+// TestParamOverflow: a constant expression whose value leaves int64 is
+// an error at the operator or literal, never a wrapped extent.
+func TestParamOverflow(t *testing.T) {
+	for _, c := range []struct{ expr, want string }{
+		{"4294967296 * 4294967296 + 5", `3:22: constant "*" overflows int64`},
+		{"9223372036854775807", "3:11: integer constant 9223372036854775808 overflows int64"},
+		{"-4611686018427387904 * 2 / -1", `3:36: constant "/" overflows int64`},
+		{"-(-4611686018427387904 * 2)", `3:11: constant "-" overflows int64`},
+		{"4611686018427387904 + 4611686018427387904", `3:31: constant "+" overflows int64`},
+		{"-4611686018427387904 * 2 - 1", `3:36: constant "-" overflows int64`},
+		{"-1 * (-4611686018427387904 * 2)", `3:14: constant "*" overflows int64`},
+	} {
+		ast, err := pfl.Parse("program p\narray A[4]\nparam m = " + c.expr + "\nproc main() { A[0] = m }")
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := pfl.Check(ast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Build(info, 4); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("param m = %s: error %v, want %q", c.expr, err, c.want)
+		}
+	}
+	// Intermediate values at the edge of int64 still evaluate.
+	p := build(t, "program p\nparam m = -4611686018427387904 * 2 + 4611686018427387904 + 4611686018427387904 + 4\narray A[m]\nproc main() { A[0] = 1 }", 4)
+	if p.Params["m"] != 4 {
+		t.Fatalf("m = %d, want 4", p.Params["m"])
+	}
+}

@@ -52,7 +52,7 @@ func (r *Runner) noteStreamFallback(diagIdx int, reason string) {
 		r.fpSeen = map[fpKey]struct{}{}
 	}
 	r.fpSeen[k] = struct{}{}
-	d := r.lp.streamDiags[diagIdx]
+	d := r.lp.ir.streamDiags[diagIdx]
 	r.fpMisses = append(r.fpMisses, FastPathMiss{
 		Kind:   "stream-loop",
 		Proc:   d.Proc,

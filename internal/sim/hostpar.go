@@ -119,7 +119,7 @@ func (hp *hostPar) run(ld *loweredDoall, t *task, lo, hi int64) {
 		// Fresh frame per epoch: the workers read enclosing loop-variable
 		// slots, so each needs its own copy of the scheduler's frame.
 		wt.slots = append(wt.slots[:0], t.slots...)
-		wt.arrays = t.arrays
+		wt.arrays, wt.bases = t.arrays, t.bases
 		wt.inCrit = false
 	}
 	if !hp.running {

@@ -106,7 +106,7 @@ proc main() {
 		t.Fatal(err)
 	}
 	var got []bool
-	for _, proc := range lp.procs {
+	for _, proc := range lp.ir.procs {
 		for i := range proc.nodes {
 			if d := proc.nodes[i].doall; d != nil {
 				got = append(got, d.seqOnly)

@@ -4,19 +4,25 @@
 // spend its cycles on name lookups (map[string]int64 frames), per-node
 // interface dispatch, and a fresh []int64 per array reference. Lower
 // translates each procedure body into a slot-addressed closure IR
-// exactly once per compiled program:
+// exactly once per analysed front end, whatever its memory layout:
 //
 //   - loop variables resolve to integer slots in a flat []int64 frame;
 //   - prog.Params constants fold in place (keeping their operator cycle
 //     charges, so timing is unchanged);
-//   - scalar and array references pre-resolve to *prog.ScalarInfo /
-//     *prog.ArrayInfo with precomputed row-major strides, so subscript
-//     linearization allocates nothing;
+//   - scalar and array references resolve to the global's position in
+//     prog.Prog.Vars, and array references precompute their row-major
+//     strides, so subscript linearization allocates nothing;
 //   - compiler marks (Time-Read windows, bypass) resolve per reference
 //     at lower time instead of per executed load;
 //   - statements and expressions become pre-bound func(*task) closures,
 //     removing the per-node type switch and error-return ladder from
 //     the inner loop.
+//
+// No address enters a closure. Where globals sit depends on the line
+// size and scalar padding, and the analysis does not, so every layout
+// of one front end shares one IR: a Program binds it to a layout's
+// table of global base addresses, which the closures read per
+// reference (the stream path once per loop entry).
 //
 // Static errors (unbound names, unknown operators or intrinsics,
 // constant zero loop steps) are diagnosed once here. Genuinely dynamic
@@ -34,6 +40,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/epochg"
@@ -44,24 +51,69 @@ import (
 	"repro/internal/sections"
 )
 
-// Program is a compiled program lowered to the closure IR, ready to be
-// executed any number of times (it is immutable after Lower and safe
-// for concurrent Runners).
-type Program struct {
-	prog        *prog.Prog
-	marks       *marking.Result
+// IR is a program lowered to the closure IR. Its closures name each
+// global by its position in prog.Prog.Vars and read the global's address
+// from the layout the run is bound to, so one IR serves every layout of
+// its front end: every line size and scalar padding. It is immutable
+// after Lower and safe for concurrent use.
+type IR struct {
 	procs       map[string]*loweredProc
 	streamDiags []StreamDiag
+
+	// vars are the lowering layout's globals, read for their names, and
+	// shapes their array geometry by the same position, nil for a
+	// scalar. Only Dims, Strides and Name of a shape are read: its Base
+	// is the lowering layout's.
+	vars   []prog.Var
+	shapes []*prog.ArrayInfo
+	inits  []scalarInit // scalar initial values, in Vars order
+}
+
+// scalarInit is one scalar's load-time value.
+type scalarInit struct {
+	v    int // position in Vars
+	init float64
+}
+
+// Program is an IR bound to one memory layout: the IR plus the table of
+// global base addresses its runs read. It is immutable and safe for
+// concurrent Runners.
+type Program struct {
+	ir    *IR
+	prog  *prog.Prog
+	bases []prog.Word // prog.Vars[i].Base
 }
 
 // Prog exposes the underlying program model (memory layout, scalars).
 func (lp *Program) Prog() *prog.Prog { return lp.prog }
 
+// IR returns the layout-free closure IR the program runs.
+func (lp *Program) IR() *IR { return lp.ir }
+
 // StreamDiags reports every innermost-loop fast-path recognition
 // decision, in lowering order (procedures sorted by name). Recognition
 // is config-independent; whether a recognized loop actually streams at
 // run time depends on the scheme and observation level (see Runner.Run).
-func (lp *Program) StreamDiags() []StreamDiag { return lp.streamDiags }
+func (lp *Program) StreamDiags() []StreamDiag { return lp.ir.streamDiags }
+
+// Bind attaches the IR to p's layout, in O(#globals) and without
+// lowering. p must lay out the globals the IR was lowered from (the same
+// names and array shapes, in the same order): any layout of the same
+// checked program qualifies.
+func (ir *IR) Bind(p *prog.Prog) (*Program, error) {
+	if len(p.Vars) != len(ir.vars) {
+		return nil, fmt.Errorf("sim: layout has %d globals, the lowered program %d", len(p.Vars), len(ir.vars))
+	}
+	bases := make([]prog.Word, len(p.Vars))
+	for i, v := range p.Vars {
+		ai, shape := p.Arrays[v.Name], ir.shapes[i]
+		if v.Name != ir.vars[i].Name || (ai == nil) != (shape == nil) || (ai != nil && !slices.Equal(ai.Dims, shape.Dims)) {
+			return nil, fmt.Errorf("sim: layout global %d, %s, is not the lowered program's %s", i, v.Name, ir.vars[i].Name)
+		}
+		bases[i] = v.Base
+	}
+	return &Program{ir: ir, prog: p, bases: bases}, nil
+}
 
 // evalFn evaluates an expression in a task context, charging operator
 // cycles and driving memory references through the coherence scheme.
@@ -81,19 +133,23 @@ type loweredProc struct {
 	nodes    []loweredNode // indexed by EFG node ID
 }
 
-// modRef names one may-written variable of an epoch node: either a
-// formal array binding (resolved through the frame at runtime) or a
-// global, by its position in prog.Prog.Vars.
-type modRef struct {
+// varRef names a variable: a global by its position in prog.Prog.Vars,
+// or a formal array binding, resolved through the frame at run time.
+type varRef struct {
 	formal int // binding index, or -1 for a global
 	v      int // the global's position in Vars
 }
 
-// arraySrc resolves an array name: fixed at lower time for globals,
-// through the frame's formal bindings otherwise.
-type arraySrc struct {
-	fixed  *prog.ArrayInfo
-	formal int
+// global is the varRef of the global at position v in Vars.
+func global(v int) varRef { return varRef{formal: -1, v: v} }
+
+// resolve returns the position in Vars of the global the reference
+// names under an invocation's formal bindings.
+func (r varRef) resolve(arrays []int) int {
+	if r.formal >= 0 {
+		return arrays[r.formal]
+	}
+	return r.v
 }
 
 // loweredDoall is a parallel loop's executable payload.
@@ -128,9 +184,9 @@ type loweredNode struct {
 	doall *loweredDoall // KindDoall
 
 	callee   *loweredProc // KindCall
-	callArgs []arraySrc
+	callArgs []varRef
 
-	mods []modRef // may-written variables (counting nodes only)
+	mods []varRef // may-written variables (counting nodes only)
 }
 
 // runError carries a runtime diagnostic out of the closure IR;
@@ -148,9 +204,15 @@ func failAddr(pos pfl.Pos, ai *prog.ArrayInfo, d int, i int64) {
 }
 
 // Lower translates every analyzed procedure of a compiled program into
-// the closure IR. All static diagnostics surface here, once.
+// the closure IR and binds it to p's layout. All static diagnostics
+// surface here, once; the IR (Program.IR) serves every other layout of
+// the same program through Bind.
 func Lower(p *prog.Prog, marks *marking.Result) (*Program, error) {
-	l := &lowerer{p: p, marks: marks, procs: map[string]*loweredProc{}}
+	shapes := make([]*prog.ArrayInfo, len(p.Vars))
+	for _, ai := range p.Arrays {
+		shapes[ai.Var] = ai
+	}
+	l := &lowerer{p: p, marks: marks, procs: map[string]*loweredProc{}, shapes: shapes}
 	names := make([]string, 0, len(marks.Analysis.Procs))
 	for name := range marks.Analysis.Procs {
 		names = append(names, name)
@@ -164,14 +226,29 @@ func Lower(p *prog.Prog, marks *marking.Result) (*Program, error) {
 	if l.procs["main"] == nil {
 		return nil, fmt.Errorf("sim: no analysis for proc %q", "main")
 	}
-	return &Program{prog: p, marks: marks, procs: l.procs, streamDiags: l.streamDiags}, nil
+	ir := &IR{procs: l.procs, streamDiags: l.streamDiags, vars: p.Vars, shapes: shapes}
+	for v, g := range p.Vars {
+		if sc := p.Scalars[g.Name]; sc != nil {
+			ir.inits = append(ir.inits, scalarInit{v: v, init: sc.Init})
+		}
+	}
+	return ir.Bind(p)
 }
 
 type lowerer struct {
-	p           *prog.Prog
+	p           *prog.Prog // names, parameters and shapes; never addresses
 	marks       *marking.Result
 	procs       map[string]*loweredProc
 	streamDiags []StreamDiag
+	shapes      []*prog.ArrayInfo // IR.shapes
+}
+
+// scalar returns the position in Vars of the global scalar name.
+func (l *lowerer) scalar(name string) (int, bool) {
+	if l.p.Scalars[name] == nil {
+		return 0, false
+	}
+	return l.p.VarIndex[name], true
 }
 
 // premark resolves a reference's compiler mark to the memory-system
@@ -345,7 +422,7 @@ func (pl *procLowerer) node(n *epochg.Node, ln *loweredNode, summary *sections.N
 		ln.mods = pl.modRefs(summary)
 
 	case epochg.KindCall:
-		ln.callArgs = make([]arraySrc, len(n.Call.Args))
+		ln.callArgs = make([]varRef, len(n.Call.Args))
 		for i, arg := range n.Call.Args {
 			if ln.callArgs[i], err = pl.arraySrc(arg); err != nil {
 				return err
@@ -362,30 +439,30 @@ func (pl *procLowerer) node(n *epochg.Node, ln *loweredNode, summary *sections.N
 // modRefs pre-translates a node's may-written variable names: formal
 // array names become binding indices resolved at runtime, globals their
 // position in the program's Vars.
-func (pl *procLowerer) modRefs(summary *sections.NodeSummary) []modRef {
+func (pl *procLowerer) modRefs(summary *sections.NodeSummary) []varRef {
 	if summary == nil {
 		return nil
 	}
-	var mods []modRef
+	var mods []varRef
 	for _, name := range summary.Mod.Names() {
 		if fi, ok := pl.formals[name]; ok {
-			mods = append(mods, modRef{formal: fi})
+			mods = append(mods, varRef{formal: fi})
 		} else if v, ok := pl.l.p.VarIndex[name]; ok {
-			mods = append(mods, modRef{formal: -1, v: v})
+			mods = append(mods, global(v))
 		}
 	}
 	return mods
 }
 
 // arraySrc resolves an array name through the formal bindings.
-func (pl *procLowerer) arraySrc(name string) (arraySrc, error) {
+func (pl *procLowerer) arraySrc(name string) (varRef, error) {
 	if i, ok := pl.formals[name]; ok {
-		return arraySrc{formal: i}, nil
+		return varRef{formal: i}, nil
 	}
 	if ai, ok := pl.l.p.Arrays[name]; ok {
-		return arraySrc{fixed: ai}, nil
+		return global(ai.Var), nil
 	}
-	return arraySrc{}, fmt.Errorf("sim: unknown array %q", name)
+	return varRef{}, fmt.Errorf("sim: unknown array %q", name)
 }
 
 // block lowers a statement block.
@@ -410,16 +487,15 @@ func (pl *procLowerer) stmt(s pfl.Stmt) (stmtFn, error) {
 		}
 		switch lhs := st.LHS.(type) {
 		case *pfl.VarRef:
-			sc := pl.l.p.Scalars[lhs.Name]
-			if sc == nil {
+			sv, ok := pl.l.scalar(lhs.Name)
+			if !ok {
 				return nil, fmt.Errorf("sim: %s: assignment to non-scalar %q", lhs.Pos, lhs.Name)
 			}
-			addr := sc.Addr
 			ref := int32(lhs.RefID)
 			return func(t *task) {
 				v := rhs(t)
 				t.charge(1)
-				t.r.write(t, addr, v, ref)
+				t.r.write(t, t.bases[sv], v, ref)
 			}, nil
 		case *pfl.IndexRef:
 			af, err := pl.addrFn(lhs)
@@ -619,8 +695,7 @@ func (pl *procLowerer) expr(e pfl.Expr) (lexpr, error) {
 		if pv, ok := pl.l.p.Params[ex.Name]; ok {
 			return constExpr(float64(pv), 0), nil
 		}
-		if sc := pl.l.p.Scalars[ex.Name]; sc != nil {
-			addr := sc.Addr
+		if sv, ok := pl.l.scalar(ex.Name); ok {
 			kind, window := pl.l.premark(ex.RefID)
 			ref := int32(ex.RefID)
 			return lexpr{fn: func(t *task) float64 {
@@ -628,7 +703,7 @@ func (pl *procLowerer) expr(e pfl.Expr) (lexpr, error) {
 				if t.inCrit {
 					k, w = memsys.ReadBypass, 0
 				}
-				return t.r.read(t, addr, k, w, ref)
+				return t.r.read(t, t.bases[sv], k, w, ref)
 			}}, nil
 		}
 		return lexpr{}, fmt.Errorf("sim: %s: unbound name %q", ex.Pos, ex.Name)
@@ -922,9 +997,9 @@ func (pl *procLowerer) intrinsic(ex *pfl.CallExpr) (lexpr, error) {
 }
 
 // addrFn lowers an array element reference to an allocation-free
-// address computation over precomputed strides. Ranks 1 and 2 (the
-// kernels' shapes) get dedicated closures; higher ranks and formal
-// bindings share the generic path.
+// address computation over precomputed strides and the bound layout's
+// base address. Ranks 1 and 2 (the kernels' shapes) get dedicated
+// closures; higher ranks and formal bindings share the generic path.
 func (pl *procLowerer) addrFn(e *pfl.IndexRef) (addrFn, error) {
 	src, err := pl.arraySrc(e.Name)
 	if err != nil {
@@ -937,24 +1012,26 @@ func (pl *procLowerer) addrFn(e *pfl.IndexRef) (addrFn, error) {
 		}
 	}
 	pos := e.Pos
-	if ai := src.fixed; ai != nil {
+	if src.formal < 0 {
+		v := src.v
+		ai := pl.l.shapes[v]
 		if len(subs) != len(ai.Dims) {
 			return nil, fmt.Errorf("sim: %s: prog: array %s: got %d subscripts, want %d",
 				pos, ai.Name, len(subs), len(ai.Dims))
 		}
 		switch len(subs) {
 		case 1:
-			s0, d0, base := subs[0], ai.Dims[0], ai.Base
+			s0, d0 := subs[0], ai.Dims[0]
 			return func(t *task) prog.Word {
 				i := int64(s0(t))
 				if i < 0 || i >= d0 {
 					failAddr(pos, ai, 0, i)
 				}
-				return base + prog.Word(i)
+				return t.bases[v] + prog.Word(i)
 			}, nil
 		case 2:
 			s0, s1 := subs[0], subs[1]
-			d0, d1, stride0, base := ai.Dims[0], ai.Dims[1], ai.Strides[0], ai.Base
+			d0, d1, stride0 := ai.Dims[0], ai.Dims[1], ai.Strides[0]
 			return func(t *task) prog.Word {
 				i := int64(s0(t))
 				j := int64(s1(t))
@@ -964,19 +1041,22 @@ func (pl *procLowerer) addrFn(e *pfl.IndexRef) (addrFn, error) {
 				if j < 0 || j >= d1 {
 					failAddr(pos, ai, 1, j)
 				}
-				return base + prog.Word(i*stride0+j)
+				return t.bases[v] + prog.Word(i*stride0+j)
 			}, nil
 		default:
-			return func(t *task) prog.Word { return addrGeneric(t, pos, ai, subs) }, nil
+			return func(t *task) prog.Word { return addrGeneric(t, pos, ai, t.bases[v], subs) }, nil
 		}
 	}
-	fi := src.formal
-	return func(t *task) prog.Word { return addrGeneric(t, pos, t.arrays[fi], subs) }, nil
+	fi, shapes := src.formal, pl.l.shapes
+	return func(t *task) prog.Word {
+		v := t.arrays[fi]
+		return addrGeneric(t, pos, shapes[v], t.bases[v], subs)
+	}, nil
 }
 
 // addrGeneric linearizes a reference of any rank against a (possibly
-// runtime-bound) array without allocating.
-func addrGeneric(t *task, pos pfl.Pos, ai *prog.ArrayInfo, subs []evalFn) prog.Word {
+// runtime-bound) array shape and base without allocating.
+func addrGeneric(t *task, pos pfl.Pos, ai *prog.ArrayInfo, base prog.Word, subs []evalFn) prog.Word {
 	var lin int64
 	for d, sf := range subs {
 		i := int64(sf(t))
@@ -985,5 +1065,5 @@ func addrGeneric(t *task, pos pfl.Pos, ai *prog.ArrayInfo, subs []evalFn) prog.W
 		}
 		lin += i * ai.Strides[d]
 	}
-	return ai.Base + prog.Word(lin)
+	return base + prog.Word(lin)
 }

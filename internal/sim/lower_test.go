@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/memsys"
+	"repro/internal/prog"
 )
 
 // TestLowerDiagnosesConstZeroStep: a statically-zero loop step is a
@@ -179,5 +180,48 @@ proc main() {
 	}
 	if fc != lc {
 		t.Fatalf("cycles diverge under folding: param-folded %d, literal %d", fc, lc)
+	}
+}
+
+// TestBindOnlyToTheSameGlobals: an IR binds to any layout of its own
+// program, padded scalars included, and to nothing else: a layout with
+// other globals, or the same names in other shapes, is an error.
+func TestBindOnlyToTheSameGlobals(t *testing.T) {
+	const src = `
+program p
+scalar s = 2.5
+array A[8][4]
+proc main() { A[1][2] = s }
+`
+	p, m := compileSrc(t, src)
+	lp, err := Lower(p, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded, err := prog.BuildPadded(p.Info, 8, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := lp.IR().Bind(padded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := machine.Default(machine.SchemeBase)
+	sys := memsys.NewOracle(cfg, padded.MemWords)
+	if _, err := NewLowered(bound, sys, cfg).Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.Mem().Read(padded.Arrays["A"].Base + 6); got != 2.5 {
+		t.Fatalf("A[1][2] at the padded layout = %v, want 2.5", got)
+	}
+	for _, other := range []string{
+		"program p\nscalar s = 2.5\narray A[4][8]\nproc main() { A[1][2] = s }",
+		"program p\nscalar t = 2.5\narray A[8][4]\nproc main() { A[1][2] = t }",
+		"program p\narray A[8][4]\nproc main() { A[1][2] = 1 }",
+	} {
+		op, _ := compileSrc(t, other)
+		if _, err := lp.IR().Bind(op); err == nil {
+			t.Errorf("Bind to the layout of %q: no error", other)
+		}
 	}
 }

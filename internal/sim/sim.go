@@ -154,17 +154,16 @@ func (r *Runner) frame(d int) *frame {
 // and reused by every invocation at that depth.
 type frame struct {
 	t      task
-	loops  []loopState       // per EFG node: header iteration state
-	arrays []*prog.ArrayInfo // the invocation's formal-array bindings
+	loops  []loopState // per EFG node: header iteration state
+	arrays []int       // the invocation's formal-array bindings: positions in Vars
 }
 
 // scrub drops the frame's references into the finished run and reports
 // the bytes it keeps.
 func (f *frame) scrub() int64 {
-	clear(f.arrays[:cap(f.arrays)])
 	f.arrays = f.arrays[:0]
 	return int64(unsafe.Sizeof(*f)) + int64(cap(f.loops))*int64(unsafe.Sizeof(loopState{})) +
-		int64(cap(f.arrays))*ptrSize + f.t.scrub()
+		int64(cap(f.arrays))*8 + f.t.scrub()
 }
 
 const ptrSize = int64(unsafe.Sizeof(uintptr(0)))
@@ -180,7 +179,7 @@ func zeroed[T any](s []T, n int) []T {
 }
 
 // NewLowered builds a runner over an already-lowered program, so the
-// lowering cost is paid once per compiled program rather than per run.
+// lowering cost is paid once per program rather than per run.
 func NewLowered(lp *Program, sys memsys.System, cfg machine.Config) *Runner {
 	maxE := cfg.MaxEpochs
 	if maxE == 0 {
@@ -218,10 +217,10 @@ func (r *Runner) Run() (st *stats.Stats, err error) {
 	}
 	r.buffered = r.sys.EpochBuffered()
 	r.setupHostParallel()
-	for _, sc := range r.lp.prog.Scalars {
-		r.sys.Mem().InitWord(sc.Addr, sc.Init)
+	for _, in := range r.lp.ir.inits {
+		r.sys.Mem().InitWord(r.lp.bases[in.v], in.init)
 	}
-	r.runProc(r.lp.procs["main"], 0)
+	r.runProc(r.lp.ir.procs["main"], 0)
 	r.endEpoch() // flush trailing structural-node work into the total
 	st = r.sys.Stats()
 	st.Cycles = r.cycles
@@ -235,14 +234,16 @@ func (r *Runner) Run() (st *stats.Stats, err error) {
 
 // task is the execution context of one running task: the frame of loop
 // variable slots plus the formal-array bindings of the enclosing
-// procedure invocation. A frame's task serves every task of a procedure
-// walk; only proc (and transiently inCrit) change.
+// procedure invocation, and the bound layout's global base addresses. A
+// frame's task serves every task of a procedure walk; only proc (and
+// transiently inCrit) change.
 type task struct {
 	r      *Runner
 	proc   int
 	inCrit bool
 	slots  []int64
-	arrays []*prog.ArrayInfo
+	arrays []int       // formal-array bindings: positions in Vars
+	bases  []prog.Word // the run's Program.bases
 
 	// Per-task event sinks. Sequential execution points them at the
 	// runner's own stats/recorder; inside a host-parallel epoch each
@@ -258,10 +259,10 @@ type task struct {
 
 // enter readies a frame's task for a walk of a procedure with numSlots
 // loop-variable slots over the given formal-array bindings.
-func (t *task) enter(r *Runner, numSlots int, arrays []*prog.ArrayInfo) {
+func (t *task) enter(r *Runner, numSlots int, arrays []int) {
 	t.r, t.proc, t.inCrit = r, 0, false
 	t.slots = zeroed(t.slots, numSlots)
-	t.arrays = arrays
+	t.arrays, t.bases = arrays, r.lp.bases
 	t.st, t.rec = r.st, nil
 	if r.rec != nil {
 		t.rec = r.rec
@@ -271,7 +272,7 @@ func (t *task) enter(r *Runner, numSlots int, arrays []*prog.ArrayInfo) {
 // scrub drops the task's references into the finished run and reports
 // the bytes it keeps.
 func (t *task) scrub() int64 {
-	t.r, t.arrays, t.st, t.rec = nil, nil, nil, nil
+	t.r, t.arrays, t.bases, t.st, t.rec = nil, nil, nil, nil, nil
 	return int64(unsafe.Sizeof(*t)) + int64(cap(t.slots))*8 + t.ss.scrub()
 }
 
@@ -367,11 +368,7 @@ func (r *Runner) runProc(lp *loweredProc, depth int) {
 			callee := r.frame(depth + 1)
 			callee.arrays = callee.arrays[:0]
 			for _, src := range ln.callArgs {
-				ai := src.fixed
-				if ai == nil {
-					ai = arrays[src.formal]
-				}
-				callee.arrays = append(callee.arrays, ai)
+				callee.arrays = append(callee.arrays, src.resolve(arrays))
 			}
 			r.runProc(ln.callee, depth+1)
 			n = onlySucc(n)
@@ -446,7 +443,7 @@ func (r *Runner) enterEpoch() {
 // noteEpochMods reports the finishing epoch's may-written variables to a
 // version-tracking scheme (VC), resolving formal bindings to the bound
 // actuals.
-func (r *Runner) noteEpochMods(ln *loweredNode, arrays []*prog.ArrayInfo) {
+func (r *Runner) noteEpochMods(ln *loweredNode, arrays []int) {
 	if len(ln.mods) == 0 {
 		return
 	}
@@ -456,11 +453,7 @@ func (r *Runner) noteEpochMods(ln *loweredNode, arrays []*prog.ArrayInfo) {
 	}
 	r.mods = r.mods[:0]
 	for _, m := range ln.mods {
-		if m.formal >= 0 {
-			r.mods = append(r.mods, arrays[m.formal].Var)
-		} else {
-			r.mods = append(r.mods, m.v)
-		}
+		r.mods = append(r.mods, m.resolve(arrays))
 	}
 	vs.EpochMods(r.mods)
 }

@@ -96,9 +96,8 @@ type subFn func(t *task, j int64) float64
 // streamRef is one reference stream: a scalar (stride 0) or an affine
 // array reference walked by the driver.
 type streamRef struct {
-	src    arraySrc
+	src    varRef
 	scalar bool
-	addr   prog.Word // scalar address
 	kind   memsys.ReadKind
 	window int
 	ref    int32
@@ -198,7 +197,8 @@ func (pl *procLowerer) tryStream(st *pfl.ForStmt, slot int, body []stmtFn) (*str
 		case *pfl.VarRef:
 			// The scalar lowering of this statement succeeded, so the
 			// name is a global scalar.
-			wref = streamRef{scalar: true, addr: pl.l.p.Scalars[lhs.Name].Addr, ref: int32(lhs.RefID)}
+			sv, _ := pl.l.scalar(lhs.Name)
+			wref = streamRef{src: global(sv), scalar: true, ref: int32(lhs.RefID)}
 		case *pfl.IndexRef:
 			wref, lhsCost, blk = pl.streamIndex(lhs, slot)
 			if blk != nil {
@@ -372,10 +372,10 @@ func (pl *procLowerer) streamExpr(e pfl.Expr, jslot int, sl *streamLoop, ops *[]
 			push(sop{op: opConst, val: float64(pv)})
 			return 0, nil
 		}
-		if sc := pl.l.p.Scalars[ex.Name]; sc != nil {
+		if sv, ok := pl.l.scalar(ex.Name); ok {
 			kind, window := pl.l.premark(ex.RefID)
 			sl.reads = append(sl.reads, streamRef{
-				scalar: true, addr: sc.Addr, kind: kind, window: window, ref: int32(ex.RefID),
+				src: global(sv), scalar: true, kind: kind, window: window, ref: int32(ex.RefID),
 			})
 			push(sop{op: opLoad, a: int32(len(sl.reads) - 1)})
 			return 0, nil
@@ -546,19 +546,19 @@ func (sc *streamScratch) scrub() int64 {
 		int64(cap(sc.raddr)+cap(sc.rstep)+cap(sc.waddr)+cap(sc.wstep)+cap(sc.stack))*8
 }
 
-// streamRefInit resolves one stream's base address and word stride at
-// loop entry by sampling the subscript evaluators at the first, second,
-// and last iteration. It reports false when the stream cannot be proven
-// exact-and-in-bounds, in which case the caller falls back to scalar
-// iteration (which reproduces any range fault exactly).
+// streamRefInit resolves one stream's start address and word stride at
+// loop entry: the variable's base from the bound layout, and the
+// subscript evaluators sampled at the first, second, and last iteration.
+// It reports false when the stream cannot be proven exact-and-in-bounds,
+// in which case the caller falls back to scalar iteration (which
+// reproduces any range fault exactly).
 func streamRefInit(t *task, r *streamRef, lo, step, last, count int64) (prog.Word, int64, bool) {
+	v := r.src.resolve(t.arrays)
+	base := t.bases[v]
 	if r.scalar {
-		return r.addr, 0, true
+		return base, 0, true
 	}
-	ai := r.src.fixed
-	if ai == nil {
-		ai = t.arrays[r.src.formal]
-	}
+	ai := t.r.lp.ir.shapes[v]
 	if len(r.subs) != len(ai.Dims) {
 		return 0, 0, false
 	}
@@ -592,7 +592,7 @@ func streamRefInit(t *task, r *streamRef, lo, step, last, count int64) (prog.Wor
 		lin += v0 * ai.Strides[d]
 		strideW += c * ai.Strides[d]
 	}
-	return ai.Base + prog.Word(lin), strideW, true
+	return base + prog.Word(lin), strideW, true
 }
 
 // runStream executes a recognized loop through the scheme's stream

@@ -107,7 +107,7 @@ type Server struct {
 	jobWG     sync.WaitGroup // one count per accepted (non-cached) submission
 
 	compiles      flightGroup[*core.Compiled]
-	analysisCache *lruCache[*core.Compiled] // front ends, never lowered
+	analysisCache *lruCache[*core.Compiled] // front ends, never run; each holds its shared IR
 	compileCache  *lruCache[*core.Compiled]
 	resultCache   *lruCache[[]byte]
 
@@ -484,8 +484,10 @@ func (s *Server) runJob(jb *job) {
 // present; concurrent misses on the same key compile once. A miss
 // relayouts the program's front end from the analysis tier, analysing
 // only when that misses too. Runs only ever get a Relayout, never the
-// analysis tier's entry itself, so that entry is never lowered and
-// evicting a program from the compile tier frees its lowered IR.
+// analysis tier's entry itself. Every Relayout of one front end shares
+// its closure IR, lowered on the first run of any of them, so a miss
+// costs a layout and a binding of that IR, not a lowering; evicting a
+// program from the compile tier frees only its layout and binding.
 func (s *Server) compile(res *resolved) (*core.Compiled, error) {
 	if c, ok := s.compileCache.Get(res.compileKey); ok {
 		return c, nil

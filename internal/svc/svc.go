@@ -10,7 +10,8 @@
 //     front end (parse, check, sections, marks), a compile cache keyed by
 //     sha256(source, CompileOptions) holding *core.Compiled at one layout
 //     (each a Relayout of its analysis entry, so a new line size or
-//     scalar padding costs a layout and a lowering, not a new analysis),
+//     scalar padding costs a layout and a binding of the front end's
+//     one closure IR, not a new analysis or lowering),
 //     and a result cache keyed by sha256(compile key, canonical
 //     machine.Config, obs.Level, program label) holding core.RunResult
 //     JSON,

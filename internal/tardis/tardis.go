@@ -171,21 +171,12 @@ type System struct {
 	maxHist  int8  // largest hist with lease<<hist <= leaseMax
 }
 
-// New builds a Tardis system. memWords is the program's data extent.
+// New builds a Tardis system. memWords is the program's data extent;
+// cfg must pass Validate, as core.NewSystem checks.
 func New(cfg machine.Config, memWords int64) *System {
 	s := &System{Core: memsys.NewCore(cfg, memWords)}
 	s.home = s.EnableHome(rowWords)
-	s.lease = cfg.LeaseEpochs
-	if s.lease <= 0 {
-		s.lease = machine.DefaultLeaseEpochs
-	}
-	s.leaseMax = cfg.LeaseMax
-	if s.leaseMax <= 0 {
-		s.leaseMax = machine.DefaultLeaseMax
-	}
-	if s.leaseMax < s.lease {
-		s.leaseMax = s.lease
-	}
+	s.lease, s.leaseMax = cfg.EffectiveLeases()
 	s.predict = cfg.LeasePredict
 	s.excl = cfg.TardisExclusive
 	s.backoff = cfg.RenewBackoff
