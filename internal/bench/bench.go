@@ -53,27 +53,43 @@ type Kernel struct {
 	Source      string
 }
 
+// kernels is the one table Kernels, Get and Names read, in the paper's
+// reporting order. gen renders a kernel's source at a size.
+var kernels = [...]struct {
+	name, desc string
+	gen        func(Params) string
+}{
+	{"spec77", "spectral transform + transpose, read-only tables", spec77},
+	{"ocean", "red/black relaxation with critical reduction", ocean},
+	{"flo52", "multi-stage Euler smoothing with coarse-grid transfer", flo52},
+	{"qcd2", "lattice link update through a neighbour table", qcd2},
+	{"trfd", "integral transform with in-place accumulation", trfd},
+	{"arc2d", "ADI row/column sweeps with serial recurrences", arc2d},
+}
+
 // Names lists the kernels in the paper's reporting order.
-var Names = []string{"spec77", "ocean", "flo52", "qcd2", "trfd", "arc2d"}
+var Names = func() []string {
+	names := make([]string, len(kernels))
+	for i, k := range kernels {
+		names[i] = k.name
+	}
+	return names
+}()
 
 // Kernels returns all six kernels at the given size.
 func Kernels(p Params) []Kernel {
-	ks := []Kernel{
-		{"spec77", "spectral transform + transpose, read-only tables", spec77(p)},
-		{"ocean", "red/black relaxation with critical reduction", ocean(p)},
-		{"flo52", "multi-stage Euler smoothing with coarse-grid transfer", flo52(p)},
-		{"qcd2", "lattice link update through a neighbour table", qcd2(p)},
-		{"trfd", "integral transform with in-place accumulation", trfd(p)},
-		{"arc2d", "ADI row/column sweeps with serial recurrences", arc2d(p)},
+	ks := make([]Kernel, len(kernels))
+	for i, k := range kernels {
+		ks[i] = Kernel{k.name, k.desc, k.gen(p)}
 	}
 	return ks
 }
 
-// Get returns one kernel by name.
+// Get returns one kernel by name, generating only its source.
 func Get(name string, p Params) (Kernel, error) {
-	for _, k := range Kernels(p) {
-		if k.Name == name {
-			return k, nil
+	for _, k := range kernels {
+		if k.name == name {
+			return Kernel{k.name, k.desc, k.gen(p)}, nil
 		}
 	}
 	known := append([]string(nil), Names...)

@@ -50,6 +50,30 @@ func TestGet(t *testing.T) {
 	}
 }
 
+// TestGetMatchesKernels: Get generates one kernel from the table that
+// Kernels generates all of, so at every size its source is the
+// Kernels entry byte for byte, and Names follows the table's order.
+func TestGetMatchesKernels(t *testing.T) {
+	for _, p := range []Params{DefaultParams(), PaperParams(), {N: 7, Steps: 1}} {
+		ks := Kernels(p)
+		if len(ks) != len(Names) {
+			t.Fatalf("%d kernels, %d names", len(ks), len(Names))
+		}
+		for i, want := range ks {
+			if Names[i] != want.Name {
+				t.Errorf("Names[%d] = %s, Kernels()[%d] is %s", i, Names[i], i, want.Name)
+			}
+			got, err := Get(want.Name, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("Get(%s, %+v) differs from its Kernels entry", want.Name, p)
+			}
+		}
+	}
+}
+
 func TestTRFDRedundantWrites(t *testing.T) {
 	// The paper's TRFD claim: heavy redundant write traffic under plain
 	// write-through, eliminated by the write-buffer-as-cache.

@@ -192,11 +192,22 @@ type Expr interface {
 	exprNode()
 }
 
-// NumLit is a numeric literal.
+// NumLit is a numeric literal. Val is its value rounded to float64. An
+// integer literal (IsInt: no '.' and no exponent) also carries its exact
+// value in Int, which Val loses past 2^53, unless it is 2^63 or more
+// (TooBig).
 type NumLit struct {
-	Pos   Pos
-	Val   float64
-	IsInt bool
+	Pos    Pos
+	Val    float64
+	IsInt  bool
+	Int    int64
+	TooBig bool
+}
+
+// IntValue returns an integer literal's exact value. ok is false for a
+// floating-point literal and for an integer literal too large for int64.
+func (e *NumLit) IntValue() (v int64, ok bool) {
+	return e.Int, e.IsInt && !e.TooBig
 }
 
 // VarRef names a scalar, parameter, or loop index.

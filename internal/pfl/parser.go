@@ -1,6 +1,7 @@
 package pfl
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -561,8 +562,17 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, p.errorf("bad number %q", text)
 		}
-		isInt := !strings.ContainsAny(text, ".eE")
-		return &NumLit{Pos: pos, Val: v, IsInt: isInt}, nil
+		lit := &NumLit{Pos: pos, Val: v, IsInt: !strings.ContainsAny(text, ".eE")}
+		if lit.IsInt {
+			lit.Int, err = strconv.ParseInt(text, 10, 64)
+			if errors.Is(err, strconv.ErrRange) {
+				lit.TooBig, err = true, nil
+			}
+			if err != nil {
+				return nil, p.errorf("bad number %q", text)
+			}
+		}
+		return lit, nil
 	case p.tok.kind == tokIdent:
 		name := p.tok.text
 		if err := p.advance(); err != nil {

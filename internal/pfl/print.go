@@ -108,8 +108,11 @@ func formatStmt(b *strings.Builder, s Stmt, depth int) {
 func FormatExpr(e Expr) string {
 	switch ex := e.(type) {
 	case *NumLit:
-		if ex.IsInt {
-			return strconv.FormatInt(int64(ex.Val), 10)
+		if v, ok := ex.IntValue(); ok {
+			return strconv.FormatInt(v, 10)
+		}
+		if ex.IsInt { // past int64: keep it an integer literal
+			return strconv.FormatFloat(ex.Val, 'f', 0, 64)
 		}
 		return formatFloat(ex.Val)
 	case *VarRef:

@@ -12,7 +12,6 @@ package prog
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"repro/internal/machine"
 	"repro/internal/pfl"
@@ -196,10 +195,11 @@ func (p *Prog) EvalParamExpr(e pfl.Expr) (int64, error) {
 		if !ex.IsInt {
 			return 0, fmt.Errorf("prog: %s: expected integer constant", ex.Pos)
 		}
-		if ex.Val >= 1<<63 {
-			return 0, fmt.Errorf("prog: %s: integer constant %s overflows int64", ex.Pos, strconv.FormatFloat(ex.Val, 'f', 0, 64))
+		v, ok := ex.IntValue()
+		if !ok {
+			return 0, fmt.Errorf("prog: %s: integer constant %s overflows int64", ex.Pos, pfl.FormatExpr(ex))
 		}
-		return int64(ex.Val), nil
+		return v, nil
 	case *pfl.VarRef:
 		if v, ok := p.Params[ex.Name]; ok {
 			return v, nil
@@ -292,10 +292,10 @@ func (p *Prog) Address(array *ArrayInfo, idx []int64) (Word, error) {
 func (p *Prog) Affine(e pfl.Expr, loopVars map[string]bool) symexpr.Expr {
 	switch ex := e.(type) {
 	case *pfl.NumLit:
-		if !ex.IsInt {
-			return symexpr.Unknown()
+		if v, ok := ex.IntValue(); ok {
+			return symexpr.Const(v)
 		}
-		return symexpr.Const(int64(ex.Val))
+		return symexpr.Unknown()
 	case *pfl.VarRef:
 		if v, ok := p.Params[ex.Name]; ok {
 			return symexpr.Const(v)

@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -197,12 +198,31 @@ func TestAffineConversion(t *testing.T) {
 	}
 }
 
+// TestParamExactLiterals: integer literals evaluate exactly wherever
+// int64 holds them, not through float64, which rounds past 2^53.
+func TestParamExactLiterals(t *testing.T) {
+	for _, c := range []struct {
+		expr string
+		want int64
+	}{
+		{"9007199254740993", 1<<53 + 1},
+		{"9007199254740993 - 9007199254740992", 1},
+		{"9223372036854775807", math.MaxInt64},
+		{"-9223372036854775807 - 1", math.MinInt64},
+	} {
+		p := build(t, "program p\narray A[4]\nparam m = "+c.expr+"\nproc main() { A[0] = m }", 4)
+		if got := p.Params["m"]; got != c.want {
+			t.Errorf("param m = %s: got %d, want %d", c.expr, got, c.want)
+		}
+	}
+}
+
 // TestParamOverflow: a constant expression whose value leaves int64 is
 // an error at the operator or literal, never a wrapped extent.
 func TestParamOverflow(t *testing.T) {
 	for _, c := range []struct{ expr, want string }{
 		{"4294967296 * 4294967296 + 5", `3:22: constant "*" overflows int64`},
-		{"9223372036854775807", "3:11: integer constant 9223372036854775808 overflows int64"},
+		{"9223372036854775808", "3:11: integer constant 9223372036854775808 overflows int64"},
 		{"-4611686018427387904 * 2 / -1", `3:36: constant "/" overflows int64`},
 		{"-(-4611686018427387904 * 2)", `3:11: constant "-" overflows int64`},
 		{"4611686018427387904 + 4611686018427387904", `3:31: constant "+" overflows int64`},

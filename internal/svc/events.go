@@ -4,9 +4,12 @@
 // (GET /v1/runs/{id}/events). Phase and terminal events are retained and
 // replayed to late subscribers, so attaching after completion still
 // yields the full lifecycle; progress heartbeats are ephemeral — only
-// the latest is replayed. Publishing never blocks the simulator: sends
-// are non-blocking and a subscriber that falls subBuffer events behind
-// is disconnected (the SSE response ends; the client may resubscribe).
+// the latest is replayed. An event keeps its payload value and is
+// rendered to JSON once, when it is first delivered or replayed, so a
+// job nobody watches never marshals its events. Publishing never blocks
+// the simulator: sends are non-blocking and a subscriber that falls
+// subBuffer events behind is disconnected (the SSE response ends; the
+// client may resubscribe).
 package svc
 
 import (
@@ -25,13 +28,33 @@ const (
 	EventError    = "error"    // terminal failure/cancel (JobStatus payload)
 )
 
-// Event is one entry in a job's event stream. Seq is strictly
-// increasing per job and becomes the SSE `id:` field; Data is a
-// compact JSON payload (PhaseEvent, ProgressEvent, or JobStatus).
+// Event is one entry in a job's event stream as a subscriber receives
+// it. Seq is strictly increasing per job and becomes the SSE `id:`
+// field; Data is a compact JSON payload (PhaseEvent, ProgressEvent, or
+// JobStatus).
 type Event struct {
 	Seq  int64
 	Kind string
 	Data []byte
+}
+
+// record is a published event as the hub keeps it: the payload value,
+// and its JSON once a subscriber has needed it.
+type record struct {
+	seq     int64
+	kind    string
+	payload any
+	data    []byte
+}
+
+// event renders the record (the first time only) for a subscriber.
+// Caller holds the hub's mu.
+func (r *record) event() Event {
+	if r.data == nil {
+		r.data = mustJSON(r.payload)
+		r.payload = nil
+	}
+	return Event{Seq: r.seq, Kind: r.kind, Data: r.data}
 }
 
 // PhaseEvent reports a job lifecycle transition. Phases are the job
@@ -81,8 +104,8 @@ type eventHub struct {
 
 	mu       sync.Mutex
 	nextSeq  int64
-	history  []Event // phase + terminal events, replayed to subscribers
-	progress *Event  // latest progress event, replayed after history
+	history  []record // phase + terminal events, replayed to subscribers
+	progress *record  // latest progress event, replayed after history
 	lastProg time.Time
 	subs     map[chan Event]struct{}
 	closed   bool
@@ -102,7 +125,7 @@ func newEventHub(clock func() time.Time, minGap time.Duration) *eventHub {
 
 // publishPhase records and fans out a lifecycle transition.
 func (h *eventHub) publishPhase(job, phase string, tMS float64) {
-	h.publishRetained(EventPhase, mustJSON(PhaseEvent{Job: job, Phase: phase, TMS: tMS}))
+	h.publishRetained(EventPhase, PhaseEvent{Job: job, Phase: phase, TMS: tMS})
 }
 
 // publishProgress fans out a heartbeat, dropping it when the previous
@@ -119,25 +142,21 @@ func (h *eventHub) publishProgress(ev ProgressEvent) {
 		return
 	}
 	h.lastProg = now
-	e := Event{Seq: h.nextSeq, Kind: EventProgress, Data: mustJSON(ev)}
+	h.progress = &record{seq: h.nextSeq, kind: EventProgress, payload: ev}
 	h.nextSeq++
-	h.progress = &e
-	h.fanOutLocked(e)
+	h.fanOutLocked(h.progress)
 }
 
 // publishTerminal records and fans out the final event, then closes
 // every subscriber channel. Later publishes are no-ops; later
 // subscribers get the full history replayed and a closed channel.
-func (h *eventHub) publishTerminal(kind string, data []byte) {
+func (h *eventHub) publishTerminal(kind string, payload any) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return
 	}
-	e := Event{Seq: h.nextSeq, Kind: kind, Data: data}
-	h.nextSeq++
-	h.history = append(h.history, e)
-	h.fanOutLocked(e)
+	h.appendLocked(kind, payload)
 	h.closed = true
 	for ch := range h.subs {
 		delete(h.subs, ch)
@@ -146,21 +165,31 @@ func (h *eventHub) publishTerminal(kind string, data []byte) {
 }
 
 // publishRetained appends a non-terminal event to the replay history.
-func (h *eventHub) publishRetained(kind string, data []byte) {
+func (h *eventHub) publishRetained(kind string, payload any) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return
 	}
-	e := Event{Seq: h.nextSeq, Kind: kind, Data: data}
-	h.nextSeq++
-	h.history = append(h.history, e)
-	h.fanOutLocked(e)
+	h.appendLocked(kind, payload)
 }
 
-// fanOutLocked delivers e to every subscriber without blocking; a full
-// subscriber is evicted. Caller holds h.mu.
-func (h *eventHub) fanOutLocked(e Event) {
+// appendLocked adds an event to the replay history and fans it out.
+// Caller holds h.mu.
+func (h *eventHub) appendLocked(kind string, payload any) {
+	h.history = append(h.history, record{seq: h.nextSeq, kind: kind, payload: payload})
+	h.nextSeq++
+	h.fanOutLocked(&h.history[len(h.history)-1])
+}
+
+// fanOutLocked delivers r to every subscriber without blocking,
+// rendering it only if there is one; a full subscriber is evicted.
+// Caller holds h.mu.
+func (h *eventHub) fanOutLocked(r *record) {
+	if len(h.subs) == 0 {
+		return
+	}
+	e := r.event()
 	for ch := range h.subs {
 		select {
 		case ch <- e:
@@ -179,9 +208,12 @@ func (h *eventHub) fanOutLocked(e Event) {
 func (h *eventHub) subscribe() (replay []Event, ch chan Event, cancel func()) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	replay = append(replay, h.history...)
+	replay = make([]Event, 0, len(h.history)+1)
+	for i := range h.history {
+		replay = append(replay, h.history[i].event())
+	}
 	if h.progress != nil {
-		replay = append(replay, *h.progress)
+		replay = append(replay, h.progress.event())
 		sort.Slice(replay, func(i, j int) bool { return replay[i].Seq < replay[j].Seq })
 	}
 	ch = make(chan Event, subBuffer)

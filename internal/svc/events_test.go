@@ -49,7 +49,7 @@ func TestEventHubOrdering(t *testing.T) {
 	clk.Advance(time.Second)
 	h.publishProgress(ProgressEvent{Job: "r-1", Epoch: 10})
 	h.publishPhase("r-1", StateDone, 3)
-	h.publishTerminal(EventResult, []byte(`{"id":"r-1","state":"done"}`))
+	h.publishTerminal(EventResult, json.RawMessage(`{"id":"r-1","state":"done"}`))
 
 	got := drain(live)
 	if len(got) != 6 {

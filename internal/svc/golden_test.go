@@ -3,9 +3,12 @@ package svc
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -91,5 +94,51 @@ func TestProgressPayloadGolden(t *testing.T) {
 	if hub.progress == nil {
 		t.Fatal("run published no progress event")
 	}
-	checkGolden(t, "progress.golden", append(append([]byte(nil), hub.progress.Data...), '\n'))
+	checkGolden(t, "progress.golden", append(append([]byte(nil), hub.progress.event().Data...), '\n'))
+}
+
+// sseVolatile matches what an event stream carries that varies run to
+// run: job ids and the millisecond timings.
+var sseVolatile = regexp.MustCompile(`r-[0-9]{6}|"(tMs|queueMs|runMs)":[-+.0-9e]+`)
+
+// TestSSEReplayGolden pins the bytes of GET /v1/runs/{id}/events
+// replayed after the job finished, for a simulated job, the same
+// request served from the result cache, and a job whose program fails
+// to compile. Ids and timings are normalised; everything else (event
+// ids, kinds, field order, the progress sample and the result JSON) is
+// compared byte for byte. An hour-long heartbeat floor lets only the
+// run's first progress sample through.
+func TestSSEReplayGolden(t *testing.T) {
+	_, hs := newTestServer(t, Options{Workers: 1, HeartbeatInterval: time.Hour})
+	var got bytes.Buffer
+	for _, c := range []struct {
+		name string
+		req  RunRequest
+	}{
+		{"simulated", RunRequest{Kernel: "ocean", N: 16, Steps: 1, Scheme: "TPI"}},
+		{"cached", RunRequest{Kernel: "ocean", N: 16, Steps: 1, Scheme: "TPI"}},
+		{"failed", RunRequest{Source: "proc main() { A[0] = 1 }\n", Scheme: "HW"}},
+	} {
+		if _, st := postRun(t, hs, c.req); st.State != StateDone && st.State != StateFailed {
+			t.Fatalf("%s: state %s error %q", c.name, st.State, st.Error)
+		} else {
+			resp, err := http.Get(hs.URL + "/v1/runs/" + st.ID + "/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "# %s\n", c.name)
+			got.Write(sseVolatile.ReplaceAllFunc(body, func(m []byte) []byte {
+				if m[0] == 'r' {
+					return []byte("r-ID")
+				}
+				return append(m[:bytes.IndexByte(m, ':')+1], '0')
+			}))
+		}
+	}
+	checkGolden(t, "sse_replay.golden", got.Bytes())
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -56,9 +57,11 @@ func (s *Server) withRequestID(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		t0 := time.Now()
 		next.ServeHTTP(sw, r)
-		s.log.Debug("http request", "reqId", id, "method", r.Method,
-			"path", r.URL.Path, "status", sw.status,
-			"durMs", float64(time.Since(t0))/float64(time.Millisecond))
+		if s.logs(slog.LevelDebug) {
+			s.log.Debug("http request", "reqId", id, "method", r.Method,
+				"path", r.URL.Path, "status", sw.status,
+				"durMs", float64(time.Since(t0))/float64(time.Millisecond))
+		}
 	})
 }
 

@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -63,6 +64,49 @@ func TestSharedLoweringAcrossLineSizes(t *testing.T) {
 	}
 	if m := s.MetricsSnapshot(); m.AnalysisCache.Misses != 1 || m.CompileCache.Misses != 4 {
 		t.Fatalf("analysis misses %d, compile misses %d; want 1 and 4", m.AnalysisCache.Misses, m.CompileCache.Misses)
+	}
+}
+
+// TestColdAnalysisCoalesced: one kernel submitted at four line sizes
+// at once to a cold server misses the compile tier four times, and the
+// four misses share one analysis-tier lookup, so the program is
+// analysed once. Each round starts a fresh server and releases the four
+// submissions together.
+func TestColdAnalysisCoalesced(t *testing.T) {
+	lines := []int{1, 2, 4, 8}
+	for round := 0; round < 20; round++ {
+		s := New(Options{Workers: len(lines)})
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		errs := make([]string, len(lines))
+		for i, line := range lines {
+			wg.Add(1)
+			go func(i int, req RunRequest) {
+				defer wg.Done()
+				<-start
+				jb, deduped, apiErr := s.Submit(&req)
+				if apiErr != nil {
+					errs[i] = apiErr.Error()
+					return
+				}
+				if st := s.Wait(context.Background(), jb, deduped); st.State != StateDone {
+					errs[i] = st.State + ": " + st.Error
+				}
+			}(i, lineReq(line))
+		}
+		close(start)
+		wg.Wait()
+		m := s.MetricsSnapshot()
+		s.Close()
+		for i, e := range errs {
+			if e != "" {
+				t.Fatalf("round %d, line %d: %s", round, lines[i], e)
+			}
+		}
+		if m.AnalysisCache.Misses != 1 || m.CompileCache.Misses != 4 {
+			t.Fatalf("round %d: analysis misses %d, compile misses %d; want 1 and 4",
+				round, m.AnalysisCache.Misses, m.CompileCache.Misses)
+		}
 	}
 }
 

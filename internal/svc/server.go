@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -38,8 +37,10 @@ type Options struct {
 	// JobHistory is how many finished jobs stay queryable by id
 	// (default 4096).
 	JobHistory int
-	// Logger receives the server's structured logs (default: discard).
-	// Job lifecycle logs at Info, per-request access logs at Debug.
+	// Logger receives the server's structured logs. Job lifecycle logs
+	// at Info, per-request access logs at Debug. The default discards
+	// every record: its handler is enabled at no level, so no record is
+	// built or formatted and no log argument is computed.
 	Logger *slog.Logger
 	// Registry receives the server's Prometheus metrics (default: a
 	// fresh private registry). Pass a shared registry to co-expose
@@ -77,7 +78,7 @@ func (o Options) withDefaults() Options {
 		o.JobHistory = 4096
 	}
 	if o.Logger == nil {
-		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		o.Logger = slog.New(discardHandler{})
 	}
 	if o.Registry == nil {
 		o.Registry = telemetry.NewRegistry()
@@ -87,6 +88,16 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// discardHandler is the default log handler: enabled at no level, so
+// the logger drops every record before building it. (slog.DiscardHandler
+// is the same thing from Go 1.24 on.)
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
 
 // Server is the simulation job server. Build with New, mount Handler on
 // an http.Server, and stop with Drain (graceful) or Close (immediate).
@@ -106,8 +117,9 @@ type Server struct {
 	workerWG  sync.WaitGroup
 	jobWG     sync.WaitGroup // one count per accepted (non-cached) submission
 
-	compiles      flightGroup[*core.Compiled]
-	analysisCache *lruCache[*core.Compiled] // front ends, never run; each holds its shared IR
+	compiles      flightGroup[*core.Compiled] // keyed by compile key
+	analyses      flightGroup[*core.Compiled] // keyed by analysis key
+	analysisCache *lruCache[*core.Compiled]   // front ends, never run; each holds its shared IR
 	compileCache  *lruCache[*core.Compiled]
 	resultCache   *lruCache[[]byte]
 
@@ -206,7 +218,9 @@ func (s *Server) Submit(req *RunRequest) (jb *job, deduped bool, apiErr *apiErro
 		s.counters.Done++
 		s.register(jb)
 		s.mu.Unlock()
-		s.log.Debug("job served from result cache", "job", jb.id, "program", res.program, "scheme", res.cfg.Scheme.String())
+		if s.logs(slog.LevelDebug) {
+			s.log.Debug("job served from result cache", "job", jb.id, "program", res.program, "scheme", res.cfg.Scheme.String())
+		}
 		return jb, false, nil
 	}
 
@@ -221,7 +235,9 @@ func (s *Server) Submit(req *RunRequest) (jb *job, deduped bool, apiErr *apiErro
 		s.counters.Deduped++
 		s.mu.Unlock()
 		s.tel.coalesced.With("run").Inc()
-		s.log.Debug("submission coalesced onto in-flight job", "job", live.id)
+		if s.logs(slog.LevelDebug) {
+			s.log.Debug("submission coalesced onto in-flight job", "job", live.id)
+		}
 		return live, true, nil
 	}
 	// Re-check the result cache: runJob publishes the result before it
@@ -270,8 +286,17 @@ func (s *Server) Submit(req *RunRequest) (jb *job, deduped bool, apiErr *apiErro
 		case <-jb.done:
 		}
 	}()
-	s.log.Debug("job enqueued", "job", jb.id, "program", res.program, "scheme", res.cfg.Scheme.String())
+	if s.logs(slog.LevelDebug) {
+		s.log.Debug("job enqueued", "job", jb.id, "program", res.program, "scheme", res.cfg.Scheme.String())
+	}
 	return jb, false, nil
+}
+
+// logs reports whether the logger takes records at level l. Callers
+// check it before building a record's arguments, which are boxed even
+// when the logger drops the record.
+func (s *Server) logs(l slog.Level) bool {
+	return s.log.Enabled(context.Background(), l)
 }
 
 // newHub builds the event hub for one job from the server's clock and
@@ -483,23 +508,32 @@ func (s *Server) runJob(jb *job) {
 // compile returns the job's compiled program, from the cache when
 // present; concurrent misses on the same key compile once. A miss
 // relayouts the program's front end from the analysis tier, analysing
-// only when that misses too. Runs only ever get a Relayout, never the
-// analysis tier's entry itself. Every Relayout of one front end shares
-// its closure IR, lowered on the first run of any of them, so a miss
-// costs a layout and a binding of that IR, not a lowering; evicting a
-// program from the compile tier frees only its layout and binding.
+// only when that misses too; concurrent misses at different layouts of
+// one program share one analysis-tier lookup, so a cold program is
+// analysed once whatever its line sizes. Runs only ever get a Relayout,
+// never the analysis tier's entry itself. Every Relayout of one front
+// end shares its closure IR, lowered on the first run of any of them,
+// so a miss costs a layout and a binding of that IR, not a lowering;
+// evicting a program from the compile tier frees only its layout and
+// binding.
 func (s *Server) compile(res *resolved) (*core.Compiled, error) {
 	if c, ok := s.compileCache.Get(res.compileKey); ok {
 		return c, nil
 	}
 	c, err, shared := s.compiles.Do(res.compileKey, func() (*core.Compiled, error) {
-		fe, ok := s.analysisCache.Get(res.analysisKey)
-		if !ok {
-			var err error
-			if fe, err = core.Compile(res.src, res.copts); err != nil {
+		fe, err, _ := s.analyses.Do(res.analysisKey, func() (*core.Compiled, error) {
+			if fe, ok := s.analysisCache.Get(res.analysisKey); ok {
+				return fe, nil
+			}
+			fe, err := core.Compile(res.src, res.copts)
+			if err != nil {
 				return nil, err
 			}
 			s.analysisCache.Put(res.analysisKey, fe)
+			return fe, nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		c, err := fe.Relayout(res.copts)
 		if err != nil {
@@ -540,6 +574,9 @@ func (s *Server) finishJob(jb *job, result []byte, err error) {
 		s.counters.Cancelled++
 	}
 	s.mu.Unlock()
+	if !s.logs(slog.LevelInfo) {
+		return
+	}
 	st := jb.status(false)
 	if err != nil {
 		s.log.Info("job finished", "job", jb.id, "state", state,

@@ -32,6 +32,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -168,14 +169,28 @@ func resolve(req *RunRequest) (*resolved, error) {
 	}
 	r.analysisKey = core.AnalysisKey(r.src, r.copts)
 	r.compileKey = core.CompileKey(r.src, r.copts)
-	cfgHash, err := r.cfg.Hash()
+	cfgJSON, err := r.cfg.CanonicalJSON()
 	if err != nil {
 		return nil, fmt.Errorf("svc: %w", err)
 	}
-	sum := sha256.Sum256([]byte(r.compileKey + "\x00" + cfgHash + "\x00" +
-		fmt.Sprint(int(r.level)) + "\x00" + r.program))
-	r.resultKey = hex.EncodeToString(sum[:])
+	r.resultKey = resultKey(r.compileKey, sha256.Sum256(cfgJSON), r.level, r.program)
 	return r, nil
+}
+
+// resultKey is the hex sha256 of the compile key, the hex sha256 of the
+// canonical config JSON (machine.Config.Hash), the obs level in decimal
+// and the program label, joined by NULs. The parts are laid out in a
+// stack buffer; the key string is the only allocation.
+func resultKey(compileKey string, cfgSum [sha256.Size]byte, level obs.Level, program string) string {
+	var buf [256]byte
+	b := append(buf[:0], compileKey...)
+	b = hex.AppendEncode(append(b, 0), cfgSum[:])
+	b = strconv.AppendInt(append(b, 0), int64(level), 10)
+	b = append(append(b, 0), program...)
+	sum := sha256.Sum256(b)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }
 
 // RequestKey resolves a request to its content-addressed result key:
@@ -304,7 +319,7 @@ func (j *job) finish(state string, result []byte, err error) bool {
 	if state != StateDone {
 		kind = EventError
 	}
-	j.hub.publishTerminal(kind, mustJSON(j.statusLocked(false)))
+	j.hub.publishTerminal(kind, j.statusLocked(false))
 	close(j.done)
 	return true
 }

@@ -194,13 +194,17 @@ func (t *svcTelemetry) register(reg *telemetry.Registry, s *Server) {
 
 // runExporter feeds one job's progress samples into the per-scheme
 // counters (as deltas between consecutive cumulative snapshots) and the
-// job's event hub. It runs on the simulating goroutine only, so prev
-// needs no lock. Counter handles are resolved once, not per sample.
+// job's event hub. It runs on the simulating goroutine only, so cur and
+// prev need no lock. Counter handles are resolved once, not per sample.
 type runExporter struct {
 	jobID  string
 	scheme string
 	hub    *eventHub
-	prev   sim.Progress
+	// cur holds the sample being exported and prev the one before it.
+	// The metric readers take a pointer, so a sample is copied here
+	// rather than read through a pointer to sample's argument, which
+	// would move every sample to the heap.
+	cur, prev sim.Progress
 
 	counters [len(runMetrics)]*telemetry.Counter
 
@@ -247,11 +251,12 @@ func (e *runExporter) exportClusters(p sim.Progress) {
 // cumulative snapshot to the hub (which applies its own heartbeat
 // throttle before fanning out to SSE subscribers).
 func (e *runExporter) sample(p sim.Progress) {
+	e.cur = p
 	for i, m := range runMetrics {
-		e.counters[i].Add(m.value(&p) - m.value(&e.prev))
+		e.counters[i].Add(m.value(&e.cur) - m.value(&e.prev))
 	}
 	e.exportClusters(p)
-	e.prev = p
+	e.prev = e.cur
 	e.hub.publishProgress(ProgressEvent{
 		Job:             e.jobID,
 		Epoch:           p.Epoch,
